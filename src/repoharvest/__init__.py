@@ -43,7 +43,7 @@ from .links import (
     dedupe,
     extract_urls,
 )
-from .maturity import DEFAULT_RULE, MaturityTier, TierMismatch, TierRule, calibrate_check, classify
+from .maturity import DEFAULT_RULE, MaturityTier, TierRule, classify
 from .throttle import RequestGate
 
 __version__ = "0.1.0"
@@ -73,12 +73,10 @@ __all__ = [
     "SearchSpecError",
     "StoreError",
     "ThrottlePolicy",
-    "TierMismatch",
     "TierRule",
     "build_query",
     "canonicalize",
     "classify",
-    "calibrate_check",
     "clean_url",
     "dedupe",
     "default_spec",

@@ -11,11 +11,11 @@ import time
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from datetime import date
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 import requests
 
-from .throttle import RequestGate
+from .throttle import REQUEST_TIMEOUT, RequestGate, retrying_get, seconds_header
 
 DEFAULT_BASE_URL = "http://export.arxiv.org/api/query"
 
@@ -44,17 +44,9 @@ class SearchSpecError(ValueError):
 class ArxivRequestError(Exception):
     """A feed request failed; carries the HTTP status when there was one."""
 
-    def __init__(
-        self,
-        detail: str,
-        status: Optional[int] = None,
-        retryable: bool = False,
-        retry_after: Optional[float] = None,
-    ) -> None:
+    def __init__(self, detail: str, status: Optional[int] = None) -> None:
         super().__init__(detail)
         self.status = status
-        self.retryable = retryable
-        self.retry_after = retry_after
 
 
 class FeedParseError(Exception):
@@ -104,23 +96,6 @@ class PaperRecord:
     abstract: str
     submitted: date
 
-    def to_dict(self) -> dict:
-        return {
-            "arxiv_id": self.arxiv_id,
-            "title": self.title,
-            "abstract": self.abstract,
-            "submitted": self.submitted.isoformat(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PaperRecord":
-        return cls(
-            arxiv_id=data["arxiv_id"],
-            title=data["title"],
-            abstract=data["abstract"],
-            submitted=date.fromisoformat(data["submitted"]),
-        )
-
 
 def build_query(spec: SearchSpec) -> str:
     """Expand the spec into the feed query string.
@@ -141,65 +116,64 @@ def normalize_date_range(query: str) -> str:
     )
 
 
-class ArxivClient:
-    """Feed client with paging, politeness delay, and retry budget.
+def _classify(outcome):
+    """None for a 200, else (error, retryable, Retry-After hint).
 
-    ``max_retries`` counts retries after the first attempt (the default of
-    2 allows three attempts in total). ``session``, ``clock``, and
-    ``sleep`` are injectable for tests.
+    Transport failures and 5xx answers are retryable; other statuses are
+    not.
+    """
+    if isinstance(outcome, requests.RequestException):
+        return ArxivRequestError(f"transport failure: {outcome}"), True, None
+    status = outcome.status_code
+    if status == 200:
+        return None
+    return (
+        ArxivRequestError(f"HTTP {status} from feed endpoint", status=status),
+        status >= 500,
+        seconds_header(outcome.headers.get("Retry-After")),
+    )
+
+
+class ArxivClient:
+    """Feed client with paging, politeness delay, and the shared retry
+    budget of throttle.retrying_get.
+
+    ``session``, ``clock``, and ``sleep`` are injectable for tests.
     """
 
     def __init__(
         self,
         base_url: str = DEFAULT_BASE_URL,
         delay: float = DEFAULT_DELAY,
-        max_retries: int = 2,
         backoff_base: float = 1.0,
         normalize_dates: bool = False,
         session=None,
-        timeout: float = 30.0,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.base_url = base_url
         self.normalize_dates = normalize_dates
-        self.max_retries = max_retries
         self._backoff_base = backoff_base
         self._session = session if session is not None else requests.Session()
-        self._timeout = timeout
         self._gate = RequestGate(delay, clock=clock, sleep=sleep)
         #: Total result count reported by the most recent page, if any.
         self.last_total_results: Optional[int] = None
 
     def fetch_page(self, query: str, start: int, page_size: int) -> list[PaperRecord]:
-        """Issue one feed request and parse its entries, in feed order."""
+        """Request one feed page, retrying within the budget, and parse its
+        entries in feed order."""
         if start < 0:
             raise SearchSpecError("start must be >= 0")
         if page_size < 1:
             raise SearchSpecError("page_size must be >= 1")
         send_query = normalize_date_range(query) if self.normalize_dates else query
         params = {"search_query": send_query, "start": start, "max_results": page_size}
-        self._gate.wait()
-        try:
-            response = self._session.get(self.base_url, params=params, timeout=self._timeout)
-        except requests.RequestException as exc:
-            raise ArxivRequestError(
-                f"transport failure: {exc}", retryable=True
-            ) from exc
-        if response.status_code != 200:
-            retry_after = None
-            header = response.headers.get("Retry-After")
-            if header is not None:
-                try:
-                    retry_after = max(0.0, float(header))
-                except ValueError:
-                    retry_after = None
-            raise ArxivRequestError(
-                f"HTTP {response.status_code} from feed endpoint",
-                status=response.status_code,
-                retryable=response.status_code >= 500,
-                retry_after=retry_after,
-            )
+        response = retrying_get(
+            self._gate,
+            lambda: self._session.get(self.base_url, params=params, timeout=REQUEST_TIMEOUT),
+            _classify,
+            self._backoff_base,
+        )
         return self._parse_feed(response.text)
 
     def _parse_feed(self, text: str) -> list[PaperRecord]:
@@ -233,20 +207,6 @@ class ArxivClient:
             )
         return records
 
-    def _fetch_with_retry(self, query: str, start: int, page_size: int) -> list[PaperRecord]:
-        backoff = self._backoff_base
-        attempt = 0
-        while True:
-            try:
-                return self.fetch_page(query, start, page_size)
-            except ArxivRequestError as exc:
-                if not exc.retryable or attempt >= self.max_retries:
-                    raise
-                delay = backoff if exc.retry_after is None else max(backoff, exc.retry_after)
-                self._gate.defer(delay)
-                backoff *= 2
-                attempt += 1
-
     def iterate_papers(self, spec: SearchSpec) -> Iterator[PaperRecord]:
         """Stream records page by page until the cap or a short page.
 
@@ -259,7 +219,7 @@ class ArxivClient:
         yielded = 0
         start = 0
         while yielded < spec.max_results:
-            records = self._fetch_with_retry(query, start, spec.page_size)
+            records = self.fetch_page(query, start, spec.page_size)
             for record in records:
                 if record.arxiv_id in seen:
                     continue

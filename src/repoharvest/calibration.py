@@ -97,7 +97,3 @@ REFERENCE_ROWS: tuple[CalibrationRow, ...] = tuple(
     _parse_row(line) for line in _REFERENCE_LINES
 )
 
-
-def oracle_pairs() -> list[tuple[RepoMetrics, MaturityTier]]:
-    """The table as (metrics, expected tier) pairs for calibrate_check."""
-    return [(row.to_metrics(), row.expected_tier) for row in REFERENCE_ROWS]

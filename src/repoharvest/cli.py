@@ -24,7 +24,7 @@ from typing import Optional, TextIO
 from . import arxiv as arxiv_mod
 from . import github as github_mod
 from .arxiv import ArxivClient, ArxivRequestError, FeedParseError, SearchSpec, SearchSpecError
-from .calibration import CALIBRATION_TIME, REFERENCE_ROWS, oracle_pairs
+from .calibration import CALIBRATION_TIME, REFERENCE_ROWS
 from .github import GitHubClient, ThrottlePolicy
 from .kb import (
     RECORDS_FILENAME,
@@ -41,7 +41,7 @@ from .kb import (
     save_records,
 )
 from .links import LinkError, RepoRef, canonicalize, clean_url, dedupe, extract_urls
-from .maturity import TierRule, calibrate_check, classify
+from .maturity import TierRule, classify
 
 log = logging.getLogger("repoharvest")
 
@@ -59,7 +59,6 @@ _DEFAULTS: dict = {
     "medium_stars": 30,
     "high_stars": 100,
     "out_dir": ".",
-    "serial": False,
     "token_env": "GITHUB_TOKEN",
     "include_anonymous": False,
     "verbose": 0,
@@ -82,7 +81,6 @@ class RunConfig:
     arxiv_delay: float
     min_interval: Optional[float]
     out_dir: Path
-    serial: bool
     token_env: str
     include_anonymous: bool
     verbose: int
@@ -112,8 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--medium-stars", type=int, dest="medium_stars")
     common.add_argument("--high-stars", type=int, dest="high_stars")
     common.add_argument("--out-dir", dest="out_dir")
-    common.add_argument("--serial", action="store_true", default=None,
-                        help="strictly sequential stage execution")
     common.add_argument("--token-env", dest="token_env",
                         help="environment variable holding the GitHub token "
                              "(default GITHUB_TOKEN)")
@@ -187,7 +183,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         arxiv_delay=arxiv_delay,
         min_interval=min_interval,
         out_dir=Path(values["out_dir"]),
-        serial=bool(values["serial"]),
         token_env=str(values["token_env"]),
         include_anonymous=bool(values["include_anonymous"]),
         verbose=int(values["verbose"]),
@@ -345,12 +340,14 @@ def cmd_selfcheck(rule: TierRule, out: Optional[TextIO] = None) -> int:
     """Replay the calibration table; nonzero exit when any row disagrees."""
     out = out if out is not None else sys.stdout
     failing: set[str] = set()
-    for mismatch in calibrate_check(rule, oracle_pairs()):
-        failing.add(mismatch.metrics.name)
-        out.write(
-            f"tier mismatch for '{mismatch.metrics.name}': "
-            f"expected {mismatch.expected}, got {mismatch.actual}\n"
-        )
+    for row in REFERENCE_ROWS:
+        tier = classify(row.to_metrics(), rule)
+        if tier != row.expected_tier:
+            failing.add(row.name)
+            out.write(
+                f"tier mismatch for '{row.name}': "
+                f"expected {row.expected_tier}, got {tier}\n"
+            )
     for row in REFERENCE_ROWS:
         metrics = row.to_metrics()
         entry = KbEntry(

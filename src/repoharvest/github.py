@@ -19,12 +19,15 @@ from urllib.parse import urljoin
 import requests
 
 from .links import RepoRef
-from .throttle import RequestGate
+from .throttle import REQUEST_TIMEOUT, RequestGate, retrying_get, seconds_header
 
 DEFAULT_BASE_URL = "https://api.github.com"
 
-# Unauthenticated quota is 60 requests/hour; 720 ms spacing keeps a run of a
-# few dozen repositories inside one window. Authenticated quota is 5000/hour.
+# Minimum gap between anonymous requests. 720 ms allows 5000 requests an
+# hour, the authenticated quota's rate; it does not keep a run inside the
+# anonymous quota of 60 requests an hour, which a default run of ~87
+# requests exceeds. Past that quota GitHub answers 403 with
+# X-RateLimit-Reset, and the retry waits until the reset time.
 ANONYMOUS_MIN_INTERVAL = 0.72
 AUTHENTICATED_MIN_INTERVAL = 0.10
 
@@ -84,22 +87,14 @@ class FetchFailure:
 
 @dataclass(frozen=True)
 class ThrottlePolicy:
-    """Outbound request pacing and retry budget.
-
-    ``max_retries`` counts retries after the first attempt (2 means three
-    attempts in total). ``respect_server_hints`` honors Retry-After and
-    quota-reset response headers when scheduling the next attempt.
-    """
+    """Outbound request pacing: the minimum gap between requests, in
+    seconds. Retries follow the shared budget of throttle.retrying_get."""
 
     min_interval: float
-    max_retries: int = 2
-    respect_server_hints: bool = True
 
     def __post_init__(self) -> None:
         if self.min_interval < 0:
             raise ValueError("min_interval must be >= 0")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
 
 
 class GitHubFetchError(Exception):
@@ -137,7 +132,6 @@ class GitHubClient:
         policy: Optional[ThrottlePolicy] = None,
         include_anonymous: bool = False,
         session=None,
-        timeout: float = 30.0,
         backoff_base: float = 1.0,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
@@ -151,7 +145,6 @@ class GitHubClient:
         self.policy = policy
         self.include_anonymous = include_anonymous
         self._session = session if session is not None else requests.Session()
-        self._timeout = timeout
         self._backoff_base = backoff_base
         self._wall_clock = wall_clock
         self._now = now
@@ -162,78 +155,51 @@ class GitHubClient:
 
     # -- low-level request machinery -------------------------------------
 
-    def _get_once(self, url: str, params):
-        self._gate.wait()
-        try:
-            return self._session.get(
-                url,
-                params=params,
-                headers=self._headers,
-                timeout=self._timeout,
-                allow_redirects=False,
-            )
-        except requests.RequestException as exc:
-            raise _Transient(FailureKind.TRANSPORT, f"transport failure: {exc}") from exc
-
-    def _server_hint(self, response) -> Optional[float]:
-        retry_after = response.headers.get("Retry-After")
-        if retry_after is not None:
-            try:
-                return max(0.0, float(retry_after))
-            except ValueError:
-                return None
-        reset = response.headers.get("X-RateLimit-Reset")
-        if reset is not None:
-            try:
-                return max(0.0, float(reset) - self._wall_clock())
-            except ValueError:
-                return None
-        return None
-
-    def _classify_error(self, response) -> tuple[FailureKind, bool]:
-        """Map a non-success response to (failure kind, retryable)."""
-        status = response.status_code
+    def _classify(self, outcome, url: str):
+        """None for a 2xx/3xx response, else (GitHubFetchError, retryable,
+        server hint). Transport failures, 5xx answers and quota 403/429s
+        are retryable. The hint is Retry-After when sent, else the time
+        left until X-RateLimit-Reset (epoch seconds)."""
+        if isinstance(outcome, requests.RequestException):
+            error = GitHubFetchError(FailureKind.TRANSPORT, f"transport failure: {outcome}")
+            return error, True, None
+        status = outcome.status_code
+        if status < 400:
+            return None
+        headers = outcome.headers
+        kind, retryable = FailureKind.TRANSPORT, status >= 500
         if status == 404:
-            return FailureKind.NOT_FOUND, False
-        if status in (403, 429):
-            quota_gone = (
+            kind = FailureKind.NOT_FOUND
+        elif status == 401:
+            kind = FailureKind.FORBIDDEN
+        elif status in (403, 429):
+            retryable = (
                 status == 429
-                or response.headers.get("X-RateLimit-Remaining") == "0"
-                or response.headers.get("Retry-After") is not None
+                or headers.get("X-RateLimit-Remaining") == "0"
+                or "Retry-After" in headers
             )
-            if quota_gone:
-                return FailureKind.RATE_LIMITED, True
-            return FailureKind.FORBIDDEN, False
-        if status == 401:
-            return FailureKind.FORBIDDEN, False
-        if status >= 500:
-            return FailureKind.TRANSPORT, True
-        return FailureKind.TRANSPORT, False
+            kind = FailureKind.RATE_LIMITED if retryable else FailureKind.FORBIDDEN
+        if "Retry-After" in headers:
+            hint = seconds_header(headers["Retry-After"])
+        else:
+            reset = seconds_header(headers.get("X-RateLimit-Reset"))
+            hint = None if reset is None else max(0.0, reset - self._wall_clock())
+        return GitHubFetchError(kind, f"HTTP {status} for {url}"), retryable, hint
 
     def _request(self, url: str, params=None):
         """GET with the retry budget; returns 2xx or 3xx responses."""
-        backoff = self._backoff_base
-        attempt = 0
-        while True:
-            hint = None
-            try:
-                response = self._get_once(url, params)
-            except _Transient as exc:
-                kind, retryable, detail = exc.kind, True, exc.detail
-            else:
-                if response.status_code < 400:
-                    return response
-                kind, retryable = self._classify_error(response)
-                detail = f"HTTP {response.status_code} for {url}"
-                hint = self._server_hint(response)
-            if not retryable or attempt >= self.policy.max_retries:
-                raise GitHubFetchError(kind, detail)
-            delay = backoff
-            if hint is not None and self.policy.respect_server_hints:
-                delay = max(delay, hint)
-            self._gate.defer(delay)
-            backoff *= 2
-            attempt += 1
+        return retrying_get(
+            self._gate,
+            lambda: self._session.get(
+                url,
+                params=params,
+                headers=self._headers,
+                timeout=REQUEST_TIMEOUT,
+                allow_redirects=False,
+            ),
+            lambda outcome: self._classify(outcome, url),
+            self._backoff_base,
+        )
 
     def _request_following_rename(self, url: str, params=None):
         """GET, following at most one rename redirect."""
@@ -358,12 +324,3 @@ class GitHubClient:
                     )
                 )
         return successes, failures
-
-
-class _Transient(Exception):
-    """Internal marker for retryable transport-level failures."""
-
-    def __init__(self, kind: FailureKind, detail: str) -> None:
-        super().__init__(detail)
-        self.kind = kind
-        self.detail = detail

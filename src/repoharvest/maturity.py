@@ -2,8 +2,8 @@
 
 Maps an engagement snapshot onto an ordered Low/Medium/High tier. The
 default star thresholds are calibrated so the rule agrees with every row of
-the reference table in calibration.py; calibrate_check verifies that
-agreement and backs the `selfcheck` CLI subcommand. Forks, issues, and
+the reference table in calibration.py; the `selfcheck` CLI subcommand
+verifies that agreement. Forks, issues, and
 contributor counts ride along in the report but do not move the default
 tier; TierRule is the extension point for a richer rule.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .github import RepoMetrics
@@ -62,29 +62,3 @@ def classify(metrics: "RepoMetrics", rule: TierRule = DEFAULT_RULE) -> MaturityT
         return MaturityTier.MEDIUM
     return MaturityTier.LOW
 
-
-@dataclass(frozen=True)
-class TierMismatch:
-    """One disagreement between a rule and an expected classification."""
-
-    metrics: "RepoMetrics"
-    expected: MaturityTier
-    actual: MaturityTier
-
-
-def calibrate_check(
-    rule: TierRule,
-    oracle: Sequence[tuple["RepoMetrics", MaturityTier]],
-) -> list[TierMismatch]:
-    """Apply ``rule`` to every oracle row; return the mismatching rows.
-
-    An empty result means full agreement.
-    """
-    if not oracle:
-        raise ValueError("oracle must be non-empty")
-    mismatches = []
-    for metrics, expected in oracle:
-        actual = classify(metrics, rule)
-        if actual != expected:
-            mismatches.append(TierMismatch(metrics, expected, actual))
-    return mismatches

@@ -1,14 +1,23 @@
-"""Request pacing shared by the HTTP clients.
+"""Request pacing and retries shared by the HTTP clients.
 
 A RequestGate serializes outbound requests and keeps a minimum interval
 between consecutive ones. Server-supplied delays (retry-after hints, quota
-resets) are folded in through defer().
+resets) are folded in through defer(). retrying_get() is the one
+gate → GET → classify → backoff-or-hint loop both clients send through.
 """
 from __future__ import annotations
 
+import math
 import threading
 import time
-from typing import Callable
+from typing import Callable, Optional
+
+import requests
+
+#: Retries after the first attempt, so three attempts in total.
+MAX_RETRIES = 2
+#: Seconds a client waits for a server to answer one request.
+REQUEST_TIMEOUT = 30.0
 
 
 class RequestGate:
@@ -48,3 +57,45 @@ class RequestGate:
             return
         with self._lock:
             self._not_before = max(self._not_before, self._clock() + delay)
+
+
+def seconds_header(value: Optional[str]) -> Optional[float]:
+    """A header value holding a number of seconds, floored at 0.
+
+    None when the header is absent, unparseable, or not finite: a gate
+    cannot sleep until ``inf``.
+    """
+    if value is None:
+        return None
+    try:
+        seconds = float(value)
+    except ValueError:
+        return None
+    return max(0.0, seconds) if math.isfinite(seconds) else None
+
+
+def retrying_get(gate: RequestGate, get, classify, backoff: float):
+    """Send ``get()`` through ``gate`` until it succeeds or the budget ends.
+
+    ``classify`` maps the response, or the ``requests.RequestException``
+    that ``get`` raised, to None on success or to ``(error, retryable,
+    hint)``. A retryable failure defers the next request by ``backoff``, or
+    by the server's ``hint`` seconds when that is longer, and the backoff
+    doubles. After MAX_RETRIES retries, or on a failure that is not
+    retryable, ``error`` is raised.
+    """
+    for attempt in range(MAX_RETRIES + 1):
+        gate.wait()
+        try:
+            outcome = get()
+        except requests.RequestException as exc:
+            outcome = exc
+        failure = classify(outcome)
+        if failure is None:
+            return outcome
+        error, retryable, hint = failure
+        if not retryable or attempt == MAX_RETRIES:
+            cause = outcome if isinstance(outcome, requests.RequestException) else None
+            raise error from cause
+        gate.defer(backoff if hint is None else max(backoff, hint))
+        backoff *= 2

@@ -4,6 +4,7 @@ from __future__ import annotations
 from datetime import date
 
 import pytest
+import requests
 from hypothesis import given, strategies as st
 
 from conftest import FakeClock, FakeResponse, FakeSession, atom_entry, atom_feed
@@ -166,11 +167,21 @@ class TestFetchPage:
             client.fetch_page("q", 0, 0)
 
     def test_http_error_carries_status(self):
-        client, _, _ = _client(lambda url, params: FakeResponse(status_code=500, text="x"))
+        client, session, _ = _client(lambda url, params: FakeResponse(status_code=500, text="x"))
         with pytest.raises(ArxivRequestError) as excinfo:
             client.fetch_page("q", 0, 10)
         assert excinfo.value.status == 500
-        assert excinfo.value.retryable
+        assert len(session.calls) == 3  # a 5xx is retried within the budget
+
+    def test_transport_exception_retried_then_raised(self):
+        def handler(url, params):
+            raise requests.ConnectionError("connection refused")
+
+        client, session, _ = _client(handler)
+        with pytest.raises(ArxivRequestError, match="transport failure") as excinfo:
+            client.fetch_page("q", 0, 10)
+        assert excinfo.value.status is None
+        assert len(session.calls) == 3
 
 
 class TestIteratePapers:
@@ -280,14 +291,13 @@ class TestIteratePapers:
         times = session.times
         assert times[1] - times[0] >= 25.0
 
+    def test_infinite_retry_after_falls_back_to_backoff(self):
+        def handler(url, params):
+            return FakeResponse(status_code=503, text="busy", headers={"Retry-After": "inf"})
 
-class TestPaperRecordSerialization:
-    @given(
-        arxiv_id=st.from_regex(r"[0-9]{4}\.[0-9]{5}(v[0-9])?", fullmatch=True),
-        title=st.text(max_size=80),
-        abstract=st.text(max_size=200),
-        submitted=st.dates(min_value=date(1991, 1, 1), max_value=date(2030, 12, 31)),
-    )
-    def test_round_trip(self, arxiv_id, title, abstract, submitted):
-        record = PaperRecord(arxiv_id, title, abstract, submitted)
-        assert PaperRecord.from_dict(record.to_dict()) == record
+        client, session, clock = _client(handler)
+        with pytest.raises(ArxivRequestError):
+            list(client.iterate_papers(SearchSpec(terms=("x",), max_results=5, page_size=5)))
+        assert len(session.calls) == 3
+        assert clock.sleeps == [1.0, 2.0]  # the doubling backoff, not the hint
+

@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import logging
+import re
 import socket
 import subprocess
 import sys
@@ -31,7 +32,7 @@ from repoharvest.cli import (
 )
 from repoharvest.github import GitHubClient, ThrottlePolicy
 from repoharvest.kb import KnowledgeBase, load_records
-from repoharvest.maturity import TierRule
+from repoharvest.maturity import MaturityTier, TierRule
 
 EXPECTED_LINES = [row.expected_line for row in REFERENCE_ROWS]
 
@@ -342,8 +343,15 @@ class TestSelfcheck:
         out = io.StringIO()
         assert cmd_selfcheck(TierRule(1000, 2000), out=out) == 1
         text = out.getvalue()
-        assert "tier mismatch" in text
         assert "selfcheck: 17/23 reference rows match" in text
+        mismatches = re.findall(r"^tier mismatch for '([^']+)': expected \w+, got (\w+)$",
+                                text, flags=re.MULTILINE)
+        # every non-Low row degrades to Low under the absurd thresholds
+        expected = {row.name for row in REFERENCE_ROWS
+                    if row.expected_tier is not MaturityTier.LOW}
+        assert {name for name, _ in mismatches} == expected
+        assert len(mismatches) == len(expected)
+        assert {got for _, got in mismatches} == {"Low"}
 
     def test_main_wires_selfcheck_flags(self, capsys):
         assert main(["selfcheck"]) == 0
@@ -365,21 +373,20 @@ class TestArgumentResolution:
         assert cfg.min_interval is None
         assert cfg.token_env == "GITHUB_TOKEN"
         assert not cfg.normalize_dates
-        assert not cfg.serial
 
     def test_flags_override(self):
         cfg = resolve_config(parse_args([
             "run", "--terms", "alpha", "--terms", "beta gamma",
             "--from-year", "2020", "--to-year", "2021",
             "--max-results", "20", "--page-size", "10",
-            "--normalize-dates", "--serial",
+            "--normalize-dates",
             "--min-interval-ms", "250", "--token-env", "MY_TOKEN",
         ]))
         assert cfg.search.terms == ("alpha", "beta gamma")
         assert (cfg.search.date_from, cfg.search.date_to) == (2020, 2021)
         assert cfg.search.max_results == 20
         assert cfg.search.page_size == 10
-        assert cfg.normalize_dates and cfg.serial
+        assert cfg.normalize_dates
         assert cfg.min_interval == pytest.approx(0.25)
         assert cfg.token_env == "MY_TOKEN"
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import pytest
+import requests
 
 from conftest import FakeClock, FakeResponse, FakeSession, make_ref
 from repoharvest.github import (
@@ -160,6 +161,17 @@ class TestFetchRepo:
         assert excinfo.value.kind is FailureKind.TRANSPORT
         assert len(calls) == 3  # first attempt + default budget of 2 retries
 
+    def test_transport_exception_retried_then_fails_as_transport(self):
+        def handler(url, params):
+            raise requests.ConnectionError("connection reset")
+
+        client, session, _ = make_client(handler)
+        with pytest.raises(GitHubFetchError) as excinfo:
+            client.fetch_repo(make_ref("a", "b"))
+        assert excinfo.value.kind is FailureKind.TRANSPORT
+        assert "connection reset" in excinfo.value.detail
+        assert len(session.calls) == 3
+
     def test_forbidden_without_quota_signals_is_not_retried(self):
         calls = []
 
@@ -227,6 +239,21 @@ class TestRateLimitHandling:
             client.fetch_repo(make_ref("a", "b"))
         assert excinfo.value.kind is FailureKind.RATE_LIMITED
         assert len(session.calls) == 3
+
+    def test_infinite_reset_falls_back_to_backoff(self):
+        def handler(url, params):
+            return FakeResponse(
+                status_code=403,
+                json_body={"message": "rate limit exceeded"},
+                headers={"X-RateLimit-Remaining": "0", "X-RateLimit-Reset": "inf"},
+            )
+
+        client, session, clock = make_client(handler)
+        successes, failures = client.enrich([make_ref("a", "b")])
+        assert successes == []
+        assert [f.kind for f in failures] == [FailureKind.RATE_LIMITED]
+        assert len(session.calls) == 3
+        assert clock.sleeps == [1.0, 2.0]  # the doubling backoff, not the hint
 
 
 class TestCountContributors:

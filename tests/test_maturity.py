@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import make_metrics
-from repoharvest.calibration import REFERENCE_ROWS, oracle_pairs
-from repoharvest.maturity import (
-    DEFAULT_RULE,
-    MaturityTier,
-    TierRule,
-    calibrate_check,
-    classify,
-)
+from repoharvest.calibration import REFERENCE_ROWS
+from repoharvest.maturity import DEFAULT_RULE, MaturityTier, TierRule, classify
 
 
 class TestTierBasics:
@@ -83,30 +77,6 @@ class TestTierRuleValidation:
     def test_defaults(self):
         assert DEFAULT_RULE.medium_min_stars == 30
         assert DEFAULT_RULE.high_min_stars == 100
-
-
-class TestCalibrateCheck:
-    def test_default_rule_matches_whole_table(self):
-        assert calibrate_check(DEFAULT_RULE, oracle_pairs()) == []
-
-    def test_absurd_rule_flags_mismatches(self):
-        mismatches = calibrate_check(TierRule(1000, 2000), oracle_pairs())
-        assert mismatches
-        names = {m.metrics.name for m in mismatches}
-        # every non-Low row degrades to Low under the absurd thresholds
-        expected = {row.name for row in REFERENCE_ROWS
-                    if row.expected_tier is not MaturityTier.LOW}
-        assert names == expected
-        for mismatch in mismatches:
-            assert mismatch.actual is MaturityTier.LOW
-
-    def test_low_only_subset_still_passes_absurd_rule(self):
-        lows = [(m, t) for m, t in oracle_pairs() if t is MaturityTier.LOW]
-        assert calibrate_check(TierRule(1000, 2000), lows) == []
-
-    def test_empty_oracle_rejected(self):
-        with pytest.raises(ValueError):
-            calibrate_check(DEFAULT_RULE, [])
 
 
 class TestReferenceTable:

@@ -1,11 +1,13 @@
-"""RequestGate spacing and deferral behavior on a fake clock."""
+"""RequestGate spacing and deferral, and the shared retry loop, on a fake
+clock."""
 from __future__ import annotations
 
 import pytest
+import requests
 from hypothesis import given, strategies as st
 
 from conftest import FakeClock
-from repoharvest.throttle import RequestGate
+from repoharvest.throttle import RequestGate, retrying_get, seconds_header
 
 
 def test_negative_interval_rejected():
@@ -85,3 +87,49 @@ def test_gap_invariant_under_arbitrary_idle_time(interval, idle):
         clock.advance(pause)
     for earlier, later in zip(stamps, stamps[1:]):
         assert later - earlier >= interval - 1e-9
+
+
+@pytest.mark.parametrize("value,expected", [
+    ("30", 30.0),
+    ("0.5", 0.5),
+    ("-5", 0.0),
+    ("soon", None),
+    (None, None),
+    ("inf", None),
+    ("1e999", None),
+    ("nan", None),
+])
+def test_seconds_header(value, expected):
+    assert seconds_header(value) == expected
+
+
+def test_retry_waits_for_longer_of_backoff_and_hint(fake_clock):
+    gate = RequestGate(0.0, clock=fake_clock, sleep=fake_clock.sleep)
+    hints = iter([5.0, 0.5])  # longer than the 1 s backoff, then shorter than 2 s
+
+    def classify(outcome):
+        if outcome == "busy":
+            return RuntimeError("busy"), True, next(hints)
+        return None
+
+    replies = iter(["busy", "busy", "ok"])
+    assert retrying_get(gate, lambda: next(replies), classify, backoff=1.0) == "ok"
+    assert fake_clock.sleeps == [5.0, 2.0]
+
+
+def test_retry_budget_exhausted_raises_with_transport_cause(fake_clock):
+    gate = RequestGate(0.0, clock=fake_clock, sleep=fake_clock.sleep)
+    calls = []
+
+    def get():
+        calls.append(fake_clock.now)
+        raise requests.ConnectionError("refused")
+
+    def classify(outcome):
+        assert isinstance(outcome, requests.ConnectionError)
+        return RuntimeError("gave up"), True, None
+
+    with pytest.raises(RuntimeError, match="gave up") as excinfo:
+        retrying_get(gate, get, classify, backoff=1.0)
+    assert isinstance(excinfo.value.__cause__, requests.ConnectionError)
+    assert calls == [0.0, 1.0, 3.0]
