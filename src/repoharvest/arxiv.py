@@ -78,15 +78,6 @@ class SearchSpec:
             raise SearchSpecError("page_size must be between 1 and max_results")
 
 
-def default_spec(
-    max_results: int = DEFAULT_MAX_RESULTS, page_size: int = DEFAULT_PAGE_SIZE
-) -> SearchSpec:
-    """The stock search: four subject phrases over 2019-2024."""
-    return SearchSpec(
-        terms=DEFAULT_TERMS, max_results=max_results, page_size=page_size
-    )
-
-
 @dataclass(frozen=True)
 class PaperRecord:
     """One paper's metadata as parsed from the feed."""

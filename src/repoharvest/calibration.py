@@ -66,7 +66,7 @@ class CalibrationRow:
     expected_tier: MaturityTier
     expected_line: str
 
-    def to_metrics(self, fetched_at: datetime = CALIBRATION_TIME) -> RepoMetrics:
+    def to_metrics(self) -> RepoMetrics:
         return RepoMetrics(
             name=self.name,
             description=None,
@@ -74,7 +74,7 @@ class CalibrationRow:
             forks=self.forks,
             open_issues=self.open_issues,
             contributors=self.contributors,
-            fetched_at=fetched_at,
+            fetched_at=CALIBRATION_TIME,
         )
 
 

@@ -41,7 +41,7 @@ from .kb import (
     save_records,
 )
 from .links import LinkError, RepoRef, canonicalize, clean_url, dedupe, extract_urls
-from .maturity import TierRule, classify
+from .maturity import DEFAULT_RULE, TierRule, classify
 
 log = logging.getLogger("repoharvest")
 
@@ -54,10 +54,10 @@ _DEFAULTS: dict = {
     "arxiv_base_url": arxiv_mod.DEFAULT_BASE_URL,
     "github_base_url": github_mod.DEFAULT_BASE_URL,
     "normalize_dates": False,
-    "arxiv_delay_ms": 3000,
+    "arxiv_delay_ms": int(arxiv_mod.DEFAULT_DELAY * 1000),
     "min_interval_ms": None,
-    "medium_stars": 30,
-    "high_stars": 100,
+    "medium_stars": DEFAULT_RULE.medium_min_stars,
+    "high_stars": DEFAULT_RULE.high_min_stars,
     "out_dir": ".",
     "token_env": "GITHUB_TOKEN",
     "include_anonymous": False,
@@ -172,6 +172,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         arxiv_delay = int(values["arxiv_delay_ms"]) / 1000.0
         min_interval_ms = values["min_interval_ms"]
         min_interval = None if min_interval_ms is None else int(min_interval_ms) / 1000.0
+        for key, seconds in (("arxiv_delay_ms", arxiv_delay), ("min_interval_ms", min_interval)):
+            if seconds is not None and seconds < 0:
+                raise ValueError(f"{key} must be >= 0")
     except (SearchSpecError, ValueError, TypeError) as exc:
         raise UsageError(str(exc)) from exc
     return RunConfig(
@@ -237,10 +240,10 @@ def execute_pipeline(
             out.write(f"\rPaper {processed}/{shown}")
             out.flush()
             for text in (paper.title, paper.abstract):
-                for hit in extract_urls(text, paper.arxiv_id):
-                    cleaned = clean_url(hit)
+                for url in extract_urls(text):
+                    cleaned = clean_url(url)
                     try:
-                        refs.append(canonicalize(cleaned, hit.source_paper))
+                        refs.append(canonicalize(cleaned, paper.arxiv_id))
                     except LinkError as exc:
                         log.debug("skipping %s: %s", cleaned, exc)
     except (ArxivRequestError, FeedParseError) as exc:

@@ -36,14 +36,6 @@ class MalformedUrlError(LinkError):
 
 
 @dataclass(frozen=True)
-class RawUrlHit:
-    """A GitHub URL exactly as matched in text, punctuation and all."""
-
-    url_text: str
-    source_paper: str
-
-
-@dataclass(frozen=True)
 class RepoRef:
     """Canonical repository identity plus the papers that mentioned it."""
 
@@ -57,19 +49,19 @@ class RepoRef:
         return (self.owner.lower(), self.name.lower())
 
 
-def extract_urls(text: str, source: str) -> list[RawUrlHit]:
-    """Return every GitHub URL match in ``text``, in document order.
+def extract_urls(text: str) -> list[str]:
+    """Return every GitHub URL in ``text`` exactly as matched, in document
+    order.
 
     Matches are maximal non-whitespace runs, so trailing punctuation stays
     attached until clean_url removes it. Empty or URL-free text yields [].
     """
-    return [RawUrlHit(m.group(0), source) for m in _URL_PATTERN.finditer(text or "")]
+    return _URL_PATTERN.findall(text or "")
 
 
-def clean_url(hit: RawUrlHit | str) -> str:
+def clean_url(url: str) -> str:
     """Strip trailing prose punctuation from a matched URL. Idempotent."""
-    text = hit.url_text if isinstance(hit, RawUrlHit) else hit
-    return text.rstrip(_TRAILING_JUNK)
+    return url.rstrip(_TRAILING_JUNK)
 
 
 def canonicalize(cleaned: str, source: str) -> RepoRef:

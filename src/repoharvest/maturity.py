@@ -4,8 +4,8 @@ Maps an engagement snapshot onto an ordered Low/Medium/High tier. The
 default star thresholds are calibrated so the rule agrees with every row of
 the reference table in calibration.py; the `selfcheck` CLI subcommand
 verifies that agreement. Forks, issues, and
-contributor counts ride along in the report but do not move the default
-tier; TierRule is the extension point for a richer rule.
+contributor counts ride along in the report but do not move the tier;
+TierRule is just the two star thresholds.
 """
 from __future__ import annotations
 

@@ -62,8 +62,10 @@ class RequestGate:
 def seconds_header(value: Optional[str]) -> Optional[float]:
     """A header value holding a number of seconds, floored at 0.
 
-    None when the header is absent, unparseable, or not finite: a gate
-    cannot sleep until ``inf``.
+    Only the delay-seconds form of ``Retry-After`` is read; an HTTP-date
+    gives None, so the caller falls back to its backoff. None also when
+    the header is absent, unparseable, or not finite: a gate cannot sleep
+    until ``inf``.
     """
     if value is None:
         return None

@@ -15,8 +15,9 @@ import pytest
 
 from conftest import FakeClock, FakeResponse, FakeSession, atom_entry, atom_feed
 from corpus import REPO_URLS, build_corpus
-from repoharvest.arxiv import ArxivClient, SearchSpec, build_query, default_spec
+from repoharvest.arxiv import ArxivClient, SearchSpec, build_query
 from repoharvest.calibration import REFERENCE_ROWS
+from repoharvest.cli import build_parser, resolve_config
 from repoharvest.github import FailureKind, GitHubClient, ThrottlePolicy
 from repoharvest.kb import (
     KbEntry,
@@ -81,9 +82,9 @@ def test_extraction_recall_and_precision_on_synthetic_corpus():
     refs = []
     for paper_id, title, abstract in papers:
         for text in (title, abstract):
-            for hit in extract_urls(text, paper_id):
+            for url in extract_urls(text):
                 try:
-                    refs.append(canonicalize(clean_url(hit), hit.source_paper))
+                    refs.append(canonicalize(clean_url(url), paper_id))
                 except LinkError:
                     continue
     unique = dedupe(refs)
@@ -108,7 +109,7 @@ def test_default_query_string_fidelity():
         "ti:medical software development OR abs:medical software development "
         "AND submittedDate:[2019 TO 2024]"
     )
-    built = build_query(default_spec())
+    built = build_query(resolve_config(build_parser().parse_args(["run"])).search)
     assert " ".join(built.split()) == " ".join(expected.split())
     assert built == expected  # holds without normalization as well
     print("PASS query-fidelity: default query matches reference string")

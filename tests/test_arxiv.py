@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from conftest import FakeClock, FakeResponse, FakeSession, atom_entry, atom_feed
 from repoharvest.arxiv import (
+    DEFAULT_TERMS,
     ArxivClient,
     ArxivRequestError,
     FeedParseError,
@@ -16,7 +17,6 @@ from repoharvest.arxiv import (
     SearchSpec,
     SearchSpecError,
     build_query,
-    default_spec,
     normalize_date_range,
 )
 
@@ -45,7 +45,7 @@ def _client(handler, clock=None, delay=0.0, **kwargs):
 
 class TestBuildQuery:
     def test_default_query_string_exact(self):
-        assert build_query(default_spec()) == EXPECTED_DEFAULT_QUERY
+        assert build_query(SearchSpec(terms=DEFAULT_TERMS)) == EXPECTED_DEFAULT_QUERY
 
     def test_single_term(self):
         spec = SearchSpec(terms=("sepsis prediction",), date_from=2020, date_to=2021)

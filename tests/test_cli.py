@@ -7,13 +7,19 @@ import io
 import itertools
 import json
 import logging
+import os
 import re
 import socket
 import subprocess
 import sys
+import time
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
+import requests
+
+import repoharvest
 
 from conftest import FakeClock, FakeResponse, FakeSession, atom_entry, atom_feed
 from corpus import REPO_URLS, build_corpus
@@ -22,6 +28,7 @@ from repoharvest.arxiv import ArxivClient
 from repoharvest.calibration import REFERENCE_ROWS
 from repoharvest.cli import (
     UsageError,
+    _make_github_client,
     build_parser,
     cmd_monitor,
     cmd_run,
@@ -30,7 +37,7 @@ from repoharvest.cli import (
     main,
     resolve_config,
 )
-from repoharvest.github import GitHubClient, ThrottlePolicy
+from repoharvest.github import AUTHENTICATED_MIN_INTERVAL, GitHubClient, ThrottlePolicy
 from repoharvest.kb import KnowledgeBase, load_records
 from repoharvest.maturity import MaturityTier, TierRule
 
@@ -439,6 +446,73 @@ class TestArgumentResolution:
             main(["run", "--bogus"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("flags,config", [
+        (["--min-interval-ms", "-1"], None),
+        (["--arxiv-delay-ms", "-5"], None),
+        ([], {"min_interval_ms": -1}),
+    ])
+    def test_negative_interval_exits_2(self, capsys, tmp_path, flags, config):
+        if config is not None:
+            path = tmp_path / "settings.json"
+            path.write_text(json.dumps(config))
+            flags = ["--config", str(path)]
+        status = main([
+            "run", "--out-dir", str(tmp_path),
+            "--arxiv-base-url", "http://127.0.0.1:9/q",
+            "--github-base-url", "http://127.0.0.1:9",
+            *flags,
+        ])
+        assert status == 2
+        assert "error:" in capsys.readouterr().err
+
+
+class TestClientWiring:
+    def test_flags_reach_the_clients_the_cli_builds(self, monkeypatch):
+        """No client is injected: execute_pipeline builds both from cfg."""
+        monkeypatch.setenv("MY_TOKEN", "sekret")
+        entries = [
+            atom_entry("2101.00001", "alpha", "Code: https://github.com/demo/alpha."),
+            atom_entry("2101.00002", "beta", "plain abstract"),
+        ]
+        sent = []
+
+        def get(session, url, params=None, headers=None, **kwargs):
+            sent.append((time.monotonic(), url, dict(params or {}), dict(headers or {})))
+            if url.startswith("http://feed.test"):
+                start = params["start"]
+                return FakeResponse(text=atom_feed(entries[start:start + 1], total=2))
+            if url.endswith("/contributors"):
+                return FakeResponse(json_body=[{"login": "u0"}])
+            return FakeResponse(json_body={
+                "full_name": "demo/alpha", "name": "alpha", "description": None,
+                "stargazers_count": 1, "forks_count": 0, "open_issues_count": 0,
+            })
+
+        monkeypatch.setattr(requests.Session, "get", get)
+        cfg = resolve_config(parse_args([
+            "run", "--arxiv-base-url", "http://feed.test/q",
+            "--github-base-url", "http://gh.test",
+            "--token-env", "MY_TOKEN", "--arxiv-delay-ms", "0",
+            "--normalize-dates", "--max-results", "2", "--page-size", "1",
+        ]))
+        assert execute_pipeline(cfg, KnowledgeBase(), out=io.StringIO()) == 0
+
+        feed = [call for call in sent if call[1].startswith("http://feed.test")]
+        api = [call for call in sent if call[1].startswith("http://gh.test")]
+        assert len(feed) == 2 and len(api) == 2
+        for _, _, params, _ in feed:
+            assert "submittedDate:[201901010000 TO 202412312359]" in params["search_query"]
+        assert feed[1][0] - feed[0][0] < 1.0  # 0 ms, not the default 3 s
+        for _, _, _, headers in api:
+            assert headers["Authorization"] == "Bearer sekret"
+        assert api[1][0] - api[0][0] >= AUTHENTICATED_MIN_INTERVAL
+        assert _make_github_client(cfg).policy.min_interval == AUTHENTICATED_MIN_INTERVAL
+
+        paced = resolve_config(parse_args([
+            "run", "--token-env", "MY_TOKEN", "--min-interval-ms", "250",
+        ]))
+        assert _make_github_client(paced).policy.min_interval == 0.25
+
 
 class TestOfflineGuarantee:
     def test_injected_pipeline_never_touches_the_network(self, tmp_path, monkeypatch):
@@ -450,6 +524,14 @@ class TestOfflineGuarantee:
         status, _, _ = run_pipeline(tmp_path, papers, reference_fixtures())
         assert status == 0
         assert cmd_selfcheck(TierRule(30, 100), out=io.StringIO()) == 0
+
+
+def _child_env() -> dict[str, str]:
+    """The environment, with the src directory this process imported
+    repoharvest from put first on PYTHONPATH."""
+    src = str(Path(repoharvest.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
 
 
 @pytest.mark.slow
@@ -478,6 +560,7 @@ class TestSubprocessEndToEnd:
         }
 
     def test_run_monitor_selfcheck_over_local_servers(self, tmp_path):
+        env = _child_env()
         gh_app = MockGitHubApp(self._repos())
         gh_app.rate_limit_once.add("demo/alpha")
         with MockServer(MockArxivApp(self._papers())) as feed, \
@@ -491,7 +574,7 @@ class TestSubprocessEndToEnd:
                 "--page-size", "4",
             ]
             result = subprocess.run(base_cmd, capture_output=True, text=True,
-                                    timeout=60)
+                                    timeout=60, env=env)
             assert result.returncode == 0, result.stderr
             assert "Paper 6/6" in result.stdout
             assert ("Found GitHub URLs: ['https://github.com/demo/alpha', "
@@ -523,14 +606,14 @@ class TestSubprocessEndToEnd:
             ]
             gh_app.repos["demo/beta"]["stars"] = 40
             result = subprocess.run(monitor_cmd, capture_output=True, text=True,
-                                    timeout=60)
+                                    timeout=60, env=env)
             assert result.returncode == 0, result.stderr
             assert "Updated (1):" in result.stdout
             assert "stars 31 -> 40" in result.stdout
 
         check = subprocess.run(
             [sys.executable, "-m", "repoharvest", "selfcheck"],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env=env,
         )
         assert check.returncode == 0
         assert "23/23" in check.stdout

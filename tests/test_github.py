@@ -135,11 +135,28 @@ class TestFetchRepo:
             client.fetch_repo(make_ref("a", "b"))
         assert excinfo.value.kind is FailureKind.MALFORMED_RESPONSE
 
+    def test_redirect_without_location_is_malformed(self):
+        client, session, _ = make_client(
+            lambda url, params: FakeResponse(status_code=301)
+        )
+        with pytest.raises(GitHubFetchError) as excinfo:
+            client.fetch_repo(make_ref("a", "b"))
+        assert excinfo.value.kind is FailureKind.MALFORMED_RESPONSE
+        assert "without Location" in excinfo.value.detail
+        assert len(session.calls) == 1
+
     def test_non_json_body_is_malformed(self):
         client, _, _ = make_client(lambda url, params: FakeResponse(text="<html>"))
         with pytest.raises(GitHubFetchError) as excinfo:
             client.fetch_repo(make_ref("a", "b"))
         assert excinfo.value.kind is FailureKind.MALFORMED_RESPONSE
+
+    def test_json_body_that_is_not_an_object_is_malformed(self):
+        client, _, _ = make_client(lambda url, params: FakeResponse(json_body=[1, 2]))
+        with pytest.raises(GitHubFetchError) as excinfo:
+            client.fetch_repo(make_ref("a", "b"))
+        assert excinfo.value.kind is FailureKind.MALFORMED_RESPONSE
+        assert "expected an object" in excinfo.value.detail
 
     def test_missing_count_field_is_malformed(self):
         body = {"full_name": "a/b", "name": "b", "stargazers_count": 1}
@@ -178,6 +195,19 @@ class TestFetchRepo:
         def handler(url, params):
             calls.append(url)
             return FakeResponse(status_code=403, json_body={"message": "forbidden"})
+
+        client, _, _ = make_client(handler)
+        with pytest.raises(GitHubFetchError) as excinfo:
+            client.fetch_repo(make_ref("a", "b"))
+        assert excinfo.value.kind is FailureKind.FORBIDDEN
+        assert len(calls) == 1
+
+    def test_unauthorized_is_forbidden_and_not_retried(self):
+        calls = []
+
+        def handler(url, params):
+            calls.append(url)
+            return FakeResponse(status_code=401, json_body={"message": "Bad credentials"})
 
         client, _, _ = make_client(handler)
         with pytest.raises(GitHubFetchError) as excinfo:

@@ -8,7 +8,6 @@ from corpus import DECOYS, REPO_URLS
 from repoharvest.links import (
     MalformedUrlError,
     NotARepositoryError,
-    RawUrlHit,
     RepoRef,
     canonicalize,
     clean_url,
@@ -20,26 +19,23 @@ from repoharvest.links import (
 class TestExtractUrls:
     def test_single_url_with_trailing_period(self):
         text = "Code: https://github.com/ncbi-nlp/BioSentVec. We evaluate..."
-        hits = extract_urls(text, "2810.04805")
-        assert [h.url_text for h in hits] == ["https://github.com/ncbi-nlp/BioSentVec."]
-        assert hits[0].source_paper == "2810.04805"
+        assert extract_urls(text) == ["https://github.com/ncbi-nlp/BioSentVec."]
 
     def test_two_urls_in_document_order(self):
         text = (
             "We release https://github.com/RyanWangZf/PyTrial and "
             "https://github.com/RyanWangZf/Trial2Vec; both are maintained."
         )
-        hits = extract_urls(text, "p")
-        assert [h.url_text for h in hits] == [
+        assert extract_urls(text) == [
             "https://github.com/RyanWangZf/PyTrial",
             "https://github.com/RyanWangZf/Trial2Vec;",
         ]
 
     def test_no_urls(self):
-        assert extract_urls("plain prose with no links", "p") == []
+        assert extract_urls("plain prose with no links") == []
 
     def test_empty_and_none_like_text(self):
-        assert extract_urls("", "p") == []
+        assert extract_urls("") == []
 
     @pytest.mark.parametrize("decoy", [
         "github.com/schemeless/nope",
@@ -48,11 +44,10 @@ class TestExtractUrls:
         "see github for details",
     ])
     def test_non_matches(self, decoy):
-        assert extract_urls(f"prefix {decoy} suffix", "p") == []
+        assert extract_urls(f"prefix {decoy} suffix") == []
 
     def test_www_and_http_variants_match(self):
-        hits = extract_urls("at http://www.github.com/a/b now", "p")
-        assert [h.url_text for h in hits] == ["http://www.github.com/a/b"]
+        assert extract_urls("at http://www.github.com/a/b now") == ["http://www.github.com/a/b"]
 
 
 class TestCleanUrl:
@@ -65,10 +60,6 @@ class TestCleanUrl:
     ])
     def test_strips_trailing_prose_punctuation(self, raw, expected):
         assert clean_url(raw) == expected
-
-    def test_accepts_hit_objects(self):
-        hit = RawUrlHit("https://github.com/a/b;", "p")
-        assert clean_url(hit) == "https://github.com/a/b"
 
     def test_idempotent_on_examples(self):
         for raw in [u + p for u in REPO_URLS for p in (".", ",", ";", "")]:
@@ -168,9 +159,9 @@ class TestDedupe:
 def test_decoy_urls_never_survive_the_full_chain():
     survivors = []
     for decoy in DECOYS:
-        for hit in extract_urls(f"text {decoy}. more", "p"):
+        for url in extract_urls(f"text {decoy}. more"):
             try:
-                survivors.append(canonicalize(clean_url(hit), "p"))
+                survivors.append(canonicalize(clean_url(url), "p"))
             except (NotARepositoryError, MalformedUrlError):
                 pass
     assert survivors == []

@@ -98,6 +98,7 @@ def test_gap_invariant_under_arbitrary_idle_time(interval, idle):
     ("inf", None),
     ("1e999", None),
     ("nan", None),
+    ("Wed, 21 Oct 2015 07:28:00 GMT", None),
 ])
 def test_seconds_header(value, expected):
     assert seconds_header(value) == expected
