@@ -7,8 +7,9 @@ Subcommands:
   selfcheck  replay the bundled calibration table through the classifier
              and the report template
 
-Every flag can also be supplied through a JSON config file (--config);
-explicit flags win over the file, the file wins over defaults.
+Each option is one RunConfig field, which names its flag and config-file
+key. Explicit flags win over the JSON config file (--config), the file
+wins over defaults, and each file value must have its flag's JSON type.
 """
 from __future__ import annotations
 
@@ -17,13 +18,13 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
-from typing import Optional, TextIO
+from typing import Optional, Sequence, TextIO
 
 from . import arxiv as arxiv_mod
 from . import github as github_mod
-from .arxiv import ArxivClient, ArxivRequestError, FeedParseError, SearchSpec, SearchSpecError
+from .arxiv import ArxivClient, ArxivRequestError, FeedParseError, SearchSpec
 from .calibration import CALIBRATION_TIME, REFERENCE_ROWS
 from .github import GitHubClient, ThrottlePolicy
 from .kb import (
@@ -45,151 +46,139 @@ from .maturity import DEFAULT_RULE, TierRule, classify
 
 log = logging.getLogger("repoharvest")
 
-_DEFAULTS: dict = {
-    "terms": list(arxiv_mod.DEFAULT_TERMS),
-    "from_year": arxiv_mod.DEFAULT_DATE_FROM,
-    "to_year": arxiv_mod.DEFAULT_DATE_TO,
-    "max_results": arxiv_mod.DEFAULT_MAX_RESULTS,
-    "page_size": arxiv_mod.DEFAULT_PAGE_SIZE,
-    "arxiv_base_url": arxiv_mod.DEFAULT_BASE_URL,
-    "github_base_url": github_mod.DEFAULT_BASE_URL,
-    "normalize_dates": False,
-    "arxiv_delay_ms": int(arxiv_mod.DEFAULT_DELAY * 1000),
-    "min_interval_ms": None,
-    "medium_stars": DEFAULT_RULE.medium_min_stars,
-    "high_stars": DEFAULT_RULE.high_min_stars,
-    "out_dir": ".",
-    "token_env": "GITHUB_TOKEN",
-    "include_anonymous": False,
-    "verbose": 0,
-}
-
 
 class UsageError(Exception):
     """Invalid flag/config combination; maps to exit status 2."""
 
 
+def _option(default, **argparse_kwargs) -> Field:
+    """An option whose flag takes ``argparse_kwargs`` (``flags`` replaces ``--name``)."""
+    return field(default=default, metadata=argparse_kwargs)
+
+
 @dataclass
 class RunConfig:
-    """Everything one pipeline run needs, fully resolved."""
+    """Everything one pipeline run needs. Each init field is an option; the
+    search spec, tier rule and intervals in seconds are built and checked
+    from them."""
 
-    search: SearchSpec
-    rule: TierRule
-    arxiv_base_url: str
-    github_base_url: str
-    normalize_dates: bool
-    arxiv_delay: float
-    min_interval: Optional[float]
-    out_dir: Path
-    token_env: str
-    include_anonymous: bool
-    verbose: int
+    terms: Sequence[str] = _option(arxiv_mod.DEFAULT_TERMS, action="append", metavar="PHRASE",
+                                   help="search phrase; repeat the flag for several")
+    from_year: int = _option(arxiv_mod.DEFAULT_DATE_FROM, type=int)
+    to_year: int = _option(arxiv_mod.DEFAULT_DATE_TO, type=int)
+    max_results: int = _option(arxiv_mod.DEFAULT_MAX_RESULTS, type=int, help="cap on papers "
+                               f"processed (default {arxiv_mod.DEFAULT_MAX_RESULTS})")
+    page_size: Optional[int] = _option(None, type=int)  # None: default, shrunk to max_results
+    arxiv_base_url: str = arxiv_mod.DEFAULT_BASE_URL
+    github_base_url: str = github_mod.DEFAULT_BASE_URL
+    normalize_dates: bool = _option(False, action="store_true",
+                                    help="rewrite the year range to the timestamp form "
+                                         "the live feed endpoint accepts")
+    arxiv_delay_ms: int = _option(int(arxiv_mod.DEFAULT_DELAY * 1000), type=int,
+                                  help="politeness delay between feed requests")
+    min_interval_ms: Optional[int] = _option(None, type=int,  # None: the client's default
+                                             help="minimum gap between GitHub requests")
+    medium_stars: int = _option(DEFAULT_RULE.medium_min_stars, type=int)
+    high_stars: int = _option(DEFAULT_RULE.high_min_stars, type=int)
+    out_dir: Path = Path(".")
+    token_env: str = _option("GITHUB_TOKEN", help="environment variable holding the GitHub "
+                                                  "token (default GITHUB_TOKEN)")
+    include_anonymous: bool = _option(False, action="store_true",
+                                      help="count anonymous contributors too")
+    verbose: int = _option(0, flags=("-v", "--verbose"), action="count")
+
+    search: SearchSpec = field(init=False)
+    rule: TierRule = field(init=False)
+    arxiv_delay: float = field(init=False)
+    min_interval: Optional[float] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.out_dir = Path(self.out_dir)
+        page_size = self.page_size
+        if page_size is None:
+            page_size = min(arxiv_mod.DEFAULT_PAGE_SIZE, self.max_results)
+        try:
+            self.search = SearchSpec(tuple(self.terms), self.from_year, self.to_year,
+                                     self.max_results, page_size)
+            self.rule = TierRule(self.medium_stars, self.high_stars)
+            for name in ("arxiv_delay_ms", "min_interval_ms"):
+                if (getattr(self, name) or 0) < 0:
+                    raise ValueError(f"{name} must be >= 0")
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+        self.arxiv_delay = self.arxiv_delay_ms / 1000.0
+        self.min_interval = None if self.min_interval_ms is None else self.min_interval_ms / 1000.0
+
+
+_OPTIONS = {option.name: option for option in fields(RunConfig) if option.init}
+_JSON_TYPES = {int: "an integer", str: "a string", bool: "true or false", list: "a list of strings"}
+
+
+def _json_type(option: Field) -> type:
+    """The type a config value must have: the one the option's flag parses to."""
+    actions = {"store_true": bool, "append": list, "count": int}
+    return actions.get(option.metadata.get("action"), option.metadata.get("type", str))
+
+
+def _option_parser(*names: str) -> argparse.ArgumentParser:
+    """--config and the flags of the named options (all when none is named)."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("--config", metavar="PATH",
+                        help="JSON file mirroring the flags; flags win")
+    for name, option in _OPTIONS.items():
+        if name in names or not names:
+            kwargs = dict(option.metadata)
+            flags = kwargs.pop("flags", ("--" + name.replace("_", "-"),))
+            parser.add_argument(*flags, default=None, **kwargs)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH",
-                        help="JSON file mirroring the flags; flags win")
-    common.add_argument("--terms", action="append", metavar="PHRASE",
-                        help="search phrase; repeat the flag for several")
-    common.add_argument("--from-year", type=int, dest="from_year")
-    common.add_argument("--to-year", type=int, dest="to_year")
-    common.add_argument("--max-results", type=int, dest="max_results",
-                        help="cap on papers processed (default 1000)")
-    common.add_argument("--page-size", type=int, dest="page_size")
-    common.add_argument("--arxiv-base-url", dest="arxiv_base_url")
-    common.add_argument("--github-base-url", dest="github_base_url")
-    common.add_argument("--normalize-dates", action="store_true", default=None,
-                        dest="normalize_dates",
-                        help="rewrite the year range to the timestamp form "
-                             "the live feed endpoint accepts")
-    common.add_argument("--arxiv-delay-ms", type=int, dest="arxiv_delay_ms",
-                        help="politeness delay between feed requests")
-    common.add_argument("--min-interval-ms", type=int, dest="min_interval_ms",
-                        help="minimum gap between GitHub requests")
-    common.add_argument("--medium-stars", type=int, dest="medium_stars")
-    common.add_argument("--high-stars", type=int, dest="high_stars")
-    common.add_argument("--out-dir", dest="out_dir")
-    common.add_argument("--token-env", dest="token_env",
-                        help="environment variable holding the GitHub token "
-                             "(default GITHUB_TOKEN)")
-    common.add_argument("--include-anonymous", action="store_true", default=None,
-                        dest="include_anonymous",
-                        help="count anonymous contributors too")
-    common.add_argument("-v", "--verbose", action="count", default=None)
-
+    pipeline = _option_parser()
     parser = argparse.ArgumentParser(
         prog="repoharvest",
         description="Mine paper metadata for GitHub repositories and keep a "
                     "maturity-graded knowledge base.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("run", parents=[common],
+    sub.add_parser("run", parents=[pipeline],
                    help="run the full pipeline into a fresh knowledge base")
-    monitor = sub.add_parser("monitor", parents=[common],
+    monitor = sub.add_parser("monitor", parents=[pipeline],
                              help="re-run and report added/updated/unchanged "
                                   "repositories against a previous store")
     monitor.add_argument("--previous", metavar="PATH",
                          help=f"previous store (default <out-dir>/{RECORDS_FILENAME})")
-    sub.add_parser("selfcheck", parents=[common],
+    sub.add_parser("selfcheck", parents=[_option_parser("medium_stars", "high_stars")],
                    help="verify the tier rule and report template against "
                         "the bundled calibration table")
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    values = dict(_DEFAULTS)
-    explicit_page_size = args.page_size is not None
+    values = {}
     if args.config:
         try:
-            data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            values = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(data, dict):
+        if not isinstance(values, dict):
             raise UsageError("config file must hold a JSON object")
-        unknown = sorted(set(data) - set(values))
+        unknown = sorted(set(values) - set(_OPTIONS))
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-        explicit_page_size = explicit_page_size or "page_size" in data
-        values.update(data)
-    for key in values:
-        flag = getattr(args, key, None)
+        for key, value in values.items():
+            if value is None and _OPTIONS[key].default is None:
+                continue
+            kind = _json_type(_OPTIONS[key])
+            if (isinstance(value, bool) != (kind is bool) or not isinstance(value, kind)
+                    or kind is list and not all(isinstance(item, str) for item in value)):
+                raise UsageError(f"config key {key} must be {_JSON_TYPES[kind]}, "
+                                 f"not {json.dumps(value)}")
+    for name in _OPTIONS:
+        flag = getattr(args, name, None)
         if flag is not None:
-            values[key] = flag
-    try:
-        max_results = int(values["max_results"])
-        page_size = int(values["page_size"])
-        if not explicit_page_size:
-            page_size = min(page_size, max_results)
-        search = SearchSpec(
-            terms=tuple(values["terms"]),
-            date_from=int(values["from_year"]),
-            date_to=int(values["to_year"]),
-            max_results=max_results,
-            page_size=page_size,
-        )
-        rule = TierRule(int(values["medium_stars"]), int(values["high_stars"]))
-        arxiv_delay = int(values["arxiv_delay_ms"]) / 1000.0
-        min_interval_ms = values["min_interval_ms"]
-        min_interval = None if min_interval_ms is None else int(min_interval_ms) / 1000.0
-        for key, seconds in (("arxiv_delay_ms", arxiv_delay), ("min_interval_ms", min_interval)):
-            if seconds is not None and seconds < 0:
-                raise ValueError(f"{key} must be >= 0")
-    except (SearchSpecError, ValueError, TypeError) as exc:
-        raise UsageError(str(exc)) from exc
-    return RunConfig(
-        search=search,
-        rule=rule,
-        arxiv_base_url=str(values["arxiv_base_url"]),
-        github_base_url=str(values["github_base_url"]),
-        normalize_dates=bool(values["normalize_dates"]),
-        arxiv_delay=arxiv_delay,
-        min_interval=min_interval,
-        out_dir=Path(values["out_dir"]),
-        token_env=str(values["token_env"]),
-        include_anonymous=bool(values["include_anonymous"]),
-        verbose=int(values["verbose"]),
-    )
+            values[name] = flag
+    return RunConfig(**values)
 
 
 def _make_arxiv_client(cfg: RunConfig) -> ArxivClient:

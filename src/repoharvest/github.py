@@ -92,10 +92,6 @@ class ThrottlePolicy:
 
     min_interval: float
 
-    def __post_init__(self) -> None:
-        if self.min_interval < 0:
-            raise ValueError("min_interval must be >= 0")
-
 
 class GitHubFetchError(Exception):
     """A single repository fetch failed; carries the failure kind."""
@@ -141,6 +137,7 @@ class GitHubClient:
         if policy is None:
             interval = AUTHENTICATED_MIN_INTERVAL if token else ANONYMOUS_MIN_INTERVAL
             policy = ThrottlePolicy(min_interval=interval)
+        self._gate = RequestGate(policy.min_interval, clock=clock, sleep=sleep)
         self.base_url = base_url.rstrip("/")
         self.policy = policy
         self.include_anonymous = include_anonymous
@@ -148,7 +145,6 @@ class GitHubClient:
         self._backoff_base = backoff_base
         self._wall_clock = wall_clock
         self._now = now
-        self._gate = RequestGate(policy.min_interval, clock=clock, sleep=sleep)
         self._headers = {"Accept": "application/vnd.github+json"}
         if token:
             self._headers["Authorization"] = f"Bearer {token}"

@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .github import RepoMetrics
 from .links import RepoRef
@@ -104,9 +104,6 @@ class KnowledgeBase:
         if not isinstance(other, KnowledgeBase):
             return NotImplemented
         return self._entries == other._entries
-
-    def get(self, owner: str, name: str) -> Optional[KbEntry]:
-        return self._entries.get((owner.lower(), name.lower()))
 
     def clone(self) -> "KnowledgeBase":
         """Independent copy; immutable members are shared."""

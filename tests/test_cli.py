@@ -366,6 +366,17 @@ class TestSelfcheck:
                      "--high-stars", "2000"]) == 1
         capsys.readouterr()
 
+    def test_takes_only_the_flags_it_reads(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["selfcheck", "--out-dir", "x"])
+        assert excinfo.value.code == 2
+        # one config file serves every command
+        config = tmp_path / "settings.json"
+        config.write_text(json.dumps({"out_dir": "x", "max_results": 5, "high_stars": 2000}))
+        assert main(["selfcheck", "--config", str(config)]) == 1
+        assert main(["selfcheck", "--config", str(config), "--high-stars", "100"]) == 0
+        capsys.readouterr()
+
 
 class TestArgumentResolution:
     def test_defaults(self, tmp_path):
@@ -464,6 +475,33 @@ class TestArgumentResolution:
         ])
         assert status == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [
+        {"normalize_dates": "false"},
+        {"include_anonymous": "no"},
+        {"arxiv_delay_ms": 2.9},
+        {"terms": "icu"},
+        {"max_results": True},
+        {"out_dir": 5},
+    ])
+    def test_mistyped_config_value_exits_2(self, capsys, tmp_path, config):
+        path = tmp_path / "settings.json"
+        path.write_text(json.dumps(config))
+        status = main([
+            "run", "--config", str(path), "--out-dir", str(tmp_path),
+            "--arxiv-base-url", "http://127.0.0.1:9/q",
+            "--github-base-url", "http://127.0.0.1:9",
+        ])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert next(iter(config)) in err
+
+    def test_null_config_value_where_the_default_is_none(self, tmp_path):
+        path = tmp_path / "settings.json"
+        path.write_text(json.dumps({"min_interval_ms": None}))
+        cfg = resolve_config(parse_args(["run", "--config", str(path)]))
+        assert cfg.min_interval is None
 
 
 class TestClientWiring:

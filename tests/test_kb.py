@@ -105,7 +105,7 @@ class TestUpsert:
         for minute in (0, 5, 5, 3, 9):
             upsert_auto(kb, ref, make_metrics(name="b", stars=minute,
                                               fetched_at=at(minute)))
-        entry = kb.get("a", "b")
+        (entry,) = kb
         stamps = [m.fetched_at for m in entry.history] + [entry.latest.fetched_at]
         assert stamps == sorted(stamps)
         assert len(stamps) == len(set(stamps))
