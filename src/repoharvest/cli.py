@@ -18,13 +18,16 @@ import json
 import logging
 import os
 import sys
-from dataclasses import Field, dataclass, field, fields
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import Field, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional, Sequence, TextIO
+from queue import SimpleQueue
+from typing import Iterator, Optional, Sequence, TextIO
 
 from . import arxiv as arxiv_mod
 from . import github as github_mod
-from .arxiv import ArxivClient, ArxivRequestError, FeedParseError, SearchSpec
+from .arxiv import ArxivClient, ArxivRequestError, FeedParseError, PaperRecord, SearchSpec
 from .calibration import CALIBRATION_TIME, REFERENCE_ROWS
 from .github import GitHubClient, ThrottlePolicy
 from .kb import (
@@ -159,7 +162,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         try:
             values = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(values, dict):
             raise UsageError("config file must hold a JSON object")
@@ -202,6 +205,24 @@ def _make_github_client(cfg: RunConfig) -> GitHubClient:
     )
 
 
+def _mine_refs(paper: PaperRecord) -> Iterator[RepoRef]:
+    """The repositories the paper's title and abstract link to, in order."""
+    for text in (paper.title, paper.abstract):
+        for url in extract_urls(text):
+            cleaned = clean_url(url)
+            try:
+                yield canonicalize(cleaned, paper.arxiv_id)
+            except LinkError as exc:
+                log.debug("skipping %s: %s", cleaned, exc)
+
+
+def _unstarted(pending: SimpleQueue[Optional[RepoRef]], cancelled: threading.Event) -> Iterator[RepoRef]:
+    """The refs put on ``pending``, in order, until a None; none once
+    ``cancelled`` is set."""
+    while (ref := pending.get()) is not None and not cancelled.is_set():
+        yield ref
+
+
 def execute_pipeline(
     cfg: RunConfig,
     kb: KnowledgeBase,
@@ -211,8 +232,13 @@ def execute_pipeline(
 ) -> int:
     """Stream papers, mine links, enrich, classify, and upsert into ``kb``.
 
-    Per-repository GitHub failures are logged and never fatal; a paper
-    retrieval failure after retries is (exit status 1).
+    Each repository goes to one enrichment worker as soon as a paper first
+    mentions it, so GitHub requests, still one at a time and in
+    first-mention order, go out while the feed client waits between pages.
+    Only this thread writes ``out`` and ``kb``. Per-repository GitHub
+    failures are logged and never fatal. A paper retrieval failure after
+    retries is (exit status 1): the repository being enriched is finished
+    and no other is started.
     """
     out = out if out is not None else sys.stdout
     client = arxiv_client if arxiv_client is not None else _make_arxiv_client(cfg)
@@ -220,36 +246,48 @@ def execute_pipeline(
 
     out.write("Processing arXiv papers:\n")
     refs: list[RepoRef] = []
+    seen: set[tuple[str, str]] = set()
+    pending: SimpleQueue[Optional[RepoRef]] = SimpleQueue()
+    cancelled = threading.Event()
     processed = 0
-    try:
-        for paper in client.iterate_papers(cfg.search):
-            processed += 1
-            total = client.last_total_results
-            shown = min(total, cfg.search.max_results) if total is not None else processed
-            out.write(f"\rPaper {processed}/{shown}")
-            out.flush()
-            for text in (paper.title, paper.abstract):
-                for url in extract_urls(text):
-                    cleaned = clean_url(url)
-                    try:
-                        refs.append(canonicalize(cleaned, paper.arxiv_id))
-                    except LinkError as exc:
-                        log.debug("skipping %s: %s", cleaned, exc)
-    except (ArxivRequestError, FeedParseError) as exc:
-        out.write("\n")
-        log.error("paper retrieval failed: %s", exc)
-        return 1
-    if processed == 0:
-        out.write("Paper 0/0")
-    out.write("\n\n")
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="repoharvest-github") as worker:
+        enrichment = worker.submit(gh.enrich, _unstarted(pending, cancelled))
+        try:
+            for paper in client.iterate_papers(cfg.search):
+                processed += 1
+                total = client.last_total_results
+                shown = min(total, cfg.search.max_results) if total is not None else processed
+                out.write(f"\rPaper {processed}/{shown}")
+                out.flush()
+                for ref in _mine_refs(paper):
+                    refs.append(ref)
+                    if ref.identity() not in seen:
+                        seen.add(ref.identity())
+                        pending.put(ref)
+            pending.put(None)
+            if processed == 0:
+                out.write("Paper 0/0")
+            out.write("\n\n")
+            unique = dedupe(refs)
+            out.write(f"Found GitHub URLs: {[ref.canonical_url for ref in unique]}\n\n")
+            successes, failures = enrichment.result()
+        except (ArxivRequestError, FeedParseError) as exc:
+            out.write("\n")
+            log.error("paper retrieval failed: %s", exc)
+            return 1
+        finally:
+            # On any way out, the worker finishes the repository it is on
+            # and starts no other; leaving the block joins it.
+            cancelled.set()
+            pending.put(None)
 
-    unique = dedupe(refs)
-    out.write(f"Found GitHub URLs: {[ref.canonical_url for ref in unique]}\n\n")
-
-    successes, failures = gh.enrich(unique)
-    for ref, metrics in successes:
+    # The worker took each ref with the papers known so far; upsert with
+    # the union dedupe made over the whole feed.
+    failed = {failure.repo.identity() for failure in failures}
+    enriched = [ref for ref in unique if ref.identity() not in failed]
+    for ref, (resolved, metrics) in zip(enriched, successes, strict=True):
         tier = classify(metrics, cfg.rule)
-        entry = kb.upsert(ref, metrics, tier)
+        entry = kb.upsert(replace(resolved, source_papers=ref.source_papers), metrics, tier)
         out.write(render_report_line(entry) + "\n")
     for failure in failures:
         log.warning(

@@ -1,8 +1,11 @@
 """Shared fakes: a deterministic clock, canned HTTP responses, and a
-scripted session that records request timing."""
+scripted session that records request timing; and a check that no test
+leaves a thread running."""
 from __future__ import annotations
 
 import json
+import threading
+import time
 from datetime import datetime, timezone
 from xml.sax.saxutils import escape
 
@@ -130,3 +133,20 @@ def make_metrics(
 @pytest.fixture
 def fake_clock() -> FakeClock:
     return FakeClock()
+
+
+#: Seconds a test's threads get to end after it returns.
+THREAD_GRACE = 2.0
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves behind a running thread it started."""
+    before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + THREAD_GRACE
+    started = [thread for thread in threading.enumerate() if thread not in before]
+    for thread in started:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    alive = [thread.name for thread in started if thread.is_alive()]
+    assert not alive, f"threads left running: {alive}"

@@ -3,6 +3,7 @@ clients, monitor diffs, selfcheck, and a subprocess run over local mock
 servers."""
 from __future__ import annotations
 
+import csv
 import io
 import itertools
 import json
@@ -12,7 +13,9 @@ import re
 import socket
 import subprocess
 import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -20,6 +23,7 @@ import pytest
 import requests
 
 import repoharvest
+from repoharvest import cli
 
 from conftest import FakeClock, FakeResponse, FakeSession, atom_entry, atom_feed
 from corpus import REPO_URLS, build_corpus
@@ -39,6 +43,7 @@ from repoharvest.cli import (
 )
 from repoharvest.github import AUTHENTICATED_MIN_INTERVAL, GitHubClient, ThrottlePolicy
 from repoharvest.kb import KnowledgeBase, load_records
+from repoharvest.links import canonicalize
 from repoharvest.maturity import MaturityTier, TierRule
 
 EXPECTED_LINES = [row.expected_line for row in REFERENCE_ROWS]
@@ -74,8 +79,8 @@ def config_for(tmp_path, *extra, command="run"):
     return resolve_config(parse_args(argv))
 
 
-def corpus_arxiv_client(papers, clock=None):
-    clock = clock or FakeClock()
+def corpus_feed(papers):
+    """Feed handler serving ``papers`` in start/max_results slices."""
     entries = [atom_entry(pid, title, abstract) for pid, title, abstract in papers]
 
     def handler(url, params):
@@ -84,9 +89,18 @@ def corpus_arxiv_client(papers, clock=None):
         body = atom_feed(entries[start:start + count], total=len(entries))
         return FakeResponse(text=body)
 
+    return handler
+
+
+def feed_client(handler):
+    clock = FakeClock()
     session = FakeSession(handler, clock=clock)
     return ArxivClient(base_url="http://feed.test/q", delay=0.0, session=session,
                        clock=clock, sleep=clock.sleep)
+
+
+def corpus_arxiv_client(papers):
+    return feed_client(corpus_feed(papers))
 
 
 def fixtures_handler(fixtures):
@@ -113,21 +127,34 @@ def fixtures_handler(fixtures):
     return handler
 
 
-def fixtures_github_client(fixtures, clock=None):
-    """Client over canned fixtures whose wall timestamps tick one second per
+def github_client(handler):
+    """Client over ``handler`` whose wall timestamps tick one second per
     observation, keeping first-seen order identical to fetch order."""
-    clock = clock or FakeClock()
+    clock = FakeClock()
     ticks = itertools.count()
 
     def now():
         return (datetime(2024, 1, 1, tzinfo=timezone.utc)
                 + timedelta(seconds=next(ticks)))
 
-    session = FakeSession(fixtures_handler(fixtures), clock=clock)
+    session = FakeSession(handler, clock=clock)
     return GitHubClient(base_url="http://gh.test",
                         policy=ThrottlePolicy(min_interval=0.0),
                         session=session, clock=clock, sleep=clock.sleep,
                         wall_clock=clock, now=now)
+
+
+def fixtures_github_client(fixtures):
+    return github_client(fixtures_handler(fixtures))
+
+
+def recorded(handler, sent):
+    """``handler``, first appending each request's URL and params to ``sent``."""
+    def record(url, params):
+        sent.append((url, params))
+        return handler(url, params)
+
+    return record
 
 
 def run_pipeline(tmp_path, papers, fixtures):
@@ -273,6 +300,142 @@ class TestRunCommand:
         assert not (tmp_path / "kb.jsonl").exists()
         assert any("paper retrieval failed" in r.getMessage()
                    for r in caplog.records)
+
+
+#: Seconds a test waits on another thread before it fails.
+HANDOFF_TIMEOUT = 10.0
+
+
+class TestEnrichmentWorker:
+    """Repositories go to one GitHub worker while the feed is still read."""
+
+    def test_enrichment_starts_before_the_feed_ends(self, tmp_path, corpus):
+        papers, expected_urls = corpus
+        github_started = threading.Event()
+        waited = []
+        pages = corpus_feed(papers)
+
+        def feed(url, params):
+            if params["start"] + params["max_results"] >= len(papers):  # the last page
+                waited.append(github_started.wait(HANDOFF_TIMEOUT))
+            return pages(url, params)
+
+        sent = []
+        answer = recorded(fixtures_handler(reference_fixtures()), sent)
+
+        def github(url, params):
+            github_started.set()
+            return answer(url, params)
+
+        out = io.StringIO()
+        status = execute_pipeline(config_for(tmp_path), KnowledgeBase(),
+                                  arxiv_client=feed_client(feed),
+                                  github_client=github_client(github), out=out)
+        assert status == 0
+        assert waited == [True], "no GitHub request went out before the last feed page"
+        assert report_lines(out.getvalue()) == EXPECTED_LINES
+        # one request at a time, in the order of the whole harvest's list
+        sequential = []
+        github_client(recorded(fixtures_handler(reference_fixtures()), sequential)).enrich(
+            [canonicalize(url, "") for url in expected_urls])
+        assert sent == sequential
+
+    def test_each_repository_keeps_every_paper_that_names_it(self, tmp_path):
+        """Papers on page 1 and page 3 name the same two repositories, one
+        of which GitHub answers with a rename."""
+        papers = [
+            ("2101.00001", "alpha", "Code: https://github.com/demo/alpha."),
+            ("2101.00002", "old", "Code: https://github.com/demo/old."),
+            ("2101.00003", "plain", "no code"),
+            ("2101.00004", "plain", "no code"),
+            ("2101.00005", "alpha again", "Reuses https://github.com/demo/alpha."),
+            ("2101.00006", "old again", "Reuses https://github.com/demo/old."),
+        ]
+        counts = {"stars": 5, "forks": 1, "open_issues": 0, "contributors": 2}
+        answer = fixtures_handler({"demo/alpha": counts, "demo/new": counts})
+
+        def github(url, params):
+            if url.endswith("/repos/demo/old"):
+                return FakeResponse(status_code=301,
+                                    headers={"Location": "http://gh.test/repos/demo/new"})
+            return answer(url, params)
+
+        cfg = config_for(tmp_path, "--max-results", "6", "--page-size", "2")
+        status = cmd_run(cfg, arxiv_client=corpus_arxiv_client(papers),
+                         github_client=github_client(github), out=io.StringIO())
+        assert status == 0
+        expected = {
+            "https://github.com/demo/alpha": ["2101.00001", "2101.00005"],
+            "https://github.com/demo/new": ["2101.00002", "2101.00006"],
+        }
+        with open(tmp_path / "kb.jsonl", encoding="utf-8") as fh:
+            stored = [json.loads(line) for line in fh]
+        assert {r["canonical_url"]: r["source_papers"] for r in stored} == expected
+        with open(tmp_path / "kb.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["canonical_url"]: r["source_papers"].split() for r in rows} == expected
+
+    @pytest.mark.parametrize("failure", [
+        FakeResponse(text="<feed"),
+        FakeResponse(status_code=400, text="bad query"),
+        RuntimeError("feed client fault"),
+        KeyboardInterrupt(),
+    ], ids=["unparseable", "refused", "unexpected-exception", "interrupt"])
+    def test_feed_failure_stops_and_joins_the_worker(self, tmp_path, monkeypatch, failure):
+        """Page 1 names three repositories. Page 2 fails while the worker
+        is inside the first one, whose request is held until the pipeline
+        starts joining the worker: that repository finishes, no other
+        starts, and no thread outlives the call."""
+        entries = [
+            atom_entry("2101.00001", "a", "https://github.com/demo/alpha, https://github.com/demo/beta"),
+            atom_entry("2101.00002", "b", "https://github.com/demo/gamma"),
+        ]
+        github_started, joining = threading.Event(), threading.Event()
+        waited, held = [], []
+
+        def feed(url, params):
+            if params["start"] == 0:
+                return FakeResponse(text=atom_feed(entries, total=4))
+            waited.append(github_started.wait(HANDOFF_TIMEOUT))
+            if isinstance(failure, BaseException):
+                raise failure
+            return failure
+
+        counts = {"stars": 5, "forks": 1, "open_issues": 0, "contributors": 2}
+        sent = []
+        answer = recorded(fixtures_handler(
+            {slug: counts for slug in ("demo/alpha", "demo/beta", "demo/gamma")}), sent)
+
+        def github(url, params):
+            if not github_started.is_set():
+                github_started.set()
+                held.append(joining.wait(HANDOFF_TIMEOUT))
+            return answer(url, params)
+
+        class SignalledOnJoin(ThreadPoolExecutor):
+            def shutdown(self, *args, **kwargs):
+                joining.set()
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", SignalledOnJoin)
+        threads = set(threading.enumerate())
+        cfg = config_for(tmp_path, "--max-results", "4", "--page-size", "2")
+
+        def run():
+            return cmd_run(cfg, arxiv_client=feed_client(feed),
+                           github_client=github_client(github), out=io.StringIO())
+
+        if isinstance(failure, BaseException):
+            with pytest.raises(type(failure)) as excinfo:
+                run()
+            assert excinfo.value is failure
+        else:
+            assert run() == 1
+        assert set(threading.enumerate()) == threads
+        assert waited == [True] and held == [True]
+        assert [url for url, _ in sent] == ["http://gh.test/repos/demo/alpha",
+                                            "http://gh.test/repos/demo/alpha/contributors"]
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMonitorCommand:
@@ -432,6 +595,10 @@ class TestArgumentResolution:
         with pytest.raises(UsageError):
             resolve_config(parse_args(["run", "--config",
                                        str(tmp_path / "absent.json")]))
+        not_utf8 = tmp_path / "utf16.json"
+        not_utf8.write_bytes(b"\xff\xfe{\x00}\x00")
+        with pytest.raises(UsageError, match="cannot read config"):
+            resolve_config(parse_args(["run", "--config", str(not_utf8)]))
 
     def test_default_page_size_shrinks_to_small_max_results(self):
         cfg = resolve_config(parse_args(["run", "--max-results", "50"]))
