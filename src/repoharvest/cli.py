@@ -235,7 +235,8 @@ def execute_pipeline(
     Each repository goes to one enrichment worker as soon as a paper first
     mentions it, so GitHub requests, still one at a time and in
     first-mention order, go out while the feed client waits between pages.
-    Only this thread writes ``out`` and ``kb``. Per-repository GitHub
+    A repository already in ``kb`` is refreshed with a conditional request.
+    Only this thread reads or writes ``out`` and ``kb``. Per-repository GitHub
     failures are logged and never fatal. A paper retrieval failure after
     retries is (exit status 1): the repository being enriched is finished
     and no other is started.
@@ -249,9 +250,10 @@ def execute_pipeline(
     seen: set[tuple[str, str]] = set()
     pending: SimpleQueue[Optional[RepoRef]] = SimpleQueue()
     cancelled = threading.Event()
+    stored = {entry.ref.identity(): entry.latest for entry in kb}
     processed = 0
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="repoharvest-github") as worker:
-        enrichment = worker.submit(gh.enrich, _unstarted(pending, cancelled))
+        enrichment = worker.submit(gh.enrich, _unstarted(pending, cancelled), stored)
         try:
             for paper in client.iterate_papers(cfg.search):
                 processed += 1

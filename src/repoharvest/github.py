@@ -1,10 +1,12 @@
 """GitHub REST API client for repository enrichment.
 
 Fetches the engagement snapshot for each repository (/repos/{owner}/{name})
-and counts contributors by walking the Link-header pagination of the
-contributors endpoint. All requests pass through a single RequestGate, so
-outbound traffic respects the throttle policy; per-repository failures are
-returned as data and never abort a batch.
+and counts contributors from the Link-header pagination of the contributors
+endpoint: one entry per page, so the rel="last" page number is the count.
+A stored snapshot's ETag makes the snapshot request conditional, and an
+unchanged repository costs one request. All requests pass through a single
+RequestGate, so outbound traffic respects the throttle policy;
+per-repository failures are returned as data and never abort a batch.
 """
 from __future__ import annotations
 
@@ -13,8 +15,8 @@ import re
 import time
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from typing import Callable, Iterable, Optional
-from urllib.parse import urljoin
+from typing import Callable, Iterable, Mapping, Optional
+from urllib.parse import parse_qs, urljoin, urlsplit
 
 import requests
 
@@ -25,13 +27,12 @@ DEFAULT_BASE_URL = "https://api.github.com"
 
 # Minimum gap between anonymous requests. 720 ms allows 5000 requests an
 # hour, the authenticated quota's rate; it does not keep a run inside the
-# anonymous quota of 60 requests an hour, which a default run of ~87
-# requests exceeds. Past that quota GitHub answers 403 with
-# X-RateLimit-Reset, and the retry waits until the reset time.
+# anonymous quota of 60 requests an hour, which a default run of ~62
+# requests (two per repository) still exceeds. Past that quota GitHub
+# answers 403 with X-RateLimit-Reset, and the retry waits until the reset
+# time.
 ANONYMOUS_MIN_INTERVAL = 0.72
 AUTHENTICATED_MIN_INTERVAL = 0.10
-
-CONTRIBUTORS_PAGE_SIZE = 100
 
 
 def utc_now() -> datetime:
@@ -52,7 +53,8 @@ class RepoMetrics:
     """Engagement snapshot for one repository.
 
     ``contributors`` is None until the contributors endpoint has been
-    counted; every other count is always present.
+    counted; every other count is always present. ``etag`` is the ETag of
+    the /repos answer the snapshot was built from, if it had one.
     """
 
     name: str
@@ -62,6 +64,7 @@ class RepoMetrics:
     open_issues: int
     contributors: Optional[int]
     fetched_at: datetime
+    etag: Optional[str] = None
 
     def __post_init__(self) -> None:
         for field_name in ("stars", "forks", "open_issues"):
@@ -102,15 +105,23 @@ class GitHubFetchError(Exception):
         self.detail = detail
 
 
-_NEXT_LINK = re.compile(r'<([^>]*)>\s*;\s*rel="next"')
+_LINK = re.compile(r'<([^>]*)>\s*;\s*rel="([^"]*)"')
 
 
-def _next_page_url(link_header: Optional[str]) -> Optional[str]:
-    """URL of the rel="next" page, if the Link header names one."""
-    if not link_header:
-        return None
-    match = _NEXT_LINK.search(link_header)
-    return match.group(1) if match else None
+def _links(link_header: Optional[str]) -> dict[str, str]:
+    """The URLs a Link header names, by rel; the first one of each rel."""
+    links: dict[str, str] = {}
+    for url, rel in _LINK.findall(link_header or ""):
+        links.setdefault(rel, url)
+    return links
+
+
+def _page_number(url: Optional[str]) -> Optional[int]:
+    """The positive ``page`` query parameter of ``url``, if it has one."""
+    pages = parse_qs(urlsplit(url or "").query).get("page", [])
+    if len(pages) == 1 and pages[0].isascii() and pages[0].isdigit() and int(pages[0]) > 0:
+        return int(pages[0])
+    return None
 
 
 class GitHubClient:
@@ -182,14 +193,16 @@ class GitHubClient:
             hint = None if reset is None else max(0.0, reset - self._wall_clock())
         return GitHubFetchError(kind, f"HTTP {status} for {url}"), retryable, hint
 
-    def _request(self, url: str, params=None):
-        """GET with the retry budget; returns 2xx or 3xx responses."""
+    def _request(self, url: str, params=None, etag: Optional[str] = None):
+        """GET with the retry budget; returns 2xx or 3xx responses. With
+        ``etag``, the request is conditional (If-None-Match)."""
+        headers = self._headers if etag is None else {**self._headers, "If-None-Match": etag}
         return retrying_get(
             self._gate,
             lambda: self._session.get(
                 url,
                 params=params,
-                headers=self._headers,
+                headers=headers,
                 timeout=REQUEST_TIMEOUT,
                 allow_redirects=False,
             ),
@@ -197,17 +210,24 @@ class GitHubClient:
             self._backoff_base,
         )
 
-    def _request_following_rename(self, url: str, params=None):
-        """GET, following at most one rename redirect."""
-        response = self._request(url, params)
-        if 300 <= response.status_code < 400:
+    def _request_following_rename(self, url: str, params=None, etag: Optional[str] = None):
+        """GET, following at most one rename redirect; ``etag`` goes on both
+        requests. A 304 is returned as an answer only when ``etag`` was
+        sent; any other 3xx is a redirect."""
+
+        def redirected(response) -> bool:
+            status = response.status_code
+            return 300 <= status < 400 and not (status == 304 and etag is not None)
+
+        response = self._request(url, params, etag)
+        if redirected(response):
             location = response.headers.get("Location")
             if not location:
                 raise GitHubFetchError(
                     FailureKind.MALFORMED_RESPONSE, f"redirect without Location for {url}"
                 )
-            response = self._request(urljoin(url, location))
-            if 300 <= response.status_code < 400:
+            response = self._request(urljoin(url, location), etag=etag)
+            if redirected(response):
                 raise GitHubFetchError(
                     FailureKind.MALFORMED_RESPONSE, f"repeated redirects for {url}"
                 )
@@ -224,28 +244,32 @@ class GitHubClient:
 
     # -- public operations ------------------------------------------------
 
-    def fetch_repo(self, ref: RepoRef) -> tuple[RepoRef, RepoMetrics]:
+    def fetch_repo(
+        self, ref: RepoRef, stored: Optional[RepoMetrics] = None
+    ) -> tuple[RepoRef, RepoMetrics]:
         """Fetch the basic snapshot for one repository.
 
         Returns the canonical identity (updated when GitHub redirected to a
         renamed repository) together with the metrics; ``contributors`` is
         left unset for count_contributors to fill.
+
+        With a ``stored`` snapshot that has an ETag, the request is
+        conditional. A 304 returns ``ref`` and ``stored`` fetched now, its
+        contributor count kept: a new contributor needs a push, and a
+        push changes the body's ``pushed_at`` and so its ETag. With
+        ``include_anonymous`` no ETag is sent or kept, so a count made
+        under the other setting is never reused.
         """
         url = f"{self.base_url}/repos/{ref.owner}/{ref.name}"
-        response = self._request_following_rename(url)
+        etag = None if stored is None or self.include_anonymous else stored.etag
+        response = self._request_following_rename(url, etag=etag)
+        if response.status_code == 304:
+            return ref, replace(stored, fetched_at=self._now())
         data = self._json_body(response, url)
         if not isinstance(data, dict):
             raise GitHubFetchError(
                 FailureKind.MALFORMED_RESPONSE, f"expected an object from {url}"
             )
-        try:
-            stars = int(data["stargazers_count"])
-            forks = int(data["forks_count"])
-            open_issues = int(data["open_issues_count"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GitHubFetchError(
-                FailureKind.MALFORMED_RESPONSE, f"missing count fields from {url}: {exc}"
-            ) from exc
         resolved = ref
         full_name = data.get("full_name")
         if isinstance(full_name, str) and "/" in full_name:
@@ -257,28 +281,38 @@ class GitHubClient:
                     canonical_url=f"https://github.com/{owner}/{name}",
                     source_papers=ref.source_papers,
                 )
-        metrics = RepoMetrics(
-            name=data.get("name") or resolved.name,
-            description=data.get("description"),
-            stars=stars,
-            forks=forks,
-            open_issues=open_issues,
-            contributors=None,
-            fetched_at=self._now(),
-        )
+        try:
+            metrics = RepoMetrics(
+                name=data.get("name") or resolved.name,
+                description=data.get("description"),
+                stars=int(data["stargazers_count"]),
+                forks=int(data["forks_count"]),
+                open_issues=int(data["open_issues_count"]),
+                contributors=None,
+                fetched_at=self._now(),
+                etag=None if self.include_anonymous else response.headers.get("ETag"),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise GitHubFetchError(
+                FailureKind.MALFORMED_RESPONSE, f"bad count fields from {url}: {exc}"
+            ) from exc
         return resolved, metrics
 
     def count_contributors(self, ref: RepoRef) -> int:
-        """Total contributor entries across all pages of the endpoint.
+        """Number of contributor entries of the repository.
 
-        Follows the Link header's rel="next" until absent. An empty
-        repository (success with no body) counts as 0.
+        Asks for one entry per page: when the first page holds exactly one
+        entry and the Link header names a rel="last" page, that page's
+        number is the count. Otherwise (no last link, or a server that
+        ignores per_page) the entries are summed along rel="next" until it
+        is absent. An empty repository (success with no body) counts as 0.
         """
         url = f"{self.base_url}/repos/{ref.owner}/{ref.name}/contributors"
-        params: Optional[dict] = {"per_page": CONTRIBUTORS_PAGE_SIZE}
+        params: Optional[dict] = {"per_page": 1}
         if self.include_anonymous:
             params["anon"] = "1"
         total = 0
+        first_page = True
         while url:
             response = self._request_following_rename(url, params)
             params = None  # a next link already carries its query string
@@ -289,16 +323,25 @@ class GitHubClient:
                 raise GitHubFetchError(
                     FailureKind.MALFORMED_RESPONSE, f"expected a list from {url}"
                 )
+            links = _links(response.headers.get("Link"))
+            if first_page and len(data) == 1:
+                last = _page_number(links.get("last"))
+                if last is not None:
+                    return last
+            first_page = False
             total += len(data)
-            next_url = _next_page_url(response.headers.get("Link"))
-            url = urljoin(url, next_url) if next_url else None
+            url = urljoin(url, links["next"]) if "next" in links else None
         return total
 
     def enrich(
-        self, refs: Iterable[RepoRef]
+        self,
+        refs: Iterable[RepoRef],
+        stored: Optional[Mapping[tuple[str, str], RepoMetrics]] = None,
     ) -> tuple[list[tuple[RepoRef, RepoMetrics]], list[FetchFailure]]:
         """Fetch metrics and contributor counts for every ref, in order.
 
+        ``stored`` maps an identity to its stored latest snapshot, which
+        makes that repository's refresh conditional (see fetch_repo).
         Failures become FetchFailure records instead of exceptions, so one
         bad repository never aborts the batch; len(successes) +
         len(failures) equals the number of input refs.
@@ -307,9 +350,11 @@ class GitHubClient:
         failures: list[FetchFailure] = []
         for ref in refs:
             try:
-                resolved, metrics = self.fetch_repo(ref)
-                count = self.count_contributors(resolved)
-                successes.append((resolved, replace(metrics, contributors=count)))
+                resolved, metrics = self.fetch_repo(ref, (stored or {}).get(ref.identity()))
+                if metrics.contributors is None:
+                    count = self.count_contributors(resolved)
+                    metrics = replace(metrics, contributors=count)
+                successes.append((resolved, metrics))
             except GitHubFetchError as exc:
                 failures.append(
                     FetchFailure(

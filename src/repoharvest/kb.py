@@ -3,7 +3,9 @@
 Holds one entry per repository (deduplicated case-insensitively on
 owner/name) with the latest metrics snapshot, its maturity tier, and the
 history of prior snapshots. Persists as one JSON object per line with an
-explicit schema version; exports a CSV table and the human-readable report.
+explicit schema version (2: the latest snapshot keeps its ETag; version 1
+records still load, without one); exports a CSV table and the
+human-readable report.
 All file writes are write-then-rename, so readers never see a partial file.
 """
 from __future__ import annotations
@@ -21,7 +23,8 @@ from .github import RepoMetrics
 from .links import RepoRef
 from .maturity import MaturityTier
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+_READABLE_VERSIONS = (1, SCHEMA_VERSION)
 TIMESTAMP_FMT = "%Y-%m-%dT%H:%M:%SZ"
 
 RECORDS_FILENAME = "kb.jsonl"
@@ -61,7 +64,7 @@ class KbEntry:
     """One repository: identity, latest snapshot, tier, and history.
 
     History is ordered oldest-first; every history timestamp precedes
-    latest.fetched_at.
+    latest.fetched_at. Only latest keeps an ETag.
     """
 
     ref: RepoRef
@@ -152,7 +155,7 @@ class KnowledgeBase:
         if metrics.fetched_at < entry.latest.fetched_at:
             return entry
         if metrics.fetched_at > entry.latest.fetched_at:
-            entry.history.append(entry.latest)
+            entry.history.append(replace(entry.latest, etag=None))
         entry.latest = metrics
         entry.tier = tier
         return entry
@@ -204,7 +207,7 @@ def render_report_line(entry: KbEntry) -> str:
 
 
 def _metrics_to_dict(metrics: RepoMetrics) -> dict:
-    return {
+    data = {
         "name": metrics.name,
         "description": metrics.description,
         "stars": metrics.stars,
@@ -213,9 +216,15 @@ def _metrics_to_dict(metrics: RepoMetrics) -> dict:
         "contributors": metrics.contributors,
         "fetched_at": format_timestamp(metrics.fetched_at),
     }
+    if metrics.etag is not None:
+        data["etag"] = metrics.etag
+    return data
 
 
 def _metrics_from_dict(data: dict) -> RepoMetrics:
+    etag = data.get("etag")
+    if etag is not None and not isinstance(etag, str):
+        raise TypeError(f"etag must be a string, not {etag!r}")
     return RepoMetrics(
         name=data["name"],
         description=data["description"],
@@ -224,6 +233,7 @@ def _metrics_from_dict(data: dict) -> RepoMetrics:
         open_issues=data["open_issues"],
         contributors=data["contributors"],
         fetched_at=parse_timestamp(data["fetched_at"]),
+        etag=etag,
     )
 
 
@@ -243,7 +253,7 @@ def entry_to_dict(entry: KbEntry) -> dict:
 
 def entry_from_dict(data: dict) -> KbEntry:
     version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version not in _READABLE_VERSIONS:
         raise StoreError(f"unsupported schema version {version!r}")
     ref = RepoRef(
         owner=data["owner"],

@@ -57,17 +57,20 @@ class FakeSession:
 
     ``handler(url, params)`` returns the next FakeResponse (or raises).
     Every call is recorded as (clock_time, url, params) so tests can check
-    both ordering and spacing.
+    both ordering and spacing; ``headers`` holds each call's request
+    headers.
     """
 
     def __init__(self, handler, clock=None):
         self._handler = handler
         self._clock = clock
         self.calls: list[tuple[float, str, dict | None]] = []
+        self.headers: list[dict] = []
 
     def get(self, url, params=None, **kwargs):
         at = self._clock() if self._clock is not None else 0.0
         self.calls.append((at, url, dict(params) if params else None))
+        self.headers.append(dict(kwargs.get("headers") or {}))
         return self._handler(url, params)
 
     @property
@@ -118,6 +121,7 @@ def make_metrics(
     contributors=1,
     description=None,
     fetched_at=None,
+    etag=None,
 ) -> RepoMetrics:
     return RepoMetrics(
         name=name,
@@ -127,6 +131,7 @@ def make_metrics(
         open_issues=open_issues,
         contributors=contributors,
         fetched_at=fetched_at or datetime(2024, 1, 1, tzinfo=timezone.utc),
+        etag=etag,
     )
 
 

@@ -84,6 +84,8 @@ class MockGitHubApp:
     contributors (an int; the server fabricates that many login stubs) and
     an optional description. Unknown slugs 404. ``rate_limit_once`` slugs
     serve one quota-style 403 first; ``redirects`` maps old slugs to new.
+    Contributors pages carry a Link header with rel="next" and rel="last",
+    as GitHub's do.
     """
 
     def __init__(self, repos):
@@ -137,9 +139,10 @@ class MockGitHubApp:
             ]
             headers = {"Content-Type": "application/json"}
             if begin + per_page < total:
+                url = f"{self.base_url}/repos/{slug}/contributors?per_page={per_page}"
+                last = -(-total // per_page)
                 headers["Link"] = (
-                    f"<{self.base_url}/repos/{slug}/contributors"
-                    f'?per_page={per_page}&page={page + 1}>; rel="next"'
+                    f'<{url}&page={page + 1}>; rel="next", <{url}&page={last}>; rel="last"'
                 )
             return 200, headers, json.dumps(chunk)
         return 404, {}, json.dumps({"message": "Not Found"})

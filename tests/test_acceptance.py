@@ -326,6 +326,7 @@ def _random_store(rng: random.Random) -> KnowledgeBase:
                 contributors=rng.choice([None, 0, 1, rng.randrange(0, 400)]),
                 description=rng.choice(_DESCRIPTIONS),
                 fetched_at=base + timedelta(seconds=snapshot * rng.randint(1, 9000)),
+                etag=rng.choice([None, f'W/"{rng.getrandbits(64):x}"', f'"{rng.getrandbits(32):x}"']),
             )
             kb.upsert(ref, metrics, classify(metrics))
     return kb
@@ -334,11 +335,15 @@ def _random_store(rng: random.Random) -> KnowledgeBase:
 def test_round_trip_persistence_over_randomized_stores(tmp_path):
     """Tolerance: loaded store compares equal for all 100 stores."""
     rng = random.Random(31337)
+    etags = 0
     for case in range(100):
         kb = _random_store(rng)
         path = tmp_path / f"store-{case}.jsonl"
         save_records(kb, path)
-        assert load_records(path) == kb, case
+        loaded = load_records(path)
+        assert loaded == kb, case  # snapshots compare their ETags too
+        etags += sum(e.latest.etag is not None for e in loaded)
+    assert etags > 0
     print("PASS persistence: 100/100 randomized stores round-tripped")
 
 

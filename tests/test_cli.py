@@ -4,6 +4,7 @@ servers."""
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -127,9 +128,10 @@ def fixtures_handler(fixtures):
     return handler
 
 
-def github_client(handler):
-    """Client over ``handler`` whose wall timestamps tick one second per
-    observation, keeping first-seen order identical to fetch order."""
+def github_client(handler, session=None):
+    """Client over ``handler`` (or ``session``) whose wall timestamps tick
+    one second per observation, keeping first-seen order identical to
+    fetch order."""
     clock = FakeClock()
     ticks = itertools.count()
 
@@ -137,7 +139,7 @@ def github_client(handler):
         return (datetime(2024, 1, 1, tzinfo=timezone.utc)
                 + timedelta(seconds=next(ticks)))
 
-    session = FakeSession(handler, clock=clock)
+    session = session or FakeSession(handler, clock=clock)
     return GitHubClient(base_url="http://gh.test",
                         policy=ThrottlePolicy(min_interval=0.0),
                         session=session, clock=clock, sleep=clock.sleep,
@@ -146,6 +148,25 @@ def github_client(handler):
 
 def fixtures_github_client(fixtures):
     return github_client(fixtures_handler(fixtures))
+
+
+def conditional_github_client(fixtures):
+    """Client over the fixtures whose /repos answers carry an ETag and turn
+    into a 304 when the request's If-None-Match matches it."""
+    plain = fixtures_handler(fixtures)
+
+    def handler(url, params):
+        response = plain(url, params)
+        if url.endswith("/contributors") or response.status_code != 200:
+            return response
+        etag = f'"{hashlib.sha1(response.content).hexdigest()}"'
+        if session.headers[-1].get("If-None-Match") == etag:
+            return FakeResponse(status_code=304, headers={"ETag": etag})
+        response.headers["ETag"] = etag
+        return response
+
+    session = FakeSession(handler)
+    return github_client(None, session=session), session
 
 
 def recorded(handler, sent):
@@ -477,6 +498,45 @@ class TestMonitorCommand:
         assert "Unchanged (22):" in text
         assert len(load_records(tmp_path / "kb.jsonl")) == 24
 
+    def test_monitor_refreshes_stored_repositories_conditionally(self, tmp_path):
+        fixtures = reference_fixtures()
+        papers, _ = build_corpus()
+        cold, cold_session = conditional_github_client(fixtures)
+        assert cmd_run(config_for(tmp_path), arxiv_client=corpus_arxiv_client(papers),
+                       github_client=cold, out=io.StringIO()) == 0
+        assert all("If-None-Match" not in h for h in cold_session.headers)
+        stored = [json.loads(line) for line in (tmp_path / "kb.jsonl").read_text().splitlines()]
+        assert {record["schema_version"] for record in stored} == {2}
+        assert all(record["latest"]["etag"].startswith('"') for record in stored)
+
+        evolved = {slug: dict(spec) for slug, spec in fixtures.items()}
+        evolved["ncbi-nlp/BioSentVec"]["stars"] = 548
+        client, session = conditional_github_client(evolved)
+        out = io.StringIO()
+        status = cmd_monitor(config_for(tmp_path, command="monitor"), None,
+                             arxiv_client=corpus_arxiv_client(papers),
+                             github_client=client, out=out)
+        assert status == 0
+        text = out.getvalue()
+        assert "Updated (1):" in text
+        assert "  https://github.com/ncbi-nlp/BioSentVec: stars 546 -> 548" in text
+        assert "Unchanged (22):" in text
+        # one conditional request for each stored repository; only the
+        # changed one has its contributors counted again
+        urls = [url for _, url, _ in session.calls]
+        assert [url for url in urls if url.endswith("/contributors")] == [
+            "http://gh.test/repos/ncbi-nlp/BioSentVec/contributors"]
+        repo_urls = [url for url in urls if not url.endswith("/contributors")]
+        assert len(repo_urls) == len(set(repo_urls))
+        conditional = {url for url, headers in zip(urls, session.headers)
+                       if "If-None-Match" in headers}
+        assert conditional == {f"http://gh.test/repos/{slug}" for slug in fixtures}
+        kb = load_records(tmp_path / "kb.jsonl")
+        for entry in kb:
+            assert entry.latest.etag is not None
+            assert entry.latest.contributors == fixtures[
+                f"{entry.ref.owner}/{entry.ref.name}"]["contributors"]
+
     def test_monitor_accepts_explicit_previous_path(self, tmp_path):
         fixtures = reference_fixtures()
         papers = self._seed_run(tmp_path, fixtures)
@@ -795,11 +855,13 @@ class TestSubprocessEndToEnd:
             assert "demo/gone" in result.stderr  # logged 404
             kb = load_records(tmp_path / "kb.jsonl")
             assert len(kb) == 2
-            # contributor pagination crossed three pages for demo/alpha
+            # demo/alpha's 205 contributors were counted from rel="last" in
+            # one request, not by walking three pages
             contributor_hits = [
                 path for path in gh_app.requests if path.endswith("/contributors")
             ]
-            assert len(contributor_hits) >= 3
+            assert contributor_hits == ["/repos/demo/alpha/contributors",
+                                        "/repos/demo/beta/contributors"]
 
             monitor_cmd = [
                 sys.executable, "-m", "repoharvest", "monitor",

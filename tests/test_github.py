@@ -1,10 +1,14 @@
 """GitHub client: snapshots, contributor pagination, failures, throttling."""
 from __future__ import annotations
 
+from dataclasses import replace
+from datetime import datetime, timezone
+
 import pytest
 import requests
 
 from conftest import FakeClock, FakeResponse, FakeSession, make_ref
+from mockservers import MockGitHubApp, MockServer
 from repoharvest.github import (
     ANONYMOUS_MIN_INTERVAL,
     AUTHENTICATED_MIN_INTERVAL,
@@ -292,7 +296,7 @@ class TestCountContributors:
         client, session, _ = make_client(handler)
         assert client.count_contributors(make_ref("a", "b")) == 4
         first_params = session.calls[0][2]
-        assert first_params == {"per_page": 100}
+        assert first_params == {"per_page": 1}
 
     def test_three_pages_sum(self):
         handler = PagedHandler("a/b", [100, 100, 4])
@@ -331,7 +335,73 @@ class TestCountContributors:
         handler = PagedHandler("a/b", [2])
         client, session, _ = make_client(handler, include_anonymous=True)
         client.count_contributors(make_ref("a", "b"))
-        assert session.calls[0][2] == {"per_page": 100, "anon": "1"}
+        assert session.calls[0][2] == {"per_page": 1, "anon": "1"}
+
+    @staticmethod
+    def _last_link_handler(first_page, link):
+        def handler(url, params):
+            if url == f"{BASE}/repos/a/b":
+                return FakeResponse(json_body=repo_body("a/b"))
+            if url == f"{BASE}/repos/a/b/contributors":
+                return FakeResponse(json_body=first_page, headers={"Link": link})
+            if url == f"{BASE}/repos/a/b/contributors?page=2":
+                return FakeResponse(json_body=[{"login": "tail"}])
+            raise AssertionError(f"unexpected URL {url}")
+
+        return handler
+
+    def test_last_link_is_the_count(self):
+        link = (f'<{BASE}/repositories/7/contributors?per_page=1&page=2>; rel="next", '
+                f'<{BASE}/repositories/7/contributors?per_page=1&page=250>; rel="last"')
+        client, session, _ = make_client(self._last_link_handler([{"login": "u0"}], link))
+        successes, failures = client.enrich([make_ref("a", "b")])
+        assert failures == []
+        assert successes[0][1].contributors == 250
+        assert [url for _, url, _ in session.calls] == [
+            f"{BASE}/repos/a/b", f"{BASE}/repos/a/b/contributors"]
+
+    def test_last_link_untrusted_unless_first_page_holds_one_entry(self):
+        # a server that ignores per_page: the last page number is not a count
+        link = (f'<{BASE}/repos/a/b/contributors?page=2>; rel="next", '
+                f'<{BASE}/repos/a/b/contributors?page=2>; rel="last"')
+        first = [{"login": f"u{i}"} for i in range(30)]
+        client, session, _ = make_client(self._last_link_handler(first, link))
+        assert client.count_contributors(make_ref("a", "b")) == 31
+        assert len(session.calls) == 2
+
+    def test_last_link_trusted_on_the_first_page_only(self):
+        sizes = [2, 1, 1]
+        pages = contributors_pages("a/b", sizes)
+        last = f"{BASE}/repos/a/b/contributors?page={len(sizes)}"
+        for url, (body, link) in pages.items():
+            if link:
+                pages[url] = (body, f'{link}, <{last}>; rel="last"')
+
+        def handler(url, params):
+            body, link = pages[url]
+            return FakeResponse(json_body=body, headers={"Link": link} if link else {})
+
+        client, session, _ = make_client(handler)
+        assert client.count_contributors(make_ref("a", "b")) == 4
+        assert len(session.calls) == 3
+
+    def test_last_link_without_page_number_falls_back_to_next(self):
+        link = (f'<{BASE}/repos/a/b/contributors?page=2>; rel="next", '
+                f'<{BASE}/repos/a/b/contributors?cursor=end>; rel="last"')
+        client, session, _ = make_client(self._last_link_handler([{"login": "u0"}], link))
+        assert client.count_contributors(make_ref("a", "b")) == 2
+        assert len(session.calls) == 2
+
+    def test_mock_server_repository_of_250_costs_two_requests(self):
+        app = MockGitHubApp({"demo/big": {"stars": 3, "forks": 0, "open_issues": 0,
+                                          "contributors": 250}})
+        with MockServer(app) as server, requests.Session() as session:
+            client = GitHubClient(base_url=server.base_url, session=session,
+                                  policy=ThrottlePolicy(min_interval=0.0))
+            successes, failures = client.enrich([make_ref("demo", "big")])
+        assert failures == []
+        assert successes[0][1].contributors == 250
+        assert app.requests == ["/repos/demo/big", "/repos/demo/big/contributors"]
 
 
 class TestEnrich:
@@ -384,6 +454,103 @@ class TestEnrich:
     def test_empty_input(self):
         client, _, _ = make_client(lambda url, params: FakeResponse(json_body={}))
         assert client.enrich([]) == ([], [])
+
+    def test_negative_count_is_one_malformed_failure(self):
+        repos = {
+            "a/one": {"stars": -1, "forks": 0, "open_issues": 0, "contributors": 1},
+            "b/two": {"stars": 5, "forks": 1, "open_issues": 4, "contributors": 3},
+        }
+        client, _, _ = make_client(self._multi_handler(repos))
+        successes, failures = client.enrich([make_ref("a", "one"), make_ref("b", "two")])
+        assert [r.name for r, _ in successes] == ["two"]
+        assert [(f.repo.name, f.kind) for f in failures] == [
+            ("one", FailureKind.MALFORMED_RESPONSE)]
+
+
+class TestConditionalRefresh:
+    """A stored snapshot with an ETag makes the /repos request conditional.
+    A 304 skips the contributors request: a new contributor needs a push,
+    and a push changes pushed_at, so the repository body and its ETag."""
+
+    FETCHED = datetime(2024, 6, 1, tzinfo=timezone.utc)
+    ETAG = 'W/"abc"'
+
+    def _stored(self):
+        return RepoMetrics(name="b", description=None, stars=9, forks=0, open_issues=0,
+                           contributors=42, etag=self.ETAG,
+                           fetched_at=datetime(2024, 1, 1, tzinfo=timezone.utc))
+
+    def _client(self, handler, **kwargs):
+        return make_client(handler, now=lambda: self.FETCHED, **kwargs)
+
+    def test_not_modified_reuses_the_stored_snapshot(self):
+        client, session, _ = self._client(lambda url, params: FakeResponse(status_code=304))
+        stored = self._stored()
+        successes, failures = client.enrich([make_ref("a", "b")], {("a", "b"): stored})
+        assert failures == []
+        assert successes == [(make_ref("a", "b"), replace(stored, fetched_at=self.FETCHED))]
+        assert [url for _, url, _ in session.calls] == [f"{BASE}/repos/a/b"]
+        assert session.headers[0]["If-None-Match"] == self.ETAG
+
+    def test_not_modified_on_the_rename_hop(self):
+        def handler(url, params):
+            if url == f"{BASE}/repos/a/b":
+                return FakeResponse(status_code=301,
+                                    headers={"Location": f"{BASE}/repositories/7"})
+            return FakeResponse(status_code=304)
+
+        client, session, _ = self._client(handler)
+        stored = self._stored()
+        successes, failures = client.enrich([make_ref("a", "b")], {("a", "b"): stored})
+        assert failures == []
+        assert successes[0][1] == replace(stored, fetched_at=self.FETCHED)
+        assert [url for _, url, _ in session.calls] == [
+            f"{BASE}/repos/a/b", f"{BASE}/repositories/7"]
+        assert [h["If-None-Match"] for h in session.headers] == [self.ETAG, self.ETAG]
+
+    def test_changed_repository_is_refreshed_in_full(self):
+        def handler(url, params):
+            if url.endswith("/contributors"):
+                return FakeResponse(json_body=[{"login": "u0"}, {"login": "u1"}])
+            return FakeResponse(json_body=repo_body("a/b", stars=10),
+                                headers={"ETag": 'W/"new"'})
+
+        client, session, _ = self._client(handler)
+        successes, failures = client.enrich([make_ref("a", "b")], {("a", "b"): self._stored()})
+        assert failures == []
+        _, metrics = successes[0]
+        assert (metrics.stars, metrics.contributors, metrics.etag) == (10, 2, 'W/"new"')
+        assert metrics.fetched_at == self.FETCHED
+        assert len(session.calls) == 2
+        assert session.headers[0]["If-None-Match"] == self.ETAG
+        assert "If-None-Match" not in session.headers[1]
+
+    def test_no_validator_without_a_stored_etag(self):
+        handler = PagedHandler("a/b", [3])
+        client, session, _ = self._client(handler)
+        stored = replace(self._stored(), etag=None)
+        successes, _ = client.enrich([make_ref("a", "b")], {("a", "b"): stored})
+        assert successes[0][1].contributors == 3
+        assert all("If-None-Match" not in h for h in session.headers)
+
+    def test_include_anonymous_neither_sends_nor_keeps_an_etag(self):
+        # the stored count may have been made without anonymous contributors
+        def handler(url, params):
+            if url.endswith("/contributors"):
+                return FakeResponse(json_body=[{"login": "u0"}])
+            return FakeResponse(json_body=repo_body("a/b"), headers={"ETag": 'W/"new"'})
+
+        client, session, _ = self._client(handler, include_anonymous=True)
+        successes, _ = client.enrich([make_ref("a", "b")], {("a", "b"): self._stored()})
+        assert successes[0][1].contributors == 1
+        assert successes[0][1].etag is None
+        assert all("If-None-Match" not in h for h in session.headers)
+
+    def test_not_modified_without_a_validator_is_malformed(self):
+        client, _, _ = self._client(lambda url, params: FakeResponse(status_code=304))
+        with pytest.raises(GitHubFetchError) as excinfo:
+            client.fetch_repo(make_ref("a", "b"))
+        assert excinfo.value.kind is FailureKind.MALFORMED_RESPONSE
 
 
 class TestPolicyDefaults:

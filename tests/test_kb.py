@@ -99,6 +99,16 @@ class TestUpsert:
         assert entry.ref.owner == "a"  # first casing kept
         assert len(kb) == 1
 
+    def test_only_latest_keeps_its_etag(self):
+        kb = KnowledgeBase()
+        ref = make_ref("a", "b")
+        old = make_metrics(name="b", stars=5, fetched_at=T0, etag='W/"old"')
+        new = make_metrics(name="b", stars=6, fetched_at=at(10), etag='W/"new"')
+        upsert_auto(kb, ref, old)
+        entry = upsert_auto(kb, ref, new)
+        assert entry.latest.etag == 'W/"new"'
+        assert entry.history == [make_metrics(name="b", stars=5, fetched_at=T0)]
+
     def test_history_timestamps_strictly_increase(self):
         kb = KnowledgeBase()
         ref = make_ref("a", "b")
@@ -260,6 +270,56 @@ class TestPersistence:
         record["schema_version"] = 99
         with pytest.raises(StoreError):
             entry_from_dict(record)
+
+    @pytest.mark.parametrize("version", [0, 3, None, "2", True, 2.0])
+    def test_only_versions_1_and_2_load(self, version):
+        kb = self._populated()
+        record = entry_to_dict(next(iter(kb)))
+        record["schema_version"] = version
+        with pytest.raises(StoreError):
+            entry_from_dict(record)
+
+    def test_version_2_round_trips_the_latest_etag(self, tmp_path):
+        kb = KnowledgeBase()
+        ref = make_ref("a", "b")
+        upsert_auto(kb, ref, make_metrics(name="b", fetched_at=T0, etag='W/"one"'))
+        upsert_auto(kb, ref, make_metrics(name="b", stars=2, fetched_at=at(5), etag='"two"'))
+        record = entry_to_dict(next(iter(kb)))
+        assert record["schema_version"] == 2
+        assert record["latest"]["etag"] == '"two"'
+        assert "etag" not in record["history"][0]
+        path = tmp_path / "kb.jsonl"
+        save_records(kb, path)
+        loaded = load_records(path)
+        assert loaded == kb
+        assert next(iter(loaded)).latest.etag == '"two"'
+
+    def test_non_string_etag_is_a_store_error(self, tmp_path):
+        kb = KnowledgeBase()
+        upsert_auto(kb, make_ref("a", "b"), make_metrics(name="b", fetched_at=T0, etag='"x"'))
+        path = tmp_path / "kb.jsonl"
+        save_records(kb, path)
+        path.write_text(path.read_text().replace('"\\"x\\""', "5"))
+        with pytest.raises(StoreError, match="etag"):
+            load_records(path)
+
+    def test_version_1_record_loads_without_etag(self):
+        record = {
+            "schema_version": 1, "owner": "a", "name": "b",
+            "canonical_url": "https://github.com/a/b", "source_papers": ["p1"],
+            "tier": "Low", "first_seen": "2024-01-01T12:00:00Z",
+            "latest": {"name": "b", "description": None, "stars": 5, "forks": 0,
+                       "open_issues": 0, "contributors": 1,
+                       "fetched_at": "2024-01-01T12:05:00Z"},
+            "history": [{"name": "b", "description": None, "stars": 4, "forks": 0,
+                         "open_issues": 0, "contributors": 1,
+                         "fetched_at": "2024-01-01T12:00:00Z"}],
+        }
+        entry = entry_from_dict(record)
+        assert entry.latest == make_metrics(name="b", stars=5, fetched_at=at(5))
+        assert entry.latest.etag is None
+        assert entry.history == [make_metrics(name="b", stars=4, fetched_at=T0)]
+        assert entry_to_dict(entry)["schema_version"] == 2
 
     def test_blank_lines_skipped(self, tmp_path):
         kb = self._populated()
