@@ -37,16 +37,8 @@ _OPENSEARCH = "{http://a9.com/-/spec/opensearch/1.1/}"
 _DATE_RANGE = re.compile(r"submittedDate:\[(\d{4}) TO (\d{4})\]")
 
 
-class SearchSpecError(ValueError):
-    """A search parameter violates its invariant."""
-
-
 class ArxivRequestError(Exception):
-    """A feed request failed; carries the HTTP status when there was one."""
-
-    def __init__(self, detail: str, status: Optional[int] = None) -> None:
-        super().__init__(detail)
-        self.status = status
+    """A feed request failed."""
 
 
 class FeedParseError(Exception):
@@ -55,7 +47,8 @@ class FeedParseError(Exception):
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """Search phrases, submission-year range, and paging bounds."""
+    """Search phrases, submission-year range, and paging bounds; a value
+    that breaks an invariant raises ValueError."""
 
     terms: tuple[str, ...]
     date_from: int = DEFAULT_DATE_FROM
@@ -67,15 +60,15 @@ class SearchSpec:
         trimmed = tuple(str(t).strip() for t in self.terms)
         object.__setattr__(self, "terms", trimmed)
         if not trimmed:
-            raise SearchSpecError("terms must be non-empty")
+            raise ValueError("terms must be non-empty")
         if any(not t for t in trimmed):
-            raise SearchSpecError("each term must be non-empty after trimming whitespace")
+            raise ValueError("each term must be non-empty after trimming whitespace")
         if self.date_from > self.date_to:
-            raise SearchSpecError("date_from must not exceed date_to")
+            raise ValueError("date_from must not exceed date_to")
         if self.max_results < 1:
-            raise SearchSpecError("max_results must be >= 1")
+            raise ValueError("max_results must be >= 1")
         if not 1 <= self.page_size <= self.max_results:
-            raise SearchSpecError("page_size must be between 1 and max_results")
+            raise ValueError("page_size must be between 1 and max_results")
 
 
 @dataclass(frozen=True)
@@ -119,7 +112,7 @@ def _classify(outcome):
     if status == 200:
         return None
     return (
-        ArxivRequestError(f"HTTP {status} from feed endpoint", status=status),
+        ArxivRequestError(f"HTTP {status} from feed endpoint"),
         status >= 500,
         seconds_header(outcome.headers.get("Retry-After")),
     )
@@ -154,9 +147,9 @@ class ArxivClient:
         """Request one feed page, retrying within the budget, and parse its
         entries in feed order."""
         if start < 0:
-            raise SearchSpecError("start must be >= 0")
+            raise ValueError("start must be >= 0")
         if page_size < 1:
-            raise SearchSpecError("page_size must be >= 1")
+            raise ValueError("page_size must be >= 1")
         send_query = normalize_date_range(query) if self.normalize_dates else query
         params = {"search_query": send_query, "start": start, "max_results": page_size}
         response = retrying_get(

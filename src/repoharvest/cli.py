@@ -62,8 +62,7 @@ def _option(default, **argparse_kwargs) -> Field:
 @dataclass
 class RunConfig:
     """Everything one pipeline run needs. Each init field is an option; the
-    search spec, tier rule and intervals in seconds are built and checked
-    from them."""
+    search spec and tier rule are built and checked from them."""
 
     terms: Sequence[str] = _option(arxiv_mod.DEFAULT_TERMS, action="append", metavar="PHRASE",
                                    help="search phrase; repeat the flag for several")
@@ -92,8 +91,6 @@ class RunConfig:
 
     search: SearchSpec = field(init=False)
     rule: TierRule = field(init=False)
-    arxiv_delay: float = field(init=False)
-    min_interval: Optional[float] = field(init=False)
 
     def __post_init__(self) -> None:
         self.out_dir = Path(self.out_dir)
@@ -109,8 +106,6 @@ class RunConfig:
                     raise ValueError(f"{name} must be >= 0")
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        self.arxiv_delay = self.arxiv_delay_ms / 1000.0
-        self.min_interval = None if self.min_interval_ms is None else self.min_interval_ms / 1000.0
 
 
 _OPTIONS = {option.name: option for option in fields(RunConfig) if option.init}
@@ -187,7 +182,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 def _make_arxiv_client(cfg: RunConfig) -> ArxivClient:
     return ArxivClient(
         base_url=cfg.arxiv_base_url,
-        delay=cfg.arxiv_delay,
+        delay=cfg.arxiv_delay_ms / 1000.0,
         normalize_dates=cfg.normalize_dates,
     )
 
@@ -195,8 +190,8 @@ def _make_arxiv_client(cfg: RunConfig) -> ArxivClient:
 def _make_github_client(cfg: RunConfig) -> GitHubClient:
     token = os.environ.get(cfg.token_env) or None
     policy = None
-    if cfg.min_interval is not None:
-        policy = ThrottlePolicy(min_interval=cfg.min_interval)
+    if cfg.min_interval_ms is not None:
+        policy = ThrottlePolicy(min_interval=cfg.min_interval_ms / 1000.0)
     return GitHubClient(
         base_url=cfg.github_base_url,
         token=token,
@@ -323,17 +318,10 @@ def cmd_run(
 
 
 def _describe_update(old_m, new_m) -> str:
-    changes = []
-    pairs = (
-        ("stars", old_m.stars, new_m.stars),
-        ("forks", old_m.forks, new_m.forks),
-        ("open issues", old_m.open_issues, new_m.open_issues),
-        ("contributors", old_m.contributors, new_m.contributors),
-    )
-    for label, old_value, new_value in pairs:
-        if old_value != new_value:
-            changes.append(f"{label} {old_value} -> {new_value}")
-    return ", ".join(changes)
+    labels = ("stars", "forks", "open issues", "contributors")  # RepoMetrics.counts() order
+    return ", ".join(f"{label} {old} -> {new}"
+                     for label, old, new in zip(labels, old_m.counts(), new_m.counts())
+                     if old != new)
 
 
 def cmd_monitor(
@@ -383,11 +371,7 @@ def cmd_selfcheck(rule: TierRule, out: Optional[TextIO] = None) -> int:
     for row in REFERENCE_ROWS:
         metrics = row.to_metrics()
         entry = KbEntry(
-            ref=RepoRef(
-                owner="calibration",
-                name=row.name,
-                canonical_url=f"https://github.com/calibration/{row.name}",
-            ),
+            ref=RepoRef(owner="calibration", name=row.name),
             latest=metrics,
             tier=classify(metrics, rule),
             first_seen=CALIBRATION_TIME,

@@ -52,9 +52,9 @@ class FailureKind(str, enum.Enum):
 class RepoMetrics:
     """Engagement snapshot for one repository.
 
-    ``contributors`` is None until the contributors endpoint has been
-    counted; every other count is always present. ``etag`` is the ETag of
-    the /repos answer the snapshot was built from, if it had one.
+    Each count is a non-negative int; ``contributors`` is None until the
+    contributors endpoint has been counted. ``etag`` is the ETag of the
+    /repos answer the snapshot was built from, if it had one.
     """
 
     name: str
@@ -67,11 +67,14 @@ class RepoMetrics:
     etag: Optional[str] = None
 
     def __post_init__(self) -> None:
-        for field_name in ("stars", "forks", "open_issues"):
-            if getattr(self, field_name) < 0:
+        for field_name, value in zip(("stars", "forks", "open_issues", "contributors"),
+                                     self.counts()):
+            if type(value) is not int:  # a bool is not a count
+                if value is None and field_name == "contributors":
+                    continue
+                raise TypeError(f"{field_name} must be an integer, not {value!r}")
+            if value < 0:
                 raise ValueError(f"{field_name} must be >= 0")
-        if self.contributors is not None and self.contributors < 0:
-            raise ValueError("contributors must be >= 0")
 
     def counts(self) -> tuple[int, int, int, Optional[int]]:
         """The comparable counts: stars, forks, open issues, contributors."""
@@ -146,11 +149,9 @@ class GitHubClient:
         now: Callable[[], datetime] = utc_now,
     ) -> None:
         if policy is None:
-            interval = AUTHENTICATED_MIN_INTERVAL if token else ANONYMOUS_MIN_INTERVAL
-            policy = ThrottlePolicy(min_interval=interval)
+            policy = ThrottlePolicy(AUTHENTICATED_MIN_INTERVAL if token else ANONYMOUS_MIN_INTERVAL)
         self._gate = RequestGate(policy.min_interval, clock=clock, sleep=sleep)
         self.base_url = base_url.rstrip("/")
-        self.policy = policy
         self.include_anonymous = include_anonymous
         self._session = session if session is not None else requests.Session()
         self._backoff_base = backoff_base
@@ -275,19 +276,14 @@ class GitHubClient:
         if isinstance(full_name, str) and "/" in full_name:
             owner, name = full_name.split("/", 1)
             if (owner.lower(), name.lower()) != ref.identity():
-                resolved = RepoRef(
-                    owner=owner,
-                    name=name,
-                    canonical_url=f"https://github.com/{owner}/{name}",
-                    source_papers=ref.source_papers,
-                )
+                resolved = replace(ref, owner=owner, name=name)
         try:
             metrics = RepoMetrics(
                 name=data.get("name") or resolved.name,
                 description=data.get("description"),
-                stars=int(data["stargazers_count"]),
-                forks=int(data["forks_count"]),
-                open_issues=int(data["open_issues_count"]),
+                stars=data["stargazers_count"],
+                forks=data["forks_count"],
+                open_issues=data["open_issues_count"],
                 contributors=None,
                 fetched_at=self._now(),
                 etag=None if self.include_anonymous else response.headers.get("ETag"),

@@ -170,20 +170,16 @@ def diff(old: KnowledgeBase, new: KnowledgeBase) -> KbDiff:
     the union of both stores.
     """
     result = KbDiff()
-    old_by_key = {entry.ref.identity(): entry for entry in old}
-    new_keys = set()
-    for entry in new:
-        key = entry.ref.identity()
-        new_keys.add(key)
-        previous = old_by_key.get(key)
+    for key, entry in new._entries.items():
+        previous = old._entries.get(key)
         if previous is None:
             result.added.append(entry.ref)
         elif previous.latest.counts() != entry.latest.counts():
             result.updated.append((entry.ref, previous.latest, entry.latest))
         else:
             result.unchanged.append(entry.ref)
-    for key, entry in old_by_key.items():
-        if key not in new_keys:
+    for key, entry in old._entries.items():
+        if key not in new._entries:
             result.unchanged.append(entry.ref)
     return result
 
@@ -221,10 +217,16 @@ def _metrics_to_dict(metrics: RepoMetrics) -> dict:
     return data
 
 
+def _checked(value, kind: type, what: str):
+    """``value``, which must be a ``kind``: a store line of the wrong shape
+    is a TypeError, which load_records reports with its line."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{what} must be a {kind.__name__}, not {value!r}")
+    return value
+
+
 def _metrics_from_dict(data: dict) -> RepoMetrics:
-    etag = data.get("etag")
-    if etag is not None and not isinstance(etag, str):
-        raise TypeError(f"etag must be a string, not {etag!r}")
+    etag = _checked(data, dict, "snapshot").get("etag")
     return RepoMetrics(
         name=data["name"],
         description=data["description"],
@@ -233,7 +235,7 @@ def _metrics_from_dict(data: dict) -> RepoMetrics:
         open_issues=data["open_issues"],
         contributors=data["contributors"],
         fetched_at=parse_timestamp(data["fetched_at"]),
-        etag=etag,
+        etag=etag if etag is None else _checked(etag, str, "etag"),
     )
 
 
@@ -252,21 +254,21 @@ def entry_to_dict(entry: KbEntry) -> dict:
 
 
 def entry_from_dict(data: dict) -> KbEntry:
-    version = data.get("schema_version")
+    version = _checked(data, dict, "record").get("schema_version")
     if type(version) is not int or version not in _READABLE_VERSIONS:
         raise StoreError(f"unsupported schema version {version!r}")
+    papers = _checked(data["source_papers"], list, "source_papers")
     ref = RepoRef(
-        owner=data["owner"],
-        name=data["name"],
-        canonical_url=data["canonical_url"],
-        source_papers=frozenset(data["source_papers"]),
+        owner=_checked(data["owner"], str, "owner"),
+        name=_checked(data["name"], str, "name"),
+        source_papers=frozenset(_checked(p, str, "source paper") for p in papers),
     )
     return KbEntry(
         ref=ref,
         latest=_metrics_from_dict(data["latest"]),
-        tier=MaturityTier.from_label(data["tier"]),
+        tier=MaturityTier.from_label(_checked(data["tier"], str, "tier")),
         first_seen=parse_timestamp(data["first_seen"]),
-        history=[_metrics_from_dict(m) for m in data["history"]],
+        history=[_metrics_from_dict(m) for m in _checked(data["history"], list, "history")],
     )
 
 
@@ -300,7 +302,7 @@ def load_records(path: Path | str) -> KnowledgeBase:
             continue
         try:
             entries.append(entry_from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (StoreError, KeyError, TypeError, ValueError) as exc:
             raise StoreError(f"{path}:{lineno}: bad record: {exc}") from exc
     return KnowledgeBase(entries)
 

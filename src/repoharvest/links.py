@@ -24,15 +24,7 @@ _HOST_PATTERN = re.compile(r"^https?://(?:www\.)?github\.com(?=/|$)")
 
 
 class LinkError(ValueError):
-    """Base class for URL canonicalization failures."""
-
-
-class NotARepositoryError(LinkError):
-    """URL points at github.com but not at an owner/name repository."""
-
-
-class MalformedUrlError(LinkError):
-    """URL has a repository shape but an invalid owner or name."""
+    """A URL does not name a GitHub owner/name repository."""
 
 
 @dataclass(frozen=True)
@@ -41,8 +33,11 @@ class RepoRef:
 
     owner: str
     name: str
-    canonical_url: str
     source_papers: frozenset[str] = frozenset()
+
+    @property
+    def canonical_url(self) -> str:
+        return f"https://github.com/{self.owner}/{self.name}"
 
     def identity(self) -> tuple[str, str]:
         """Dedup key: case-insensitive (owner, name)."""
@@ -71,33 +66,28 @@ def canonicalize(cleaned: str, source: str) -> RepoRef:
     segments, strips a ".git" suffix from the name, and discards any deeper
     path, query, or fragment.
 
-    Raises NotARepositoryError when fewer than two path segments are
-    present (e.g. a profile URL) and MalformedUrlError when the owner or
+    Raises LinkError when the host is not github.com, when fewer than two
+    path segments are present (e.g. a profile URL), or when the owner or
     name contains characters GitHub slugs do not allow.
     """
     if not _HOST_PATTERN.match(cleaned):
-        raise MalformedUrlError(f"not a GitHub URL: {cleaned!r}")
+        raise LinkError(f"not a GitHub URL: {cleaned!r}")
     segments = [s for s in urlsplit(cleaned).path.split("/") if s]
     if len(segments) < 2:
-        raise NotARepositoryError(f"no owner/name path in {cleaned!r}")
+        raise LinkError(f"no owner/name path in {cleaned!r}")
     owner, name = segments[0], segments[1]
     if name.endswith(".git"):
         name = name[: -len(".git")]
     if not name or not _SLUG_PATTERN.match(owner) or not _SLUG_PATTERN.match(name):
-        raise MalformedUrlError(f"invalid owner/name in {cleaned!r}")
-    return RepoRef(
-        owner=owner,
-        name=name,
-        canonical_url=f"https://github.com/{owner}/{name}",
-        source_papers=frozenset({source}) if source else frozenset(),
-    )
+        raise LinkError(f"invalid owner/name in {cleaned!r}")
+    return RepoRef(owner, name, frozenset({source}) if source else frozenset())
 
 
 def dedupe(refs: Iterable[RepoRef]) -> list[RepoRef]:
     """Merge refs that share a case-insensitive (owner, name) identity.
 
-    The first-seen casing (and canonical URL) wins; source papers are
-    unioned. Output preserves first-occurrence order.
+    The first-seen casing wins; source papers are unioned. Output
+    preserves first-occurrence order.
     """
     merged: dict[tuple[str, str], RepoRef] = {}
     for ref in refs:

@@ -105,12 +105,7 @@ def atom_feed(entries: list[str], total: int | None = None) -> str:
 
 
 def make_ref(owner="octo", name="spoon", sources=()) -> RepoRef:
-    return RepoRef(
-        owner=owner,
-        name=name,
-        canonical_url=f"https://github.com/{owner}/{name}",
-        source_papers=frozenset(sources),
-    )
+    return RepoRef(owner=owner, name=name, source_papers=frozenset(sources))
 
 
 def make_metrics(

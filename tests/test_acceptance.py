@@ -61,7 +61,7 @@ def test_report_lines_byte_match_reference_output():
     for row in REFERENCE_ROWS:
         metrics = row.to_metrics()
         entry = KbEntry(
-            ref=RepoRef("o", row.name, f"https://github.com/o/{row.name}"),
+            ref=RepoRef("o", row.name),
             latest=metrics,
             tier=classify(metrics),
             first_seen=metrics.fetched_at,
@@ -147,7 +147,7 @@ def _paged_github_client(sizes):
 def test_contributor_pagination_sums_every_randomized_fixture():
     """Tolerance: exact count equality on all 200 fixtures."""
     rng = random.Random(987)
-    ref = RepoRef("o", "r", "https://github.com/o/r")
+    ref = RepoRef("o", "r")
     for case in range(200):
         sizes = [rng.randint(0, 100) for _ in range(rng.randint(1, 8))]
         client = _paged_github_client(sizes)
@@ -216,7 +216,7 @@ def _github_schedule(rng) -> tuple[list[float], float, float | None]:
         session=session, clock=clock, sleep=clock.sleep, wall_clock=clock,
     )
     for i in range(n_refs):
-        client.fetch_repo(RepoRef("o", f"r{i}", f"https://github.com/o/r{i}"))
+        client.fetch_repo(RepoRef("o", f"r{i}"))
     return session.times, interval, hint
 
 
@@ -260,7 +260,7 @@ def test_enrichment_partition_under_injected_failures():
         "rate_limited": FailureKind.RATE_LIMITED,
         "transport": FailureKind.TRANSPORT,
     }
-    refs = [RepoRef("o", f"r{i}", f"https://github.com/o/r{i}") for i in range(10)]
+    refs = [RepoRef("o", f"r{i}") for i in range(10)]
     cases = 0
     for kind, broken_response in kinds.items():
         for position in range(10):

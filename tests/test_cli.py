@@ -498,6 +498,29 @@ class TestMonitorCommand:
         assert "Unchanged (22):" in text
         assert len(load_records(tmp_path / "kb.jsonl")) == 24
 
+    def test_monitor_names_every_changed_count_in_order(self, tmp_path):
+        fixtures = reference_fixtures()
+        papers = self._seed_run(tmp_path, fixtures)
+        evolved = {slug: dict(spec) for slug, spec in fixtures.items()}
+        evolved["ncbi-nlp/BioSentVec"] = {
+            "stars": 550, "forks": 95, "open_issues": 2, "contributors": 7,
+        }
+        out = io.StringIO()
+        status = cmd_monitor(
+            config_for(tmp_path, command="monitor"), None,
+            arxiv_client=corpus_arxiv_client(papers),
+            github_client=fixtures_github_client(evolved),
+            out=out,
+        )
+        assert status == 0
+        lines = out.getvalue().splitlines()
+        updated = lines.index("Updated (1):")
+        assert lines[updated + 1] == (
+            "  https://github.com/ncbi-nlp/BioSentVec: stars 546 -> 550, forks 93 -> 95, "
+            "open issues 13 -> 2, contributors 4 -> 7"
+        )
+        assert lines[updated + 2] == "Unchanged (22):"
+
     def test_monitor_refreshes_stored_repositories_conditionally(self, tmp_path):
         fixtures = reference_fixtures()
         papers, _ = build_corpus()
@@ -562,6 +585,22 @@ class TestMonitorCommand:
             )
         assert status == 1
 
+    def test_monitor_with_a_store_line_of_the_wrong_shape_fails(self, tmp_path, caplog):
+        (tmp_path / "kb.jsonl").write_text("[]\n")
+        cfg = config_for(tmp_path, command="monitor")
+        with caplog.at_level(logging.ERROR, logger="repoharvest"):
+            status = cmd_monitor(
+                cfg, None,
+                arxiv_client=corpus_arxiv_client([]),
+                github_client=fixtures_github_client({}),
+                out=io.StringIO(),
+            )
+        assert status == 1
+        assert [record.getMessage() for record in caplog.records] == [
+            f"cannot load previous store: {tmp_path / 'kb.jsonl'}:1: bad record: "
+            "record must be a dict, not []"
+        ]
+
 
 class TestSelfcheck:
     def test_default_rule_passes(self):
@@ -610,8 +649,8 @@ class TestArgumentResolution:
         assert len(cfg.search.terms) == 4
         assert cfg.rule.medium_min_stars == 30
         assert cfg.rule.high_min_stars == 100
-        assert cfg.arxiv_delay == pytest.approx(3.0)
-        assert cfg.min_interval is None
+        assert cfg.arxiv_delay_ms == 3000
+        assert cfg.min_interval_ms is None
         assert cfg.token_env == "GITHUB_TOKEN"
         assert not cfg.normalize_dates
 
@@ -628,7 +667,7 @@ class TestArgumentResolution:
         assert cfg.search.max_results == 20
         assert cfg.search.page_size == 10
         assert cfg.normalize_dates
-        assert cfg.min_interval == pytest.approx(0.25)
+        assert cfg.min_interval_ms == 250
         assert cfg.token_env == "MY_TOKEN"
 
     def test_config_file_layering(self, tmp_path):
@@ -728,7 +767,7 @@ class TestArgumentResolution:
         path = tmp_path / "settings.json"
         path.write_text(json.dumps({"min_interval_ms": None}))
         cfg = resolve_config(parse_args(["run", "--config", str(path)]))
-        assert cfg.min_interval is None
+        assert cfg.min_interval_ms is None
 
 
 class TestClientWiring:
@@ -771,12 +810,12 @@ class TestClientWiring:
         for _, _, _, headers in api:
             assert headers["Authorization"] == "Bearer sekret"
         assert api[1][0] - api[0][0] >= AUTHENTICATED_MIN_INTERVAL
-        assert _make_github_client(cfg).policy.min_interval == AUTHENTICATED_MIN_INTERVAL
+        assert _make_github_client(cfg)._gate.min_interval == AUTHENTICATED_MIN_INTERVAL
 
         paced = resolve_config(parse_args([
             "run", "--token-env", "MY_TOKEN", "--min-interval-ms", "250",
         ]))
-        assert _make_github_client(paced).policy.min_interval == 0.25
+        assert _make_github_client(paced)._gate.min_interval == 0.25
 
 
 class TestOfflineGuarantee:

@@ -466,6 +466,19 @@ class TestEnrich:
         assert [(f.repo.name, f.kind) for f in failures] == [
             ("one", FailureKind.MALFORMED_RESPONSE)]
 
+    @pytest.mark.parametrize("stars", ["12", 12.7, True])
+    def test_non_integer_count_is_one_malformed_failure(self, stars):
+        repos = {
+            "a/one": {"stars": stars, "forks": 0, "open_issues": 0, "contributors": 1},
+            "b/two": {"stars": 5, "forks": 1, "open_issues": 4, "contributors": 3},
+        }
+        client, _, _ = make_client(self._multi_handler(repos))
+        successes, failures = client.enrich([make_ref("a", "one"), make_ref("b", "two")])
+        assert [(r.name, m.stars) for r, m in successes] == [("two", 5)]
+        assert [(f.repo.name, f.kind) for f in failures] == [
+            ("one", FailureKind.MALFORMED_RESPONSE)]
+        assert "stars must be an integer" in failures[0].detail
+
 
 class TestConditionalRefresh:
     """A stored snapshot with an ETag makes the /repos request conditional.
@@ -554,15 +567,22 @@ class TestConditionalRefresh:
 
 
 class TestPolicyDefaults:
+    @staticmethod
+    def _gap(token):
+        """Seconds between the first two requests of a client that picks its
+        own interval."""
+        clock = FakeClock()
+        session = FakeSession(lambda u, p: FakeResponse(json_body=[]), clock=clock)
+        client = GitHubClient(token=token, session=session, clock=clock, sleep=clock.sleep)
+        for _ in range(2):
+            client.count_contributors(make_ref("a", "b"))
+        return session.times[1] - session.times[0]
+
     def test_anonymous_interval_without_token(self):
-        client = GitHubClient(session=FakeSession(lambda u, p: FakeResponse()))
-        assert client.policy.min_interval == ANONYMOUS_MIN_INTERVAL
+        assert self._gap(None) == pytest.approx(ANONYMOUS_MIN_INTERVAL)
 
     def test_authenticated_interval_with_token(self):
-        client = GitHubClient(
-            token="tok", session=FakeSession(lambda u, p: FakeResponse())
-        )
-        assert client.policy.min_interval == AUTHENTICATED_MIN_INTERVAL
+        assert self._gap("tok") == pytest.approx(AUTHENTICATED_MIN_INTERVAL)
 
     def test_token_becomes_bearer_header(self):
         captured = {}

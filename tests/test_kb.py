@@ -1,6 +1,8 @@
 """Knowledge base: upsert semantics, diffing, rendering, persistence."""
 from __future__ import annotations
 
+import json
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -320,6 +322,35 @@ class TestPersistence:
         assert entry.latest.etag is None
         assert entry.history == [make_metrics(name="b", stars=4, fetched_at=T0)]
         assert entry_to_dict(entry)["schema_version"] == 2
+
+    @pytest.mark.parametrize("change", [
+        "[]",
+        '"x"',
+        {"tier": 5},
+        {"history": {"a": 1}},
+        {"owner": 7},
+        {"name": 7},
+        {"source_papers": "2101.00001"},
+        {"source_papers": [1]},
+        {"latest": {"stars": 5.5}},
+        {"latest": {"open_issues": True}},
+    ], ids=["list", "string", "tier", "history", "owner", "name", "papers-string",
+            "papers-item", "float-count", "bool-count"])
+    def test_line_of_the_wrong_shape_is_a_store_error(self, tmp_path, change):
+        kb = KnowledgeBase()
+        upsert_auto(kb, make_ref("a", "b", {"p1"}), make_metrics(name="b", fetched_at=T0))
+        good = entry_to_dict(next(iter(kb)))
+        if isinstance(change, str):
+            bad = change
+        else:
+            record = dict(good)
+            for key, value in change.items():
+                record[key] = {**good[key], **value} if key == "latest" else value
+            bad = json.dumps(record)
+        path = tmp_path / "kb.jsonl"
+        path.write_text(f"{json.dumps(good)}\n{bad}\n")
+        with pytest.raises(StoreError, match=re.escape(f"{path}:2: bad record: ")):
+            load_records(path)
 
     def test_blank_lines_skipped(self, tmp_path):
         kb = self._populated()

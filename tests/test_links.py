@@ -6,8 +6,7 @@ from hypothesis import given, strategies as st
 
 from corpus import DECOYS, REPO_URLS
 from repoharvest.links import (
-    MalformedUrlError,
-    NotARepositoryError,
+    LinkError,
     RepoRef,
     canonicalize,
     clean_url,
@@ -99,7 +98,7 @@ class TestCanonicalize:
         "https://github.com",
     ])
     def test_owner_only_is_not_a_repository(self, url):
-        with pytest.raises(NotARepositoryError):
+        with pytest.raises(LinkError, match="^no owner/name path in "):
             canonicalize(url, "p")
 
     @pytest.mark.parametrize("url", [
@@ -110,7 +109,7 @@ class TestCanonicalize:
         "https://github.com/a%32c/b",
     ])
     def test_wrong_host_or_bad_slug_is_malformed(self, url):
-        with pytest.raises(MalformedUrlError):
+        with pytest.raises(LinkError, match="^(not a GitHub URL:|invalid owner/name in) "):
             canonicalize(url, "p")
 
     def test_all_reference_urls_round_trip(self):
@@ -121,8 +120,7 @@ class TestCanonicalize:
 
 class TestDedupe:
     def _ref(self, owner, name, sources=()):
-        return RepoRef(owner, name, f"https://github.com/{owner}/{name}",
-                       frozenset(sources))
+        return RepoRef(owner, name, frozenset(sources))
 
     def test_case_insensitive_first_casing_wins(self):
         a = self._ref("NCBI-NLP", "BioSentVec", {"p1"})
@@ -162,6 +160,6 @@ def test_decoy_urls_never_survive_the_full_chain():
         for url in extract_urls(f"text {decoy}. more"):
             try:
                 survivors.append(canonicalize(clean_url(url), "p"))
-            except (NotARepositoryError, MalformedUrlError):
+            except LinkError:
                 pass
     assert survivors == []
