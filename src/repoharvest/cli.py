@@ -18,11 +18,9 @@ import json
 import logging
 import os
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import Field, dataclass, field, fields, replace
 from pathlib import Path
-from queue import SimpleQueue
 from typing import Iterator, Optional, Sequence, TextIO
 
 from . import arxiv as arxiv_mod
@@ -211,13 +209,6 @@ def _mine_refs(paper: PaperRecord) -> Iterator[RepoRef]:
                 log.debug("skipping %s: %s", cleaned, exc)
 
 
-def _unstarted(pending: SimpleQueue[Optional[RepoRef]], cancelled: threading.Event) -> Iterator[RepoRef]:
-    """The refs put on ``pending``, in order, until a None; none once
-    ``cancelled`` is set."""
-    while (ref := pending.get()) is not None and not cancelled.is_set():
-        yield ref
-
-
 def execute_pipeline(
     cfg: RunConfig,
     kb: KnowledgeBase,
@@ -227,14 +218,16 @@ def execute_pipeline(
 ) -> int:
     """Stream papers, mine links, enrich, classify, and upsert into ``kb``.
 
-    Each repository goes to one enrichment worker as soon as a paper first
-    mentions it, so GitHub requests, still one at a time and in
-    first-mention order, go out while the feed client waits between pages.
-    A repository already in ``kb`` is refreshed with a conditional request.
-    Only this thread reads or writes ``out`` and ``kb``. Per-repository GitHub
-    failures are logged and never fatal. A paper retrieval failure after
-    retries is (exit status 1): the repository being enriched is finished
-    and no other is started.
+    Each repository is one enrichment task, submitted when a paper first
+    names it and run on a single worker, so GitHub requests, one at a time
+    and in first-mention order, go out while the feed client waits between
+    pages. A repository already in ``kb`` is refreshed with a conditional
+    request. Only this thread reads or writes ``out`` and ``kb``. Each
+    outcome is upserted with every paper that named its ref; a ref renamed
+    onto a repository already upserted only adds its papers. Per-repository
+    GitHub failures are logged and never fatal. A paper retrieval failure
+    after retries is (exit status 1): the repository being enriched is
+    finished and no other is started.
     """
     out = out if out is not None else sys.stdout
     client = arxiv_client if arxiv_client is not None else _make_arxiv_client(cfg)
@@ -242,13 +235,10 @@ def execute_pipeline(
 
     out.write("Processing arXiv papers:\n")
     refs: list[RepoRef] = []
-    seen: set[tuple[str, str]] = set()
-    pending: SimpleQueue[Optional[RepoRef]] = SimpleQueue()
-    cancelled = threading.Event()
+    outcomes: dict[tuple[str, str], Future] = {}
     stored = {entry.ref.identity(): entry.latest for entry in kb}
     processed = 0
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="repoharvest-github") as worker:
-        enrichment = worker.submit(gh.enrich, _unstarted(pending, cancelled), stored)
         try:
             for paper in client.iterate_papers(cfg.search):
                 processed += 1
@@ -258,42 +248,46 @@ def execute_pipeline(
                 out.flush()
                 for ref in _mine_refs(paper):
                     refs.append(ref)
-                    if ref.identity() not in seen:
-                        seen.add(ref.identity())
-                        pending.put(ref)
-            pending.put(None)
+                    if ref.identity() not in outcomes:
+                        outcomes[ref.identity()] = worker.submit(gh.enrich, [ref], stored)
             if processed == 0:
                 out.write("Paper 0/0")
             out.write("\n\n")
             unique = dedupe(refs)
             out.write(f"Found GitHub URLs: {[ref.canonical_url for ref in unique]}\n\n")
-            successes, failures = enrichment.result()
+            results = [outcome.result() for outcome in outcomes.values()]
         except (ArxivRequestError, FeedParseError) as exc:
             out.write("\n")
             log.error("paper retrieval failed: %s", exc)
             return 1
         finally:
-            # On any way out, the worker finishes the repository it is on
-            # and starts no other; leaving the block joins it.
-            cancelled.set()
-            pending.put(None)
+            # Cancel before leaving the block joins the worker: the
+            # repository in progress finishes and no queued one starts.
+            for outcome in outcomes.values():
+                outcome.cancel()
 
-    # The worker took each ref with the papers known so far; upsert with
-    # the union dedupe made over the whole feed.
-    failed = {failure.repo.identity() for failure in failures}
-    enriched = [ref for ref in unique if ref.identity() not in failed]
-    for ref, (resolved, metrics) in zip(enriched, successes, strict=True):
-        tier = classify(metrics, cfg.rule)
-        entry = kb.upsert(replace(resolved, source_papers=ref.source_papers), metrics, tier)
-        out.write(render_report_line(entry) + "\n")
-    for failure in failures:
-        log.warning(
-            "GitHub fetch failed for %s/%s: %s (%s)",
-            failure.repo.owner,
-            failure.repo.name,
-            failure.kind.value,
-            failure.detail,
-        )
+    reported: dict[tuple[str, str], KbEntry] = {}
+    for ref, (successes, _) in zip(unique, results, strict=True):
+        for resolved, metrics in successes:
+            resolved = replace(resolved, source_papers=ref.source_papers)
+            first = reported.get(resolved.identity())
+            if first is None:
+                first = reported[resolved.identity()] = kb.upsert(
+                    resolved, metrics, classify(metrics, cfg.rule))
+                out.write(render_report_line(first) + "\n")
+            else:
+                # Renamed onto a repository already reported: re-upserting
+                # its snapshot only adds this ref's papers.
+                kb.upsert(resolved, first.latest, first.tier)
+    for _, failures in results:
+        for failure in failures:
+            log.warning(
+                "GitHub fetch failed for %s/%s: %s (%s)",
+                failure.repo.owner,
+                failure.repo.name,
+                failure.kind.value,
+                failure.detail,
+            )
     return 0
 
 

@@ -67,6 +67,10 @@ class RepoMetrics:
     etag: Optional[str] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise TypeError(f"name must be a string, not {self.name!r}")
+        if not isinstance(self.description, (str, type(None))):
+            raise TypeError(f"description must be a string or null, not {self.description!r}")
         for field_name, value in zip(("stars", "forks", "open_issues", "contributors"),
                                      self.counts()):
             if type(value) is not int:  # a bool is not a count

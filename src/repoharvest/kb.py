@@ -263,12 +263,17 @@ def entry_from_dict(data: dict) -> KbEntry:
         name=_checked(data["name"], str, "name"),
         source_papers=frozenset(_checked(p, str, "source paper") for p in papers),
     )
+    latest = _metrics_from_dict(data["latest"])
+    history = [_metrics_from_dict(m) for m in _checked(data["history"], list, "history")]
+    times = [m.fetched_at for m in history] + [latest.fetched_at]
+    if any(earlier >= later for earlier, later in zip(times, times[1:])):
+        raise StoreError("history timestamps must increase and precede latest.fetched_at")
     return KbEntry(
         ref=ref,
-        latest=_metrics_from_dict(data["latest"]),
+        latest=latest,
         tier=MaturityTier.from_label(_checked(data["tier"], str, "tier")),
         first_seen=parse_timestamp(data["first_seen"]),
-        history=[_metrics_from_dict(m) for m in _checked(data["history"], list, "history")],
+        history=history,
     )
 
 

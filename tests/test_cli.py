@@ -128,6 +128,17 @@ def fixtures_handler(fixtures):
     return handler
 
 
+def renaming_old_to_new(handler):
+    """``handler``, except that /repos/demo/old answers a rename to demo/new."""
+    def rename(url, params):
+        if url.endswith("/repos/demo/old"):
+            return FakeResponse(status_code=301,
+                                headers={"Location": "http://gh.test/repos/demo/new"})
+        return handler(url, params)
+
+    return rename
+
+
 def github_client(handler, session=None):
     """Client over ``handler`` (or ``session``) whose wall timestamps tick
     one second per observation, keeping first-seen order identical to
@@ -296,13 +307,14 @@ class TestRunCommand:
         with caplog.at_level(logging.WARNING, logger="repoharvest"):
             status, kb, stdout = run_pipeline(tmp_path, papers, fixtures)
         assert status == 0
-        assert len(report_lines(stdout)) == 21
+        assert report_lines(stdout) == [
+            line for url, line in zip(REPO_URLS, EXPECTED_LINES)
+            if not url.endswith(tuple(dropped))]
         assert len(kb) == 21
         warned = [r.getMessage() for r in caplog.records
                   if "GitHub fetch failed" in r.getMessage()]
-        assert len(warned) == 2
-        for slug in dropped:
-            assert any(slug.replace("/", "/") in message for message in warned)
+        assert [message.split(":")[0] for message in warned] == [
+            f"GitHub fetch failed for {slug}" for slug in dropped]
 
     def test_feed_failure_is_fatal_and_writes_nothing(self, tmp_path, caplog):
         clock = FakeClock()
@@ -373,14 +385,7 @@ class TestEnrichmentWorker:
             ("2101.00006", "old again", "Reuses https://github.com/demo/old."),
         ]
         counts = {"stars": 5, "forks": 1, "open_issues": 0, "contributors": 2}
-        answer = fixtures_handler({"demo/alpha": counts, "demo/new": counts})
-
-        def github(url, params):
-            if url.endswith("/repos/demo/old"):
-                return FakeResponse(status_code=301,
-                                    headers={"Location": "http://gh.test/repos/demo/new"})
-            return answer(url, params)
-
+        github = renaming_old_to_new(fixtures_handler({"demo/alpha": counts, "demo/new": counts}))
         cfg = config_for(tmp_path, "--max-results", "6", "--page-size", "2")
         status = cmd_run(cfg, arxiv_client=corpus_arxiv_client(papers),
                          github_client=github_client(github), out=io.StringIO())
@@ -395,6 +400,27 @@ class TestEnrichmentWorker:
         with open(tmp_path / "kb.csv", encoding="utf-8", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert {r["canonical_url"]: r["source_papers"].split() for r in rows} == expected
+
+    def test_renamed_repository_named_under_both_names_is_stored_once(self, tmp_path):
+        """One paper names demo/old, which GitHub renamed to demo/new; a
+        second paper names demo/new."""
+        papers = [
+            ("2101.00001", "old", "Code: https://github.com/demo/old."),
+            ("2101.00002", "new", "Code: https://github.com/demo/new."),
+        ]
+        counts = {"stars": 5, "forks": 1, "open_issues": 0, "contributors": 2}
+        github = renaming_old_to_new(fixtures_handler({"demo/new": counts}))
+        out = io.StringIO()
+        status = cmd_run(config_for(tmp_path), arxiv_client=corpus_arxiv_client(papers),
+                         github_client=github_client(github), out=out)
+        assert status == 0
+        assert report_lines(out.getvalue()) == [
+            "The project 'new' has a maturity level of Low. It has 5 stars, 1 forks, "
+            "0 open issues, and 2 contributors."]
+        with open(tmp_path / "kb.jsonl", encoding="utf-8") as fh:
+            stored = [json.loads(line) for line in fh]
+        assert [(r["canonical_url"], r["source_papers"], r["history"]) for r in stored] == [
+            ("https://github.com/demo/new", ["2101.00001", "2101.00002"], [])]
 
     @pytest.mark.parametrize("failure", [
         FakeResponse(text="<feed"),

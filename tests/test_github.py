@@ -479,6 +479,24 @@ class TestEnrich:
             ("one", FailureKind.MALFORMED_RESPONSE)]
         assert "stars must be an integer" in failures[0].detail
 
+    @pytest.mark.parametrize("field, value", [("name", 7), ("description", ["d"])],
+                             ids=["name", "description"])
+    def test_non_string_text_is_one_malformed_failure(self, field, value):
+        repos = {"b/two": {"stars": 5, "forks": 1, "open_issues": 4, "contributors": 3}}
+        answer = self._multi_handler(repos)
+
+        def handler(url, params):
+            if url.endswith("/repos/a/one"):
+                return FakeResponse(json_body={**repo_body("a/one"), field: value})
+            return answer(url, params)
+
+        client, _, _ = make_client(handler)
+        successes, failures = client.enrich([make_ref("a", "one"), make_ref("b", "two")])
+        assert [(r.name, m.stars) for r, m in successes] == [("two", 5)]
+        assert [(f.repo.name, f.kind) for f in failures] == [
+            ("one", FailureKind.MALFORMED_RESPONSE)]
+        assert f"{field} must be a string" in failures[0].detail
+
 
 class TestConditionalRefresh:
     """A stored snapshot with an ETag makes the /repos request conditional.

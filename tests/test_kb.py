@@ -36,6 +36,11 @@ def at(minutes: int) -> datetime:
     return T0 + timedelta(minutes=minutes)
 
 
+def snapshot_dict(fetched_at: str) -> dict:
+    return {"name": "b", "description": None, "stars": 5, "forks": 0, "open_issues": 0,
+            "contributors": 1, "fetched_at": fetched_at}
+
+
 def upsert_auto(kb: KnowledgeBase, ref, metrics) -> KbEntry:
     return kb.upsert(ref, metrics, classify(metrics))
 
@@ -334,8 +339,12 @@ class TestPersistence:
         {"source_papers": [1]},
         {"latest": {"stars": 5.5}},
         {"latest": {"open_issues": True}},
+        {"latest": {"name": 7}},
+        {"latest": {"description": ["d"]}},
+        {"history": [snapshot_dict("2025-01-01T00:00:00Z"), snapshot_dict("2023-01-01T00:00:00Z")]},
     ], ids=["list", "string", "tier", "history", "owner", "name", "papers-string",
-            "papers-item", "float-count", "bool-count"])
+            "papers-item", "float-count", "bool-count", "snapshot-name", "snapshot-description",
+            "history-order"])
     def test_line_of_the_wrong_shape_is_a_store_error(self, tmp_path, change):
         kb = KnowledgeBase()
         upsert_auto(kb, make_ref("a", "b", {"p1"}), make_metrics(name="b", fetched_at=T0))
