@@ -82,10 +82,11 @@ class PaperRecord:
 
 
 def build_query(spec: SearchSpec) -> str:
-    """Expand the spec into the feed query string.
+    """Expand the spec into the query string, with a bare-year range.
 
     Each phrase becomes a ti:/abs: clause pair, OR-joined, followed by the
     submittedDate range. Identical specs produce identical strings.
+    iterate_papers sends it through normalize_date_range.
     """
     clauses = " OR ".join(f"ti:{t} OR abs:{t}" for t in spec.terms)
     return f"{clauses} AND submittedDate:[{spec.date_from} TO {spec.date_to}]"
@@ -130,13 +131,11 @@ class ArxivClient:
         base_url: str = DEFAULT_BASE_URL,
         delay: float = DEFAULT_DELAY,
         backoff_base: float = 1.0,
-        normalize_dates: bool = False,
         session=None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.base_url = base_url
-        self.normalize_dates = normalize_dates
         self._backoff_base = backoff_base
         self._session = session if session is not None else requests.Session()
         self._gate = RequestGate(delay, clock=clock, sleep=sleep)
@@ -150,8 +149,7 @@ class ArxivClient:
             raise ValueError("start must be >= 0")
         if page_size < 1:
             raise ValueError("page_size must be >= 1")
-        send_query = normalize_date_range(query) if self.normalize_dates else query
-        params = {"search_query": send_query, "start": start, "max_results": page_size}
+        params = {"search_query": query, "start": start, "max_results": page_size}
         response = retrying_get(
             self._gate,
             lambda: self._session.get(self.base_url, params=params, timeout=REQUEST_TIMEOUT),
@@ -194,11 +192,12 @@ class ArxivClient:
     def iterate_papers(self, spec: SearchSpec) -> Iterator[PaperRecord]:
         """Stream records page by page until the cap or a short page.
 
+        Every page sends the query with its year range in the timestamp form.
         Yields at most ``spec.max_results`` records and never issues another
         request once the cap is reached. Repeated ids (a shifting feed) are
         skipped so ids are unique within one run.
         """
-        query = build_query(spec)
+        query = normalize_date_range(build_query(spec))
         seen: set[str] = set()
         yielded = 0
         start = 0

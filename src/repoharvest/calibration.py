@@ -56,41 +56,31 @@ _LINE_SHAPE = re.compile(
 
 @dataclass(frozen=True)
 class CalibrationRow:
-    """One reference row: counts, expected tier, and the exact sentence."""
+    """One reference row: the snapshot, expected tier, and the exact sentence."""
 
-    name: str
-    stars: int
-    forks: int
-    open_issues: int
-    contributors: int
+    metrics: RepoMetrics
     expected_tier: MaturityTier
     expected_line: str
 
-    def to_metrics(self) -> RepoMetrics:
-        return RepoMetrics(
-            name=self.name,
-            description=None,
-            stars=self.stars,
-            forks=self.forks,
-            open_issues=self.open_issues,
-            contributors=self.contributors,
-            fetched_at=CALIBRATION_TIME,
-        )
+    @property
+    def name(self) -> str:
+        return self.metrics.name
 
 
 def _parse_row(line: str) -> CalibrationRow:
     match = _LINE_SHAPE.match(line)
     if match is None:
         raise ValueError(f"unparseable reference line: {line!r}")
-    return CalibrationRow(
+    metrics = RepoMetrics(
         name=match.group("name"),
+        description=None,
         stars=int(match.group("stars")),
         forks=int(match.group("forks")),
         open_issues=int(match.group("issues")),
         contributors=int(match.group("contributors")),
-        expected_tier=MaturityTier.from_label(match.group("tier")),
-        expected_line=line,
+        fetched_at=CALIBRATION_TIME,
     )
+    return CalibrationRow(metrics, MaturityTier.from_label(match.group("tier")), line)
 
 
 REFERENCE_ROWS: tuple[CalibrationRow, ...] = tuple(

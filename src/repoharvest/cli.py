@@ -26,7 +26,7 @@ from typing import Iterator, Optional, Sequence, TextIO
 from . import arxiv as arxiv_mod
 from . import github as github_mod
 from .arxiv import ArxivClient, ArxivRequestError, FeedParseError, PaperRecord, SearchSpec
-from .calibration import CALIBRATION_TIME, REFERENCE_ROWS
+from .calibration import REFERENCE_ROWS
 from .github import GitHubClient, ThrottlePolicy
 from .kb import (
     RECORDS_FILENAME,
@@ -71,9 +71,6 @@ class RunConfig:
     page_size: Optional[int] = _option(None, type=int)  # None: default, shrunk to max_results
     arxiv_base_url: str = arxiv_mod.DEFAULT_BASE_URL
     github_base_url: str = github_mod.DEFAULT_BASE_URL
-    normalize_dates: bool = _option(False, action="store_true",
-                                    help="rewrite the year range to the timestamp form "
-                                         "the live feed endpoint accepts")
     arxiv_delay_ms: int = _option(int(arxiv_mod.DEFAULT_DELAY * 1000), type=int,
                                   help="politeness delay between feed requests")
     min_interval_ms: Optional[int] = _option(None, type=int,  # None: the client's default
@@ -181,7 +178,6 @@ def _make_arxiv_client(cfg: RunConfig) -> ArxivClient:
     return ArxivClient(
         base_url=cfg.arxiv_base_url,
         delay=cfg.arxiv_delay_ms / 1000.0,
-        normalize_dates=cfg.normalize_dates,
     )
 
 
@@ -206,7 +202,7 @@ def _mine_refs(paper: PaperRecord) -> Iterator[RepoRef]:
             try:
                 yield canonicalize(cleaned, paper.arxiv_id)
             except LinkError as exc:
-                log.debug("skipping %s: %s", cleaned, exc)
+                log.info("skipping %s: %s", cleaned, exc)
 
 
 def execute_pipeline(
@@ -274,7 +270,7 @@ def execute_pipeline(
             if first is None:
                 first = reported[resolved.identity()] = kb.upsert(
                     resolved, metrics, classify(metrics, cfg.rule))
-                out.write(render_report_line(first) + "\n")
+                out.write(render_report_line(first.latest, first.tier) + "\n")
             else:
                 # Renamed onto a repository already reported: re-upserting
                 # its snapshot only adds this ref's papers.
@@ -353,24 +349,17 @@ def cmd_monitor(
 def cmd_selfcheck(rule: TierRule, out: Optional[TextIO] = None) -> int:
     """Replay the calibration table; nonzero exit when any row disagrees."""
     out = out if out is not None else sys.stdout
+    tiers = [classify(row.metrics, rule) for row in REFERENCE_ROWS]
     failing: set[str] = set()
-    for row in REFERENCE_ROWS:
-        tier = classify(row.to_metrics(), rule)
+    for row, tier in zip(REFERENCE_ROWS, tiers):
         if tier != row.expected_tier:
             failing.add(row.name)
             out.write(
                 f"tier mismatch for '{row.name}': "
                 f"expected {row.expected_tier}, got {tier}\n"
             )
-    for row in REFERENCE_ROWS:
-        metrics = row.to_metrics()
-        entry = KbEntry(
-            ref=RepoRef(owner="calibration", name=row.name),
-            latest=metrics,
-            tier=classify(metrics, rule),
-            first_seen=CALIBRATION_TIME,
-        )
-        line = render_report_line(entry)
+    for row, tier in zip(REFERENCE_ROWS, tiers):
+        line = render_report_line(row.metrics, tier)
         if line != row.expected_line:
             failing.add(row.name)
             out.write(f"line mismatch for '{row.name}':\n  expected: "

@@ -184,18 +184,17 @@ def diff(old: KnowledgeBase, new: KnowledgeBase) -> KbDiff:
     return result
 
 
-def render_report_line(entry: KbEntry) -> str:
-    """The report sentence for one entry.
+def render_report_line(metrics: RepoMetrics, tier: MaturityTier) -> str:
+    """The report sentence for one snapshot graded ``tier``.
 
     Counts are printed as-is with fixed plural nouns ("1 contributors" is
     intentional).
     """
-    m = entry.latest
-    contributors = m.contributors if m.contributors is not None else 0
+    contributors = metrics.contributors if metrics.contributors is not None else 0
     return (
-        f"The project '{m.name}' has a maturity level of {entry.tier}. "
-        f"It has {m.stars} stars, {m.forks} forks, {m.open_issues} open issues, "
-        f"and {contributors} contributors."
+        f"The project '{metrics.name}' has a maturity level of {tier}. "
+        f"It has {metrics.stars} stars, {metrics.forks} forks, "
+        f"{metrics.open_issues} open issues, and {contributors} contributors."
     )
 
 
@@ -302,7 +301,9 @@ def load_records(path: Path | str) -> KnowledgeBase:
     except OSError as exc:
         raise StoreError(f"cannot read store {path}: {exc}") from exc
     entries = []
-    for lineno, line in enumerate(text.splitlines(), 1):
+    # "\n" only: str.splitlines() also breaks at U+2028, U+2029 and U+0085,
+    # which json.dumps(ensure_ascii=False) leaves raw inside strings.
+    for lineno, line in enumerate(text.split("\n"), 1):
         if not line.strip():
             continue
         try:
@@ -344,5 +345,5 @@ def export_report(kb: KnowledgeBase, path: Path | str) -> None:
 
 
 def render_report(kb: KnowledgeBase) -> str:
-    lines = [render_report_line(entry) for entry in kb.sorted_entries()]
+    lines = [render_report_line(entry.latest, entry.tier) for entry in kb.sorted_entries()]
     return "".join(line + "\n" for line in lines)

@@ -20,7 +20,6 @@ from repoharvest.calibration import REFERENCE_ROWS
 from repoharvest.cli import build_parser, resolve_config
 from repoharvest.github import FailureKind, GitHubClient, ThrottlePolicy
 from repoharvest.kb import (
-    KbEntry,
     KnowledgeBase,
     load_records,
     render_report_line,
@@ -45,7 +44,7 @@ def test_maturity_oracle_reproduces_all_reference_tiers():
     """Tolerance: exact, 23/23. Runtime: < 1 s."""
     started = time.perf_counter()
     matched = sum(
-        1 for row in REFERENCE_ROWS if classify(row.to_metrics()) is row.expected_tier
+        1 for row in REFERENCE_ROWS if classify(row.metrics) is row.expected_tier
     )
     elapsed = time.perf_counter() - started
     assert matched == len(REFERENCE_ROWS) == 23
@@ -57,16 +56,8 @@ def test_maturity_oracle_reproduces_all_reference_tiers():
 
 def test_report_lines_byte_match_reference_output():
     """Tolerance: exact bytes, including the unpluralized '1 contributors'."""
-    rendered = []
-    for row in REFERENCE_ROWS:
-        metrics = row.to_metrics()
-        entry = KbEntry(
-            ref=RepoRef("o", row.name),
-            latest=metrics,
-            tier=classify(metrics),
-            first_seen=metrics.fetched_at,
-        )
-        rendered.append(render_report_line(entry))
+    rendered = [render_report_line(row.metrics, classify(row.metrics))
+                for row in REFERENCE_ROWS]
     expected = [row.expected_line for row in REFERENCE_ROWS]
     assert rendered == expected
     assert sum("and 1 contributors." in line for line in rendered) >= 5
@@ -363,7 +354,6 @@ def test_live_desk_scale_smoke(tmp_path):
         "run",
         "--max-results", "50",
         "--out-dir", str(tmp_path),
-        "--normalize-dates",
     ])
     assert status == 0
     kb = load_records(tmp_path / "kb.jsonl")

@@ -122,15 +122,6 @@ class TestFetchPage:
         assert url == "http://feed.test/api/query"
         assert params == {"search_query": "some query", "start": 40, "max_results": 20}
 
-    def test_normalize_dates_rewrites_outgoing_query_only(self):
-        feed = atom_feed([], total=0)
-        client, session, _ = _client(
-            lambda url, params: FakeResponse(text=feed), normalize_dates=True
-        )
-        client.fetch_page(EXPECTED_DEFAULT_QUERY, 0, 10)
-        sent = session.calls[0][2]["search_query"]
-        assert sent.endswith("submittedDate:[201901010000 TO 202412312359]")
-
     def test_empty_feed(self):
         client, _, _ = _client(lambda url, params: FakeResponse(text=atom_feed([], total=0)))
         assert client.fetch_page("q", 0, 10) == []
@@ -206,6 +197,16 @@ class TestIteratePapers:
         assert len(records) == 13
         assert [p[2]["start"] for p in session.calls] == [0, 5, 10]
         assert client.last_total_results == 13
+
+    def test_every_page_sends_the_timestamp_date_range(self):
+        client, session, _ = _client(self._paged_handler(13))
+        spec = SearchSpec(terms=DEFAULT_TERMS, max_results=100, page_size=5)
+        list(client.iterate_papers(spec))
+        assert len(session.calls) == 3
+        for _, _, params in session.calls:
+            assert params["search_query"] == normalize_date_range(EXPECTED_DEFAULT_QUERY)
+            assert params["search_query"].endswith(
+                "submittedDate:[201901010000 TO 202412312359]")
 
     def test_stops_at_max_results_without_extra_request(self):
         client, session, _ = _client(self._paged_handler(50))

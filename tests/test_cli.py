@@ -57,10 +57,10 @@ def reference_fixtures() -> dict[str, dict]:
         slug = "/".join(url.rsplit("/", 2)[-2:])
         assert slug.split("/")[1] == row.name
         fixtures[slug] = {
-            "stars": row.stars,
-            "forks": row.forks,
-            "open_issues": row.open_issues,
-            "contributors": row.contributors,
+            "stars": row.metrics.stars,
+            "forks": row.metrics.forks,
+            "open_issues": row.metrics.open_issues,
+            "contributors": row.metrics.contributors,
         }
     return fixtures
 
@@ -315,6 +315,21 @@ class TestRunCommand:
                   if "GitHub fetch failed" in r.getMessage()]
         assert [message.split(":")[0] for message in warned] == [
             f"GitHub fetch failed for {slug}" for slug in dropped]
+
+    def test_skipped_link_is_logged_at_info(self, tmp_path, caplog):
+        papers = [("2101.00001", "title", "see https://github.com/onlyowner and "
+                   "https://github.com/ncbi-nlp/BioSentVec.")]
+        fixtures = {"ncbi-nlp/BioSentVec": {"stars": 546, "forks": 93,
+                                            "open_issues": 13, "contributors": 4}}
+        with caplog.at_level(logging.INFO, logger="repoharvest"):
+            status, kb, _ = run_pipeline(tmp_path, papers, fixtures)
+        assert status == 0 and len(kb) == 1
+        skipped = [r for r in caplog.records if r.getMessage().startswith("skipping ")]
+        assert [(r.levelno, r.getMessage()) for r in skipped] == [(
+            logging.INFO,
+            "skipping https://github.com/onlyowner: "
+            "no owner/name path in 'https://github.com/onlyowner'",
+        )]
 
     def test_feed_failure_is_fatal_and_writes_nothing(self, tmp_path, caplog):
         clock = FakeClock()
@@ -628,6 +643,37 @@ class TestMonitorCommand:
         ]
 
 
+#: The whole selfcheck output under TierRule(1000, 2000): six tier
+#: mismatches, six line-mismatch blocks, and the summary.
+ABSURD_RULE_OUTPUT = """\
+tier mismatch for 'Clinical-Longformer': expected Medium, got Low
+tier mismatch for 'PyTrial': expected Medium, got Low
+tier mismatch for 'oncoEnrichR': expected Medium, got Low
+tier mismatch for 'BioSentVec': expected High, got Low
+tier mismatch for 'CDO': expected Medium, got Low
+tier mismatch for 'ClinicalTransformerRelationExtraction': expected High, got Low
+line mismatch for 'Clinical-Longformer':
+  expected: The project 'Clinical-Longformer' has a maturity level of Medium. It has 52 stars, 9 forks, 2 open issues, and 2 contributors.
+  rendered: The project 'Clinical-Longformer' has a maturity level of Low. It has 52 stars, 9 forks, 2 open issues, and 2 contributors.
+line mismatch for 'PyTrial':
+  expected: The project 'PyTrial' has a maturity level of Medium. It has 62 stars, 9 forks, 3 open issues, and 2 contributors.
+  rendered: The project 'PyTrial' has a maturity level of Low. It has 62 stars, 9 forks, 3 open issues, and 2 contributors.
+line mismatch for 'oncoEnrichR':
+  expected: The project 'oncoEnrichR' has a maturity level of Medium. It has 48 stars, 10 forks, 2 open issues, and 2 contributors.
+  rendered: The project 'oncoEnrichR' has a maturity level of Low. It has 48 stars, 10 forks, 2 open issues, and 2 contributors.
+line mismatch for 'BioSentVec':
+  expected: The project 'BioSentVec' has a maturity level of High. It has 546 stars, 93 forks, 13 open issues, and 4 contributors.
+  rendered: The project 'BioSentVec' has a maturity level of Low. It has 546 stars, 93 forks, 13 open issues, and 4 contributors.
+line mismatch for 'CDO':
+  expected: The project 'CDO' has a maturity level of Medium. It has 52 stars, 7 forks, 8 open issues, and 1 contributors.
+  rendered: The project 'CDO' has a maturity level of Low. It has 52 stars, 7 forks, 8 open issues, and 1 contributors.
+line mismatch for 'ClinicalTransformerRelationExtraction':
+  expected: The project 'ClinicalTransformerRelationExtraction' has a maturity level of High. It has 116 stars, 23 forks, 11 open issues, and 1 contributors.
+  rendered: The project 'ClinicalTransformerRelationExtraction' has a maturity level of Low. It has 116 stars, 23 forks, 11 open issues, and 1 contributors.
+selfcheck: 17/23 reference rows match
+"""
+
+
 class TestSelfcheck:
     def test_default_rule_passes(self):
         out = io.StringIO()
@@ -647,6 +693,11 @@ class TestSelfcheck:
         assert {name for name, _ in mismatches} == expected
         assert len(mismatches) == len(expected)
         assert {got for _, got in mismatches} == {"Low"}
+
+    def test_absurd_rule_output_is_exact(self):
+        out = io.StringIO()
+        assert cmd_selfcheck(TierRule(1000, 2000), out=out) == 1
+        assert out.getvalue() == ABSURD_RULE_OUTPUT
 
     def test_main_wires_selfcheck_flags(self, capsys):
         assert main(["selfcheck"]) == 0
@@ -678,21 +729,18 @@ class TestArgumentResolution:
         assert cfg.arxiv_delay_ms == 3000
         assert cfg.min_interval_ms is None
         assert cfg.token_env == "GITHUB_TOKEN"
-        assert not cfg.normalize_dates
 
     def test_flags_override(self):
         cfg = resolve_config(parse_args([
             "run", "--terms", "alpha", "--terms", "beta gamma",
             "--from-year", "2020", "--to-year", "2021",
             "--max-results", "20", "--page-size", "10",
-            "--normalize-dates",
             "--min-interval-ms", "250", "--token-env", "MY_TOKEN",
         ]))
         assert cfg.search.terms == ("alpha", "beta gamma")
         assert (cfg.search.date_from, cfg.search.date_to) == (2020, 2021)
         assert cfg.search.max_results == 20
         assert cfg.search.page_size == 10
-        assert cfg.normalize_dates
         assert cfg.min_interval_ms == 250
         assert cfg.token_env == "MY_TOKEN"
 
@@ -715,6 +763,18 @@ class TestArgumentResolution:
         config.write_text(json.dumps({"stars_minimum": 1}))
         with pytest.raises(UsageError, match="stars_minimum"):
             resolve_config(parse_args(["run", "--config", str(config)]))
+        # a removed option is unknown too
+        config.write_text(json.dumps({"normalize_dates": "false"}))
+        with pytest.raises(UsageError, match="unknown config keys: normalize_dates"):
+            resolve_config(parse_args(["run", "--config", str(config)]))
+
+    def test_removed_normalize_dates_flag_exits_2(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--normalize-dates", "--out-dir", str(tmp_path),
+                  "--arxiv-base-url", "http://127.0.0.1:9/q",
+                  "--github-base-url", "http://127.0.0.1:9"])
+        assert excinfo.value.code == 2
+        assert "--normalize-dates" in capsys.readouterr().err
 
     def test_missing_config_file_rejected(self, tmp_path):
         with pytest.raises(UsageError):
@@ -769,12 +829,12 @@ class TestArgumentResolution:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("config", [
-        {"normalize_dates": "false"},
         {"include_anonymous": "no"},
         {"arxiv_delay_ms": 2.9},
         {"terms": "icu"},
         {"max_results": True},
         {"out_dir": 5},
+        {"page_size": "10"},
     ])
     def test_mistyped_config_value_exits_2(self, capsys, tmp_path, config):
         path = tmp_path / "settings.json"
@@ -823,13 +883,14 @@ class TestClientWiring:
             "run", "--arxiv-base-url", "http://feed.test/q",
             "--github-base-url", "http://gh.test",
             "--token-env", "MY_TOKEN", "--arxiv-delay-ms", "0",
-            "--normalize-dates", "--max-results", "2", "--page-size", "1",
+            "--max-results", "2", "--page-size", "1",
         ]))
         assert execute_pipeline(cfg, KnowledgeBase(), out=io.StringIO()) == 0
 
         feed = [call for call in sent if call[1].startswith("http://feed.test")]
         api = [call for call in sent if call[1].startswith("http://gh.test")]
         assert len(feed) == 2 and len(api) == 2
+        # the default run sends the year range in the timestamp form
         for _, _, params, _ in feed:
             assert "submittedDate:[201901010000 TO 202412312359]" in params["search_query"]
         assert feed[1][0] - feed[0][0] < 1.0  # 0 ms, not the default 3 s

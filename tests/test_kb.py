@@ -193,9 +193,7 @@ class TestRendering:
     def test_high_example(self):
         metrics = make_metrics(name="BioSentVec", stars=546, forks=93,
                                open_issues=13, contributors=4, fetched_at=T0)
-        entry = KbEntry(ref=make_ref("ncbi-nlp", "BioSentVec"), latest=metrics,
-                        tier=MaturityTier.HIGH, first_seen=T0)
-        assert render_report_line(entry) == (
+        assert render_report_line(metrics, MaturityTier.HIGH) == (
             "The project 'BioSentVec' has a maturity level of High. "
             "It has 546 stars, 93 forks, 13 open issues, and 4 contributors."
         )
@@ -203,18 +201,14 @@ class TestRendering:
     def test_singular_counts_keep_plural_nouns(self):
         metrics = make_metrics(name="CPath_Survey", stars=0, forks=0,
                                open_issues=0, contributors=1, fetched_at=T0)
-        entry = KbEntry(ref=make_ref("AtlasAnalyticsLab", "CPath_Survey"),
-                        latest=metrics, tier=MaturityTier.LOW, first_seen=T0)
-        assert render_report_line(entry) == (
+        assert render_report_line(metrics, MaturityTier.LOW) == (
             "The project 'CPath_Survey' has a maturity level of Low. "
             "It has 0 stars, 0 forks, 0 open issues, and 1 contributors."
         )
 
     def test_unknown_contributors_prints_zero(self):
         metrics = make_metrics(name="x", contributors=None, fetched_at=T0)
-        entry = KbEntry(ref=make_ref("o", "x"), latest=metrics,
-                        tier=MaturityTier.LOW, first_seen=T0)
-        assert render_report_line(entry).endswith("and 0 contributors.")
+        assert render_report_line(metrics, MaturityTier.LOW).endswith("and 0 contributors.")
 
     def test_report_order_is_first_seen_then_name(self):
         kb = KnowledgeBase()
@@ -250,6 +244,23 @@ class TestPersistence:
         kb = self._populated()
         path = tmp_path / "kb.jsonl"
         save_records(kb, path)
+        assert load_records(path) == kb
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+    def test_description_with_a_line_separator_round_trips(self, tmp_path, separator):
+        kb = KnowledgeBase()
+        upsert_auto(kb, make_ref("a", "b"),
+                    make_metrics(name="b", description=f"one{separator}two", fetched_at=T0))
+        path = tmp_path / "kb.jsonl"
+        save_records(kb, path)
+        assert separator in path.read_text(encoding="utf-8")  # written raw, not escaped
+        assert load_records(path) == kb
+
+    def test_crlf_store_loads(self, tmp_path):
+        kb = self._populated()
+        path = tmp_path / "kb.jsonl"
+        save_records(kb, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         assert load_records(path) == kb
 
     def test_save_is_deterministic(self, tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from conftest import make_metrics
 from repoharvest.calibration import REFERENCE_ROWS
+from repoharvest.kb import render_report_line
 from repoharvest.maturity import DEFAULT_RULE, MaturityTier, TierRule, classify
 
 
@@ -91,7 +92,6 @@ class TestReferenceTable:
 
     def test_rows_have_consistent_metrics(self):
         for row in REFERENCE_ROWS:
-            metrics = row.to_metrics()
-            assert metrics.name == row.name
-            assert metrics.stars == row.stars
-            assert classify(metrics) is row.expected_tier
+            # the parsed snapshot renders back to the sentence it came from
+            assert render_report_line(row.metrics, row.expected_tier) == row.expected_line
+            assert classify(row.metrics) is row.expected_tier
