@@ -63,6 +63,9 @@ class SearchSpec:
             raise ValueError("terms must be non-empty")
         if any(not t for t in trimmed):
             raise ValueError("each term must be non-empty after trimming whitespace")
+        for name in ("date_from", "date_to"):
+            if not 1000 <= getattr(self, name) <= 9999:
+                raise ValueError(f"{name} must be a four-digit year")
         if self.date_from > self.date_to:
             raise ValueError("date_from must not exceed date_to")
         if self.max_results < 1:

@@ -218,11 +218,13 @@ def execute_pipeline(
     names it and run on a single worker, so GitHub requests, one at a time
     and in first-mention order, go out while the feed client waits between
     pages. A repository already in ``kb`` is refreshed with a conditional
-    request. Only this thread reads or writes ``out`` and ``kb``. Each
-    outcome is upserted with every paper that named its ref; a ref renamed
-    onto a repository already upserted only adds its papers. Per-repository
-    GitHub failures are logged and never fatal. A paper retrieval failure
-    after retries is (exit status 1): the repository being enriched is
+    request. Only this thread touches ``out`` and ``kb``; the worker reads
+    its own copy of the stored snapshots. After the feed, each outcome is
+    handled once, in first-mention order, as soon as it is ready: upserted
+    with every paper that named its ref and printed (a ref renamed onto a
+    repository already reported only adds its papers), then its GitHub
+    failures are logged, never fatal. A paper retrieval failure after
+    retries is fatal (exit status 1): the repository being enriched is
     finished and no other is started.
     """
     out = out if out is not None else sys.stdout
@@ -251,7 +253,28 @@ def execute_pipeline(
             out.write("\n\n")
             unique = dedupe(refs)
             out.write(f"Found GitHub URLs: {[ref.canonical_url for ref in unique]}\n\n")
-            results = [outcome.result() for outcome in outcomes.values()]
+            reported: dict[tuple[str, str], KbEntry] = {}
+            for ref in unique:
+                successes, failures = outcomes[ref.identity()].result()
+                for resolved, metrics in successes:
+                    resolved = replace(resolved, source_papers=ref.source_papers)
+                    first = reported.get(resolved.identity())
+                    if first is None:
+                        first = reported[resolved.identity()] = kb.upsert(
+                            resolved, metrics, classify(metrics, cfg.rule))
+                        out.write(render_report_line(first.latest, first.tier) + "\n")
+                    else:
+                        # Renamed onto a repository already reported:
+                        # re-upserting its snapshot only adds this ref's papers.
+                        kb.upsert(resolved, first.latest, first.tier)
+                for failure in failures:
+                    log.warning(
+                        "GitHub fetch failed for %s/%s: %s (%s)",
+                        failure.repo.owner,
+                        failure.repo.name,
+                        failure.kind.value,
+                        failure.detail,
+                    )
         except (ArxivRequestError, FeedParseError) as exc:
             out.write("\n")
             log.error("paper retrieval failed: %s", exc)
@@ -261,36 +284,19 @@ def execute_pipeline(
             # repository in progress finishes and no queued one starts.
             for outcome in outcomes.values():
                 outcome.cancel()
-
-    reported: dict[tuple[str, str], KbEntry] = {}
-    for ref, (successes, _) in zip(unique, results, strict=True):
-        for resolved, metrics in successes:
-            resolved = replace(resolved, source_papers=ref.source_papers)
-            first = reported.get(resolved.identity())
-            if first is None:
-                first = reported[resolved.identity()] = kb.upsert(
-                    resolved, metrics, classify(metrics, cfg.rule))
-                out.write(render_report_line(first.latest, first.tier) + "\n")
-            else:
-                # Renamed onto a repository already reported: re-upserting
-                # its snapshot only adds this ref's papers.
-                kb.upsert(resolved, first.latest, first.tier)
-    for _, failures in results:
-        for failure in failures:
-            log.warning(
-                "GitHub fetch failed for %s/%s: %s (%s)",
-                failure.repo.owner,
-                failure.repo.name,
-                failure.kind.value,
-                failure.detail,
-            )
     return 0
 
 
-def _write_outputs(cfg: RunConfig, kb: KnowledgeBase) -> None:
-    save_records(kb, cfg.out_dir / RECORDS_FILENAME)
-    export_table(kb, cfg.out_dir / TABLE_FILENAME)
-    export_report(kb, cfg.out_dir / REPORT_FILENAME)
+def _write_outputs(cfg: RunConfig, kb: KnowledgeBase) -> int:
+    """Write the three output files; exit status 1 when one cannot be written."""
+    try:
+        save_records(kb, cfg.out_dir / RECORDS_FILENAME)
+        export_table(kb, cfg.out_dir / TABLE_FILENAME)
+        export_report(kb, cfg.out_dir / REPORT_FILENAME)
+    except OSError as exc:
+        log.error("cannot write outputs to %s: %s", cfg.out_dir, exc)
+        return 1
+    return 0
 
 
 def cmd_run(
@@ -303,8 +309,7 @@ def cmd_run(
     status = execute_pipeline(cfg, kb, arxiv_client, github_client, out)
     if status:
         return status
-    _write_outputs(cfg, kb)
-    return 0
+    return _write_outputs(cfg, kb)
 
 
 def _describe_update(old_m, new_m) -> str:
@@ -342,8 +347,7 @@ def cmd_monitor(
     out.write(f"Unchanged ({len(changes.unchanged)}):\n")
     for ref in changes.unchanged:
         out.write(f"  {ref.canonical_url}\n")
-    _write_outputs(cfg, kb)
-    return 0
+    return _write_outputs(cfg, kb)
 
 
 def cmd_selfcheck(rule: TierRule, out: Optional[TextIO] = None) -> int:

@@ -11,7 +11,6 @@ per-repository failures are returned as data and never abort a batch.
 from __future__ import annotations
 
 import enum
-import re
 import time
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -110,17 +109,6 @@ class GitHubFetchError(Exception):
         super().__init__(f"{kind.value}: {detail}")
         self.kind = kind
         self.detail = detail
-
-
-_LINK = re.compile(r'<([^>]*)>\s*;\s*rel="([^"]*)"')
-
-
-def _links(link_header: Optional[str]) -> dict[str, str]:
-    """The URLs a Link header names, by rel; the first one of each rel."""
-    links: dict[str, str] = {}
-    for url, rel in _LINK.findall(link_header or ""):
-        links.setdefault(rel, url)
-    return links
 
 
 def _page_number(url: Optional[str]) -> Optional[int]:
@@ -323,7 +311,9 @@ class GitHubClient:
                 raise GitHubFetchError(
                     FailureKind.MALFORMED_RESPONSE, f"expected a list from {url}"
                 )
-            links = _links(response.headers.get("Link"))
+            header = response.headers.get("Link") or ""
+            links = {link.get("rel"): link["url"]  # the first link of each rel wins
+                     for link in reversed(requests.utils.parse_header_links(header))}
             if first_page and len(data) == 1:
                 last = _page_number(links.get("last"))
                 if last is not None:

@@ -300,17 +300,20 @@ def load_records(path: Path | str) -> KnowledgeBase:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise StoreError(f"cannot read store {path}: {exc}") from exc
-    entries = []
+    entries: dict[tuple[str, str], KbEntry] = {}
     # "\n" only: str.splitlines() also breaks at U+2028, U+2029 and U+0085,
     # which json.dumps(ensure_ascii=False) leaves raw inside strings.
     for lineno, line in enumerate(text.split("\n"), 1):
         if not line.strip():
             continue
         try:
-            entries.append(entry_from_dict(json.loads(line)))
+            entry = entry_from_dict(json.loads(line))
+            if entry.ref.identity() in entries:
+                raise StoreError(f"repeats the repository {entry.ref.owner}/{entry.ref.name}")
         except (StoreError, KeyError, TypeError, ValueError) as exc:
             raise StoreError(f"{path}:{lineno}: bad record: {exc}") from exc
-    return KnowledgeBase(entries)
+        entries[entry.ref.identity()] = entry
+    return KnowledgeBase(entries.values())
 
 
 def export_table(kb: KnowledgeBase, path: Path | str) -> None:

@@ -79,6 +79,9 @@ class TestSearchSpecValidation:
         {"terms": ()},
         {"terms": ("ok", "   ")},
         {"terms": ("ok",), "date_from": 2025, "date_to": 2024},
+        {"terms": ("ok",), "date_from": 999},
+        {"terms": ("ok",), "date_to": 10000},
+        {"terms": ("ok",), "date_from": -5},
         {"terms": ("ok",), "max_results": 0},
         {"terms": ("ok",), "page_size": 0},
         {"terms": ("ok",), "max_results": 10, "page_size": 11},

@@ -331,6 +331,21 @@ class TestRunCommand:
             "no owner/name path in 'https://github.com/onlyowner'",
         )]
 
+    def test_unwritable_out_dir_exits_1_without_traceback(self, tmp_path, caplog):
+        (tmp_path / "file").write_text("")
+        papers = [("2101.00001", "alpha", "Code: https://github.com/demo/alpha.")]
+        fixtures = {"demo/alpha": {"stars": 5, "forks": 1, "open_issues": 0, "contributors": 2}}
+        out = io.StringIO()
+        with caplog.at_level(logging.ERROR, logger="repoharvest"):
+            status = cmd_run(config_for(tmp_path / "file" / "sub"),
+                             arxiv_client=corpus_arxiv_client(papers),
+                             github_client=fixtures_github_client(fixtures), out=out)
+        assert status == 1
+        assert len(report_lines(out.getvalue())) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"cannot write outputs to {tmp_path / 'file' / 'sub'}: ")
+
     def test_feed_failure_is_fatal_and_writes_nothing(self, tmp_path, caplog):
         clock = FakeClock()
         session = FakeSession(
@@ -387,6 +402,38 @@ class TestEnrichmentWorker:
         github_client(recorded(fixtures_handler(reference_fixtures()), sequential)).enrich(
             [canonicalize(url, "") for url in expected_urls])
         assert sent == sequential
+
+    def test_report_lines_start_before_the_last_repository_is_done(self, tmp_path):
+        """The last repository's snapshot request is held until the first
+        report line is written."""
+        papers = [
+            ("2101.00001", "alpha", "Code: https://github.com/demo/alpha."),
+            ("2101.00002", "beta", "Code: https://github.com/demo/beta."),
+        ]
+        counts = {"stars": 5, "forks": 1, "open_issues": 0, "contributors": 2}
+        answer = fixtures_handler({"demo/alpha": counts, "demo/beta": counts})
+        reported = threading.Event()
+        waited = []
+
+        def github(url, params):
+            if url.endswith("/repos/demo/beta"):
+                waited.append(reported.wait(HANDOFF_TIMEOUT))
+            return answer(url, params)
+
+        class Out(io.StringIO):
+            def write(self, text):
+                if text.startswith("The project "):
+                    reported.set()
+                return super().write(text)
+
+        out = Out()
+        status = execute_pipeline(config_for(tmp_path), KnowledgeBase(),
+                                  arxiv_client=corpus_arxiv_client(papers),
+                                  github_client=github_client(github), out=out)
+        assert status == 0
+        assert waited == [True], "no report line was written before the last repository"
+        assert [line.split(" has ")[0] for line in report_lines(out.getvalue())] == [
+            "The project 'alpha'", "The project 'beta'"]
 
     def test_each_repository_keeps_every_paper_that_names_it(self, tmp_path):
         """Papers on page 1 and page 3 name the same two repositories, one
@@ -827,6 +874,15 @@ class TestArgumentResolution:
         ])
         assert status == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_year_that_is_not_four_digits_exits_2(self, capsys, tmp_path):
+        status = main([
+            "run", "--from-year", "19", "--out-dir", str(tmp_path), "--arxiv-delay-ms", "0",
+            "--arxiv-base-url", "http://127.0.0.1:9/q",
+            "--github-base-url", "http://127.0.0.1:9",
+        ])
+        assert status == 2
+        assert "error: date_from must be a four-digit year" in capsys.readouterr().err
 
     @pytest.mark.parametrize("config", [
         {"include_anonymous": "no"},

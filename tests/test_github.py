@@ -360,6 +360,14 @@ class TestCountContributors:
         assert [url for _, url, _ in session.calls] == [
             f"{BASE}/repos/a/b", f"{BASE}/repos/a/b/contributors"]
 
+    def test_unquoted_rel_is_read(self):
+        # RFC 8288 allows a rel value without quotes
+        link = (f'<{BASE}/repos/a/b/contributors?page=2>; rel=next, '
+                f'<{BASE}/repos/a/b/contributors?page=7>; rel=last')
+        client, session, _ = make_client(self._last_link_handler([{"login": "u0"}], link))
+        assert client.count_contributors(make_ref("a", "b")) == 7
+        assert len(session.calls) == 1
+
     def test_last_link_untrusted_unless_first_page_holds_one_entry(self):
         # a server that ignores per_page: the last page number is not a count
         link = (f'<{BASE}/repos/a/b/contributors?page=2>; rel="next", '
