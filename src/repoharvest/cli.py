@@ -217,15 +217,18 @@ def execute_pipeline(
     Each repository is one enrichment task, submitted when a paper first
     names it and run on a single worker, so GitHub requests, one at a time
     and in first-mention order, go out while the feed client waits between
-    pages. A repository already in ``kb`` is refreshed with a conditional
-    request. Only this thread touches ``out`` and ``kb``; the worker reads
+    pages. A name ``kb`` knows, as an entry's identity or as an alias, is
+    requested as that entry, with a conditional request; a task whose name
+    an earlier task already resolved to reuses that success and sends
+    nothing. Only this thread touches ``out`` and ``kb``; the worker reads
     its own copy of the stored snapshots. After the feed, each outcome is
     handled once, in first-mention order, as soon as it is ready: upserted
     with every paper that named its ref and printed (a ref renamed onto a
-    repository already reported only adds its papers), then its GitHub
-    failures are logged, never fatal. A paper retrieval failure after
-    retries is fatal (exit status 1): the repository being enriched is
-    finished and no other is started.
+    repository already reported only adds its papers), a paper's name that
+    GitHub redirected is kept as an alias, then its GitHub failures are
+    logged under the paper's name, never fatal. A paper retrieval failure
+    after retries is fatal (exit status 1): the repository being enriched
+    is finished and no other is started.
     """
     out = out if out is not None else sys.stdout
     client = arxiv_client if arxiv_client is not None else _make_arxiv_client(cfg)
@@ -235,6 +238,19 @@ def execute_pipeline(
     refs: list[RepoRef] = []
     outcomes: dict[tuple[str, str], Future] = {}
     stored = {entry.ref.identity(): entry.latest for entry in kb}
+    # every name kb knows -> its entry's ref; an identity wins over an alias
+    names = {alias.identity(): entry.ref for entry in kb for alias in entry.aliases}
+    names.update((entry.ref.identity(), entry.ref) for entry in kb)
+    resolved_to: dict[tuple[str, str], tuple] = {}  # worker only: successes by resolved identity
+
+    def enrich_once(ref: RepoRef) -> tuple:
+        outcome = resolved_to.get(ref.identity())
+        if outcome is None:
+            outcome = gh.enrich([ref], stored)
+            for resolved, _metrics in outcome[0]:
+                resolved_to[resolved.identity()] = outcome
+        return outcome
+
     processed = 0
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="repoharvest-github") as worker:
         try:
@@ -246,8 +262,9 @@ def execute_pipeline(
                 out.flush()
                 for ref in _mine_refs(paper):
                     refs.append(ref)
-                    if ref.identity() not in outcomes:
-                        outcomes[ref.identity()] = worker.submit(gh.enrich, [ref], stored)
+                    target = names.get(ref.identity(), ref)
+                    if target.identity() not in outcomes:
+                        outcomes[target.identity()] = worker.submit(enrich_once, target)
             if processed == 0:
                 out.write("Paper 0/0")
             out.write("\n\n")
@@ -255,7 +272,7 @@ def execute_pipeline(
             out.write(f"Found GitHub URLs: {[ref.canonical_url for ref in unique]}\n\n")
             reported: dict[tuple[str, str], KbEntry] = {}
             for ref in unique:
-                successes, failures = outcomes[ref.identity()].result()
+                successes, failures = outcomes[names.get(ref.identity(), ref).identity()].result()
                 for resolved, metrics in successes:
                     resolved = replace(resolved, source_papers=ref.source_papers)
                     first = reported.get(resolved.identity())
@@ -267,11 +284,13 @@ def execute_pipeline(
                         # Renamed onto a repository already reported:
                         # re-upserting its snapshot only adds this ref's papers.
                         kb.upsert(resolved, first.latest, first.tier)
+                    if resolved.identity() != ref.identity():
+                        kb.add_alias(resolved, ref)
                 for failure in failures:
                     log.warning(
                         "GitHub fetch failed for %s/%s: %s (%s)",
-                        failure.repo.owner,
-                        failure.repo.name,
+                        ref.owner,
+                        ref.name,
                         failure.kind.value,
                         failure.detail,
                     )

@@ -2,10 +2,10 @@
 
 Holds one entry per repository (deduplicated case-insensitively on
 owner/name) with the latest metrics snapshot, its maturity tier, and the
-history of prior snapshots. Persists as one JSON object per line with an
-explicit schema version (2: the latest snapshot keeps its ETag; version 1
-records still load, without one); exports a CSV table and the
-human-readable report.
+history of prior snapshots, and the other names GitHub redirected to it.
+Persists as one JSON object per line with an explicit schema version (2:
+the latest snapshot keeps its ETag; version 1 records still load, without
+one); exports a CSV table and the human-readable report.
 All file writes are write-then-rename, so readers never see a partial file.
 """
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .github import RepoMetrics
-from .links import RepoRef
+from .links import LinkError, RepoRef, canonicalize
 from .maturity import MaturityTier
 
 SCHEMA_VERSION = 2
@@ -64,7 +64,9 @@ class KbEntry:
     """One repository: identity, latest snapshot, tier, and history.
 
     History is ordered oldest-first; every history timestamp precedes
-    latest.fetched_at. Only latest keeps an ETag.
+    latest.fetched_at. Only latest keeps an ETag. ``aliases`` are the other
+    names, as a paper first gave them, that GitHub redirected to this
+    repository.
     """
 
     ref: RepoRef
@@ -72,6 +74,7 @@ class KbEntry:
     tier: MaturityTier
     first_seen: datetime
     history: list[RepoMetrics] = field(default_factory=list)
+    aliases: frozenset[RepoRef] = frozenset()
 
 
 @dataclass
@@ -90,12 +93,18 @@ class KbDiff:
 
 
 class KnowledgeBase:
-    """In-memory store, keyed by case-insensitive (owner, name)."""
+    """In-memory store, keyed by case-insensitive (owner, name).
+
+    A name, whether an entry's identity or an alias, belongs to one entry.
+    """
 
     def __init__(self, entries: Iterable[KbEntry] = ()) -> None:
         self._entries: dict[tuple[str, str], KbEntry] = {}
+        self._aliases: dict[tuple[str, str], tuple[str, str]] = {}  # alias -> its entry's key
         for entry in entries:
-            self._entries[entry.ref.identity()] = entry
+            key = entry.ref.identity()
+            self._entries[key] = entry
+            self._aliases.update((alias.identity(), key) for alias in entry.aliases)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -135,6 +144,10 @@ class KnowledgeBase:
         key = ref.identity()
         entry = self._entries.get(key)
         if entry is None:
+            holder = self._aliases.pop(key, None)
+            if holder is not None:  # a repository of its own now holds the name
+                held = self._entries[holder]
+                held.aliases = frozenset(a for a in held.aliases if a.identity() != key)
             entry = KbEntry(
                 ref=ref,
                 latest=metrics,
@@ -159,6 +172,17 @@ class KnowledgeBase:
         entry.latest = metrics
         entry.tier = tier
         return entry
+
+    def add_alias(self, ref: RepoRef, alias: RepoRef) -> None:
+        """Record ``alias``, a name GitHub redirected to the stored
+        repository ``ref``. A name that an entry already holds, as its
+        identity or an alias, stays where it is."""
+        name = alias.identity()
+        if name in self._entries or name in self._aliases:
+            return
+        entry = self._entries[ref.identity()]
+        entry.aliases = entry.aliases | {RepoRef(alias.owner, alias.name)}
+        self._aliases[name] = ref.identity()
 
 
 def diff(old: KnowledgeBase, new: KnowledgeBase) -> KbDiff:
@@ -238,8 +262,19 @@ def _metrics_from_dict(data: dict) -> RepoMetrics:
     )
 
 
+def _alias_from_text(text) -> RepoRef:
+    """The alias an ``owner/name`` string in a store line names."""
+    try:
+        alias = canonicalize(f"https://github.com/{_checked(text, str, 'alias')}", "")
+    except LinkError:
+        alias = None
+    if alias is None or f"{alias.owner}/{alias.name}" != text:
+        raise StoreError(f"alias {text!r} is not an owner/name")
+    return alias
+
+
 def entry_to_dict(entry: KbEntry) -> dict:
-    return {
+    data = {
         "schema_version": SCHEMA_VERSION,
         "owner": entry.ref.owner,
         "name": entry.ref.name,
@@ -250,6 +285,9 @@ def entry_to_dict(entry: KbEntry) -> dict:
         "latest": _metrics_to_dict(entry.latest),
         "history": [_metrics_to_dict(m) for m in entry.history],
     }
+    if entry.aliases:
+        data["aliases"] = sorted(f"{alias.owner}/{alias.name}" for alias in entry.aliases)
+    return data
 
 
 def entry_from_dict(data: dict) -> KbEntry:
@@ -267,12 +305,17 @@ def entry_from_dict(data: dict) -> KbEntry:
     times = [m.fetched_at for m in history] + [latest.fetched_at]
     if any(earlier >= later for earlier, later in zip(times, times[1:])):
         raise StoreError("history timestamps must increase and precede latest.fetched_at")
+    aliases = frozenset(_alias_from_text(text)
+                        for text in _checked(data.get("aliases", []), list, "aliases"))
+    if ref.identity() in {alias.identity() for alias in aliases}:
+        raise StoreError(f"aliases repeat the entry's own name {ref.owner}/{ref.name}")
     return KbEntry(
         ref=ref,
         latest=latest,
         tier=MaturityTier.from_label(_checked(data["tier"], str, "tier")),
         first_seen=parse_timestamp(data["first_seen"]),
         history=history,
+        aliases=aliases,
     )
 
 
@@ -300,7 +343,8 @@ def load_records(path: Path | str) -> KnowledgeBase:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise StoreError(f"cannot read store {path}: {exc}") from exc
-    entries: dict[tuple[str, str], KbEntry] = {}
+    entries: list[KbEntry] = []
+    names: set[tuple[str, str]] = set()  # every identity and alias read so far
     # "\n" only: str.splitlines() also breaks at U+2028, U+2029 and U+0085,
     # which json.dumps(ensure_ascii=False) leaves raw inside strings.
     for lineno, line in enumerate(text.split("\n"), 1):
@@ -308,12 +352,14 @@ def load_records(path: Path | str) -> KnowledgeBase:
             continue
         try:
             entry = entry_from_dict(json.loads(line))
-            if entry.ref.identity() in entries:
-                raise StoreError(f"repeats the repository {entry.ref.owner}/{entry.ref.name}")
+            for name in (entry.ref, *sorted(entry.aliases, key=lambda a: (a.owner, a.name))):
+                if name.identity() in names:
+                    raise StoreError(f"repeats the repository {name.owner}/{name.name}")
+                names.add(name.identity())
         except (StoreError, KeyError, TypeError, ValueError) as exc:
             raise StoreError(f"{path}:{lineno}: bad record: {exc}") from exc
-        entries[entry.ref.identity()] = entry
-    return KnowledgeBase(entries.values())
+        entries.append(entry)
+    return KnowledgeBase(entries)
 
 
 def export_table(kb: KnowledgeBase, path: Path | str) -> None:

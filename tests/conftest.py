@@ -58,7 +58,7 @@ class FakeSession:
     ``handler(url, params)`` returns the next FakeResponse (or raises).
     Every call is recorded as (clock_time, url, params) so tests can check
     both ordering and spacing; ``headers`` holds each call's request
-    headers.
+    headers and ``statuses`` the status of each answer returned.
     """
 
     def __init__(self, handler, clock=None):
@@ -66,12 +66,15 @@ class FakeSession:
         self._clock = clock
         self.calls: list[tuple[float, str, dict | None]] = []
         self.headers: list[dict] = []
+        self.statuses: list[int] = []
 
     def get(self, url, params=None, **kwargs):
         at = self._clock() if self._clock is not None else 0.0
         self.calls.append((at, url, dict(params) if params else None))
         self.headers.append(dict(kwargs.get("headers") or {}))
-        return self._handler(url, params)
+        response = self._handler(url, params)
+        self.statuses.append(response.status_code)
+        return response
 
     @property
     def times(self) -> list[float]:

@@ -139,10 +139,10 @@ def renaming_old_to_new(handler):
     return rename
 
 
-def github_client(handler, session=None):
-    """Client over ``handler`` (or ``session``) whose wall timestamps tick
-    one second per observation, keeping first-seen order identical to
-    fetch order."""
+def github_client(handler, session=None, **options):
+    """Client over ``handler`` (or ``session``), with GitHubClient
+    ``options``, whose wall timestamps tick one second per observation,
+    keeping first-seen order identical to fetch order."""
     clock = FakeClock()
     ticks = itertools.count()
 
@@ -154,16 +154,18 @@ def github_client(handler, session=None):
     return GitHubClient(base_url="http://gh.test",
                         policy=ThrottlePolicy(min_interval=0.0),
                         session=session, clock=clock, sleep=clock.sleep,
-                        wall_clock=clock, now=now)
+                        wall_clock=clock, now=now, **options)
 
 
 def fixtures_github_client(fixtures):
     return github_client(fixtures_handler(fixtures))
 
 
-def conditional_github_client(fixtures):
-    """Client over the fixtures whose /repos answers carry an ETag and turn
-    into a 304 when the request's If-None-Match matches it."""
+def conditional_github_client(fixtures, renamed=False, **options):
+    """Client (with GitHubClient ``options``) over the fixtures whose
+    /repos answers carry an ETag and turn into a 304 when the request's
+    If-None-Match matches it; with ``renamed``, /repos/demo/old answers a
+    rename to demo/new."""
     plain = fixtures_handler(fixtures)
 
     def handler(url, params):
@@ -176,8 +178,8 @@ def conditional_github_client(fixtures):
         response.headers["ETag"] = etag
         return response
 
-    session = FakeSession(handler)
-    return github_client(None, session=session), session
+    session = FakeSession(renaming_old_to_new(handler) if renamed else handler)
+    return github_client(None, session=session, **options), session
 
 
 def recorded(handler, sent):
@@ -465,24 +467,31 @@ class TestEnrichmentWorker:
 
     def test_renamed_repository_named_under_both_names_is_stored_once(self, tmp_path):
         """One paper names demo/old, which GitHub renamed to demo/new; a
-        second paper names demo/new."""
+        second paper names demo/new, which is not requested again."""
         papers = [
             ("2101.00001", "old", "Code: https://github.com/demo/old."),
             ("2101.00002", "new", "Code: https://github.com/demo/new."),
         ]
         counts = {"stars": 5, "forks": 1, "open_issues": 0, "contributors": 2}
-        github = renaming_old_to_new(fixtures_handler({"demo/new": counts}))
+        sent = []
+        github = recorded(renaming_old_to_new(fixtures_handler({"demo/new": counts})), sent)
         out = io.StringIO()
         status = cmd_run(config_for(tmp_path), arxiv_client=corpus_arxiv_client(papers),
                          github_client=github_client(github), out=out)
         assert status == 0
+        assert sent == [("http://gh.test/repos/demo/old", None),
+                        ("http://gh.test/repos/demo/new", None),
+                        ("http://gh.test/repos/demo/new/contributors", {"per_page": 1})]
+        assert ("Found GitHub URLs: ['https://github.com/demo/old', "
+                "'https://github.com/demo/new']") in out.getvalue()
         assert report_lines(out.getvalue()) == [
             "The project 'new' has a maturity level of Low. It has 5 stars, 1 forks, "
             "0 open issues, and 2 contributors."]
         with open(tmp_path / "kb.jsonl", encoding="utf-8") as fh:
             stored = [json.loads(line) for line in fh]
-        assert [(r["canonical_url"], r["source_papers"], r["history"]) for r in stored] == [
-            ("https://github.com/demo/new", ["2101.00001", "2101.00002"], [])]
+        assert [(r["canonical_url"], r["source_papers"], r["history"], r["aliases"])
+                for r in stored] == [
+            ("https://github.com/demo/new", ["2101.00001", "2101.00002"], [], ["demo/old"])]
 
     @pytest.mark.parametrize("failure", [
         FakeResponse(text="<feed"),
@@ -688,6 +697,97 @@ class TestMonitorCommand:
             f"cannot load previous store: {tmp_path / 'kb.jsonl'}:1: bad record: "
             "record must be a dict, not []"
         ]
+
+
+class TestMonitorRenamedRepository:
+    """The previous store holds demo/new, which a paper named as demo/old
+    before GitHub renamed it: monitor requests it under its stored name."""
+
+    OLD = ("2101.00001", "old", "Code: https://github.com/demo/old.")
+    NEW = ("2101.00002", "new", "Code: https://github.com/demo/new.")
+    COUNTS = {"stars": 5, "forks": 1, "open_issues": 0, "contributors": 2}
+    UNCHANGED = "Added (0):\nUpdated (0):\nUnchanged (1):\n  https://github.com/demo/new\n"
+
+    @pytest.fixture(autouse=True)
+    def _previous(self, tmp_path):
+        client, session = conditional_github_client({"demo/new": self.COUNTS}, renamed=True)
+        assert cmd_run(config_for(tmp_path), arxiv_client=corpus_arxiv_client([self.OLD]),
+                       github_client=client, out=io.StringIO()) == 0
+        assert [url for _, url, _ in session.calls] == [
+            "http://gh.test/repos/demo/old", "http://gh.test/repos/demo/new",
+            "http://gh.test/repos/demo/new/contributors"]
+        (record,) = [json.loads(line) for line in (tmp_path / "kb.jsonl").read_text().splitlines()]
+        assert (record["canonical_url"], record["aliases"]) == (
+            "https://github.com/demo/new", ["demo/old"])
+        self.previous = (tmp_path / "kb.jsonl").read_bytes()
+
+    def _monitor(self, tmp_path, papers, counts, **options):
+        """(url, conditional, status) of each request, and the diff sections."""
+        client, session = conditional_github_client({"demo/new": counts}, renamed=True,
+                                                    **options)
+        out = io.StringIO()
+        status = cmd_monitor(config_for(tmp_path, command="monitor"), None,
+                             arxiv_client=corpus_arxiv_client(papers),
+                             github_client=client, out=out)
+        assert status == 0
+        sent = [(url, "If-None-Match" in headers, answer) for (_, url, _), headers, answer
+                in zip(session.calls, session.headers, session.statuses)]
+        text = out.getvalue()
+        return sent, text[text.index("Added ("):]
+
+    def test_unchanged_costs_one_conditional_request(self, tmp_path):
+        sent, sections = self._monitor(tmp_path, [self.OLD], self.COUNTS)
+        assert sent == [("http://gh.test/repos/demo/new", True, 304)]
+        assert sections == self.UNCHANGED
+        (record,) = [json.loads(line) for line in (tmp_path / "kb.jsonl").read_text().splitlines()]
+        assert record["aliases"] == ["demo/old"]
+
+    def test_changed_is_fetched_under_its_stored_name(self, tmp_path):
+        sent, sections = self._monitor(tmp_path, [self.OLD], {**self.COUNTS, "stars": 6})
+        assert sent == [("http://gh.test/repos/demo/new", True, 200),
+                        ("http://gh.test/repos/demo/new/contributors", False, 200)]
+        assert sections == ("Added (0):\nUpdated (1):\n"
+                            "  https://github.com/demo/new: stars 5 -> 6\nUnchanged (0):\n")
+
+    def test_include_anonymous_sends_no_etag(self, tmp_path):
+        sent, sections = self._monitor(tmp_path, [self.OLD], self.COUNTS, include_anonymous=True)
+        assert sent == [("http://gh.test/repos/demo/new", False, 200),
+                        ("http://gh.test/repos/demo/new/contributors", False, 200)]
+        assert sections == self.UNCHANGED
+
+    def test_a_store_without_the_alias_learns_it(self, tmp_path):
+        (tmp_path / "kb.jsonl").write_text(
+            self.previous.decode().replace(', "aliases": ["demo/old"]', ""))
+        sent, sections = self._monitor(tmp_path, [self.OLD], self.COUNTS)
+        assert sent == [("http://gh.test/repos/demo/old", False, 301),
+                        ("http://gh.test/repos/demo/new", False, 200),
+                        ("http://gh.test/repos/demo/new/contributors", False, 200)]
+        assert sections == self.UNCHANGED
+        (record,) = [json.loads(line) for line in (tmp_path / "kb.jsonl").read_text().splitlines()]
+        assert record["aliases"] == ["demo/old"]
+
+    def test_a_failure_is_logged_under_the_paper_name(self, tmp_path, caplog):
+        client, session = conditional_github_client({}, renamed=True)
+        out = io.StringIO()
+        with caplog.at_level(logging.WARNING, logger="repoharvest"):
+            status = cmd_monitor(config_for(tmp_path, command="monitor"), None,
+                                 arxiv_client=corpus_arxiv_client([self.OLD]),
+                                 github_client=client, out=out)
+        assert status == 0
+        assert [url for _, url, _ in session.calls] == ["http://gh.test/repos/demo/new"]
+        assert [record.getMessage() for record in caplog.records] == [
+            "GitHub fetch failed for demo/old: not_found "
+            "(HTTP 404 for http://gh.test/repos/demo/new)"]
+        assert out.getvalue().endswith(self.UNCHANGED)
+        assert (tmp_path / "kb.jsonl").read_bytes() == self.previous
+
+    def test_both_names_in_one_run_are_fetched_once(self, tmp_path):
+        sent, sections = self._monitor(tmp_path, [self.OLD, self.NEW], self.COUNTS)
+        assert sent == [("http://gh.test/repos/demo/new", True, 304)]
+        assert sections == self.UNCHANGED
+        (record,) = [json.loads(line) for line in (tmp_path / "kb.jsonl").read_text().splitlines()]
+        assert (record["source_papers"], record["aliases"]) == (
+            ["2101.00001", "2101.00002"], ["demo/old"])
 
 
 #: The whole selfcheck output under TierRule(1000, 2000): six tier

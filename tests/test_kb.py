@@ -413,6 +413,110 @@ class TestPersistence:
         assert (tmp_path / "kb.csv").read_text().startswith("owner,name,")
 
 
+class TestAliases:
+    """Names GitHub redirected to a stored repository, kept on its entry."""
+
+    def _renamed(self) -> KnowledgeBase:
+        kb = KnowledgeBase()
+        new = make_ref("demo", "new", {"p1"})
+        upsert_auto(kb, new, make_metrics(name="new", fetched_at=T0, etag='"e"'))
+        upsert_auto(kb, make_ref("c", "d"), make_metrics(name="d", fetched_at=at(1)))
+        kb.add_alias(new, make_ref("demo", "older"))
+        kb.add_alias(new, make_ref("Demo", "Old", {"p2"}))
+        return kb
+
+    def test_load_then_save_is_byte_exact(self, tmp_path):
+        path, again = tmp_path / "kb.jsonl", tmp_path / "again.jsonl"
+        save_records(self._renamed(), path)
+        first = json.loads(path.read_text().splitlines()[0])
+        assert first["aliases"] == ["Demo/Old", "demo/older"]
+        loaded = load_records(path)
+        assert loaded == self._renamed()
+        save_records(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_a_store_without_aliases_saves_as_before(self, tmp_path):
+        kb = KnowledgeBase()
+        upsert_auto(kb, make_ref("a", "b", {"p1"}),
+                    make_metrics(name="b", stars=5, fetched_at=T0, etag='"e"'))
+        path = tmp_path / "kb.jsonl"
+        save_records(kb, path)
+        assert path.read_text() == (
+            '{"schema_version": 2, "owner": "a", "name": "b", '
+            '"canonical_url": "https://github.com/a/b", "source_papers": ["p1"], '
+            '"tier": "Low", "first_seen": "2024-01-01T12:00:00Z", '
+            '"latest": {"name": "b", "description": null, "stars": 5, "forks": 0, '
+            '"open_issues": 0, "contributors": 1, "fetched_at": "2024-01-01T12:00:00Z", '
+            '"etag": "\\"e\\""}, "history": []}\n')
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_version_1_and_2_lines_load(self, version):
+        record = entry_to_dict(next(iter(self._renamed())))
+        record["schema_version"] = version
+        assert entry_from_dict(record).aliases == {make_ref("Demo", "Old"),
+                                                   make_ref("demo", "older")}
+        del record["aliases"]
+        assert entry_from_dict(record).aliases == frozenset()
+
+    def test_clone_keeps_aliases(self):
+        kb = self._renamed()
+        assert kb.clone() == kb
+        assert [entry.aliases for entry in kb.clone()] == [entry.aliases for entry in kb]
+
+    def test_a_name_some_entry_holds_is_not_added(self):
+        kb = self._renamed()
+        before = [entry.aliases for entry in kb]
+        kb.add_alias(make_ref("c", "d"), make_ref("DEMO", "OLD"))   # another entry's alias
+        kb.add_alias(make_ref("c", "d"), make_ref("Demo", "New"))   # another entry's identity
+        kb.add_alias(make_ref("demo", "new"), make_ref("demo", "OLDER"))  # its own alias
+        assert [entry.aliases for entry in kb] == before
+
+    def test_a_repository_that_takes_an_alias_name_keeps_it(self, tmp_path):
+        kb = self._renamed()
+        upsert_auto(kb, make_ref("demo", "old"), make_metrics(name="old", fetched_at=at(2)))
+        by_name = {entry.ref.name: entry for entry in kb}
+        assert by_name["new"].aliases == {make_ref("demo", "older")}
+        kb.add_alias(make_ref("c", "d"), make_ref("demo", "OLD"))
+        assert by_name["d"].aliases == frozenset()
+        path = tmp_path / "kb.jsonl"
+        save_records(kb, path)
+        assert load_records(path) == kb
+
+    @pytest.mark.parametrize("aliases", [
+        "demo/old", [5], ["demo"], ["demo/old/tree"], ["demo/old.git"], ["demo/o ld"],
+        ["https://github.com/demo/old"], ["x/y", "X/Y"], ["c/e", "C/D"], ["A/B"],
+    ], ids=["string", "item", "no-name", "deeper-path", "git-suffix", "bad-slug", "url",
+            "repeated-alias", "own-identity", "earlier-identity"])
+    def test_a_bad_alias_is_a_store_error_naming_its_line(self, tmp_path, aliases):
+        kb = KnowledgeBase()
+        upsert_auto(kb, make_ref("a", "b"), make_metrics(name="b", fetched_at=T0))
+        upsert_auto(kb, make_ref("c", "d"), make_metrics(name="d", fetched_at=at(1)))
+        first, second = (entry_to_dict(entry) for entry in kb.sorted_entries())
+        second["aliases"] = aliases
+        path = tmp_path / "kb.jsonl"
+        path.write_text(f"{json.dumps(first)}\n{json.dumps(second)}\n")
+        with pytest.raises(StoreError, match=re.escape(f"{path}:2: bad record: ")):
+            load_records(path)
+
+    def test_an_alias_a_later_line_claims_is_a_store_error(self, tmp_path):
+        kb = KnowledgeBase()
+        upsert_auto(kb, make_ref("a", "b"), make_metrics(name="b", fetched_at=T0))
+        upsert_auto(kb, make_ref("c", "d"), make_metrics(name="d", fetched_at=at(1)))
+        upsert_auto(kb, make_ref("e", "f"), make_metrics(name="f", fetched_at=at(2)))
+        first, second, third = (entry_to_dict(entry) for entry in kb.sorted_entries())
+        first["aliases"] = ["x/y", "C/D"]
+        third["aliases"] = ["X/Y"]
+        path = tmp_path / "kb.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in (first, second, third)))
+        with pytest.raises(StoreError, match=re.escape(
+                f"{path}:2: bad record: repeats the repository c/d")):
+            load_records(path)
+        path.write_text("".join(json.dumps(r) + "\n" for r in (first, third)))
+        with pytest.raises(StoreError, match=re.escape(
+                f"{path}:2: bad record: repeats the repository X/Y")):
+            load_records(path)
+
+
 class TestTimestamps:
     def test_format_round_trip(self):
         stamp = datetime(2024, 3, 5, 6, 7, 8, tzinfo=timezone.utc)
