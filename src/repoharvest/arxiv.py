@@ -6,7 +6,6 @@ requests; transport and 5xx failures are retried with doubling backoff.
 """
 from __future__ import annotations
 
-import re
 import time
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
@@ -33,8 +32,6 @@ DEFAULT_DELAY = 3.0
 
 _ATOM = "{http://www.w3.org/2005/Atom}"
 _OPENSEARCH = "{http://a9.com/-/spec/opensearch/1.1/}"
-
-_DATE_RANGE = re.compile(r"submittedDate:\[(\d{4}) TO (\d{4})\]")
 
 
 class ArxivRequestError(Exception):
@@ -85,23 +82,14 @@ class PaperRecord:
 
 
 def build_query(spec: SearchSpec) -> str:
-    """Expand the spec into the query string, with a bare-year range.
+    """Expand the spec into the query string that is sent.
 
     Each phrase becomes a ti:/abs: clause pair, OR-joined, followed by the
-    submittedDate range. Identical specs produce identical strings.
-    iterate_papers sends it through normalize_date_range.
+    submittedDate range in the feed's YYYYMMDDHHMM form, covering the whole
+    of both years. Identical specs produce identical strings.
     """
     clauses = " OR ".join(f"ti:{t} OR abs:{t}" for t in spec.terms)
-    return f"{clauses} AND submittedDate:[{spec.date_from} TO {spec.date_to}]"
-
-
-def normalize_date_range(query: str) -> str:
-    """Rewrite a bare-year submittedDate range into the timestamp form the
-    live endpoint accepts (YYYYMMDDHHMM bounds covering the whole years)."""
-    return _DATE_RANGE.sub(
-        lambda m: f"submittedDate:[{m.group(1)}01010000 TO {m.group(2)}12312359]",
-        query,
-    )
+    return f"{clauses} AND submittedDate:[{spec.date_from}01010000 TO {spec.date_to}12312359]"
 
 
 def _classify(outcome):
@@ -195,12 +183,12 @@ class ArxivClient:
     def iterate_papers(self, spec: SearchSpec) -> Iterator[PaperRecord]:
         """Stream records page by page until the cap or a short page.
 
-        Every page sends the query with its year range in the timestamp form.
-        Yields at most ``spec.max_results`` records and never issues another
-        request once the cap is reached. Repeated ids (a shifting feed) are
-        skipped so ids are unique within one run.
+        Every page sends build_query(spec). Yields at most
+        ``spec.max_results`` records and never issues another request once
+        the cap is reached. Repeated ids (a shifting feed) are skipped so ids
+        are unique within one run.
         """
-        query = normalize_date_range(build_query(spec))
+        query = build_query(spec)
         seen: set[str] = set()
         yielded = 0
         start = 0

@@ -188,7 +188,13 @@ class GitHubClient:
 
     def _request(self, url: str, params=None, etag: Optional[str] = None):
         """GET with the retry budget; returns 2xx or 3xx responses. With
-        ``etag``, the request is conditional (If-None-Match)."""
+        ``etag``, the request is conditional (If-None-Match). A URL off
+        ``base_url``'s scheme and host is refused unsent, so the token never
+        follows a redirect or a next link to another host."""
+        if urlsplit(url)[:2] != urlsplit(self.base_url)[:2]:
+            raise GitHubFetchError(
+                FailureKind.MALFORMED_RESPONSE, f"refusing to leave {self.base_url} for {url}"
+            )
         headers = self._headers if etag is None else {**self._headers, "If-None-Match": etag}
         return retrying_get(
             self._gate,

@@ -98,7 +98,7 @@ def test_default_query_string_fidelity():
         "ti:healthcare data analytics OR abs:healthcare data analytics OR "
         "ti:electronic health records OR abs:electronic health records OR "
         "ti:medical software development OR abs:medical software development "
-        "AND submittedDate:[2019 TO 2024]"
+        "AND submittedDate:[201901010000 TO 202412312359]"
     )
     built = build_query(resolve_config(build_parser().parse_args(["run"])).search)
     assert " ".join(built.split()) == " ".join(expected.split())

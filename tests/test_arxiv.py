@@ -16,7 +16,6 @@ from repoharvest.arxiv import (
     PaperRecord,
     SearchSpec,
     build_query,
-    normalize_date_range,
 )
 
 EXPECTED_DEFAULT_QUERY = (
@@ -24,7 +23,7 @@ EXPECTED_DEFAULT_QUERY = (
     "ti:healthcare data analytics OR abs:healthcare data analytics OR "
     "ti:electronic health records OR abs:electronic health records OR "
     "ti:medical software development OR abs:medical software development "
-    "AND submittedDate:[2019 TO 2024]"
+    "AND submittedDate:[201901010000 TO 202412312359]"
 )
 
 
@@ -50,7 +49,7 @@ class TestBuildQuery:
         spec = SearchSpec(terms=("sepsis prediction",), date_from=2020, date_to=2021)
         assert build_query(spec) == (
             "ti:sepsis prediction OR abs:sepsis prediction"
-            " AND submittedDate:[2020 TO 2021]"
+            " AND submittedDate:[202001010000 TO 202112312359]"
         )
 
     def test_terms_are_trimmed(self):
@@ -58,20 +57,16 @@ class TestBuildQuery:
         assert build_query(spec).startswith("ti:icu mortality OR abs:icu mortality")
 
     @given(st.lists(st.sampled_from(["alpha", "beta gamma", "delta"]),
-                    min_size=1, max_size=6))
-    def test_clause_count_scales_with_terms(self, terms):
-        query = build_query(SearchSpec(terms=tuple(terms)))
+                    min_size=1, max_size=6),
+           st.integers(1000, 9999), st.integers(1000, 9999))
+    def test_clause_count_scales_with_terms(self, terms, year_a, year_b):
+        date_from, date_to = sorted((year_a, year_b))
+        query = build_query(SearchSpec(terms=tuple(terms), date_from=date_from, date_to=date_to))
         assert query.count(" OR ") == 2 * len(terms) - 1
         assert query.count("ti:") == len(terms)
         assert query.count("abs:") == len(terms)
-        assert query.endswith(" AND submittedDate:[2019 TO 2024]")
-
-    def test_normalize_date_range_rewrites_years(self):
-        normalized = normalize_date_range(EXPECTED_DEFAULT_QUERY)
-        assert normalized.endswith(
-            "AND submittedDate:[201901010000 TO 202412312359]"
-        )
-        assert "submittedDate:[2019 TO 2024]" not in normalized
+        assert query.endswith(
+            f" AND submittedDate:[{date_from}01010000 TO {date_to}12312359]")
 
 
 class TestSearchSpecValidation:
@@ -207,9 +202,17 @@ class TestIteratePapers:
         list(client.iterate_papers(spec))
         assert len(session.calls) == 3
         for _, _, params in session.calls:
-            assert params["search_query"] == normalize_date_range(EXPECTED_DEFAULT_QUERY)
+            assert params["search_query"] == EXPECTED_DEFAULT_QUERY
             assert params["search_query"].endswith(
                 "submittedDate:[201901010000 TO 202412312359]")
+
+    def test_date_range_inside_a_term_is_sent_verbatim(self):
+        client, session, _ = _client(self._paged_handler(0))
+        list(client.iterate_papers(SearchSpec(terms=("submittedDate:[2000 TO 2001]",))))
+        assert [params["search_query"] for _, _, params in session.calls] == [
+            "ti:submittedDate:[2000 TO 2001] OR abs:submittedDate:[2000 TO 2001]"
+            " AND submittedDate:[201901010000 TO 202412312359]"
+        ]
 
     def test_stops_at_max_results_without_extra_request(self):
         client, session, _ = _client(self._paged_handler(50))

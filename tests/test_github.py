@@ -506,6 +506,38 @@ class TestEnrich:
         assert f"{field} must be a string" in failures[0].detail
 
 
+class TestCrossOriginUrls:
+    """The token goes only to base_url's scheme and host."""
+
+    def _enrich_with_token(self, handler):
+        client, session, _ = make_client(handler, token="SECRET")
+        successes, failures = client.enrich([make_ref("demo", "old")])
+        assert successes == []
+        assert [f.kind for f in failures] == [FailureKind.MALFORMED_RESPONSE]
+        assert all(url.startswith(f"{BASE}/") for _, url, _ in session.calls)
+        assert all(h["Authorization"] == "Bearer SECRET" for h in session.headers)
+        return session
+
+    @pytest.mark.parametrize("location", ["http://evil.test/repos/demo/new",
+                                          "https://gh.test/repos/demo/new"])
+    def test_cross_origin_rename_is_not_followed(self, location):
+        def handler(url, params):
+            assert url == f"{BASE}/repos/demo/old"
+            return FakeResponse(status_code=301, headers={"Location": location})
+
+        assert len(self._enrich_with_token(handler).calls) == 1
+
+    def test_cross_origin_next_link_is_not_followed(self):
+        def handler(url, params):
+            if url == f"{BASE}/repos/demo/old":
+                return FakeResponse(json_body=repo_body("demo/old"))
+            assert url == f"{BASE}/repos/demo/old/contributors"
+            return FakeResponse(json_body=[{"login": "u0"}, {"login": "u1"}],
+                                headers={"Link": '<http://evil2.test/next?page=2>; rel="next"'})
+
+        assert len(self._enrich_with_token(handler).calls) == 2
+
+
 class TestConditionalRefresh:
     """A stored snapshot with an ETag makes the /repos request conditional.
     A 304 skips the contributors request: a new contributor needs a push,
