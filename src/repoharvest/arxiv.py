@@ -154,9 +154,9 @@ class ArxivClient:
             root = ET.fromstring(text)
         except ET.ParseError as exc:
             raise FeedParseError(f"feed is not well-formed XML: {exc}") from exc
-        total = root.findtext(f"{_OPENSEARCH}totalResults")
-        if total is not None and total.strip().isdigit():
-            self.last_total_results = int(total.strip())
+        total = (root.findtext(f"{_OPENSEARCH}totalResults") or "").strip()
+        if total.isascii() and total.isdigit():  # "²".isdigit() too, but int() refuses it
+            self.last_total_results = int(total)
         records = []
         for index, entry in enumerate(root.findall(f"{_ATOM}entry")):
             raw_id = (entry.findtext(f"{_ATOM}id") or "").strip()

@@ -32,7 +32,6 @@ from .kb import (
     RECORDS_FILENAME,
     REPORT_FILENAME,
     TABLE_FILENAME,
-    KbEntry,
     KnowledgeBase,
     StoreError,
     diff,
@@ -214,19 +213,20 @@ def execute_pipeline(
 ) -> int:
     """Stream papers, mine links, enrich, classify, and upsert into ``kb``.
 
-    Each repository is one enrichment task, submitted when a paper first
-    names it and run on a single worker, so GitHub requests, one at a time
-    and in first-mention order, go out while the feed client waits between
-    pages. A name ``kb`` knows, as an entry's identity or as an alias, is
-    requested as that entry, with a conditional request; a task whose name
-    an earlier task already resolved to reuses that success and sends
-    nothing. Only this thread touches ``out`` and ``kb``; the worker reads
-    its own copy of the stored snapshots. After the feed, each outcome is
+    Each name a paper gives is one enrichment task, submitted at its first
+    mention and run on a single worker, so GitHub requests go out one at a
+    time, in first-mention order, while the feed client waits between
+    pages. Only the worker maps a name to a request: a name ``kb`` knows,
+    as an identity or an alias, is requested as that entry, conditionally.
+    Its one memo, ``done``, keeps each outcome under the identity requested
+    and each success under the identity it resolved to, so no repository
+    is requested twice under a name it already answered to, and a rename
+    onto an earlier success keeps that success's snapshot. Only this thread
+    touches ``out`` and ``kb``. After the feed, each name's outcome is
     handled once, in first-mention order, as soon as it is ready: upserted
-    with every paper that named its ref and printed (a ref renamed onto a
-    repository already reported only adds its papers), a paper's name that
-    GitHub redirected is kept as an alias, then its GitHub failures are
-    logged under the paper's name, never fatal. A paper retrieval failure
+    with the name's papers, printed the first time its repository is
+    reported, the name kept as an alias if GitHub redirected it, and its
+    failures logged under the name, never fatal. A paper retrieval failure
     after retries is fatal (exit status 1): the repository being enriched
     is finished and no other is started.
     """
@@ -236,20 +236,23 @@ def execute_pipeline(
 
     out.write("Processing arXiv papers:\n")
     refs: list[RepoRef] = []
-    outcomes: dict[tuple[str, str], Future] = {}
+    outcomes: dict[tuple[str, str], Future] = {}  # by the name papers give
     stored = {entry.ref.identity(): entry.latest for entry in kb}
     # every name kb knows -> its entry's ref; an identity wins over an alias
     names = {alias.identity(): entry.ref for entry in kb for alias in entry.aliases}
     names.update((entry.ref.identity(), entry.ref) for entry in kb)
-    resolved_to: dict[tuple[str, str], tuple] = {}  # worker only: successes by resolved identity
+    done: dict[tuple[str, str], tuple] = {}  # worker only
 
     def enrich_once(ref: RepoRef) -> tuple:
-        outcome = resolved_to.get(ref.identity())
-        if outcome is None:
+        ref = names.get(ref.identity(), ref)
+        if ref.identity() not in done:
             outcome = gh.enrich([ref], stored)
             for resolved, _metrics in outcome[0]:
-                resolved_to[resolved.identity()] = outcome
-        return outcome
+                earlier = done.setdefault(resolved.identity(), outcome)
+                if earlier[0]:  # renamed onto an earlier success: keep its snapshot
+                    outcome = earlier
+            done[ref.identity()] = outcome
+        return done[ref.identity()]
 
     processed = 0
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="repoharvest-github") as worker:
@@ -262,28 +265,22 @@ def execute_pipeline(
                 out.flush()
                 for ref in _mine_refs(paper):
                     refs.append(ref)
-                    target = names.get(ref.identity(), ref)
-                    if target.identity() not in outcomes:
-                        outcomes[target.identity()] = worker.submit(enrich_once, target)
+                    if ref.identity() not in outcomes:
+                        outcomes[ref.identity()] = worker.submit(enrich_once, ref)
             if processed == 0:
                 out.write("Paper 0/0")
             out.write("\n\n")
             unique = dedupe(refs)
             out.write(f"Found GitHub URLs: {[ref.canonical_url for ref in unique]}\n\n")
-            reported: dict[tuple[str, str], KbEntry] = {}
+            reported: set[tuple[str, str]] = set()
             for ref in unique:
-                successes, failures = outcomes[names.get(ref.identity(), ref).identity()].result()
+                successes, failures = outcomes[ref.identity()].result()
                 for resolved, metrics in successes:
                     resolved = replace(resolved, source_papers=ref.source_papers)
-                    first = reported.get(resolved.identity())
-                    if first is None:
-                        first = reported[resolved.identity()] = kb.upsert(
-                            resolved, metrics, classify(metrics, cfg.rule))
-                        out.write(render_report_line(first.latest, first.tier) + "\n")
-                    else:
-                        # Renamed onto a repository already reported:
-                        # re-upserting its snapshot only adds this ref's papers.
-                        kb.upsert(resolved, first.latest, first.tier)
+                    entry = kb.upsert(resolved, metrics, classify(metrics, cfg.rule))
+                    if resolved.identity() not in reported:
+                        reported.add(resolved.identity())
+                        out.write(render_report_line(entry.latest, entry.tier) + "\n")
                     if resolved.identity() != ref.identity():
                         kb.add_alias(resolved, ref)
                 for failure in failures:

@@ -91,7 +91,6 @@ class FetchFailure:
     repo: RepoRef
     kind: FailureKind
     detail: str
-    occurred_at: datetime
 
 
 @dataclass(frozen=True)
@@ -187,59 +186,52 @@ class GitHubClient:
         return GitHubFetchError(kind, f"HTTP {status} for {url}"), retryable, hint
 
     def _request(self, url: str, params=None, etag: Optional[str] = None):
-        """GET with the retry budget; returns 2xx or 3xx responses. With
-        ``etag``, the request is conditional (If-None-Match). A URL off
-        ``base_url``'s scheme and host is refused unsent, so the token never
-        follows a redirect or a next link to another host."""
-        if urlsplit(url)[:2] != urlsplit(self.base_url)[:2]:
-            raise GitHubFetchError(
-                FailureKind.MALFORMED_RESPONSE, f"refusing to leave {self.base_url} for {url}"
-            )
+        """GET with the retry budget, following at most one rename redirect;
+        ``params`` go on the first request only. With ``etag``, every hop is
+        conditional (If-None-Match) and a 304 is returned as an answer;
+        otherwise a 3xx is a redirect. A URL off ``base_url``'s scheme and
+        host is refused unsent, so the token never follows a redirect or a
+        next link to another host."""
         headers = self._headers if etag is None else {**self._headers, "If-None-Match": etag}
-        return retrying_get(
-            self._gate,
-            lambda: self._session.get(
-                url,
-                params=params,
-                headers=headers,
-                timeout=REQUEST_TIMEOUT,
-                allow_redirects=False,
-            ),
-            lambda outcome: self._classify(outcome, url),
-            self._backoff_base,
-        )
-
-    def _request_following_rename(self, url: str, params=None, etag: Optional[str] = None):
-        """GET, following at most one rename redirect; ``etag`` goes on both
-        requests. A 304 is returned as an answer only when ``etag`` was
-        sent; any other 3xx is a redirect."""
-
-        def redirected(response) -> bool:
+        target = url
+        for hop in range(2):
+            if urlsplit(target)[:2] != urlsplit(self.base_url)[:2]:
+                raise GitHubFetchError(FailureKind.MALFORMED_RESPONSE,
+                                       f"refusing to leave {self.base_url} for {target}")
+            response = retrying_get(
+                self._gate,
+                lambda: self._session.get(
+                    target,
+                    params=params,
+                    headers=headers,
+                    timeout=REQUEST_TIMEOUT,
+                    allow_redirects=False,
+                ),
+                lambda outcome: self._classify(outcome, target),
+                self._backoff_base,
+            )
             status = response.status_code
-            return 300 <= status < 400 and not (status == 304 and etag is not None)
-
-        response = self._request(url, params, etag)
-        if redirected(response):
+            if not 300 <= status < 400 or (status == 304 and etag is not None):
+                return response
             location = response.headers.get("Location")
-            if not location:
-                raise GitHubFetchError(
-                    FailureKind.MALFORMED_RESPONSE, f"redirect without Location for {url}"
-                )
-            response = self._request(urljoin(url, location), etag=etag)
-            if redirected(response):
-                raise GitHubFetchError(
-                    FailureKind.MALFORMED_RESPONSE, f"repeated redirects for {url}"
-                )
-        return response
+            if hop or not location:
+                problem = "repeated redirects" if hop else "redirect without Location"
+                raise GitHubFetchError(FailureKind.MALFORMED_RESPONSE, f"{problem} for {url}")
+            target, params = urljoin(url, location), None
 
     @staticmethod
-    def _json_body(response, url: str):
+    def _json_body(response, url: str, kind: type):
+        """The response's JSON body, which must be a ``kind`` (dict or list)."""
         try:
-            return response.json()
+            data = response.json()
         except ValueError as exc:
             raise GitHubFetchError(
                 FailureKind.MALFORMED_RESPONSE, f"unparseable body from {url}: {exc}"
             ) from exc
+        if not isinstance(data, kind):
+            shape = "an object" if kind is dict else "a list"
+            raise GitHubFetchError(FailureKind.MALFORMED_RESPONSE, f"expected {shape} from {url}")
+        return data
 
     # -- public operations ------------------------------------------------
 
@@ -261,14 +253,10 @@ class GitHubClient:
         """
         url = f"{self.base_url}/repos/{ref.owner}/{ref.name}"
         etag = None if stored is None or self.include_anonymous else stored.etag
-        response = self._request_following_rename(url, etag=etag)
+        response = self._request(url, etag=etag)
         if response.status_code == 304:
             return ref, replace(stored, fetched_at=self._now())
-        data = self._json_body(response, url)
-        if not isinstance(data, dict):
-            raise GitHubFetchError(
-                FailureKind.MALFORMED_RESPONSE, f"expected an object from {url}"
-            )
+        data = self._json_body(response, url, dict)
         resolved = ref
         full_name = data.get("full_name")
         if isinstance(full_name, str) and "/" in full_name:
@@ -308,15 +296,11 @@ class GitHubClient:
         total = 0
         first_page = True
         while url:
-            response = self._request_following_rename(url, params)
+            response = self._request(url, params)
             params = None  # a next link already carries its query string
             if response.status_code == 204 or not (response.content or b"").strip():
                 break
-            data = self._json_body(response, url)
-            if not isinstance(data, list):
-                raise GitHubFetchError(
-                    FailureKind.MALFORMED_RESPONSE, f"expected a list from {url}"
-                )
+            data = self._json_body(response, url, list)
             header = response.headers.get("Link") or ""
             links = {link.get("rel"): link["url"]  # the first link of each rel wins
                      for link in reversed(requests.utils.parse_header_links(header))}
@@ -352,12 +336,5 @@ class GitHubClient:
                     metrics = replace(metrics, contributors=count)
                 successes.append((resolved, metrics))
             except GitHubFetchError as exc:
-                failures.append(
-                    FetchFailure(
-                        repo=ref,
-                        kind=exc.kind,
-                        detail=exc.detail,
-                        occurred_at=self._now(),
-                    )
-                )
+                failures.append(FetchFailure(repo=ref, kind=exc.kind, detail=exc.detail))
         return successes, failures

@@ -341,7 +341,7 @@ def load_records(path: Path | str) -> KnowledgeBase:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise StoreError(f"cannot read store {path}: {exc}") from exc
     entries: list[KbEntry] = []
     names: set[tuple[str, str]] = set()  # every identity and alias read so far

@@ -125,6 +125,14 @@ class TestFetchPage:
         assert client.fetch_page("q", 0, 10) == []
         assert client.last_total_results == 0
 
+    @pytest.mark.parametrize("total", ["²", "١٢", "twelve"])
+    def test_total_that_is_not_an_ascii_number_is_ignored(self, total):
+        """"²".isdigit() is true, yet int("²") raises ValueError."""
+        feed = atom_feed([atom_entry("2101.00001")], total=total)
+        client, _, _ = _client(lambda url, params: FakeResponse(text=feed))
+        assert [record.arxiv_id for record in client.fetch_page("q", 0, 10)] == ["2101.00001"]
+        assert client.last_total_results is None
+
     def test_entry_missing_id_names_position(self):
         bad = atom_feed([
             atom_entry("2101.00001"),

@@ -493,6 +493,32 @@ class TestEnrichmentWorker:
                 for r in stored] == [
             ("https://github.com/demo/new", ["2101.00001", "2101.00002"], [], ["demo/old"])]
 
+    def test_old_name_after_new_keeps_the_first_snapshot(self, tmp_path):
+        """A paper names demo/new, a later one demo/old: demo/old is
+        requested and redirected, and the store keeps the first snapshot
+        without a history entry, though the second one was taken later."""
+        papers = [
+            ("2101.00001", "new", "Code: https://github.com/demo/new."),
+            ("2101.00002", "old", "Code: https://github.com/demo/old."),
+        ]
+        counts = {"stars": 5, "forks": 1, "open_issues": 0, "contributors": 2}
+        sent = []
+        github = recorded(renaming_old_to_new(fixtures_handler({"demo/new": counts})), sent)
+        out = io.StringIO()
+        status = cmd_run(config_for(tmp_path), arxiv_client=corpus_arxiv_client(papers),
+                         github_client=github_client(github), out=out)
+        assert status == 0
+        assert [url for url, _ in sent] == [
+            "http://gh.test/repos/demo/new", "http://gh.test/repos/demo/new/contributors",
+            "http://gh.test/repos/demo/old", "http://gh.test/repos/demo/new",
+            "http://gh.test/repos/demo/new/contributors"]
+        assert len(report_lines(out.getvalue())) == 1
+        with open(tmp_path / "kb.jsonl", encoding="utf-8") as fh:
+            stored = [json.loads(line) for line in fh]
+        assert [(r["source_papers"], r["latest"]["fetched_at"], r["history"], r["aliases"])
+                for r in stored] == [
+            (["2101.00001", "2101.00002"], "2024-01-01T00:00:00Z", [], ["demo/old"])]
+
     @pytest.mark.parametrize("failure", [
         FakeResponse(text="<feed"),
         FakeResponse(status_code=400, text="bad query"),
@@ -698,6 +724,22 @@ class TestMonitorCommand:
             "record must be a dict, not []"
         ]
 
+    def test_monitor_with_a_store_that_is_not_utf8_fails(self, tmp_path, caplog):
+        (tmp_path / "kb.jsonl").write_bytes(b"\xff\xfe{}\n")
+        cfg = config_for(tmp_path, command="monitor")
+        with caplog.at_level(logging.ERROR, logger="repoharvest"):
+            status = cmd_monitor(
+                cfg, str(tmp_path / "kb.jsonl"),
+                arxiv_client=corpus_arxiv_client([]),
+                github_client=fixtures_github_client({}),
+                out=io.StringIO(),
+            )
+        assert status == 1
+        (message,) = [record.getMessage() for record in caplog.records]
+        assert message.startswith(
+            f"cannot load previous store: cannot read store {tmp_path / 'kb.jsonl'}: "
+            "'utf-8' codec can't decode byte 0xff in position 0")
+
 
 class TestMonitorRenamedRepository:
     """The previous store holds demo/new, which a paper named as demo/old
@@ -779,6 +821,20 @@ class TestMonitorRenamedRepository:
             "GitHub fetch failed for demo/old: not_found "
             "(HTTP 404 for http://gh.test/repos/demo/new)"]
         assert out.getvalue().endswith(self.UNCHANGED)
+        assert (tmp_path / "kb.jsonl").read_bytes() == self.previous
+
+    @pytest.mark.parametrize("papers", [(OLD, NEW), (NEW, OLD)], ids=["old-first", "new-first"])
+    def test_a_failure_under_both_names_is_fetched_once(self, tmp_path, caplog, papers):
+        client, session = conditional_github_client({}, renamed=True)
+        with caplog.at_level(logging.WARNING, logger="repoharvest"):
+            status = cmd_monitor(config_for(tmp_path, command="monitor"), None,
+                                 arxiv_client=corpus_arxiv_client(list(papers)),
+                                 github_client=client, out=io.StringIO())
+        assert status == 0
+        assert [url for _, url, _ in session.calls] == ["http://gh.test/repos/demo/new"]
+        assert [record.getMessage() for record in caplog.records] == [
+            f"GitHub fetch failed for demo/{title}: not_found "
+            "(HTTP 404 for http://gh.test/repos/demo/new)" for _, title, _ in papers]
         assert (tmp_path / "kb.jsonl").read_bytes() == self.previous
 
     def test_both_names_in_one_run_are_fetched_once(self, tmp_path):

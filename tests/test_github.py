@@ -134,10 +134,12 @@ class TestFetchRepo:
         def handler(url, params):
             return FakeResponse(status_code=301, headers={"Location": f"{BASE}/repos/x/y"})
 
-        client, _, _ = make_client(handler)
+        client, session, _ = make_client(handler)
         with pytest.raises(GitHubFetchError) as excinfo:
             client.fetch_repo(make_ref("a", "b"))
         assert excinfo.value.kind is FailureKind.MALFORMED_RESPONSE
+        assert excinfo.value.detail == f"repeated redirects for {BASE}/repos/a/b"
+        assert len(session.calls) == 2
 
     def test_redirect_without_location_is_malformed(self):
         client, session, _ = make_client(
