@@ -27,7 +27,7 @@ from . import arxiv as arxiv_mod
 from . import github as github_mod
 from .arxiv import ArxivClient, ArxivRequestError, FeedParseError, PaperRecord, SearchSpec
 from .calibration import REFERENCE_ROWS
-from .github import GitHubClient, ThrottlePolicy
+from .github import GitHubClient, RepoMetrics, ThrottlePolicy
 from .kb import (
     RECORDS_FILENAME,
     REPORT_FILENAME,
@@ -79,8 +79,6 @@ class RunConfig:
     out_dir: Path = Path(".")
     token_env: str = _option("GITHUB_TOKEN", help="environment variable holding the GitHub "
                                                   "token (default GITHUB_TOKEN)")
-    include_anonymous: bool = _option(False, action="store_true",
-                                      help="count anonymous contributors too")
     verbose: int = _option(0, flags=("-v", "--verbose"), action="count")
 
     search: SearchSpec = field(init=False)
@@ -103,12 +101,12 @@ class RunConfig:
 
 
 _OPTIONS = {option.name: option for option in fields(RunConfig) if option.init}
-_JSON_TYPES = {int: "an integer", str: "a string", bool: "true or false", list: "a list of strings"}
+_JSON_TYPES = {int: "an integer", str: "a string", list: "a list of strings"}
 
 
 def _json_type(option: Field) -> type:
     """The type a config value must have: the one the option's flag parses to."""
-    actions = {"store_true": bool, "append": list, "count": int}
+    actions = {"append": list, "count": int}
     return actions.get(option.metadata.get("action"), option.metadata.get("type", str))
 
 
@@ -162,7 +160,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             if value is None and _OPTIONS[key].default is None:
                 continue
             kind = _json_type(_OPTIONS[key])
-            if (isinstance(value, bool) != (kind is bool) or not isinstance(value, kind)
+            if (isinstance(value, bool) or not isinstance(value, kind)
                     or kind is list and not all(isinstance(item, str) for item in value)):
                 raise UsageError(f"config key {key} must be {_JSON_TYPES[kind]}, "
                                  f"not {json.dumps(value)}")
@@ -185,12 +183,7 @@ def _make_github_client(cfg: RunConfig) -> GitHubClient:
     policy = None
     if cfg.min_interval_ms is not None:
         policy = ThrottlePolicy(min_interval=cfg.min_interval_ms / 1000.0)
-    return GitHubClient(
-        base_url=cfg.github_base_url,
-        token=token,
-        policy=policy,
-        include_anonymous=cfg.include_anonymous,
-    )
+    return GitHubClient(base_url=cfg.github_base_url, token=token, policy=policy)
 
 
 def _mine_refs(paper: PaperRecord) -> Iterator[RepoRef]:
@@ -216,19 +209,22 @@ def execute_pipeline(
     Each name a paper gives is one enrichment task, submitted at its first
     mention and run on a single worker, so GitHub requests go out one at a
     time, in first-mention order, while the feed client waits between
-    pages. Only the worker maps a name to a request: a name ``kb`` knows,
-    as an identity or an alias, is requested as that entry, conditionally.
+    pages. A name ``kb`` holds, as an identity or an alias, is submitted as
+    that entry's ref and latest snapshot, so it is requested as stored,
+    conditionally; the worker sees only these frozen values, never ``kb``.
     Its one memo, ``done``, keeps each outcome under the identity requested
     and each success under the identity it resolved to, so no repository
     is requested twice under a name it already answered to, and a rename
     onto an earlier success keeps that success's snapshot. Only this thread
-    touches ``out`` and ``kb``. After the feed, each name's outcome is
-    handled once, in first-mention order, as soon as it is ready: upserted
-    with the name's papers, printed the first time its repository is
-    reported, the name kept as an alias if GitHub redirected it, and its
-    failures logged under the name, never fatal. A paper retrieval failure
-    after retries is fatal (exit status 1): the repository being enriched
-    is finished and no other is started.
+    touches ``out`` and ``kb``, which nothing writes until the feed ends.
+    Then each name's outcome is handled once, in first-mention order, as
+    soon as it is ready: a stored entry GitHub answered under a new name
+    moves to it, the outcome is upserted with the name's papers and
+    printed the first time its repository is reported, the name is kept
+    as an alias if GitHub redirected it, and failures are logged under the
+    name, never fatal. A paper retrieval failure after retries is fatal
+    (exit status 1): the repository being enriched is finished and no
+    other is started.
     """
     out = out if out is not None else sys.stdout
     client = arxiv_client if arxiv_client is not None else _make_arxiv_client(cfg)
@@ -237,16 +233,11 @@ def execute_pipeline(
     out.write("Processing arXiv papers:\n")
     refs: list[RepoRef] = []
     outcomes: dict[tuple[str, str], Future] = {}  # by the name papers give
-    stored = {entry.ref.identity(): entry.latest for entry in kb}
-    # every name kb knows -> its entry's ref; an identity wins over an alias
-    names = {alias.identity(): entry.ref for entry in kb for alias in entry.aliases}
-    names.update((entry.ref.identity(), entry.ref) for entry in kb)
     done: dict[tuple[str, str], tuple] = {}  # worker only
 
-    def enrich_once(ref: RepoRef) -> tuple:
-        ref = names.get(ref.identity(), ref)
+    def enrich_once(ref: RepoRef, latest: Optional[RepoMetrics]) -> tuple:
         if ref.identity() not in done:
-            outcome = gh.enrich([ref], stored)
+            outcome = gh.enrich([ref], None if latest is None else {ref.identity(): latest})
             for resolved, _metrics in outcome[0]:
                 earlier = done.setdefault(resolved.identity(), outcome)
                 if earlier[0]:  # renamed onto an earlier success: keep its snapshot
@@ -266,7 +257,9 @@ def execute_pipeline(
                 for ref in _mine_refs(paper):
                     refs.append(ref)
                     if ref.identity() not in outcomes:
-                        outcomes[ref.identity()] = worker.submit(enrich_once, ref)
+                        entry = kb.get(ref)
+                        task = (ref, None) if entry is None else (entry.ref, entry.latest)
+                        outcomes[ref.identity()] = worker.submit(enrich_once, *task)
             if processed == 0:
                 out.write("Paper 0/0")
             out.write("\n\n")
@@ -277,6 +270,7 @@ def execute_pipeline(
                 successes, failures = outcomes[ref.identity()].result()
                 for resolved, metrics in successes:
                     resolved = replace(resolved, source_papers=ref.source_papers)
+                    kb.rename(ref, resolved)
                     entry = kb.upsert(resolved, metrics, classify(metrics, cfg.rule))
                     if resolved.identity() not in reported:
                         reported.add(resolved.identity())

@@ -131,7 +131,6 @@ class GitHubClient:
         base_url: str = DEFAULT_BASE_URL,
         token: Optional[str] = None,
         policy: Optional[ThrottlePolicy] = None,
-        include_anonymous: bool = False,
         session=None,
         backoff_base: float = 1.0,
         clock: Callable[[], float] = time.monotonic,
@@ -143,7 +142,6 @@ class GitHubClient:
             policy = ThrottlePolicy(AUTHENTICATED_MIN_INTERVAL if token else ANONYMOUS_MIN_INTERVAL)
         self._gate = RequestGate(policy.min_interval, clock=clock, sleep=sleep)
         self.base_url = base_url.rstrip("/")
-        self.include_anonymous = include_anonymous
         self._session = session if session is not None else requests.Session()
         self._backoff_base = backoff_base
         self._wall_clock = wall_clock
@@ -245,15 +243,13 @@ class GitHubClient:
         left unset for count_contributors to fill.
 
         With a ``stored`` snapshot that has an ETag, the request is
-        conditional. A 304 returns ``ref`` and ``stored`` fetched now, its
-        contributor count kept: a new contributor needs a push, and a
-        push changes the body's ``pushed_at`` and so its ETag. With
-        ``include_anonymous`` no ETag is sent or kept, so a count made
-        under the other setting is never reused.
+        conditional, and the answer's ETag is kept on the new snapshot. A
+        304 returns ``ref`` and ``stored`` fetched now, its contributor
+        count kept: a new contributor needs a push, and a push changes the
+        body's ``pushed_at`` and so its ETag.
         """
         url = f"{self.base_url}/repos/{ref.owner}/{ref.name}"
-        etag = None if stored is None or self.include_anonymous else stored.etag
-        response = self._request(url, etag=etag)
+        response = self._request(url, etag=None if stored is None else stored.etag)
         if response.status_code == 304:
             return ref, replace(stored, fetched_at=self._now())
         data = self._json_body(response, url, dict)
@@ -272,7 +268,7 @@ class GitHubClient:
                 open_issues=data["open_issues_count"],
                 contributors=None,
                 fetched_at=self._now(),
-                etag=None if self.include_anonymous else response.headers.get("ETag"),
+                etag=response.headers.get("ETag"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise GitHubFetchError(
@@ -291,8 +287,6 @@ class GitHubClient:
         """
         url = f"{self.base_url}/repos/{ref.owner}/{ref.name}/contributors"
         params: Optional[dict] = {"per_page": 1}
-        if self.include_anonymous:
-            params["anon"] = "1"
         total = 0
         first_page = True
         while url:

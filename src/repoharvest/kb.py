@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from .github import RepoMetrics
 from .links import LinkError, RepoRef, canonicalize
@@ -66,7 +66,7 @@ class KbEntry:
     History is ordered oldest-first; every history timestamp precedes
     latest.fetched_at. Only latest keeps an ETag. ``aliases`` are the other
     names, as a paper first gave them, that GitHub redirected to this
-    repository.
+    repository, and the names it was stored under before a rename.
     """
 
     ref: RepoRef
@@ -95,16 +95,23 @@ class KbDiff:
 class KnowledgeBase:
     """In-memory store, keyed by case-insensitive (owner, name).
 
-    A name, whether an entry's identity or an alias, belongs to one entry.
+    A name, whether an entry's identity or an alias, belongs to one entry:
+    building a store with a name two entries claim is a StoreError, and
+    ``get`` finds the entry that holds a name.
     """
 
     def __init__(self, entries: Iterable[KbEntry] = ()) -> None:
-        self._entries: dict[tuple[str, str], KbEntry] = {}
-        self._aliases: dict[tuple[str, str], tuple[str, str]] = {}  # alias -> its entry's key
+        self._entries: dict[tuple[str, str], KbEntry] = {}  # by identity
+        self._names: dict[tuple[str, str], KbEntry] = {}  # every identity and alias
         for entry in entries:
-            key = entry.ref.identity()
-            self._entries[key] = entry
-            self._aliases.update((alias.identity(), key) for alias in entry.aliases)
+            self._add(entry)
+
+    def _add(self, entry: KbEntry) -> None:
+        for name in (entry.ref, *sorted(entry.aliases, key=lambda a: (a.owner, a.name))):
+            if name.identity() in self._names:
+                raise StoreError(f"repeats the repository {name.owner}/{name.name}")
+            self._names[name.identity()] = entry
+        self._entries[entry.ref.identity()] = entry
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -116,6 +123,10 @@ class KnowledgeBase:
         if not isinstance(other, KnowledgeBase):
             return NotImplemented
         return self._entries == other._entries
+
+    def get(self, name: RepoRef) -> Optional[KbEntry]:
+        """The entry that holds ``name``, as its identity or an alias."""
+        return self._names.get(name.identity())
 
     def clone(self) -> "KnowledgeBase":
         """Independent copy; immutable members are shared."""
@@ -144,10 +155,9 @@ class KnowledgeBase:
         key = ref.identity()
         entry = self._entries.get(key)
         if entry is None:
-            holder = self._aliases.pop(key, None)
+            holder = self._names.get(key)
             if holder is not None:  # a repository of its own now holds the name
-                held = self._entries[holder]
-                held.aliases = frozenset(a for a in held.aliases if a.identity() != key)
+                holder.aliases = frozenset(a for a in holder.aliases if a.identity() != key)
             entry = KbEntry(
                 ref=ref,
                 latest=metrics,
@@ -155,7 +165,7 @@ class KnowledgeBase:
                 first_seen=metrics.fetched_at,
                 history=[],
             )
-            self._entries[key] = entry
+            self._entries[key] = self._names[key] = entry
             return entry
         merged = entry.ref.source_papers | ref.source_papers
         if merged != entry.ref.source_papers:
@@ -177,12 +187,27 @@ class KnowledgeBase:
         """Record ``alias``, a name GitHub redirected to the stored
         repository ``ref``. A name that an entry already holds, as its
         identity or an alias, stays where it is."""
-        name = alias.identity()
-        if name in self._entries or name in self._aliases:
+        if alias.identity() in self._names:
             return
         entry = self._entries[ref.identity()]
         entry.aliases = entry.aliases | {RepoRef(alias.owner, alias.name)}
-        self._aliases[name] = ref.identity()
+        self._names[alias.identity()] = entry
+
+    def rename(self, name: RepoRef, ref: RepoRef) -> None:
+        """Move the entry holding ``name``, which GitHub answered as
+        ``ref``, to ``ref``'s owner/name; its old identity becomes an alias
+        and its papers, first_seen and history stay. Nothing moves when no
+        entry holds ``name``, when ``ref`` is its identity already, or when
+        another entry holds ``ref``."""
+        key = ref.identity()
+        entry = self._names.get(name.identity())
+        if entry is None or entry.ref.identity() == key or self._names.get(key, entry) is not entry:
+            return
+        old = self._entries.pop(entry.ref.identity()).ref
+        kept = frozenset(a for a in entry.aliases if a.identity() != key)
+        entry.aliases = kept | {RepoRef(old.owner, old.name)}
+        entry.ref = replace(old, owner=ref.owner, name=ref.name)
+        self._entries[key] = self._names[key] = entry
 
 
 def diff(old: KnowledgeBase, new: KnowledgeBase) -> KbDiff:
@@ -307,8 +332,6 @@ def entry_from_dict(data: dict) -> KbEntry:
         raise StoreError("history timestamps must increase and precede latest.fetched_at")
     aliases = frozenset(_alias_from_text(text)
                         for text in _checked(data.get("aliases", []), list, "aliases"))
-    if ref.identity() in {alias.identity() for alias in aliases}:
-        raise StoreError(f"aliases repeat the entry's own name {ref.owner}/{ref.name}")
     return KbEntry(
         ref=ref,
         latest=latest,
@@ -343,23 +366,17 @@ def load_records(path: Path | str) -> KnowledgeBase:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise StoreError(f"cannot read store {path}: {exc}") from exc
-    entries: list[KbEntry] = []
-    names: set[tuple[str, str]] = set()  # every identity and alias read so far
+    kb = KnowledgeBase()
     # "\n" only: str.splitlines() also breaks at U+2028, U+2029 and U+0085,
     # which json.dumps(ensure_ascii=False) leaves raw inside strings.
     for lineno, line in enumerate(text.split("\n"), 1):
         if not line.strip():
             continue
         try:
-            entry = entry_from_dict(json.loads(line))
-            for name in (entry.ref, *sorted(entry.aliases, key=lambda a: (a.owner, a.name))):
-                if name.identity() in names:
-                    raise StoreError(f"repeats the repository {name.owner}/{name.name}")
-                names.add(name.identity())
+            kb._add(entry_from_dict(json.loads(line)))
         except (StoreError, KeyError, TypeError, ValueError) as exc:
             raise StoreError(f"{path}:{lineno}: bad record: {exc}") from exc
-        entries.append(entry)
-    return KnowledgeBase(entries)
+    return kb
 
 
 def export_table(kb: KnowledgeBase, path: Path | str) -> None:

@@ -19,7 +19,9 @@ _URL_PATTERN = re.compile(r"https?://(?:www\.)?github\.com/\S+")
 # Characters prose glues onto a URL; stripped repeatedly from the right.
 _TRAILING_JUNK = ".,;:!?)]}'\""
 
-_SLUG_PATTERN = re.compile(r"^[A-Za-z0-9._-]+$")
+# An owner or a name, but not "." or "..": a URL resolver folds those
+# path segments away, and the request would go to another API path.
+_SLUG_PATTERN = re.compile(r"^(?!\.\.?$)[A-Za-z0-9._-]+$")
 _HOST_PATTERN = re.compile(r"^https?://(?:www\.)?github\.com(?=/|$)")
 
 
@@ -68,7 +70,7 @@ def canonicalize(cleaned: str, source: str) -> RepoRef:
 
     Raises LinkError when the host is not github.com, when fewer than two
     path segments are present (e.g. a profile URL), or when the owner or
-    name contains characters GitHub slugs do not allow.
+    name contains characters GitHub slugs do not allow or is "." or "..".
     """
     if not _HOST_PATTERN.match(cleaned):
         raise LinkError(f"not a GitHub URL: {cleaned!r}")
@@ -78,7 +80,7 @@ def canonicalize(cleaned: str, source: str) -> RepoRef:
     owner, name = segments[0], segments[1]
     if name.endswith(".git"):
         name = name[: -len(".git")]
-    if not name or not _SLUG_PATTERN.match(owner) or not _SLUG_PATTERN.match(name):
+    if not _SLUG_PATTERN.match(owner) or not _SLUG_PATTERN.match(name):
         raise LinkError(f"invalid owner/name in {cleaned!r}")
     return RepoRef(owner, name, frozenset({source}) if source else frozenset())
 

@@ -128,21 +128,21 @@ def fixtures_handler(fixtures):
     return handler
 
 
-def renaming_old_to_new(handler):
-    """``handler``, except that /repos/demo/old answers a rename to demo/new."""
+def renaming_old_to_new(handler, old="demo/old", new="demo/new"):
+    """``handler``, except that /repos/<old> answers a rename to <new>."""
     def rename(url, params):
-        if url.endswith("/repos/demo/old"):
+        if url.endswith(f"/repos/{old}"):
             return FakeResponse(status_code=301,
-                                headers={"Location": "http://gh.test/repos/demo/new"})
+                                headers={"Location": f"http://gh.test/repos/{new}"})
         return handler(url, params)
 
     return rename
 
 
-def github_client(handler, session=None, **options):
-    """Client over ``handler`` (or ``session``), with GitHubClient
-    ``options``, whose wall timestamps tick one second per observation,
-    keeping first-seen order identical to fetch order."""
+def github_client(handler, session=None):
+    """Client over ``handler`` (or ``session``) whose wall timestamps tick
+    one second per observation, keeping first-seen order identical to
+    fetch order."""
     clock = FakeClock()
     ticks = itertools.count()
 
@@ -154,18 +154,18 @@ def github_client(handler, session=None, **options):
     return GitHubClient(base_url="http://gh.test",
                         policy=ThrottlePolicy(min_interval=0.0),
                         session=session, clock=clock, sleep=clock.sleep,
-                        wall_clock=clock, now=now, **options)
+                        wall_clock=clock, now=now)
 
 
 def fixtures_github_client(fixtures):
     return github_client(fixtures_handler(fixtures))
 
 
-def conditional_github_client(fixtures, renamed=False, **options):
-    """Client (with GitHubClient ``options``) over the fixtures whose
-    /repos answers carry an ETag and turn into a 304 when the request's
-    If-None-Match matches it; with ``renamed``, /repos/demo/old answers a
-    rename to demo/new."""
+def conditional_github_client(fixtures, renamed=()):
+    """Client over the fixtures whose /repos answers carry an ETag and turn
+    into a 304 when the request's If-None-Match matches it; with
+    ``renamed``, an (old, new) pair of slugs, /repos/<old> answers a rename
+    to <new>."""
     plain = fixtures_handler(fixtures)
 
     def handler(url, params):
@@ -178,8 +178,8 @@ def conditional_github_client(fixtures, renamed=False, **options):
         response.headers["ETag"] = etag
         return response
 
-    session = FakeSession(renaming_old_to_new(handler) if renamed else handler)
-    return github_client(None, session=session, **options), session
+    session = FakeSession(renaming_old_to_new(handler, *renamed) if renamed else handler)
+    return github_client(None, session=session), session
 
 
 def recorded(handler, sent):
@@ -748,11 +748,12 @@ class TestMonitorRenamedRepository:
     OLD = ("2101.00001", "old", "Code: https://github.com/demo/old.")
     NEW = ("2101.00002", "new", "Code: https://github.com/demo/new.")
     COUNTS = {"stars": 5, "forks": 1, "open_issues": 0, "contributors": 2}
+    RENAMED = ("demo/old", "demo/new")
     UNCHANGED = "Added (0):\nUpdated (0):\nUnchanged (1):\n  https://github.com/demo/new\n"
 
     @pytest.fixture(autouse=True)
     def _previous(self, tmp_path):
-        client, session = conditional_github_client({"demo/new": self.COUNTS}, renamed=True)
+        client, session = conditional_github_client({"demo/new": self.COUNTS}, self.RENAMED)
         assert cmd_run(config_for(tmp_path), arxiv_client=corpus_arxiv_client([self.OLD]),
                        github_client=client, out=io.StringIO()) == 0
         assert [url for _, url, _ in session.calls] == [
@@ -763,10 +764,11 @@ class TestMonitorRenamedRepository:
             "https://github.com/demo/new", ["demo/old"])
         self.previous = (tmp_path / "kb.jsonl").read_bytes()
 
-    def _monitor(self, tmp_path, papers, counts, **options):
-        """(url, conditional, status) of each request, and the diff sections."""
-        client, session = conditional_github_client({"demo/new": counts}, renamed=True,
-                                                    **options)
+    def _monitor(self, tmp_path, papers, counts, renamed=RENAMED):
+        """(url, conditional, status) of each request, and the diff sections,
+        when GitHub answers the first of the ``renamed`` slugs as the second,
+        with ``counts``."""
+        client, session = conditional_github_client({renamed[1]: counts}, renamed)
         out = io.StringIO()
         status = cmd_monitor(config_for(tmp_path, command="monitor"), None,
                              arxiv_client=corpus_arxiv_client(papers),
@@ -791,12 +793,6 @@ class TestMonitorRenamedRepository:
         assert sections == ("Added (0):\nUpdated (1):\n"
                             "  https://github.com/demo/new: stars 5 -> 6\nUnchanged (0):\n")
 
-    def test_include_anonymous_sends_no_etag(self, tmp_path):
-        sent, sections = self._monitor(tmp_path, [self.OLD], self.COUNTS, include_anonymous=True)
-        assert sent == [("http://gh.test/repos/demo/new", False, 200),
-                        ("http://gh.test/repos/demo/new/contributors", False, 200)]
-        assert sections == self.UNCHANGED
-
     def test_a_store_without_the_alias_learns_it(self, tmp_path):
         (tmp_path / "kb.jsonl").write_text(
             self.previous.decode().replace(', "aliases": ["demo/old"]', ""))
@@ -809,7 +805,7 @@ class TestMonitorRenamedRepository:
         assert record["aliases"] == ["demo/old"]
 
     def test_a_failure_is_logged_under_the_paper_name(self, tmp_path, caplog):
-        client, session = conditional_github_client({}, renamed=True)
+        client, session = conditional_github_client({}, self.RENAMED)
         out = io.StringIO()
         with caplog.at_level(logging.WARNING, logger="repoharvest"):
             status = cmd_monitor(config_for(tmp_path, command="monitor"), None,
@@ -825,7 +821,7 @@ class TestMonitorRenamedRepository:
 
     @pytest.mark.parametrize("papers", [(OLD, NEW), (NEW, OLD)], ids=["old-first", "new-first"])
     def test_a_failure_under_both_names_is_fetched_once(self, tmp_path, caplog, papers):
-        client, session = conditional_github_client({}, renamed=True)
+        client, session = conditional_github_client({}, self.RENAMED)
         with caplog.at_level(logging.WARNING, logger="repoharvest"):
             status = cmd_monitor(config_for(tmp_path, command="monitor"), None,
                                  arxiv_client=corpus_arxiv_client(list(papers)),
@@ -844,6 +840,30 @@ class TestMonitorRenamedRepository:
         (record,) = [json.loads(line) for line in (tmp_path / "kb.jsonl").read_text().splitlines()]
         assert (record["source_papers"], record["aliases"]) == (
             ["2101.00001", "2101.00002"], ["demo/old"])
+
+    def test_a_rename_after_the_store_moves_its_entry(self, tmp_path):
+        """GitHub now answers the stored demo/new as demo/newer: the first
+        monitor moves the entry, and the next requests it as demo/newer."""
+        earlier = self.previous.decode().replace("2024-01-01T", "2023-01-01T")  # a year ago
+        (tmp_path / "kb.jsonl").write_text(earlier)
+        stored = json.loads(earlier)
+        renamed = ("demo/new", "demo/newer")
+        sent, sections = self._monitor(tmp_path, [self.NEW], self.COUNTS, renamed)
+        assert sent == [("http://gh.test/repos/demo/new", True, 301),
+                        ("http://gh.test/repos/demo/newer", True, 200),
+                        ("http://gh.test/repos/demo/newer/contributors", False, 200)]
+        assert sections == ("Added (1):\n  https://github.com/demo/newer\nUpdated (0):\n"
+                            "Unchanged (1):\n  https://github.com/demo/new\n")
+        (record,) = [json.loads(line) for line in (tmp_path / "kb.jsonl").read_text().splitlines()]
+        stored["latest"].pop("etag")
+        assert (record["canonical_url"], record["aliases"], record["source_papers"],
+                record["first_seen"], record["history"]) == (
+            "https://github.com/demo/newer", ["demo/new", "demo/old"],
+            ["2101.00001", "2101.00002"], stored["first_seen"], [stored["latest"]])
+        sent, sections = self._monitor(tmp_path, [self.NEW], self.COUNTS, renamed)
+        assert sent == [("http://gh.test/repos/demo/newer", True, 304)]
+        assert sections == ("Added (0):\nUpdated (0):\n"
+                            "Unchanged (1):\n  https://github.com/demo/newer\n")
 
 
 #: The whole selfcheck output under TierRule(1000, 2000): six tier
@@ -979,6 +999,17 @@ class TestArgumentResolution:
         assert excinfo.value.code == 2
         assert "--normalize-dates" in capsys.readouterr().err
 
+    def test_removed_include_anonymous_flag_and_key_exit_2(self, capsys, tmp_path):
+        urls = ["--arxiv-base-url", "http://127.0.0.1:9/q", "--github-base-url", "http://127.0.0.1:9"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--include-anonymous", "--out-dir", str(tmp_path), *urls])
+        assert excinfo.value.code == 2
+        assert "--include-anonymous" in capsys.readouterr().err
+        config = tmp_path / "settings.json"
+        config.write_text(json.dumps({"include_anonymous": True}))
+        assert main(["run", "--config", str(config), "--out-dir", str(tmp_path), *urls]) == 2
+        assert "unknown config keys: include_anonymous" in capsys.readouterr().err
+
     def test_missing_config_file_rejected(self, tmp_path):
         with pytest.raises(UsageError):
             resolve_config(parse_args(["run", "--config",
@@ -1041,12 +1072,12 @@ class TestArgumentResolution:
         assert "error: date_from must be a four-digit year" in capsys.readouterr().err
 
     @pytest.mark.parametrize("config", [
-        {"include_anonymous": "no"},
         {"arxiv_delay_ms": 2.9},
         {"terms": "icu"},
         {"max_results": True},
         {"out_dir": 5},
         {"page_size": "10"},
+        {"verbose": "2"},
     ])
     def test_mistyped_config_value_exits_2(self, capsys, tmp_path, config):
         path = tmp_path / "settings.json"

@@ -333,12 +333,6 @@ class TestCountContributors:
             client.count_contributors(make_ref("a", "b"))
         assert excinfo.value.kind is FailureKind.MALFORMED_RESPONSE
 
-    def test_anonymous_flag_forwarded(self):
-        handler = PagedHandler("a/b", [2])
-        client, session, _ = make_client(handler, include_anonymous=True)
-        client.count_contributors(make_ref("a", "b"))
-        assert session.calls[0][2] == {"per_page": 1, "anon": "1"}
-
     @staticmethod
     def _last_link_handler(first_page, link):
         def handler(url, params):
@@ -604,19 +598,6 @@ class TestConditionalRefresh:
         stored = replace(self._stored(), etag=None)
         successes, _ = client.enrich([make_ref("a", "b")], {("a", "b"): stored})
         assert successes[0][1].contributors == 3
-        assert all("If-None-Match" not in h for h in session.headers)
-
-    def test_include_anonymous_neither_sends_nor_keeps_an_etag(self):
-        # the stored count may have been made without anonymous contributors
-        def handler(url, params):
-            if url.endswith("/contributors"):
-                return FakeResponse(json_body=[{"login": "u0"}])
-            return FakeResponse(json_body=repo_body("a/b"), headers={"ETag": 'W/"new"'})
-
-        client, session, _ = self._client(handler, include_anonymous=True)
-        successes, _ = client.enrich([make_ref("a", "b")], {("a", "b"): self._stored()})
-        assert successes[0][1].contributors == 1
-        assert successes[0][1].etag is None
         assert all("If-None-Match" not in h for h in session.headers)
 
     def test_not_modified_without_a_validator_is_malformed(self):

@@ -484,9 +484,9 @@ class TestAliases:
 
     @pytest.mark.parametrize("aliases", [
         "demo/old", [5], ["demo"], ["demo/old/tree"], ["demo/old.git"], ["demo/o ld"],
-        ["https://github.com/demo/old"], ["x/y", "X/Y"], ["c/e", "C/D"], ["A/B"],
+        ["https://github.com/demo/old"], ["x/y", "X/Y"], ["c/e", "C/D"], ["A/B"], ["../x"],
     ], ids=["string", "item", "no-name", "deeper-path", "git-suffix", "bad-slug", "url",
-            "repeated-alias", "own-identity", "earlier-identity"])
+            "repeated-alias", "own-identity", "earlier-identity", "dot-segment"])
     def test_a_bad_alias_is_a_store_error_naming_its_line(self, tmp_path, aliases):
         kb = KnowledgeBase()
         upsert_auto(kb, make_ref("a", "b"), make_metrics(name="b", fetched_at=T0))
@@ -515,6 +515,73 @@ class TestAliases:
         with pytest.raises(StoreError, match=re.escape(
                 f"{path}:2: bad record: repeats the repository X/Y")):
             load_records(path)
+
+
+def _entry(owner: str, name: str, aliases=(), minutes: int = 0) -> KbEntry:
+    metrics = make_metrics(name=name, fetched_at=at(minutes))
+    return KbEntry(ref=make_ref(owner, name), latest=metrics, tier=classify(metrics),
+                   first_seen=metrics.fetched_at,
+                   aliases=frozenset(make_ref(*alias.split("/")) for alias in aliases))
+
+
+class TestNameIndex:
+    """Each name, an identity or an alias, belongs to one entry."""
+
+    @pytest.mark.parametrize("first,second,repeated", [
+        (_entry("a", "b"), _entry("A", "B", minutes=1), "A/B"),
+        (_entry("a", "b", ["x/y"]), _entry("X", "Y", minutes=1), "X/Y"),
+        (_entry("x", "y"), _entry("a", "b", ["X/y"], minutes=1), "X/y"),
+        (_entry("a", "b", ["x/y"]), _entry("c", "d", ["x/Y"], minutes=1), "x/Y"),
+        (_entry("a", "b"), _entry("c", "d", ["A/b"], minutes=1), "A/b"),
+    ], ids=["identity-identity", "alias-identity", "identity-alias", "alias-alias",
+            "earlier-identity-alias"])
+    def test_a_name_two_entries_claim_is_refused(self, first, second, repeated):
+        with pytest.raises(StoreError, match=f"^repeats the repository {repeated}$"):
+            KnowledgeBase([first, second])
+
+    def test_get_finds_an_entry_by_identity_or_alias_in_any_case(self):
+        kb = KnowledgeBase([_entry("demo", "new", ["demo/old"]), _entry("c", "d", minutes=1)])
+        (new, other) = kb.sorted_entries()
+        assert kb.get(make_ref("demo", "new")) is new
+        assert kb.get(make_ref("DEMO", "New")) is new
+        assert kb.get(make_ref("Demo", "OLD")) is new
+        assert kb.get(make_ref("C", "d")) is other
+        assert kb.get(make_ref("demo", "newer")) is None
+
+    def test_rename_moves_the_entry_and_keeps_its_old_name(self, tmp_path):
+        kb = KnowledgeBase()
+        upsert_auto(kb, make_ref("demo", "new", {"p1"}), make_metrics(name="new", fetched_at=T0))
+        kb.add_alias(make_ref("demo", "new"), make_ref("demo", "old"))
+        kb.rename(make_ref("Demo", "OLD"), make_ref("Demo", "Newer"))
+        entry = upsert_auto(kb, make_ref("Demo", "Newer", {"p2"}),
+                            make_metrics(name="Newer", stars=3, fetched_at=at(1)))
+        assert len(kb) == 1
+        assert (entry.ref, entry.first_seen, entry.aliases) == (
+            make_ref("Demo", "Newer", {"p1", "p2"}), T0,
+            {make_ref("demo", "new"), make_ref("demo", "old")})
+        assert [m.fetched_at for m in entry.history] == [T0]
+        assert kb.get(make_ref("demo", "new")) is kb.get(make_ref("demo", "newer")) is entry
+        path = tmp_path / "kb.jsonl"
+        save_records(kb, path)
+        assert load_records(path) == kb
+
+    def test_rename_moves_nothing_onto_a_held_name(self):
+        kb = KnowledgeBase([_entry("demo", "new", ["demo/old"]), _entry("c", "d", minutes=1)])
+        before = kb.clone()
+        kb.rename(make_ref("demo", "new"), make_ref("C", "D"))   # another entry's identity
+        kb.rename(make_ref("demo", "old"), make_ref("Demo", "NEW"))  # its own identity
+        kb.rename(make_ref("x", "y"), make_ref("x", "z"))  # a name no entry holds
+        assert kb == before
+        assert [entry.aliases for entry in kb] == [entry.aliases for entry in before]
+        assert [entry.ref for entry in kb] == [make_ref("demo", "new"), make_ref("c", "d")]
+
+    def test_rename_back_to_an_alias_swaps_the_two_names(self):
+        kb = KnowledgeBase([_entry("demo", "new", ["demo/old", "x/y"])])
+        kb.rename(make_ref("demo", "new"), make_ref("Demo", "Old"))
+        (entry,) = kb
+        assert (entry.ref, entry.aliases) == (
+            make_ref("Demo", "Old"), {make_ref("demo", "new"), make_ref("x", "y")})
+        assert kb.get(make_ref("demo", "old")) is kb.get(make_ref("demo", "new")) is entry
 
 
 class TestTimestamps:

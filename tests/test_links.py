@@ -107,6 +107,10 @@ class TestCanonicalize:
         "ftp://github.com/a/b",
         "https://github.com/bad owner/name",
         "https://github.com/a%32c/b",
+        "https://github.com/../user",
+        "https://github.com/./x",
+        "https://github.com/x/..",
+        "https://github.com/x/..git",
     ])
     def test_wrong_host_or_bad_slug_is_malformed(self, url):
         with pytest.raises(LinkError, match="^(not a GitHub URL:|invalid owner/name in) "):
