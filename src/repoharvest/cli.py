@@ -19,7 +19,7 @@ import logging
 import os
 import sys
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import Field, dataclass, field, fields, replace
+from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, TextIO
 
@@ -27,7 +27,7 @@ from . import arxiv as arxiv_mod
 from . import github as github_mod
 from .arxiv import ArxivClient, ArxivRequestError, FeedParseError, PaperRecord, SearchSpec
 from .calibration import REFERENCE_ROWS
-from .github import GitHubClient, RepoMetrics, ThrottlePolicy
+from .github import FetchFailure, GitHubClient, RepoMetrics, ThrottlePolicy
 from .kb import (
     RECORDS_FILENAME,
     REPORT_FILENAME,
@@ -45,6 +45,8 @@ from .links import LinkError, RepoRef, canonicalize, clean_url, dedupe, extract_
 from .maturity import DEFAULT_RULE, TierRule, classify
 
 log = logging.getLogger("repoharvest")
+
+Outcome = tuple[RepoRef, RepoMetrics] | FetchFailure  # one name's enrichment
 
 
 class UsageError(Exception):
@@ -197,6 +199,12 @@ def _mine_refs(paper: PaperRecord) -> Iterator[RepoRef]:
                 log.info("skipping %s: %s", cleaned, exc)
 
 
+def _papers_promised(client: ArxivClient, cfg: RunConfig, processed: int) -> int:
+    """The feed's ``totalResults`` up to the cap; ``processed`` before it sends one."""
+    total = client.last_total_results
+    return processed if total is None else min(total, cfg.search.max_results)
+
+
 def execute_pipeline(
     cfg: RunConfig,
     kb: KnowledgeBase,
@@ -212,19 +220,20 @@ def execute_pipeline(
     pages. A name ``kb`` holds, as an identity or an alias, is submitted as
     that entry's ref and latest snapshot, so it is requested as stored,
     conditionally; the worker sees only these frozen values, never ``kb``.
-    Its one memo, ``done``, keeps each outcome under the identity requested
-    and each success under the identity it resolved to, so no repository
-    is requested twice under a name it already answered to, and a rename
-    onto an earlier success keeps that success's snapshot. Only this thread
-    touches ``out`` and ``kb``, which nothing writes until the feed ends.
-    Then each name's outcome is handled once, in first-mention order, as
-    soon as it is ready: a stored entry GitHub answered under a new name
-    moves to it, the outcome is upserted with the name's papers and
-    printed the first time its repository is reported, the name is kept
-    as an alias if GitHub redirected it, and failures are logged under the
-    name, never fatal. A paper retrieval failure after retries is fatal
-    (exit status 1): the repository being enriched is finished and no
-    other is started.
+    A name's outcome is one value, its resolved ref and snapshot or its
+    FetchFailure. The worker's one memo, ``done``, keeps each outcome under
+    the identity requested and each success under the identity it resolved
+    to, so no repository is requested twice under a name it already
+    answered to, and a rename onto an earlier success keeps that success's
+    snapshot. Only this thread touches ``out`` and ``kb``, which nothing
+    writes until the feed ends. A feed that ends before its
+    ``totalResults`` (up to the cap) is warned about. Then each name's
+    outcome is handled once, in first-mention order, as soon as it is
+    ready: a success is stored with one ``kb.record`` call and printed the
+    first time its repository is reported, and a failure is logged under
+    the name, never fatal. A paper retrieval failure after retries is
+    fatal (exit status 1): the repository being enriched is finished and
+    no other is started.
     """
     out = out if out is not None else sys.stdout
     client = arxiv_client if arxiv_client is not None else _make_arxiv_client(cfg)
@@ -233,14 +242,16 @@ def execute_pipeline(
     out.write("Processing arXiv papers:\n")
     refs: list[RepoRef] = []
     outcomes: dict[tuple[str, str], Future] = {}  # by the name papers give
-    done: dict[tuple[str, str], tuple] = {}  # worker only
+    done: dict[tuple[str, str], Outcome] = {}  # worker only
 
-    def enrich_once(ref: RepoRef, latest: Optional[RepoMetrics]) -> tuple:
+    def enrich_once(ref: RepoRef, latest: Optional[RepoMetrics]) -> Outcome:
         if ref.identity() not in done:
-            outcome = gh.enrich([ref], None if latest is None else {ref.identity(): latest})
-            for resolved, _metrics in outcome[0]:
-                earlier = done.setdefault(resolved.identity(), outcome)
-                if earlier[0]:  # renamed onto an earlier success: keep its snapshot
+            stored = None if latest is None else {ref.identity(): latest}
+            successes, failures = gh.enrich([ref], stored)
+            outcome = successes[0] if successes else failures[0]
+            if successes:  # renamed onto an earlier success: keep its snapshot
+                earlier = done.setdefault(outcome[0].identity(), outcome)
+                if not isinstance(earlier, FetchFailure):
                     outcome = earlier
             done[ref.identity()] = outcome
         return done[ref.identity()]
@@ -250,9 +261,7 @@ def execute_pipeline(
         try:
             for paper in client.iterate_papers(cfg.search):
                 processed += 1
-                total = client.last_total_results
-                shown = min(total, cfg.search.max_results) if total is not None else processed
-                out.write(f"\rPaper {processed}/{shown}")
+                out.write(f"\rPaper {processed}/{_papers_promised(client, cfg, processed)}")
                 out.flush()
                 for ref in _mine_refs(paper):
                     refs.append(ref)
@@ -260,6 +269,9 @@ def execute_pipeline(
                         entry = kb.get(ref)
                         task = (ref, None) if entry is None else (entry.ref, entry.latest)
                         outcomes[ref.identity()] = worker.submit(enrich_once, *task)
+            promised = _papers_promised(client, cfg, processed)
+            if processed < promised:
+                log.warning("the feed ended after %d of %d papers", processed, promised)
             if processed == 0:
                 out.write("Paper 0/0")
             out.write("\n\n")
@@ -267,24 +279,16 @@ def execute_pipeline(
             out.write(f"Found GitHub URLs: {[ref.canonical_url for ref in unique]}\n\n")
             reported: set[tuple[str, str]] = set()
             for ref in unique:
-                successes, failures = outcomes[ref.identity()].result()
-                for resolved, metrics in successes:
-                    resolved = replace(resolved, source_papers=ref.source_papers)
-                    kb.rename(ref, resolved)
-                    entry = kb.upsert(resolved, metrics, classify(metrics, cfg.rule))
-                    if resolved.identity() not in reported:
-                        reported.add(resolved.identity())
-                        out.write(render_report_line(entry.latest, entry.tier) + "\n")
-                    if resolved.identity() != ref.identity():
-                        kb.add_alias(resolved, ref)
-                for failure in failures:
-                    log.warning(
-                        "GitHub fetch failed for %s/%s: %s (%s)",
-                        ref.owner,
-                        ref.name,
-                        failure.kind.value,
-                        failure.detail,
-                    )
+                outcome = outcomes[ref.identity()].result()
+                if isinstance(outcome, FetchFailure):
+                    log.warning("GitHub fetch failed for %s/%s: %s (%s)", ref.owner, ref.name,
+                                outcome.kind.value, outcome.detail)
+                    continue
+                resolved, metrics = outcome
+                entry = kb.record(ref, resolved, metrics, classify(metrics, cfg.rule))
+                if resolved.identity() not in reported:
+                    reported.add(resolved.identity())
+                    out.write(render_report_line(entry.latest, entry.tier) + "\n")
         except (ArxivRequestError, FeedParseError) as exc:
             out.write("\n")
             log.error("paper retrieval failed: %s", exc)
@@ -298,14 +302,25 @@ def execute_pipeline(
 
 
 def _write_outputs(cfg: RunConfig, kb: KnowledgeBase) -> int:
-    """Write the three output files; exit status 1 when one cannot be written."""
+    """Write the three output files as a set: each to a staged name in
+    ``out_dir`` first, then, once all three are written, over the real
+    files, ``kb.jsonl`` last. Exit status 1, with no file replaced and no
+    staged file left, when one cannot be written."""
+    names = (TABLE_FILENAME, REPORT_FILENAME, RECORDS_FILENAME)  # replacing order
+    staged = {name: cfg.out_dir / f"{name}.staged.{os.getpid()}" for name in names}
     try:
-        save_records(kb, cfg.out_dir / RECORDS_FILENAME)
-        export_table(kb, cfg.out_dir / TABLE_FILENAME)
-        export_report(kb, cfg.out_dir / REPORT_FILENAME)
+        save_records(kb, staged[RECORDS_FILENAME])
+        export_table(kb, staged[TABLE_FILENAME])
+        export_report(kb, staged[REPORT_FILENAME])
+        for name in names:
+            os.replace(staged[name], cfg.out_dir / name)
     except OSError as exc:
         log.error("cannot write outputs to %s: %s", cfg.out_dir, exc)
         return 1
+    finally:
+        for path in staged.values():
+            if path.exists():
+                path.unlink()
     return 0
 
 

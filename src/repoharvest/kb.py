@@ -81,10 +81,12 @@ class KbEntry:
 class KbDiff:
     """What changed between two stores.
 
-    ``added`` is present only in the new store; ``updated`` pairs the old
-    and new snapshots where any count differs; ``unchanged`` covers entries
-    with identical counts plus entries the new run did not observe at all.
-    The three lists partition the union of both entry sets.
+    A new entry is paired with the old entry stored under its identity, or
+    else under one of its aliases (a repository a rename moved). ``added``
+    holds the new entries with no pair; ``updated`` pairs the old and new
+    snapshots where any count differs; ``unchanged`` covers pairs with
+    identical counts plus old entries the new run did not observe at all.
+    Each repository is listed once, under its name in the new store.
     """
 
     added: list[RepoRef] = field(default_factory=list)
@@ -144,13 +146,12 @@ class KnowledgeBase:
     def upsert(self, ref: RepoRef, metrics: RepoMetrics, tier: MaturityTier) -> KbEntry:
         """Insert or refresh one repository.
 
-        A new identity is inserted with empty history; an existing one has
-        its previous latest appended to history and latest/tier replaced.
-        Re-inserting an identical snapshot (same fetched_at and counts) is a
-        no-op, a same-timestamp snapshot with different counts replaces
-        latest in place, and a strictly older snapshot is ignored; history
-        timestamps therefore stay strictly increasing. Source papers are
-        unioned on every call.
+        A new identity is inserted with empty history. For an existing one,
+        a later snapshot archives the current latest to history, a snapshot
+        from the same second replaces latest in place, and an older one is
+        ignored; history timestamps therefore stay strictly increasing.
+        Latest and tier are replaced together. Source papers are unioned
+        on every call.
         """
         key = ref.identity()
         entry = self._entries.get(key)
@@ -170,11 +171,6 @@ class KnowledgeBase:
         merged = entry.ref.source_papers | ref.source_papers
         if merged != entry.ref.source_papers:
             entry.ref = replace(entry.ref, source_papers=merged)
-        if (
-            metrics.fetched_at == entry.latest.fetched_at
-            and metrics.counts() == entry.latest.counts()
-        ):
-            return entry
         if metrics.fetched_at < entry.latest.fetched_at:
             return entry
         if metrics.fetched_at > entry.latest.fetched_at:
@@ -183,53 +179,56 @@ class KnowledgeBase:
         entry.tier = tier
         return entry
 
-    def add_alias(self, ref: RepoRef, alias: RepoRef) -> None:
-        """Record ``alias``, a name GitHub redirected to the stored
-        repository ``ref``. A name that an entry already holds, as its
-        identity or an alias, stays where it is."""
-        if alias.identity() in self._names:
-            return
-        entry = self._entries[ref.identity()]
-        entry.aliases = entry.aliases | {RepoRef(alias.owner, alias.name)}
-        self._names[alias.identity()] = entry
+    def record(self, name: RepoRef, ref: RepoRef, metrics: RepoMetrics,
+               tier: MaturityTier) -> KbEntry:
+        """Store GitHub's answer ``ref`` to the name ``name`` a paper gave.
 
-    def rename(self, name: RepoRef, ref: RepoRef) -> None:
-        """Move the entry holding ``name``, which GitHub answered as
-        ``ref``, to ``ref``'s owner/name; its old identity becomes an alias
-        and its papers, first_seen and history stay. Nothing moves when no
-        entry holds ``name``, when ``ref`` is its identity already, or when
-        another entry holds ``ref``."""
+        First the entry holding ``name`` moves to ``ref``'s owner/name,
+        unless ``ref`` is its identity already or another entry holds
+        ``ref``: its old identity becomes an alias, and its papers,
+        first_seen and history stay. Then the snapshot is upserted under
+        ``ref`` with ``name``'s source papers. Last, ``name`` is kept as an
+        alias of that entry, unless some entry already holds it.
+        """
         key = ref.identity()
         entry = self._names.get(name.identity())
-        if entry is None or entry.ref.identity() == key or self._names.get(key, entry) is not entry:
-            return
-        old = self._entries.pop(entry.ref.identity()).ref
-        kept = frozenset(a for a in entry.aliases if a.identity() != key)
-        entry.aliases = kept | {RepoRef(old.owner, old.name)}
-        entry.ref = replace(old, owner=ref.owner, name=ref.name)
-        self._entries[key] = self._names[key] = entry
+        if (entry is not None and entry.ref.identity() != key
+                and self._names.get(key, entry) is entry):
+            old = self._entries.pop(entry.ref.identity()).ref
+            kept = frozenset(a for a in entry.aliases if a.identity() != key)
+            entry.aliases = kept | {RepoRef(old.owner, old.name)}
+            entry.ref = replace(old, owner=ref.owner, name=ref.name)
+            self._entries[key] = self._names[key] = entry
+        entry = self.upsert(replace(ref, source_papers=name.source_papers), metrics, tier)
+        if name.identity() not in self._names:
+            entry.aliases = entry.aliases | {RepoRef(name.owner, name.name)}
+            self._names[name.identity()] = entry
+        return entry
 
 
 def diff(old: KnowledgeBase, new: KnowledgeBase) -> KbDiff:
     """Classify every repository across two stores.
 
-    An entry only in ``new`` is added; in both with any differing count is
-    updated; otherwise unchanged. Entries only in ``old`` were simply not
-    observed again, so they land in unchanged; the three lists partition
-    the union of both stores.
+    Each ``new`` entry is paired with the ``old`` entry whose identity is
+    its identity, or else one of its aliases, so a repository renamed and
+    moved since ``old`` is listed once, under its new name. A new entry
+    with no pair is added; a pair with any differing count is updated;
+    otherwise unchanged. Old entries with no pair were simply not observed
+    again, so they land in unchanged.
     """
     result = KbDiff()
-    for key, entry in new._entries.items():
-        previous = old._entries.get(key)
+    unpaired = dict(old._entries)
+    for entry in new:
+        names = (entry.ref, *sorted(entry.aliases, key=RepoRef.identity))
+        previous = next((unpaired.pop(n.identity()) for n in names  # the first match only
+                         if n.identity() in unpaired), None)
         if previous is None:
             result.added.append(entry.ref)
         elif previous.latest.counts() != entry.latest.counts():
             result.updated.append((entry.ref, previous.latest, entry.latest))
         else:
             result.unchanged.append(entry.ref)
-    for key, entry in old._entries.items():
-        if key not in new._entries:
-            result.unchanged.append(entry.ref)
+    result.unchanged.extend(entry.ref for entry in unpaired.values())
     return result
 
 

@@ -348,6 +348,21 @@ class TestRunCommand:
         assert len(errors) == 1
         assert errors[0].startswith(f"cannot write outputs to {tmp_path / 'file' / 'sub'}: ")
 
+    @pytest.mark.parametrize("total,extra,warned", [
+        (10, (), ["the feed ended after 3 of 10 papers"]),
+        (3, (), []),
+        (10, ("--max-results", "3"), []),
+    ], ids=["short-first-page", "whole-feed", "capped"])
+    def test_a_feed_that_ends_early_is_warned_about(self, tmp_path, caplog, total, extra,
+                                                    warned):
+        entries = [atom_entry(f"2101.0000{i}", f"title {i}") for i in range(3)]
+        feed = feed_client(lambda url, params: FakeResponse(text=atom_feed(entries, total=total)))
+        with caplog.at_level(logging.WARNING, logger="repoharvest"):
+            status = cmd_run(config_for(tmp_path, *extra), arxiv_client=feed,
+                             github_client=fixtures_github_client({}), out=io.StringIO())
+        assert status == 0
+        assert [r.getMessage() for r in caplog.records] == warned
+
     def test_feed_failure_is_fatal_and_writes_nothing(self, tmp_path, caplog):
         clock = FakeClock()
         session = FakeSession(
@@ -621,6 +636,29 @@ class TestMonitorCommand:
         assert "Unchanged (22):" in text
         assert len(load_records(tmp_path / "kb.jsonl")) == 24
 
+    def test_a_failed_write_replaces_no_output(self, tmp_path, caplog, monkeypatch):
+        fixtures = reference_fixtures()
+        papers = self._seed_run(tmp_path, fixtures)
+        names = ["kb.csv", "kb.jsonl", "report.txt"]
+        before = {name: (tmp_path / name).read_bytes() for name in names}
+        evolved = {slug: dict(spec) for slug, spec in fixtures.items()}
+        evolved["ncbi-nlp/BioSentVec"]["stars"] = 548
+
+        def unwritable(kb, path):
+            raise OSError(f"cannot write {path}")
+
+        monkeypatch.setattr(cli, "export_report", unwritable)
+        with caplog.at_level(logging.ERROR, logger="repoharvest"):
+            status = cmd_monitor(config_for(tmp_path, command="monitor"), None,
+                                 arxiv_client=corpus_arxiv_client(papers),
+                                 github_client=fixtures_github_client(evolved),
+                                 out=io.StringIO())
+        assert status == 1
+        assert [r.getMessage().split(": ")[0] for r in caplog.records
+                if r.levelno >= logging.ERROR] == [f"cannot write outputs to {tmp_path}"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == names
+        assert {name: (tmp_path / name).read_bytes() for name in names} == before
+
     def test_monitor_names_every_changed_count_in_order(self, tmp_path):
         fixtures = reference_fixtures()
         papers = self._seed_run(tmp_path, fixtures)
@@ -843,7 +881,8 @@ class TestMonitorRenamedRepository:
 
     def test_a_rename_after_the_store_moves_its_entry(self, tmp_path):
         """GitHub now answers the stored demo/new as demo/newer: the first
-        monitor moves the entry, and the next requests it as demo/newer."""
+        monitor moves the entry and lists it once, under its new name, and
+        the next requests it as demo/newer."""
         earlier = self.previous.decode().replace("2024-01-01T", "2023-01-01T")  # a year ago
         (tmp_path / "kb.jsonl").write_text(earlier)
         stored = json.loads(earlier)
@@ -852,8 +891,8 @@ class TestMonitorRenamedRepository:
         assert sent == [("http://gh.test/repos/demo/new", True, 301),
                         ("http://gh.test/repos/demo/newer", True, 200),
                         ("http://gh.test/repos/demo/newer/contributors", False, 200)]
-        assert sections == ("Added (1):\n  https://github.com/demo/newer\nUpdated (0):\n"
-                            "Unchanged (1):\n  https://github.com/demo/new\n")
+        assert sections == ("Added (0):\nUpdated (0):\n"
+                            "Unchanged (1):\n  https://github.com/demo/newer\n")
         (record,) = [json.loads(line) for line in (tmp_path / "kb.jsonl").read_text().splitlines()]
         stored["latest"].pop("etag")
         assert (record["canonical_url"], record["aliases"], record["source_papers"],

@@ -45,6 +45,10 @@ def upsert_auto(kb: KnowledgeBase, ref, metrics) -> KbEntry:
     return kb.upsert(ref, metrics, classify(metrics))
 
 
+def record_auto(kb: KnowledgeBase, name, ref, metrics) -> KbEntry:
+    return kb.record(name, ref, metrics, classify(metrics))
+
+
 class TestUpsert:
     def test_insert_new_entry(self):
         kb = KnowledgeBase()
@@ -85,6 +89,16 @@ class TestUpsert:
         upsert_auto(kb, ref, current)
         entry = upsert_auto(kb, ref, stale)
         assert entry.latest == current
+        assert entry.history == []
+
+    def test_same_second_equal_counts_new_etag_replaces_latest(self):
+        kb = KnowledgeBase()
+        ref = make_ref("a", "b")
+        first = make_metrics(name="b", stars=5, fetched_at=T0, etag='"one"')
+        second = make_metrics(name="b", stars=5, fetched_at=T0, etag='"two"')
+        upsert_auto(kb, ref, first)
+        entry = upsert_auto(kb, ref, second)
+        assert entry.latest == second
         assert entry.history == []
 
     def test_same_timestamp_different_counts_replaces_in_place(self):
@@ -166,6 +180,26 @@ class TestDiff:
         new = self._store({"a/one": (1, 0)})
         result = diff(KnowledgeBase(), new)
         assert [r.name for r in result.added] == ["one"]
+
+    def test_a_moved_entry_is_paired_with_its_old_name(self):
+        old = KnowledgeBase([_entry("demo", "new", ["demo/old"]), _entry("c", "d", minutes=1)])
+        new = old.clone()
+        record_auto(new, make_ref("demo", "new"), make_ref("demo", "newer"),
+                    make_metrics(name="newer", stars=4, fetched_at=at(2)))
+        result = diff(old, new)
+        assert result.added == []
+        assert [(r, o.stars, n.stars) for r, o, n in result.updated] == [
+            (make_ref("demo", "newer"), 0, 4)]
+        assert result.unchanged == [make_ref("c", "d")]
+
+    def test_an_alias_that_becomes_its_own_repository_is_added(self):
+        old = KnowledgeBase([_entry("demo", "new", ["demo/old"])])
+        new = old.clone()
+        upsert_auto(new, make_ref("demo", "old"), make_metrics(name="old", fetched_at=at(2)))
+        result = diff(old, new)
+        assert result.added == [make_ref("demo", "old")]
+        assert result.updated == []
+        assert result.unchanged == [make_ref("demo", "new")]
 
     @given(
         old_slugs=st.sets(st.sampled_from([u.rsplit("/", 2)[-2] + "/" + u.rsplit("/", 1)[-1]
@@ -419,10 +453,11 @@ class TestAliases:
     def _renamed(self) -> KnowledgeBase:
         kb = KnowledgeBase()
         new = make_ref("demo", "new", {"p1"})
-        upsert_auto(kb, new, make_metrics(name="new", fetched_at=T0, etag='"e"'))
+        snapshot = make_metrics(name="new", fetched_at=T0, etag='"e"')
+        upsert_auto(kb, new, snapshot)
         upsert_auto(kb, make_ref("c", "d"), make_metrics(name="d", fetched_at=at(1)))
-        kb.add_alias(new, make_ref("demo", "older"))
-        kb.add_alias(new, make_ref("Demo", "Old", {"p2"}))
+        for name in (make_ref("demo", "older"), make_ref("Demo", "Old", {"p2"})):
+            record_auto(kb, name, new, snapshot)
         return kb
 
     def test_load_then_save_is_byte_exact(self, tmp_path):
@@ -466,9 +501,10 @@ class TestAliases:
     def test_a_name_some_entry_holds_is_not_added(self):
         kb = self._renamed()
         before = [entry.aliases for entry in kb]
-        kb.add_alias(make_ref("c", "d"), make_ref("DEMO", "OLD"))   # another entry's alias
-        kb.add_alias(make_ref("c", "d"), make_ref("Demo", "New"))   # another entry's identity
-        kb.add_alias(make_ref("demo", "new"), make_ref("demo", "OLDER"))  # its own alias
+        new, other = (entry.latest for entry in kb.sorted_entries())
+        record_auto(kb, make_ref("DEMO", "OLD"), make_ref("c", "d"), other)  # another's alias
+        record_auto(kb, make_ref("Demo", "New"), make_ref("c", "d"), other)  # another's identity
+        record_auto(kb, make_ref("demo", "OLDER"), make_ref("demo", "new"), new)  # its own alias
         assert [entry.aliases for entry in kb] == before
 
     def test_a_repository_that_takes_an_alias_name_keeps_it(self, tmp_path):
@@ -476,7 +512,7 @@ class TestAliases:
         upsert_auto(kb, make_ref("demo", "old"), make_metrics(name="old", fetched_at=at(2)))
         by_name = {entry.ref.name: entry for entry in kb}
         assert by_name["new"].aliases == {make_ref("demo", "older")}
-        kb.add_alias(make_ref("c", "d"), make_ref("demo", "OLD"))
+        record_auto(kb, make_ref("demo", "OLD"), make_ref("c", "d"), by_name["d"].latest)
         assert by_name["d"].aliases == frozenset()
         path = tmp_path / "kb.jsonl"
         save_records(kb, path)
@@ -550,10 +586,10 @@ class TestNameIndex:
 
     def test_rename_moves_the_entry_and_keeps_its_old_name(self, tmp_path):
         kb = KnowledgeBase()
-        upsert_auto(kb, make_ref("demo", "new", {"p1"}), make_metrics(name="new", fetched_at=T0))
-        kb.add_alias(make_ref("demo", "new"), make_ref("demo", "old"))
-        kb.rename(make_ref("Demo", "OLD"), make_ref("Demo", "Newer"))
-        entry = upsert_auto(kb, make_ref("Demo", "Newer", {"p2"}),
+        snapshot = make_metrics(name="new", fetched_at=T0)
+        upsert_auto(kb, make_ref("demo", "new", {"p1"}), snapshot)
+        record_auto(kb, make_ref("demo", "old"), make_ref("demo", "new"), snapshot)
+        entry = record_auto(kb, make_ref("Demo", "OLD", {"p2"}), make_ref("Demo", "Newer"),
                             make_metrics(name="Newer", stars=3, fetched_at=at(1)))
         assert len(kb) == 1
         assert (entry.ref, entry.first_seen, entry.aliases) == (
@@ -568,16 +604,24 @@ class TestNameIndex:
     def test_rename_moves_nothing_onto_a_held_name(self):
         kb = KnowledgeBase([_entry("demo", "new", ["demo/old"]), _entry("c", "d", minutes=1)])
         before = kb.clone()
-        kb.rename(make_ref("demo", "new"), make_ref("C", "D"))   # another entry's identity
-        kb.rename(make_ref("demo", "old"), make_ref("Demo", "NEW"))  # its own identity
-        kb.rename(make_ref("x", "y"), make_ref("x", "z"))  # a name no entry holds
+        new, other = (entry.latest for entry in kb.sorted_entries())
+        record_auto(kb, make_ref("demo", "new"), make_ref("C", "D"), other)  # another's identity
+        record_auto(kb, make_ref("demo", "old"), make_ref("Demo", "NEW"), new)  # its own identity
         assert kb == before
         assert [entry.aliases for entry in kb] == [entry.aliases for entry in before]
         assert [entry.ref for entry in kb] == [make_ref("demo", "new"), make_ref("c", "d")]
+        # a name no entry holds moves nothing: the answer is stored as a new entry
+        added = record_auto(kb, make_ref("x", "y"), make_ref("x", "z"), other)
+        assert [entry.ref for entry in kb] == [make_ref("demo", "new"), make_ref("c", "d"),
+                                               make_ref("x", "z")]
+        assert added.aliases == {make_ref("x", "y")}
+        assert [(entry.latest, entry.aliases) for entry in kb][:2] == [
+            (entry.latest, entry.aliases) for entry in before]
 
     def test_rename_back_to_an_alias_swaps_the_two_names(self):
         kb = KnowledgeBase([_entry("demo", "new", ["demo/old", "x/y"])])
-        kb.rename(make_ref("demo", "new"), make_ref("Demo", "Old"))
+        record_auto(kb, make_ref("demo", "new"), make_ref("Demo", "Old"),
+                    make_metrics(name="Old", fetched_at=at(1)))
         (entry,) = kb
         assert (entry.ref, entry.aliases) == (
             make_ref("Demo", "Old"), {make_ref("demo", "new"), make_ref("x", "y")})
