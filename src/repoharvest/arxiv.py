@@ -181,12 +181,14 @@ class ArxivClient:
         return records
 
     def iterate_papers(self, spec: SearchSpec) -> Iterator[PaperRecord]:
-        """Stream records page by page until the cap or a short page.
+        """Stream records page by page until the cap, a short page, or a
+        full page with no new id.
 
         Every page sends build_query(spec). Yields at most
         ``spec.max_results`` records and never issues another request once
         the cap is reached. Repeated ids (a shifting feed) are skipped so ids
-        are unique within one run.
+        are unique within one run; a full page of them ends the feed, since
+        a feed that ignores ``start`` would otherwise be paged forever.
         """
         query = build_query(spec)
         seen: set[str] = set()
@@ -194,6 +196,7 @@ class ArxivClient:
         start = 0
         while yielded < spec.max_results:
             records = self.fetch_page(query, start, spec.page_size)
+            known = len(seen)
             for record in records:
                 if record.arxiv_id in seen:
                     continue
@@ -202,6 +205,6 @@ class ArxivClient:
                 yielded += 1
                 if yielded >= spec.max_results:
                     return
-            if len(records) < spec.page_size:
+            if len(records) < spec.page_size or len(seen) == known:
                 return
             start += spec.page_size

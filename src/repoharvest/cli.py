@@ -301,19 +301,35 @@ def execute_pipeline(
     return 0
 
 
+def _fsync(path: Path) -> None:
+    """Flush ``path``, a file or a directory, to disk."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def _write_outputs(cfg: RunConfig, kb: KnowledgeBase) -> int:
-    """Write the three output files as a set: each to a staged name in
-    ``out_dir`` first, then, once all three are written, over the real
-    files, ``kb.jsonl`` last. Exit status 1, with no file replaced and no
-    staged file left, when one cannot be written."""
+    """Write the three output files as a set, the one write-then-rename of
+    the program: ``out_dir`` is created if missing, each file is written to
+    a staged name in it and synced to disk, and once all three are synced
+    each is renamed once over its real name, ``kb.jsonl`` last; then
+    ``out_dir`` is synced, so the renames survive a crash. Exit status 1,
+    with no staged file left, when a file cannot be written or synced; no
+    file is replaced unless all three were synced."""
     names = (TABLE_FILENAME, REPORT_FILENAME, RECORDS_FILENAME)  # replacing order
     staged = {name: cfg.out_dir / f"{name}.staged.{os.getpid()}" for name in names}
     try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
         save_records(kb, staged[RECORDS_FILENAME])
         export_table(kb, staged[TABLE_FILENAME])
         export_report(kb, staged[REPORT_FILENAME])
         for name in names:
+            _fsync(staged[name])
+        for name in names:
             os.replace(staged[name], cfg.out_dir / name)
+        _fsync(cfg.out_dir)
     except OSError as exc:
         log.error("cannot write outputs to %s: %s", cfg.out_dir, exc)
         return 1

@@ -19,7 +19,7 @@ from urllib.parse import parse_qs, urljoin, urlsplit
 
 import requests
 
-from .links import RepoRef
+from .links import LinkError, RepoRef, repo_from_name
 from .throttle import REQUEST_TIMEOUT, RequestGate, retrying_get, seconds_header
 
 DEFAULT_BASE_URL = "https://api.github.com"
@@ -240,7 +240,9 @@ class GitHubClient:
 
         Returns the canonical identity (updated when GitHub redirected to a
         renamed repository) together with the metrics; ``contributors`` is
-        left unset for count_contributors to fill.
+        left unset for count_contributors to fill. The identity is the
+        body's ``full_name``, which must pass links.repo_from_name, or
+        ``ref`` when the body has none.
 
         With a ``stored`` snapshot that has an ETag, the request is
         conditional, and the answer's ETag is kept on the new snapshot. A
@@ -255,10 +257,15 @@ class GitHubClient:
         data = self._json_body(response, url, dict)
         resolved = ref
         full_name = data.get("full_name")
-        if isinstance(full_name, str) and "/" in full_name:
-            owner, name = full_name.split("/", 1)
-            if (owner.lower(), name.lower()) != ref.identity():
-                resolved = replace(ref, owner=owner, name=name)
+        if full_name is not None:
+            try:
+                named = repo_from_name(full_name)
+            except LinkError as exc:
+                raise GitHubFetchError(
+                    FailureKind.MALFORMED_RESPONSE, f"bad full_name from {url}: {exc}"
+                ) from exc
+            if named.identity() != ref.identity():
+                resolved = replace(ref, owner=named.owner, name=named.name)
         try:
             metrics = RepoMetrics(
                 name=data.get("name") or resolved.name,
@@ -283,13 +290,20 @@ class GitHubClient:
         entry and the Link header names a rel="last" page, that page's
         number is the count. Otherwise (no last link, or a server that
         ignores per_page) the entries are summed along rel="next" until it
-        is absent. An empty repository (success with no body) counts as 0.
+        is absent; a next link to a URL this count already requested is a
+        malformed response. An empty repository (success with no body)
+        counts as 0.
         """
         url = f"{self.base_url}/repos/{ref.owner}/{ref.name}/contributors"
         params: Optional[dict] = {"per_page": 1}
         total = 0
         first_page = True
+        requested: set[str] = set()
         while url:
+            if url in requested:
+                raise GitHubFetchError(FailureKind.MALFORMED_RESPONSE,
+                                       f"next link repeats {url}")
+            requested.add(url)
             response = self._request(url, params)
             params = None  # a next link already carries its query string
             if response.status_code == 204 or not (response.content or b"").strip():

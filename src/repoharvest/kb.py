@@ -6,21 +6,22 @@ history of prior snapshots, and the other names GitHub redirected to it.
 Persists as one JSON object per line with an explicit schema version (2:
 the latest snapshot keeps its ETag; version 1 records still load, without
 one); exports a CSV table and the human-readable report.
-All file writes are write-then-rename, so readers never see a partial file.
+Each writer writes its file in place; the command line writes the output
+set under staged names and renames each file once, so a reader of the
+outputs never sees a partial file.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
-import os
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from .github import RepoMetrics
-from .links import LinkError, RepoRef, canonicalize
+from .links import LinkError, RepoRef, repo_from_name
 from .maturity import MaturityTier
 
 SCHEMA_VERSION = 2
@@ -286,15 +287,12 @@ def _metrics_from_dict(data: dict) -> RepoMetrics:
     )
 
 
-def _alias_from_text(text) -> RepoRef:
-    """The alias an ``owner/name`` string in a store line names."""
+def _repo_from_text(text: str, what: str) -> RepoRef:
+    """The repository an ``owner/name`` string in a store line names."""
     try:
-        alias = canonicalize(f"https://github.com/{_checked(text, str, 'alias')}", "")
+        return repo_from_name(text)
     except LinkError:
-        alias = None
-    if alias is None or f"{alias.owner}/{alias.name}" != text:
-        raise StoreError(f"alias {text!r} is not an owner/name")
-    return alias
+        raise StoreError(f"{what} {text!r} is not an owner/name") from None
 
 
 def entry_to_dict(entry: KbEntry) -> dict:
@@ -319,17 +317,16 @@ def entry_from_dict(data: dict) -> KbEntry:
     if type(version) is not int or version not in _READABLE_VERSIONS:
         raise StoreError(f"unsupported schema version {version!r}")
     papers = _checked(data["source_papers"], list, "source_papers")
-    ref = RepoRef(
-        owner=_checked(data["owner"], str, "owner"),
-        name=_checked(data["name"], str, "name"),
-        source_papers=frozenset(_checked(p, str, "source paper") for p in papers),
-    )
+    owner = _checked(data["owner"], str, "owner")
+    name = _checked(data["name"], str, "name")
+    ref = replace(_repo_from_text(f"{owner}/{name}", "repository"),
+                  source_papers=frozenset(_checked(p, str, "source paper") for p in papers))
     latest = _metrics_from_dict(data["latest"])
     history = [_metrics_from_dict(m) for m in _checked(data["history"], list, "history")]
     times = [m.fetched_at for m in history] + [latest.fetched_at]
     if any(earlier >= later for earlier, later in zip(times, times[1:])):
         raise StoreError("history timestamps must increase and precede latest.fetched_at")
-    aliases = frozenset(_alias_from_text(text)
+    aliases = frozenset(_repo_from_text(_checked(text, str, "alias"), "alias")
                         for text in _checked(data.get("aliases", []), list, "aliases"))
     return KbEntry(
         ref=ref,
@@ -341,21 +338,10 @@ def entry_from_dict(data: dict) -> KbEntry:
     )
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
-
-
 def save_records(kb: KnowledgeBase, path: Path | str) -> None:
     """Write the durable line-record store (deterministic order)."""
     lines = [json.dumps(entry_to_dict(e), ensure_ascii=False) for e in kb.sorted_entries()]
-    _write_atomic(Path(path), "".join(line + "\n" for line in lines))
+    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
 def load_records(path: Path | str) -> KnowledgeBase:
@@ -401,12 +387,12 @@ def export_table(kb: KnowledgeBase, path: Path | str) -> None:
                 " ".join(sorted(entry.ref.source_papers)),
             ]
         )
-    _write_atomic(Path(path), buffer.getvalue())
+    Path(path).write_text(buffer.getvalue(), encoding="utf-8")
 
 
 def export_report(kb: KnowledgeBase, path: Path | str) -> None:
     """Write the human-readable report, one sentence per entry."""
-    _write_atomic(Path(path), render_report(kb))
+    Path(path).write_text(render_report(kb), encoding="utf-8")
 
 
 def render_report(kb: KnowledgeBase) -> str:

@@ -20,8 +20,9 @@ _URL_PATTERN = re.compile(r"https?://(?:www\.)?github\.com/\S+")
 _TRAILING_JUNK = ".,;:!?)]}'\""
 
 # An owner or a name, but not "." or "..": a URL resolver folds those
-# path segments away, and the request would go to another API path.
-_SLUG_PATTERN = re.compile(r"^(?!\.\.?$)[A-Za-z0-9._-]+$")
+# path segments away, and the request would go to another API path. Used
+# with fullmatch: "$" would also match before a trailing newline.
+_SLUG_PATTERN = re.compile(r"(?!\.\.?$)[A-Za-z0-9._-]+")
 _HOST_PATTERN = re.compile(r"^https?://(?:www\.)?github\.com(?=/|$)")
 
 
@@ -70,7 +71,8 @@ def canonicalize(cleaned: str, source: str) -> RepoRef:
 
     Raises LinkError when the host is not github.com, when fewer than two
     path segments are present (e.g. a profile URL), or when the owner or
-    name contains characters GitHub slugs do not allow or is "." or "..".
+    name contains characters GitHub slugs do not allow or is "." or "..",
+    or the name still ends in ".git" once one suffix is stripped.
     """
     if not _HOST_PATTERN.match(cleaned):
         raise LinkError(f"not a GitHub URL: {cleaned!r}")
@@ -80,9 +82,30 @@ def canonicalize(cleaned: str, source: str) -> RepoRef:
     owner, name = segments[0], segments[1]
     if name.endswith(".git"):
         name = name[: -len(".git")]
-    if not _SLUG_PATTERN.match(owner) or not _SLUG_PATTERN.match(name):
+    if not _is_owner_name(owner, name):
         raise LinkError(f"invalid owner/name in {cleaned!r}")
     return RepoRef(owner, name, frozenset({source}) if source else frozenset())
+
+
+def _is_owner_name(owner: str, name: str) -> bool:
+    """The one owner/name rule: each is made of the characters GitHub slugs
+    allow and is neither "." nor "..", and the name has no ".git" suffix."""
+    return (_SLUG_PATTERN.fullmatch(owner) is not None
+            and _SLUG_PATTERN.fullmatch(name) is not None and not name.endswith(".git"))
+
+
+def repo_from_name(text) -> RepoRef:
+    """The repository an exact ``owner/name`` string names, with no papers.
+
+    For a name from outside the program, such as a store line or GitHub's
+    ``full_name``: one owner and one name joined by "/" that pass the rule
+    canonicalize applies. Anything else, a value that is not a string
+    included, raises LinkError.
+    """
+    owner, _, name = str(text).partition("/")
+    if not isinstance(text, str) or not _is_owner_name(owner, name):
+        raise LinkError(f"not an owner/name: {text!r}")
+    return RepoRef(owner, name)
 
 
 def dedupe(refs: Iterable[RepoRef]) -> list[RepoRef]:

@@ -249,6 +249,18 @@ class TestIteratePapers:
         ids = [r.arxiv_id for r in client.iterate_papers(spec)]
         assert ids == ["dup", "u1"]
 
+    def test_a_full_page_with_no_new_id_ends_the_feed(self):
+        page = [atom_entry("id0", "t", "a"), atom_entry("id1", "t", "a")]
+
+        def handler(url, params):  # ignores start
+            assert len(session.calls) <= 5, "paging forever"
+            return FakeResponse(text=atom_feed(page, total=10))
+
+        client, session, _ = _client(handler)
+        spec = SearchSpec(terms=("x",), max_results=10, page_size=2)
+        assert [r.arxiv_id for r in client.iterate_papers(spec)] == ["id0", "id1"]
+        assert [params["start"] for _, _, params in session.calls] == [0, 2]
+
     def test_politeness_delay_between_page_requests(self):
         clock = FakeClock()
         client, session, clock = _client(self._paged_handler(9), clock=clock, delay=3.0)

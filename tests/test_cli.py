@@ -348,15 +348,57 @@ class TestRunCommand:
         assert len(errors) == 1
         assert errors[0].startswith(f"cannot write outputs to {tmp_path / 'file' / 'sub'}: ")
 
+    def test_a_missing_nested_out_dir_is_created_with_only_the_outputs(self, tmp_path):
+        out_dir = tmp_path / "a" / "b"
+        papers = [("2101.00001", "alpha", "Code: https://github.com/demo/alpha.")]
+        fixtures = {"demo/alpha": {"stars": 5, "forks": 1, "open_issues": 0, "contributors": 2}}
+        status = cmd_run(config_for(out_dir), arxiv_client=corpus_arxiv_client(papers),
+                         github_client=fixtures_github_client(fixtures), out=io.StringIO())
+        assert status == 0
+        assert sorted(path.name for path in out_dir.iterdir()) == [
+            "kb.csv", "kb.jsonl", "report.txt"]
+
+    def test_outputs_are_synced_then_each_renamed_once_records_last(self, tmp_path,
+                                                                    monkeypatch):
+        calls = []  # ("fsync", inode synced) and ("replace", destination name), in order
+        fsync, rename = os.fsync, os.replace
+
+        def recorded_fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_ino))
+            fsync(fd)
+
+        def recorded_replace(src, dst):
+            calls.append(("replace", Path(dst).name))
+            rename(src, dst)
+
+        monkeypatch.setattr(os, "fsync", recorded_fsync)
+        monkeypatch.setattr(os, "replace", recorded_replace)
+        papers, _ = build_corpus(n_papers=50)
+        assert cmd_run(config_for(tmp_path), arxiv_client=corpus_arxiv_client(papers),
+                       github_client=fixtures_github_client(reference_fixtures()),
+                       out=io.StringIO()) == 0
+        names = ["kb.csv", "report.txt", "kb.jsonl"]
+        assert calls == ([("fsync", (tmp_path / name).stat().st_ino) for name in names]
+                         + [("replace", name) for name in names]
+                         + [("fsync", tmp_path.stat().st_ino)])
+
     @pytest.mark.parametrize("total,extra,warned", [
         (10, (), ["the feed ended after 3 of 10 papers"]),
         (3, (), []),
         (10, ("--max-results", "3"), []),
-    ], ids=["short-first-page", "whole-feed", "capped"])
+        (10, ("--page-size", "3"), ["the feed ended after 3 of 10 papers"]),
+    ], ids=["short-first-page", "whole-feed", "capped", "repeated-full-page"])
     def test_a_feed_that_ends_early_is_warned_about(self, tmp_path, caplog, total, extra,
                                                     warned):
         entries = [atom_entry(f"2101.0000{i}", f"title {i}") for i in range(3)]
-        feed = feed_client(lambda url, params: FakeResponse(text=atom_feed(entries, total=total)))
+        starts = []
+
+        def same_page(url, params):  # ignores start
+            starts.append(params["start"])
+            assert len(starts) <= 5, "paging forever"
+            return FakeResponse(text=atom_feed(entries, total=total))
+
+        feed = feed_client(same_page)
         with caplog.at_level(logging.WARNING, logger="repoharvest"):
             status = cmd_run(config_for(tmp_path, *extra), arxiv_client=feed,
                              github_client=fixtures_github_client({}), out=io.StringIO())
@@ -644,20 +686,23 @@ class TestMonitorCommand:
         evolved = {slug: dict(spec) for slug, spec in fixtures.items()}
         evolved["ncbi-nlp/BioSentVec"]["stars"] = 548
 
-        def unwritable(kb, path):
-            raise OSError(f"cannot write {path}")
+        def unwritable(*args):
+            raise OSError(f"cannot write {args[-1]}")
 
-        monkeypatch.setattr(cli, "export_report", unwritable)
-        with caplog.at_level(logging.ERROR, logger="repoharvest"):
-            status = cmd_monitor(config_for(tmp_path, command="monitor"), None,
-                                 arxiv_client=corpus_arxiv_client(papers),
-                                 github_client=fixtures_github_client(evolved),
-                                 out=io.StringIO())
-        assert status == 1
-        assert [r.getMessage().split(": ")[0] for r in caplog.records
-                if r.levelno >= logging.ERROR] == [f"cannot write outputs to {tmp_path}"]
-        assert sorted(path.name for path in tmp_path.iterdir()) == names
-        assert {name: (tmp_path / name).read_bytes() for name in names} == before
+        for failing in [(cli, "export_report"), (os, "fsync")]:  # a write, then a sync
+            caplog.clear()
+            with monkeypatch.context() as patch, \
+                    caplog.at_level(logging.ERROR, logger="repoharvest"):
+                patch.setattr(*failing, unwritable)
+                status = cmd_monitor(config_for(tmp_path, command="monitor"), None,
+                                     arxiv_client=corpus_arxiv_client(papers),
+                                     github_client=fixtures_github_client(evolved),
+                                     out=io.StringIO())
+            assert status == 1
+            assert [r.getMessage().split(": ")[0] for r in caplog.records
+                    if r.levelno >= logging.ERROR] == [f"cannot write outputs to {tmp_path}"]
+            assert sorted(path.name for path in tmp_path.iterdir()) == names
+            assert {name: (tmp_path / name).read_bytes() for name in names} == before
 
     def test_monitor_names_every_changed_count_in_order(self, tmp_path):
         fixtures = reference_fixtures()

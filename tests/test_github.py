@@ -130,6 +130,28 @@ class TestFetchRepo:
         assert resolved.source_papers == {"p1"}
         assert metrics.stars == 7
 
+    @pytest.mark.parametrize("full_name", ["../user", "demo/a/b", "demo/..", 7])
+    def test_an_invalid_full_name_is_malformed_after_one_request(self, full_name):
+        def handler(url, params):
+            assert url == f"{BASE}/repos/demo/x", f"unexpected URL {url}"
+            return FakeResponse(json_body={**repo_body("demo/x"), "full_name": full_name})
+
+        client, session, _ = make_client(handler, token="SECRET")
+        successes, failures = client.enrich([make_ref("demo", "x")])
+        assert successes == []
+        assert [(f.kind, f.detail) for f in failures] == [(
+            FailureKind.MALFORMED_RESPONSE,
+            f"bad full_name from {BASE}/repos/demo/x: not an owner/name: {full_name!r}")]
+        assert len(session.calls) == 1
+
+    def test_a_body_without_full_name_keeps_the_name_requested(self):
+        body = repo_body("demo/x", stars=3)
+        del body["full_name"]
+        client, _, _ = make_client(lambda url, params: FakeResponse(json_body=body))
+        ref = make_ref("demo", "x", {"p1"})
+        resolved, metrics = client.fetch_repo(ref)
+        assert resolved is ref and metrics.stars == 3
+
     def test_redirect_loop_is_malformed(self):
         def handler(url, params):
             return FakeResponse(status_code=301, headers={"Location": f"{BASE}/repos/x/y"})
@@ -313,6 +335,23 @@ class TestCountContributors:
         client, session, _ = make_client(handler)
         assert client.count_contributors(make_ref("a", "b")) == 100
         assert len(session.calls) == 1
+
+    def test_a_next_link_that_repeats_a_page_is_malformed(self):
+        first = f"{BASE}/repos/a/b/contributors"
+        second = f"{first}?page=2"
+
+        def handler(url, params):
+            assert len(session.calls) <= 5, "paging forever"
+            assert url in (first, second), f"unexpected URL {url}"
+            return FakeResponse(json_body=[{"login": "u0"}, {"login": "u1"}],
+                                headers={"Link": f'<{second}>; rel="next"'})
+
+        client, session, _ = make_client(handler)
+        with pytest.raises(GitHubFetchError) as excinfo:
+            client.count_contributors(make_ref("a", "b"))
+        assert excinfo.value.kind is FailureKind.MALFORMED_RESPONSE
+        assert excinfo.value.detail == f"next link repeats {second}"
+        assert [url for _, url, _ in session.calls] == [first, second]
 
     def test_empty_repository_is_zero(self):
         def handler(url, params):

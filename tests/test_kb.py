@@ -388,9 +388,10 @@ class TestPersistence:
         {"latest": {"description": ["d"]}},
         {"history": [snapshot_dict("2025-01-01T00:00:00Z"), snapshot_dict("2023-01-01T00:00:00Z")]},
         {"owner": "A", "name": "B", "source_papers": ["p2"]},
+        {"owner": ".."},
     ], ids=["list", "string", "tier", "history", "owner", "name", "papers-string",
             "papers-item", "float-count", "bool-count", "snapshot-name", "snapshot-description",
-            "history-order", "repeated-identity"])
+            "history-order", "repeated-identity", "dot-owner"])
     def test_line_of_the_wrong_shape_is_a_store_error(self, tmp_path, change):
         kb = KnowledgeBase()
         upsert_auto(kb, make_ref("a", "b", {"p1"}), make_metrics(name="b", fetched_at=T0))

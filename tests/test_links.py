@@ -111,6 +111,7 @@ class TestCanonicalize:
         "https://github.com/./x",
         "https://github.com/x/..",
         "https://github.com/x/..git",
+        "https://github.com/x/y.git.git",
     ])
     def test_wrong_host_or_bad_slug_is_malformed(self, url):
         with pytest.raises(LinkError, match="^(not a GitHub URL:|invalid owner/name in) "):
