@@ -9,7 +9,6 @@ from __future__ import annotations
 import time
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from datetime import date
 from typing import Callable, Iterator, Optional
 
 import requests
@@ -73,12 +72,12 @@ class SearchSpec:
 
 @dataclass(frozen=True)
 class PaperRecord:
-    """One paper's metadata as parsed from the feed."""
+    """One paper as the harvest reads it: its id, and the title and
+    abstract that are mined for GitHub URLs."""
 
     arxiv_id: str
     title: str
     abstract: str
-    submitted: date
 
 
 def build_query(spec: SearchSpec) -> str:
@@ -150,6 +149,9 @@ class ArxivClient:
         return self._parse_feed(response.text)
 
     def _parse_feed(self, text: str) -> list[PaperRecord]:
+        """The page's entries in feed order. Only what the harvest reads is
+        checked: well-formed XML and an ``<id>`` per entry; ``totalResults``
+        is kept when it is ASCII digits, and ``<published>`` is not read."""
         try:
             root = ET.fromstring(text)
         except ET.ParseError as exc:
@@ -162,20 +164,11 @@ class ArxivClient:
             raw_id = (entry.findtext(f"{_ATOM}id") or "").strip()
             if not raw_id:
                 raise FeedParseError(f"entry {index}: missing <id>")
-            arxiv_id = raw_id.rsplit("/abs/", 1)[-1]
-            published = (entry.findtext(f"{_ATOM}published") or "").strip()
-            try:
-                submitted = date.fromisoformat(published[:10])
-            except ValueError:
-                raise FeedParseError(
-                    f"entry {index}: bad <published> date {published!r}"
-                ) from None
             records.append(
                 PaperRecord(
-                    arxiv_id=arxiv_id,
+                    arxiv_id=raw_id.rsplit("/abs/", 1)[-1],
                     title=(entry.findtext(f"{_ATOM}title") or "").strip(),
                     abstract=(entry.findtext(f"{_ATOM}summary") or "").strip(),
-                    submitted=submitted,
                 )
             )
         return records

@@ -155,8 +155,9 @@ class GitHubClient:
     def _classify(self, outcome, url: str):
         """None for a 2xx/3xx response, else (GitHubFetchError, retryable,
         server hint). Transport failures, 5xx answers and quota 403/429s
-        are retryable. The hint is Retry-After when sent, else the time
-        left until X-RateLimit-Reset (epoch seconds)."""
+        are retryable. The hint is Retry-After when sent, else, for a quota
+        answer only, the time left until X-RateLimit-Reset (epoch seconds):
+        a 5xx is not held until the quota window resets."""
         if isinstance(outcome, requests.RequestException):
             error = GitHubFetchError(FailureKind.TRANSPORT, f"transport failure: {outcome}")
             return error, True, None
@@ -176,9 +177,10 @@ class GitHubClient:
                 or "Retry-After" in headers
             )
             kind = FailureKind.RATE_LIMITED if retryable else FailureKind.FORBIDDEN
+        hint = None
         if "Retry-After" in headers:
             hint = seconds_header(headers["Retry-After"])
-        else:
+        elif kind is FailureKind.RATE_LIMITED:
             reset = seconds_header(headers.get("X-RateLimit-Reset"))
             hint = None if reset is None else max(0.0, reset - self._wall_clock())
         return GitHubFetchError(kind, f"HTTP {status} for {url}"), retryable, hint

@@ -12,9 +12,11 @@ from typing import Iterable
 from urllib.parse import urlsplit
 
 # A GitHub URL in running text: scheme, optional www, then a non-empty run
-# of non-whitespace path characters. Trailing sentence punctuation is part
-# of the match and removed by clean_url.
-_URL_PATTERN = re.compile(r"https?://(?:www\.)?github\.com/\S+")
+# of path characters. The run ends at whitespace or at a character RFC 3986
+# never allows unencoded (< > " { } | \ ^ `), so markup around a URL stays
+# out of it. Trailing sentence punctuation is part of the match and removed
+# by clean_url.
+_URL_PATTERN = re.compile(r"https?://(?:www\.)?github\.com/[^\s<>\"{}|\\^`]+")
 
 # Characters prose glues onto a URL; stripped repeatedly from the right.
 _TRAILING_JUNK = ".,;:!?)]}'\""
@@ -51,8 +53,9 @@ def extract_urls(text: str) -> list[str]:
     """Return every GitHub URL in ``text`` exactly as matched, in document
     order.
 
-    Matches are maximal non-whitespace runs, so trailing punctuation stays
-    attached until clean_url removes it. Empty or URL-free text yields [].
+    A match ends at whitespace or at a character no URL holds unencoded,
+    such as "<", '"' or "}"; trailing punctuation stays attached until
+    clean_url removes it. Empty or URL-free text yields [].
     """
     return _URL_PATTERN.findall(text or "")
 

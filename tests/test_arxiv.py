@@ -1,8 +1,6 @@
 """Feed client: query construction, parsing, paging, retries, politeness."""
 from __future__ import annotations
 
-from datetime import date
-
 import pytest
 import requests
 from hypothesis import given, strategies as st
@@ -106,9 +104,9 @@ class TestFetchPage:
         client, _, _ = _client(lambda url, params: FakeResponse(text=feed))
         records = client.fetch_page("q", 0, 10)
         assert records == [
-            PaperRecord("2101.00001", "First title", "First abstract", date(2021, 1, 5)),
-            PaperRecord("2102.00002v2", "Second", "Body two", date(2021, 2, 6)),
-            PaperRecord("2103.00003", "Third", "Body three", date(2021, 3, 7)),
+            PaperRecord("2101.00001", "First title", "First abstract"),
+            PaperRecord("2102.00002v2", "Second", "Body two"),
+            PaperRecord("2103.00003", "Third", "Body three"),
         ]
         assert client.last_total_results == 3
 
@@ -142,13 +140,20 @@ class TestFetchPage:
         with pytest.raises(FeedParseError, match="entry 1"):
             client.fetch_page("q", 0, 10)
 
-    def test_bad_published_date_names_position(self):
-        bad = atom_feed([
-            "<entry><id>http://arxiv.org/abs/x</id><published>not-a-date</published></entry>",
+    @pytest.mark.parametrize("published", [
+        "<published>not-a-date</published>", "<published></published>", "",
+    ], ids=["bad", "empty", "absent"])
+    def test_published_is_not_read(self, published):
+        """A bad or missing <published> does not stop the page: the harvest
+        never reads it."""
+        feed = atom_feed([
+            atom_entry("2101.00001"),
+            f"<entry><id>http://arxiv.org/abs/x</id><title>T</title>{published}</entry>",
         ])
-        client, _, _ = _client(lambda url, params: FakeResponse(text=bad))
-        with pytest.raises(FeedParseError, match="entry 0"):
-            client.fetch_page("q", 0, 10)
+        client, _, _ = _client(lambda url, params: FakeResponse(text=feed))
+        assert client.fetch_page("q", 0, 10) == [
+            PaperRecord("2101.00001", "", ""), PaperRecord("x", "T", ""),
+        ]
 
     def test_non_xml_body(self):
         client, _, _ = _client(lambda url, params: FakeResponse(text="<html>boom"))

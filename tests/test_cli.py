@@ -333,6 +333,21 @@ class TestRunCommand:
             "no owner/name path in 'https://github.com/onlyowner'",
         )]
 
+    def test_an_entry_with_a_bad_published_date_is_harvested(self, tmp_path):
+        feed = atom_feed([atom_entry("2101.00001", "title",
+                                     "code at https://github.com/ncbi-nlp/BioSentVec.",
+                                     published="not-a-date")], total=1)
+        fixtures = {"ncbi-nlp/BioSentVec": {"stars": 546, "forks": 93,
+                                            "open_issues": 13, "contributors": 4}}
+        out = io.StringIO()
+        status = cmd_run(config_for(tmp_path),
+                         arxiv_client=feed_client(lambda url, params: FakeResponse(text=feed)),
+                         github_client=fixtures_github_client(fixtures), out=out)
+        assert status == 0
+        assert "Found GitHub URLs: ['https://github.com/ncbi-nlp/BioSentVec']" in out.getvalue()
+        assert [entry.ref.canonical_url for entry in load_records(tmp_path / "kb.jsonl")] == [
+            "https://github.com/ncbi-nlp/BioSentVec"]
+
     def test_unwritable_out_dir_exits_1_without_traceback(self, tmp_path, caplog):
         (tmp_path / "file").write_text("")
         papers = [("2101.00001", "alpha", "Code: https://github.com/demo/alpha.")]

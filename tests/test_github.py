@@ -284,6 +284,24 @@ class TestRateLimitHandling:
         times = session.times
         assert times[1] - times[0] >= 45.0
 
+    def test_server_error_does_not_wait_for_quota_reset(self):
+        """X-RateLimit-Reset is the end of the quota window, not a hint for
+        retrying a 5xx: the backoff applies."""
+        clock = FakeClock(start=100.0)
+        answers = [
+            FakeResponse(
+                status_code=502,
+                text="bad gateway",
+                headers={"X-RateLimit-Remaining": "4990", "X-RateLimit-Reset": "3100"},
+            ),
+            FakeResponse(json_body=repo_body("a/b", stars=1)),
+        ]
+        client, session, clock = make_client(lambda url, params: answers.pop(0), clock=clock)
+        _, metrics = client.fetch_repo(make_ref("a", "b"))
+        assert metrics.stars == 1
+        assert len(session.calls) == 2
+        assert clock.sleeps == [1.0]
+
     def test_budget_exhausted_surfaces_rate_limited(self):
         def handler(url, params):
             return FakeResponse(

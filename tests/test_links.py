@@ -45,6 +45,16 @@ class TestExtractUrls:
     def test_non_matches(self, decoy):
         assert extract_urls(f"prefix {decoy} suffix") == []
 
+    @pytest.mark.parametrize("text", [
+        "see <https://github.com/foo/bar> for code",
+        r"\href{https://github.com/foo/bar}{code}",
+        '<a href="https://github.com/foo/bar">code</a>',
+    ])
+    def test_url_ends_at_a_character_no_url_holds(self, text):
+        """RFC 3986 never allows < > " { } | \\ ^ ` unencoded, so markup
+        around a URL is not part of it."""
+        assert extract_urls(text) == ["https://github.com/foo/bar"]
+
     def test_www_and_http_variants_match(self):
         assert extract_urls("at http://www.github.com/a/b now") == ["http://www.github.com/a/b"]
 
