@@ -27,6 +27,10 @@ DEFAULT_DATE_FROM = 2019
 DEFAULT_DATE_TO = 2024
 DEFAULT_MAX_RESULTS = 1000
 DEFAULT_PAGE_SIZE = 100
+# The most results the feed returns for one request. A larger page comes back
+# short, and the harvest would stop there as if the feed had ended
+# (https://info.arxiv.org/help/api/user-manual.html).
+MAX_PAGE_SIZE = 2000
 DEFAULT_DELAY = 3.0
 
 _ATOM = "{http://www.w3.org/2005/Atom}"
@@ -68,6 +72,8 @@ class SearchSpec:
             raise ValueError("max_results must be >= 1")
         if not 1 <= self.page_size <= self.max_results:
             raise ValueError("page_size must be between 1 and max_results")
+        if self.page_size > MAX_PAGE_SIZE:
+            raise ValueError(f"page_size must be at most {MAX_PAGE_SIZE}, the feed's limit")
 
 
 @dataclass(frozen=True)

@@ -441,7 +441,3 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command == "selfcheck":
         return cmd_selfcheck(cfg.rule)
     raise AssertionError(f"unhandled command {args.command!r}")
-
-
-if __name__ == "__main__":
-    sys.exit(main())

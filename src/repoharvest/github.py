@@ -1,8 +1,8 @@
 """GitHub REST API client for repository enrichment.
 
 Fetches the engagement snapshot for each repository (/repos/{owner}/{name})
-and counts contributors from the Link-header pagination of the contributors
-endpoint: one entry per page, so the rel="last" page number is the count.
+and counts contributors from one answer of the contributors endpoint: one
+entry per page, so the Link header's rel="last" page number is the count.
 A stored snapshot's ETag makes the snapshot request conditional, and an
 unchanged repository costs one request. All requests pass through a single
 RequestGate, so outbound traffic respects the throttle policy;
@@ -190,8 +190,8 @@ class GitHubClient:
         ``params`` go on the first request only. With ``etag``, every hop is
         conditional (If-None-Match) and a 304 is returned as an answer;
         otherwise a 3xx is a redirect. A URL off ``base_url``'s scheme and
-        host is refused unsent, so the token never follows a redirect or a
-        next link to another host."""
+        host is refused unsent, so the token never follows a rename redirect
+        to another host."""
         headers = self._headers if etag is None else {**self._headers, "If-None-Match": etag}
         target = url
         for hop in range(2):
@@ -286,42 +286,27 @@ class GitHubClient:
         return resolved, metrics
 
     def count_contributors(self, ref: RepoRef) -> int:
-        """Number of contributor entries of the repository.
+        """Number of contributor entries of the repository, from one request.
 
-        Asks for one entry per page: when the first page holds exactly one
-        entry and the Link header names a rel="last" page, that page's
-        number is the count. Otherwise (no last link, or a server that
-        ignores per_page) the entries are summed along rel="next" until it
-        is absent; a next link to a URL this count already requested is a
-        malformed response. An empty repository (success with no body)
-        counts as 0.
+        Asks for one entry per page. A 204 or a blank body is 0. A page of
+        one entry whose Link header names a rel="last" page number gives
+        that number; a page without a rel="next" link gives its number of
+        entries. Any other answer, such as a server that ignores per_page
+        and pages onward, is a malformed response: no second page is asked.
         """
         url = f"{self.base_url}/repos/{ref.owner}/{ref.name}/contributors"
-        params: Optional[dict] = {"per_page": 1}
-        total = 0
-        first_page = True
-        requested: set[str] = set()
-        while url:
-            if url in requested:
-                raise GitHubFetchError(FailureKind.MALFORMED_RESPONSE,
-                                       f"next link repeats {url}")
-            requested.add(url)
-            response = self._request(url, params)
-            params = None  # a next link already carries its query string
-            if response.status_code == 204 or not (response.content or b"").strip():
-                break
-            data = self._json_body(response, url, list)
-            header = response.headers.get("Link") or ""
-            links = {link.get("rel"): link["url"]  # the first link of each rel wins
-                     for link in reversed(requests.utils.parse_header_links(header))}
-            if first_page and len(data) == 1:
-                last = _page_number(links.get("last"))
-                if last is not None:
-                    return last
-            first_page = False
-            total += len(data)
-            url = urljoin(url, links["next"]) if "next" in links else None
-        return total
+        response = self._request(url, {"per_page": 1})
+        if response.status_code == 204 or not (response.content or b"").strip():
+            return 0
+        data = self._json_body(response, url, list)
+        header = response.headers.get("Link") or ""
+        links = {link.get("rel"): link["url"]  # the first link of each rel wins
+                 for link in reversed(requests.utils.parse_header_links(header))}
+        last = _page_number(links.get("last")) if len(data) == 1 else None
+        if last is None and "next" in links:
+            raise GitHubFetchError(FailureKind.MALFORMED_RESPONSE,
+                                   f"{url} needs a second page to count")
+        return len(data) if last is None else last
 
     def enrich(
         self,

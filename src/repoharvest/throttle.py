@@ -7,6 +7,7 @@ gate → GET → classify → backoff-or-hint loop both clients send through.
 """
 from __future__ import annotations
 
+import logging
 import math
 import threading
 import time
@@ -18,6 +19,11 @@ import requests
 MAX_RETRIES = 2
 #: Seconds a client waits for a server to answer one request.
 REQUEST_TIMEOUT = 30.0
+#: A retry deferred by more seconds than this is logged as a warning, so a
+#: quota reset up to an hour away is never waited out in silence.
+LONG_WAIT = 60.0
+
+log = logging.getLogger("repoharvest")
 
 
 class RequestGate:
@@ -83,8 +89,9 @@ def retrying_get(gate: RequestGate, get, classify, backoff: float):
     that ``get`` raised, to None on success or to ``(error, retryable,
     hint)``. A retryable failure defers the next request by ``backoff``, or
     by the server's ``hint`` seconds when that is longer, and the backoff
-    doubles. After MAX_RETRIES retries, or on a failure that is not
-    retryable, ``error`` is raised.
+    doubles. A deferral longer than LONG_WAIT is logged as a warning. After
+    MAX_RETRIES retries, or on a failure that is not retryable, ``error``
+    is raised.
     """
     for attempt in range(MAX_RETRIES + 1):
         gate.wait()
@@ -99,5 +106,8 @@ def retrying_get(gate: RequestGate, get, classify, backoff: float):
         if not retryable or attempt == MAX_RETRIES:
             cause = outcome if isinstance(outcome, requests.RequestException) else None
             raise error from cause
-        gate.defer(backoff if hint is None else max(backoff, hint))
+        delay = backoff if hint is None else max(backoff, hint)
+        if delay > LONG_WAIT:
+            log.warning("%s; waiting %.0f s before retrying", error, delay)
+        gate.defer(delay)
         backoff *= 2

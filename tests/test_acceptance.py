@@ -6,6 +6,7 @@ desk-scale smoke test, which is opt-in via RUN_LIVE_SMOKE=1.
 """
 from __future__ import annotations
 
+import logging
 import os
 import random
 import time
@@ -18,7 +19,7 @@ from corpus import REPO_URLS, build_corpus
 from repoharvest.arxiv import ArxivClient, SearchSpec, build_query
 from repoharvest.calibration import REFERENCE_ROWS
 from repoharvest.cli import build_parser, resolve_config
-from repoharvest.github import FailureKind, GitHubClient, ThrottlePolicy
+from repoharvest.github import FailureKind, GitHubClient, GitHubFetchError, ThrottlePolicy
 from repoharvest.kb import (
     KnowledgeBase,
     load_records,
@@ -108,9 +109,9 @@ def test_default_query_string_fidelity():
 
 # -- 5. pagination correctness ------------------------------------------------
 
-def _paged_github_client(sizes):
-    base = "http://gh.test"
-    first = f"{base}/repos/o/r/contributors"
+def _chain_handler(sizes):
+    """A page chain as a server that ignores per_page sends it."""
+    first = "http://gh.test/repos/o/r/contributors"
     urls = [first] + [f"{first}?page={i}" for i in range(2, len(sizes) + 1)]
     pages = {}
     for i, size in enumerate(sizes):
@@ -123,27 +124,68 @@ def _paged_github_client(sizes):
         headers = {"Link": link} if link else {}
         return FakeResponse(json_body=body, headers=headers)
 
+    return handler
+
+
+def _per_page_one_answer(count, rng):
+    """GitHub's answer to per_page=1 for ``count`` contributors."""
+    if count == 0:
+        return FakeResponse(status_code=204) if rng.random() < 0.5 else FakeResponse(json_body=[])
+    if count == 1:
+        return FakeResponse(json_body=[{"login": "u0"}])
+    url = "http://gh.test/repositories/7/contributors?per_page=1"
+    return FakeResponse(json_body=[{"login": "u0"}], headers={
+        "Link": f'<{url}&page=2>; rel="next", <{url}&page={count}>; rel="last"'})
+
+
+def _counted(handler):
+    """count_contributors on one scripted repository, and the calls it sent."""
     clock = FakeClock()
     session = FakeSession(handler, clock=clock)
-    return GitHubClient(
-        base_url=base,
+    client = GitHubClient(
+        base_url="http://gh.test",
         policy=ThrottlePolicy(min_interval=0.0),
         session=session,
         clock=clock,
         sleep=clock.sleep,
         wall_clock=clock,
     )
+    try:
+        return client.count_contributors(RepoRef("o", "r")), session.calls
+    except GitHubFetchError as exc:
+        return exc.kind, session.calls
 
 
 def test_contributor_pagination_sums_every_randomized_fixture():
-    """Tolerance: exact count equality on all 200 fixtures."""
+    """Tolerance: exact, and in one request, on all 400 fixtures.
+
+    200 randomized page chains as a server that ignores per_page sends
+    them: a one-page chain counts exactly to its sum, and a chain of two
+    or more pages is malformed_response, never a count. Then 200 answers
+    in GitHub's per_page=1 shape, 0..5000 contributors, each counted
+    exactly.
+    """
     rng = random.Random(987)
-    ref = RepoRef("o", "r")
+    one_page = 0
     for case in range(200):
         sizes = [rng.randint(0, 100) for _ in range(rng.randint(1, 8))]
-        client = _paged_github_client(sizes)
-        assert client.count_contributors(ref) == sum(sizes), (case, sizes)
-    print("PASS pagination: 200/200 randomized page chains summed exactly")
+        counted, calls = _counted(_chain_handler(sizes))
+        expected = sum(sizes) if len(sizes) == 1 else FailureKind.MALFORMED_RESPONSE
+        assert counted == expected, (case, sizes)
+        assert len(calls) == 1, (case, sizes)
+        one_page += len(sizes) == 1
+    shapes = set()
+    for case in range(200):
+        count = rng.choice((0, 1, rng.randint(2, 5000)))
+        answer = _per_page_one_answer(count, rng)
+        counted, calls = _counted(lambda url, params: answer)
+        assert counted == count, (case, count)
+        assert [params for _, _, params in calls] == [{"per_page": 1}], (case, count)
+        shapes.add((answer.status_code, min(count, 2)))
+    assert shapes == {(204, 0), (200, 0), (200, 1), (200, 2)}
+    print(f"PASS pagination: 200/200 randomized page chains ({one_page} of one page "
+          "counted, the rest refused) and 200/200 per_page=1 answers counted exactly, "
+          "each in one request")
 
 
 # -- 6. throttle property -----------------------------------------------------
@@ -211,16 +253,18 @@ def _github_schedule(rng) -> tuple[list[float], float, float | None]:
     return session.times, interval, hint
 
 
-def test_throttle_spacing_holds_across_randomized_schedules():
+def test_throttle_spacing_holds_across_randomized_schedules(caplog):
     """Tolerance: gap >= interval (1e-9 slack) for every consecutive pair;
-    the first gap after a hinted failure must also be >= the hint."""
+    the first gap after a hinted failure must also be >= the hint. No wait
+    here is long enough to be warned about."""
     rng = random.Random(4242)
     checked_pairs = 0
     hinted = 0
     for case in range(100):
-        times, interval, hint = (
-            _arxiv_schedule(rng) if case % 2 == 0 else _github_schedule(rng)
-        )
+        with caplog.at_level(logging.WARNING, logger="repoharvest"):
+            times, interval, hint = (
+                _arxiv_schedule(rng) if case % 2 == 0 else _github_schedule(rng)
+            )
         for earlier, later in zip(times, times[1:]):
             assert later - earlier >= interval - 1e-9, (case, interval, times)
             checked_pairs += 1
@@ -228,6 +272,7 @@ def test_throttle_spacing_holds_across_randomized_schedules():
             assert times[1] - times[0] >= hint - 1e-9, (case, hint, times)
             hinted += 1
     assert checked_pairs > 100
+    assert caplog.records == []
     print(
         f"PASS throttle: {checked_pairs} consecutive gaps honored the "
         f"interval across 100 schedules ({hinted} with server hints)"

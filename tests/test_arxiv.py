@@ -78,6 +78,7 @@ class TestSearchSpecValidation:
         {"terms": ("ok",), "max_results": 0},
         {"terms": ("ok",), "page_size": 0},
         {"terms": ("ok",), "max_results": 10, "page_size": 11},
+        {"terms": ("ok",), "max_results": 5000, "page_size": 2001},
     ])
     def test_bad_specs_rejected(self, kwargs):
         with pytest.raises(ValueError, match=" must "):

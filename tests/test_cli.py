@@ -1170,6 +1170,19 @@ class TestArgumentResolution:
         assert status == 2
         assert "error: date_from must be a four-digit year" in capsys.readouterr().err
 
+    def test_page_size_past_the_feed_limit_exits_2(self, capsys, tmp_path):
+        """The feed serves at most 2000 results per request; a larger page
+        would come back short and end the harvest there."""
+        status = main([
+            "run", "--max-results", "5000", "--page-size", "2001",
+            "--out-dir", str(tmp_path), "--arxiv-delay-ms", "0",
+            "--arxiv-base-url", "http://127.0.0.1:9/q",
+            "--github-base-url", "http://127.0.0.1:9",
+        ])
+        assert status == 2
+        assert "error: page_size must be at most 2000" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("config", [
         {"arxiv_delay_ms": 2.9},
         {"terms": "icu"},

@@ -1,6 +1,7 @@
 """GitHub client: snapshots, contributor pagination, failures, throttling."""
 from __future__ import annotations
 
+import logging
 from dataclasses import replace
 from datetime import datetime, timezone
 
@@ -20,6 +21,7 @@ from repoharvest.github import (
 )
 
 BASE = "http://gh.test"
+CONTRIBUTORS = f"{BASE}/repos/a/b/contributors"
 
 
 def repo_body(slug, stars=0, forks=0, open_issues=0, description=None):
@@ -245,7 +247,7 @@ class TestFetchRepo:
 
 
 class TestRateLimitHandling:
-    def test_quota_403_retried_after_hint(self):
+    def test_quota_403_retried_after_hint(self, caplog):
         state = {"limited": True}
 
         def handler(url, params):
@@ -260,10 +262,33 @@ class TestRateLimitHandling:
 
         clock = FakeClock()
         client, session, clock = make_client(handler, clock=clock)
-        _, metrics = client.fetch_repo(make_ref("a", "b"))
+        with caplog.at_level(logging.WARNING, logger="repoharvest"):
+            _, metrics = client.fetch_repo(make_ref("a", "b"))
         assert metrics.stars == 1
         times = session.times
         assert times[1] - times[0] >= 30.0
+        assert caplog.records == []  # a short wait is not worth a warning
+
+    def test_quota_reset_wait_is_warned_about(self, caplog):
+        """A wait of up to an hour for the quota reset is never silent."""
+        clock = FakeClock(start=100.0)
+        answers = [
+            FakeResponse(
+                status_code=403,
+                json_body={"message": "rate limit exceeded"},
+                headers={"X-RateLimit-Remaining": "0", "X-RateLimit-Reset": "3100"},
+            ),
+            FakeResponse(json_body=repo_body("a/b", stars=1)),
+        ]
+        client, session, clock = make_client(lambda url, params: answers.pop(0), clock=clock)
+        with caplog.at_level(logging.WARNING, logger="repoharvest"):
+            _, metrics = client.fetch_repo(make_ref("a", "b"))
+        assert metrics.stars == 1
+        assert clock.sleeps == [3000.0]
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [(
+            logging.WARNING,
+            f"rate_limited: HTTP 403 for {BASE}/repos/a/b; waiting 3000 s before retrying",
+        )]
 
     def test_rate_limit_reset_header_used_as_hint(self):
         clock = FakeClock(start=100.0)
@@ -340,36 +365,11 @@ class TestCountContributors:
         first_params = session.calls[0][2]
         assert first_params == {"per_page": 1}
 
-    def test_three_pages_sum(self):
-        handler = PagedHandler("a/b", [100, 100, 4])
-        client, session, _ = make_client(handler)
-        assert client.count_contributors(make_ref("a", "b")) == 204
-        assert len(session.calls) == 3
-        # follow-up requests reuse the Link URL verbatim, no duplicate params
-        assert session.calls[1][2] is None
-
     def test_full_final_page_requires_no_next_link(self):
         handler = PagedHandler("a/b", [100])
         client, session, _ = make_client(handler)
         assert client.count_contributors(make_ref("a", "b")) == 100
         assert len(session.calls) == 1
-
-    def test_a_next_link_that_repeats_a_page_is_malformed(self):
-        first = f"{BASE}/repos/a/b/contributors"
-        second = f"{first}?page=2"
-
-        def handler(url, params):
-            assert len(session.calls) <= 5, "paging forever"
-            assert url in (first, second), f"unexpected URL {url}"
-            return FakeResponse(json_body=[{"login": "u0"}, {"login": "u1"}],
-                                headers={"Link": f'<{second}>; rel="next"'})
-
-        client, session, _ = make_client(handler)
-        with pytest.raises(GitHubFetchError) as excinfo:
-            client.count_contributors(make_ref("a", "b"))
-        assert excinfo.value.kind is FailureKind.MALFORMED_RESPONSE
-        assert excinfo.value.detail == f"next link repeats {second}"
-        assert [url for _, url, _ in session.calls] == [first, second]
 
     def test_empty_repository_is_zero(self):
         def handler(url, params):
@@ -421,37 +421,51 @@ class TestCountContributors:
         assert client.count_contributors(make_ref("a", "b")) == 7
         assert len(session.calls) == 1
 
-    def test_last_link_untrusted_unless_first_page_holds_one_entry(self):
-        # a server that ignores per_page: the last page number is not a count
-        link = (f'<{BASE}/repos/a/b/contributors?page=2>; rel="next", '
-                f'<{BASE}/repos/a/b/contributors?page=2>; rel="last"')
-        first = [{"login": f"u{i}"} for i in range(30)]
-        client, session, _ = make_client(self._last_link_handler(first, link))
-        assert client.count_contributors(make_ref("a", "b")) == 31
-        assert len(session.calls) == 2
-
-    def test_last_link_trusted_on_the_first_page_only(self):
-        sizes = [2, 1, 1]
-        pages = contributors_pages("a/b", sizes)
-        last = f"{BASE}/repos/a/b/contributors?page={len(sizes)}"
-        for url, (body, link) in pages.items():
-            if link:
-                pages[url] = (body, f'{link}, <{last}>; rel="last"')
-
+    @staticmethod
+    def _assert_malformed_after_one_request(pages):
+        """A server that ignores per_page and pages onward: the count is
+        refused after the first answer, whatever the later pages hold."""
         def handler(url, params):
             body, link = pages[url]
             return FakeResponse(json_body=body, headers={"Link": link} if link else {})
 
         client, session, _ = make_client(handler)
-        assert client.count_contributors(make_ref("a", "b")) == 4
-        assert len(session.calls) == 3
+        with pytest.raises(GitHubFetchError) as excinfo:
+            client.count_contributors(make_ref("a", "b"))
+        assert excinfo.value.kind is FailureKind.MALFORMED_RESPONSE
+        assert [(url, params) for _, url, params in session.calls] == [
+            (CONTRIBUTORS, {"per_page": 1})]
+
+    def test_three_pages_sum(self):
+        # pages are never summed: a full first page with a next link is refused
+        self._assert_malformed_after_one_request(contributors_pages("a/b", [100, 100, 4]))
+
+    def test_a_next_link_that_repeats_a_page_is_malformed(self):
+        page = ([{"login": "u0"}, {"login": "u1"}], f'<{CONTRIBUTORS}?page=2>; rel="next"')
+        self._assert_malformed_after_one_request(
+            {CONTRIBUTORS: page, f"{CONTRIBUTORS}?page=2": page})
+
+    def test_last_link_untrusted_unless_first_page_holds_one_entry(self):
+        # 30 entries: the last page number is not a count
+        self._assert_malformed_after_one_request({
+            CONTRIBUTORS: ([{"login": f"u{i}"} for i in range(30)],
+                           f'<{CONTRIBUTORS}?page=2>; rel="next", '
+                           f'<{CONTRIBUTORS}?page=2>; rel="last"'),
+            f"{CONTRIBUTORS}?page=2": ([{"login": "tail"}], None)})
+
+    def test_last_link_trusted_on_the_first_page_only(self):
+        # a first page of two entries: its last link is no count either
+        self._assert_malformed_after_one_request(
+            {url: (body, link and f'{link}, <{CONTRIBUTORS}?page=3>; rel="last"')
+             for url, (body, link) in contributors_pages("a/b", [2, 1, 1]).items()})
 
     def test_last_link_without_page_number_falls_back_to_next(self):
-        link = (f'<{BASE}/repos/a/b/contributors?page=2>; rel="next", '
-                f'<{BASE}/repos/a/b/contributors?cursor=end>; rel="last"')
-        client, session, _ = make_client(self._last_link_handler([{"login": "u0"}], link))
-        assert client.count_contributors(make_ref("a", "b")) == 2
-        assert len(session.calls) == 2
+        # nothing falls back to the next link: a last link without a page is refused
+        self._assert_malformed_after_one_request({
+            CONTRIBUTORS: ([{"login": "u0"}],
+                           f'<{CONTRIBUTORS}?page=2>; rel="next", '
+                           f'<{CONTRIBUTORS}?cursor=end>; rel="last"'),
+            f"{CONTRIBUTORS}?page=2": ([{"login": "tail"}], None)})
 
     def test_mock_server_repository_of_250_costs_two_requests(self):
         app = MockGitHubApp({"demo/big": {"stars": 3, "forks": 0, "open_issues": 0,
@@ -700,13 +714,20 @@ class TestPolicyDefaults:
         assert captured["Accept"] == "application/vnd.github+json"
 
     def test_min_interval_spacing_across_mixed_requests(self):
-        handler = PagedHandler("a/b", [100, 3])
+        def handler(url, params):
+            if url == CONTRIBUTORS:
+                return FakeResponse(json_body=[{"login": "u0"}], headers={"Link": (
+                    f'<{CONTRIBUTORS}?per_page=1&page=2>; rel="next", '
+                    f'<{CONTRIBUTORS}?per_page=1&page=3>; rel="last"')})
+            return FakeResponse(json_body=repo_body("a/b"))
+
         clock = FakeClock()
         client, session, clock = make_client(
             handler, clock=clock, policy=ThrottlePolicy(min_interval=0.5)
         )
         client.fetch_repo(make_ref("a", "b"))
-        client.count_contributors(make_ref("a", "b"))
+        assert client.count_contributors(make_ref("a", "b")) == 3
+        client.fetch_repo(make_ref("a", "b"))
         times = session.times
         assert len(times) == 3
         for earlier, later in zip(times, times[1:]):
