@@ -97,19 +97,20 @@ def build_query(spec: SearchSpec) -> str:
     return f"{clauses} AND submittedDate:[{spec.date_from}01010000 TO {spec.date_to}12312359]"
 
 
-def _classify(outcome):
-    """None for a 200, else (error, retryable, Retry-After hint).
+def _classify(outcome, start: int):
+    """None for a 200, else (error, retryable, Retry-After hint); the error
+    names the page's ``start`` offset.
 
     Transport failures and 5xx answers are retryable; other statuses are
     not.
     """
     if isinstance(outcome, requests.RequestException):
-        return ArxivRequestError(f"transport failure: {outcome}"), True, None
+        return ArxivRequestError(f"transport failure at start={start}: {outcome}"), True, None
     status = outcome.status_code
     if status == 200:
         return None
     return (
-        ArxivRequestError(f"HTTP {status} from feed endpoint"),
+        ArxivRequestError(f"HTTP {status} from feed endpoint at start={start}"),
         status >= 500,
         seconds_header(outcome.headers.get("Retry-After")),
     )
@@ -149,7 +150,7 @@ class ArxivClient:
         response = retrying_get(
             self._gate,
             lambda: self._session.get(self.base_url, params=params, timeout=REQUEST_TIMEOUT),
-            _classify,
+            lambda outcome: _classify(outcome, start),
             self._backoff_base,
         )
         return self._parse_feed(response.text)

@@ -7,14 +7,12 @@ Subcommands:
   selfcheck  replay the bundled calibration table through the classifier
              and the report template
 
-Each option is one RunConfig field, which names its flag and config-file
-key. Explicit flags win over the JSON config file (--config), the file
-wins over defaults, and each file value must have its flag's JSON type.
+Each option is one RunConfig field, which names its flag; a flag that is
+not given keeps the field's default.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -50,7 +48,7 @@ Outcome = tuple[RepoRef, RepoMetrics] | FetchFailure  # one name's enrichment
 
 
 class UsageError(Exception):
-    """Invalid flag/config combination; maps to exit status 2."""
+    """Invalid flag combination; maps to exit status 2."""
 
 
 def _option(default, **argparse_kwargs) -> Field:
@@ -103,24 +101,17 @@ class RunConfig:
 
 
 _OPTIONS = {option.name: option for option in fields(RunConfig) if option.init}
-_JSON_TYPES = {int: "an integer", str: "a string", list: "a list of strings"}
-
-
-def _json_type(option: Field) -> type:
-    """The type a config value must have: the one the option's flag parses to."""
-    actions = {"append": list, "count": int}
-    return actions.get(option.metadata.get("action"), option.metadata.get("type", str))
 
 
 def _option_parser(*names: str) -> argparse.ArgumentParser:
-    """--config and the flags of the named options (all when none is named)."""
+    """The flags of the named options (all when none is named)."""
     parser = argparse.ArgumentParser(add_help=False)
-    parser.add_argument("--config", metavar="PATH",
-                        help="JSON file mirroring the flags; flags win")
     for name, option in _OPTIONS.items():
         if name in names or not names:
             kwargs = dict(option.metadata)
             flags = kwargs.pop("flags", ("--" + name.replace("_", "-"),))
+            # None marks a flag not given; it also keeps --terms from
+            # appending to the default phrases instead of replacing them
             parser.add_argument(*flags, default=None, **kwargs)
     return parser
 
@@ -147,30 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    values = {}
-    if args.config:
-        try:
-            values = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(values, dict):
-            raise UsageError("config file must hold a JSON object")
-        unknown = sorted(set(values) - set(_OPTIONS))
-        if unknown:
-            raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-        for key, value in values.items():
-            if value is None and _OPTIONS[key].default is None:
-                continue
-            kind = _json_type(_OPTIONS[key])
-            if (isinstance(value, bool) or not isinstance(value, kind)
-                    or kind is list and not all(isinstance(item, str) for item in value)):
-                raise UsageError(f"config key {key} must be {_JSON_TYPES[kind]}, "
-                                 f"not {json.dumps(value)}")
-    for name in _OPTIONS:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            values[name] = flag
-    return RunConfig(**values)
+    """Every flag given, over RunConfig's defaults."""
+    return RunConfig(**{name: value for name, value in vars(args).items()
+                        if name in _OPTIONS and value is not None})
 
 
 def _make_arxiv_client(cfg: RunConfig) -> ArxivClient:

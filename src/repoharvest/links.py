@@ -12,11 +12,12 @@ from typing import Iterable
 from urllib.parse import urlsplit
 
 # A GitHub URL in running text: scheme, optional www, then a non-empty run
-# of path characters. The run ends at whitespace or at a character RFC 3986
-# never allows unencoded (< > " { } | \ ^ `), so markup around a URL stays
-# out of it. Trailing sentence punctuation is part of the match and removed
-# by clean_url.
-_URL_PATTERN = re.compile(r"https?://(?:www\.)?github\.com/[^\s<>\"{}|\\^`]+")
+# of path characters. Scheme and host match in any case (RFC 3986 §3.1,
+# §3.2.2); the path keeps the case the text gives it. The run ends at
+# whitespace or at a character RFC 3986 never allows unencoded
+# (< > " { } | \ ^ `), so markup around a URL stays out of it. Trailing
+# sentence punctuation is part of the match and removed by clean_url.
+_URL_PATTERN = re.compile(r"(?i:https?://(?:www\.)?github\.com)/[^\s<>\"{}|\\^`]+")
 
 # Characters prose glues onto a URL; stripped repeatedly from the right.
 _TRAILING_JUNK = ".,;:!?)]}'\""
@@ -25,7 +26,7 @@ _TRAILING_JUNK = ".,;:!?)]}'\""
 # path segments away, and the request would go to another API path. Used
 # with fullmatch: "$" would also match before a trailing newline.
 _SLUG_PATTERN = re.compile(r"(?!\.\.?$)[A-Za-z0-9._-]+")
-_HOST_PATTERN = re.compile(r"^https?://(?:www\.)?github\.com(?=/|$)")
+_HOST_PATTERN = re.compile(r"^(?i:https?://(?:www\.)?github\.com)(?=/|$)")
 
 
 class LinkError(ValueError):

@@ -1,6 +1,8 @@
 """Feed client: query construction, parsing, paging, retries, politeness."""
 from __future__ import annotations
 
+import logging
+
 import pytest
 import requests
 from hypothesis import given, strategies as st
@@ -170,7 +172,7 @@ class TestFetchPage:
 
     def test_http_error_carries_status(self):
         client, session, _ = _client(lambda url, params: FakeResponse(status_code=500, text="x"))
-        with pytest.raises(ArxivRequestError, match="^HTTP 500 from feed endpoint$"):
+        with pytest.raises(ArxivRequestError, match="^HTTP 500 from feed endpoint at start=0$"):
             client.fetch_page("q", 0, 10)
         assert len(session.calls) == 3  # a 5xx is retried within the budget
 
@@ -179,7 +181,8 @@ class TestFetchPage:
             raise requests.ConnectionError("connection refused")
 
         client, session, _ = _client(handler)
-        with pytest.raises(ArxivRequestError, match="^transport failure: connection refused$"):
+        with pytest.raises(ArxivRequestError,
+                           match="^transport failure at start=0: connection refused$"):
             client.fetch_page("q", 0, 10)
         assert len(session.calls) == 3
 
@@ -320,6 +323,20 @@ class TestIteratePapers:
         list(client.iterate_papers(SearchSpec(terms=("x",), max_results=5, page_size=5)))
         times = session.times
         assert times[1] - times[0] >= 25.0
+
+    def test_long_retry_after_warning_names_the_page(self, caplog):
+        answers = [
+            FakeResponse(status_code=503, text="busy", headers={"Retry-After": "120"}),
+            FakeResponse(text=atom_feed([atom_entry("a", "t", "b")], total=201)),
+        ]
+        client, _, clock = _client(lambda url, params: answers.pop(0))
+        with caplog.at_level(logging.WARNING, logger="repoharvest"):
+            assert len(client.fetch_page("q", 200, 100)) == 1
+        assert clock.sleeps == [120.0]
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [(
+            logging.WARNING,
+            "HTTP 503 from feed endpoint at start=200; waiting 120 s before retrying",
+        )]
 
     def test_infinite_retry_after_falls_back_to_backoff(self):
         def handler(url, params):

@@ -1,8 +1,9 @@
-"""CLI behavior: flag/config resolution, pipeline runs against scripted
+"""CLI behavior: flag resolution, pipeline runs against scripted
 clients, monitor diffs, selfcheck, and a subprocess run over local mock
 servers."""
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import io
@@ -1027,15 +1028,10 @@ class TestSelfcheck:
                      "--high-stars", "2000"]) == 1
         capsys.readouterr()
 
-    def test_takes_only_the_flags_it_reads(self, capsys, tmp_path):
+    def test_takes_only_the_flags_it_reads(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["selfcheck", "--out-dir", "x"])
         assert excinfo.value.code == 2
-        # one config file serves every command
-        config = tmp_path / "settings.json"
-        config.write_text(json.dumps({"out_dir": "x", "max_results": 5, "high_stars": 2000}))
-        assert main(["selfcheck", "--config", str(config)]) == 1
-        assert main(["selfcheck", "--config", str(config), "--high-stars", "100"]) == 0
         capsys.readouterr()
 
 
@@ -1066,30 +1062,6 @@ class TestArgumentResolution:
         assert cfg.min_interval_ms == 250
         assert cfg.token_env == "MY_TOKEN"
 
-    def test_config_file_layering(self, tmp_path):
-        config = tmp_path / "settings.json"
-        config.write_text(json.dumps({
-            "terms": ["icu mortality"],
-            "medium_stars": 50,
-            "out_dir": str(tmp_path / "results"),
-        }))
-        cfg = resolve_config(parse_args([
-            "run", "--config", str(config), "--medium-stars", "60",
-        ]))
-        assert cfg.search.terms == ("icu mortality",)
-        assert cfg.rule.medium_min_stars == 60  # flag beats file
-        assert cfg.out_dir == tmp_path / "results"
-
-    def test_unknown_config_key_rejected(self, tmp_path):
-        config = tmp_path / "settings.json"
-        config.write_text(json.dumps({"stars_minimum": 1}))
-        with pytest.raises(UsageError, match="stars_minimum"):
-            resolve_config(parse_args(["run", "--config", str(config)]))
-        # a removed option is unknown too
-        config.write_text(json.dumps({"normalize_dates": "false"}))
-        with pytest.raises(UsageError, match="unknown config keys: normalize_dates"):
-            resolve_config(parse_args(["run", "--config", str(config)]))
-
     def test_removed_normalize_dates_flag_exits_2(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "--normalize-dates", "--out-dir", str(tmp_path),
@@ -1104,19 +1076,26 @@ class TestArgumentResolution:
             main(["run", "--include-anonymous", "--out-dir", str(tmp_path), *urls])
         assert excinfo.value.code == 2
         assert "--include-anonymous" in capsys.readouterr().err
-        config = tmp_path / "settings.json"
-        config.write_text(json.dumps({"include_anonymous": True}))
-        assert main(["run", "--config", str(config), "--out-dir", str(tmp_path), *urls]) == 2
-        assert "unknown config keys: include_anonymous" in capsys.readouterr().err
 
-    def test_missing_config_file_rejected(self, tmp_path):
-        with pytest.raises(UsageError):
-            resolve_config(parse_args(["run", "--config",
-                                       str(tmp_path / "absent.json")]))
-        not_utf8 = tmp_path / "utf16.json"
-        not_utf8.write_bytes(b"\xff\xfe{\x00}\x00")
-        with pytest.raises(UsageError, match="cannot read config"):
-            resolve_config(parse_args(["run", "--config", str(not_utf8)]))
+    def test_readme_flags_table_lists_every_run_flag(self):
+        """README's Flags table names exactly the flags `run` takes."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("### Flags", 1)[1].split("\n\n", 2)[1]
+        rows = [line.split("|")[1] for line in table.splitlines()[2:]]
+        documented = {flag for cell in rows for flag in re.findall(r"`(-[-\w]+)", cell)}
+        subcommands = next(action for action in build_parser()._actions
+                           if isinstance(action, argparse._SubParsersAction))
+        run = subcommands.choices["run"]
+        flags = {flag for action in run._actions for flag in action.option_strings}
+        assert documented == flags - {"-h", "--help"}
+
+    def test_removed_config_flag_exits_2(self, capsys):
+        """Every setting is a flag; there is no config file to read."""
+        for command in ("run", "selfcheck"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, "--config", "x.json"])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments: --config x.json" in capsys.readouterr().err
 
     def test_default_page_size_shrinks_to_small_max_results(self):
         cfg = resolve_config(parse_args(["run", "--max-results", "50"]))
@@ -1132,8 +1111,8 @@ class TestArgumentResolution:
             resolve_config(parse_args(["run", "--medium-stars", "200",
                                        "--high-stars", "100"]))
 
-    def test_main_maps_usage_error_to_exit_2(self, capsys, tmp_path):
-        status = main(["run", "--config", str(tmp_path / "none.json")])
+    def test_main_maps_usage_error_to_exit_2(self, capsys):
+        status = main(["run", "--medium-stars", "200", "--high-stars", "100"])
         assert status == 2
         assert "error:" in capsys.readouterr().err
 
@@ -1142,16 +1121,11 @@ class TestArgumentResolution:
             main(["run", "--bogus"])
         assert excinfo.value.code == 2
 
-    @pytest.mark.parametrize("flags,config", [
-        (["--min-interval-ms", "-1"], None),
-        (["--arxiv-delay-ms", "-5"], None),
-        ([], {"min_interval_ms": -1}),
+    @pytest.mark.parametrize("flags", [
+        ["--min-interval-ms", "-1"],
+        ["--arxiv-delay-ms", "-5"],
     ])
-    def test_negative_interval_exits_2(self, capsys, tmp_path, flags, config):
-        if config is not None:
-            path = tmp_path / "settings.json"
-            path.write_text(json.dumps(config))
-            flags = ["--config", str(path)]
+    def test_negative_interval_exits_2(self, capsys, tmp_path, flags):
         status = main([
             "run", "--out-dir", str(tmp_path),
             "--arxiv-base-url", "http://127.0.0.1:9/q",
@@ -1182,33 +1156,6 @@ class TestArgumentResolution:
         assert status == 2
         assert "error: page_size must be at most 2000" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("config", [
-        {"arxiv_delay_ms": 2.9},
-        {"terms": "icu"},
-        {"max_results": True},
-        {"out_dir": 5},
-        {"page_size": "10"},
-        {"verbose": "2"},
-    ])
-    def test_mistyped_config_value_exits_2(self, capsys, tmp_path, config):
-        path = tmp_path / "settings.json"
-        path.write_text(json.dumps(config))
-        status = main([
-            "run", "--config", str(path), "--out-dir", str(tmp_path),
-            "--arxiv-base-url", "http://127.0.0.1:9/q",
-            "--github-base-url", "http://127.0.0.1:9",
-        ])
-        assert status == 2
-        err = capsys.readouterr().err
-        assert "error:" in err
-        assert next(iter(config)) in err
-
-    def test_null_config_value_where_the_default_is_none(self, tmp_path):
-        path = tmp_path / "settings.json"
-        path.write_text(json.dumps({"min_interval_ms": None}))
-        cfg = resolve_config(parse_args(["run", "--config", str(path)]))
-        assert cfg.min_interval_ms is None
 
 
 class TestClientWiring:

@@ -41,6 +41,7 @@ class TestExtractUrls:
         "https://gitlab.com/other/forge",
         "https://example.com/github.com/trap",
         "see github for details",
+        "https://GitHub.community/x/y",
     ])
     def test_non_matches(self, decoy):
         assert extract_urls(f"prefix {decoy} suffix") == []
@@ -57,6 +58,18 @@ class TestExtractUrls:
 
     def test_www_and_http_variants_match(self):
         assert extract_urls("at http://www.github.com/a/b now") == ["http://www.github.com/a/b"]
+
+    @pytest.mark.parametrize("url,slug", [
+        ("https://GitHub.com/foo/bar", "foo/bar"),
+        ("HTTPS://github.com/a/b", "a/b"),
+        ("http://WWW.GitHub.com/c/d", "c/d"),
+    ])
+    def test_scheme_and_host_match_in_any_case(self, url, slug):
+        """RFC 3986 makes scheme and host case-insensitive; owner and name
+        keep the casing the text gives them."""
+        assert extract_urls(f"Code: {url}.") == [f"{url}."]
+        ref = canonicalize(clean_url(url), "p")
+        assert f"{ref.owner}/{ref.name}" == slug
 
 
 class TestCleanUrl:
@@ -114,6 +127,7 @@ class TestCanonicalize:
     @pytest.mark.parametrize("url", [
         "https://gitlab.com/a/b",
         "https://example.com/github.com/a/b",
+        "https://GitHub.community/x/y",
         "ftp://github.com/a/b",
         "https://github.com/bad owner/name",
         "https://github.com/a%32c/b",
