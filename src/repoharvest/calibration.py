@@ -5,8 +5,8 @@ The structured rows are parsed out of the sentences at import time, so the
 sentences are the single source of truth; the test suite and the
 `selfcheck` subcommand replay them through classify() and
 render_report_line() to guard the default thresholds and the report
-template. Changing the default TierRule without re-establishing full
-agreement here is an error.
+template. Changing the thresholds in maturity.py without re-establishing
+full agreement here is an error.
 """
 from __future__ import annotations
 

@@ -40,7 +40,7 @@ from .kb import (
     save_records,
 )
 from .links import LinkError, RepoRef, canonicalize, clean_url, dedupe, extract_urls
-from .maturity import DEFAULT_RULE, TierRule, classify
+from .maturity import classify
 
 log = logging.getLogger("repoharvest")
 
@@ -58,31 +58,41 @@ def _option(default, **argparse_kwargs) -> Field:
 
 @dataclass
 class RunConfig:
-    """Everything one pipeline run needs. Each init field is an option; the
-    search spec and tier rule are built and checked from them."""
+    """Everything one pipeline run needs. Each init field is an option, and
+    its ``help`` states its default and bound; the search spec is built and
+    checked from them."""
 
     terms: Sequence[str] = _option(arxiv_mod.DEFAULT_TERMS, action="append", metavar="PHRASE",
-                                   help="search phrase; repeat the flag for several")
-    from_year: int = _option(arxiv_mod.DEFAULT_DATE_FROM, type=int)
-    to_year: int = _option(arxiv_mod.DEFAULT_DATE_TO, type=int)
+                                   help="search phrase; repeat the flag for several (default "
+                                        f"{len(arxiv_mod.DEFAULT_TERMS)} built-in phrases)")
+    from_year: int = _option(arxiv_mod.DEFAULT_DATE_FROM, type=int, help="first submission "
+                             f"year, four digits (default {arxiv_mod.DEFAULT_DATE_FROM})")
+    to_year: int = _option(arxiv_mod.DEFAULT_DATE_TO, type=int, help="last submission "
+                           f"year, four digits (default {arxiv_mod.DEFAULT_DATE_TO})")
     max_results: int = _option(arxiv_mod.DEFAULT_MAX_RESULTS, type=int, help="cap on papers "
                                f"processed (default {arxiv_mod.DEFAULT_MAX_RESULTS})")
-    page_size: Optional[int] = _option(None, type=int)  # None: default, shrunk to max_results
-    arxiv_base_url: str = arxiv_mod.DEFAULT_BASE_URL
-    github_base_url: str = github_mod.DEFAULT_BASE_URL
+    page_size: Optional[int] = _option(  # None: default, shrunk to max_results
+        None, type=int, help=f"feed page size, at most {arxiv_mod.MAX_PAGE_SIZE} (default "
+                             f"{arxiv_mod.DEFAULT_PAGE_SIZE}, or --max-results if smaller)")
+    arxiv_base_url: str = _option(arxiv_mod.DEFAULT_BASE_URL, help="feed endpoint "
+                                  f"(default {arxiv_mod.DEFAULT_BASE_URL})")
+    github_base_url: str = _option(github_mod.DEFAULT_BASE_URL, help="REST endpoint "
+                                   f"(default {github_mod.DEFAULT_BASE_URL})")
     arxiv_delay_ms: int = _option(int(arxiv_mod.DEFAULT_DELAY * 1000), type=int,
-                                  help="politeness delay between feed requests")
-    min_interval_ms: Optional[int] = _option(None, type=int,  # None: the client's default
-                                             help="minimum gap between GitHub requests")
-    medium_stars: int = _option(DEFAULT_RULE.medium_min_stars, type=int)
-    high_stars: int = _option(DEFAULT_RULE.high_min_stars, type=int)
-    out_dir: Path = Path(".")
+                                  help="politeness delay between feed requests, at least 0 "
+                                       f"(default {int(arxiv_mod.DEFAULT_DELAY * 1000)})")
+    min_interval_ms: Optional[int] = _option(  # None: the client's default
+        None, type=int, help="minimum gap between GitHub requests, at least 0 (default "
+                             f"{int(github_mod.ANONYMOUS_MIN_INTERVAL * 1000)} anonymous, "
+                             f"{int(github_mod.AUTHENTICATED_MIN_INTERVAL * 1000)} with a token)")
+    out_dir: Path = _option(Path("."), help="where kb.jsonl, kb.csv and report.txt are "
+                                            "written (default .)")
     token_env: str = _option("GITHUB_TOKEN", help="environment variable holding the GitHub "
                                                   "token (default GITHUB_TOKEN)")
-    verbose: int = _option(0, flags=("-v", "--verbose"), action="count")
+    verbose: int = _option(0, flags=("-v", "--verbose"), action="count", help="-v lists "
+                           "skipped links, -vv adds the HTTP log (default warnings only)")
 
     search: SearchSpec = field(init=False)
-    rule: TierRule = field(init=False)
 
     def __post_init__(self) -> None:
         self.out_dir = Path(self.out_dir)
@@ -92,7 +102,6 @@ class RunConfig:
         try:
             self.search = SearchSpec(tuple(self.terms), self.from_year, self.to_year,
                                      self.max_results, page_size)
-            self.rule = TierRule(self.medium_stars, self.high_stars)
             for name in ("arxiv_delay_ms", "min_interval_ms"):
                 if (getattr(self, name) or 0) < 0:
                     raise ValueError(f"{name} must be >= 0")
@@ -103,16 +112,15 @@ class RunConfig:
 _OPTIONS = {option.name: option for option in fields(RunConfig) if option.init}
 
 
-def _option_parser(*names: str) -> argparse.ArgumentParser:
-    """The flags of the named options (all when none is named)."""
+def _option_parser() -> argparse.ArgumentParser:
+    """The flags of every option."""
     parser = argparse.ArgumentParser(add_help=False)
     for name, option in _OPTIONS.items():
-        if name in names or not names:
-            kwargs = dict(option.metadata)
-            flags = kwargs.pop("flags", ("--" + name.replace("_", "-"),))
-            # None marks a flag not given; it also keeps --terms from
-            # appending to the default phrases instead of replacing them
-            parser.add_argument(*flags, default=None, **kwargs)
+        kwargs = dict(option.metadata)
+        flags = kwargs.pop("flags", ("--" + name.replace("_", "-"),))
+        # None marks a flag not given; it also keeps --terms from
+        # appending to the default phrases instead of replacing them
+        parser.add_argument(*flags, default=None, **kwargs)
     return parser
 
 
@@ -131,9 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
                                   "repositories against a previous store")
     monitor.add_argument("--previous", metavar="PATH",
                          help=f"previous store (default <out-dir>/{RECORDS_FILENAME})")
-    sub.add_parser("selfcheck", parents=[_option_parser("medium_stars", "high_stars")],
-                   help="verify the tier rule and report template against "
-                        "the bundled calibration table")
+    sub.add_parser("selfcheck", help="verify the tier rule and report template against "
+                                     "the bundled calibration table")
     return parser
 
 
@@ -255,7 +262,7 @@ def execute_pipeline(
                                 outcome.kind.value, outcome.detail)
                     continue
                 resolved, metrics = outcome
-                entry = kb.record(ref, resolved, metrics, classify(metrics, cfg.rule))
+                entry = kb.record(ref, resolved, metrics, classify(metrics))
                 if resolved.identity() not in reported:
                     reported.add(resolved.identity())
                     out.write(render_report_line(entry.latest, entry.tier) + "\n")
@@ -361,10 +368,10 @@ def cmd_monitor(
     return _write_outputs(cfg, kb)
 
 
-def cmd_selfcheck(rule: TierRule, out: Optional[TextIO] = None) -> int:
+def cmd_selfcheck(out: Optional[TextIO] = None) -> int:
     """Replay the calibration table; nonzero exit when any row disagrees."""
     out = out if out is not None else sys.stdout
-    tiers = [classify(row.metrics, rule) for row in REFERENCE_ROWS]
+    tiers = [classify(row.metrics) for row in REFERENCE_ROWS]
     failing: set[str] = set()
     for row, tier in zip(REFERENCE_ROWS, tiers):
         if tier != row.expected_tier:
@@ -409,5 +416,5 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command == "monitor":
         return cmd_monitor(cfg, args.previous)
     if args.command == "selfcheck":
-        return cmd_selfcheck(cfg.rule)
+        return cmd_selfcheck()
     raise AssertionError(f"unhandled command {args.command!r}")

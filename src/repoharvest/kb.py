@@ -392,9 +392,5 @@ def export_table(kb: KnowledgeBase, path: Path | str) -> None:
 
 def export_report(kb: KnowledgeBase, path: Path | str) -> None:
     """Write the human-readable report, one sentence per entry."""
-    Path(path).write_text(render_report(kb), encoding="utf-8")
-
-
-def render_report(kb: KnowledgeBase) -> str:
     lines = [render_report_line(entry.latest, entry.tier) for entry in kb.sorted_entries()]
-    return "".join(line + "\n" for line in lines)
+    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")

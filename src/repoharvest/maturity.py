@@ -1,16 +1,14 @@
 """Repository maturity grading.
 
-Maps an engagement snapshot onto an ordered Low/Medium/High tier. The
-default star thresholds are calibrated so the rule agrees with every row of
-the reference table in calibration.py; the `selfcheck` CLI subcommand
-verifies that agreement. Forks, issues, and
-contributor counts ride along in the report but do not move the tier;
-TierRule is just the two star thresholds.
+Maps an engagement snapshot onto an ordered Low/Medium/High tier by one
+fixed rule: two star thresholds, calibrated so the rule agrees with every
+row of the reference table in calibration.py; the `selfcheck` CLI
+subcommand verifies that agreement. Forks, issues, and contributor counts
+ride along in the report but do not move the tier.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -35,30 +33,17 @@ class MaturityTier(enum.IntEnum):
             raise ValueError(f"unknown maturity tier {label!r}") from None
 
 
-@dataclass(frozen=True)
-class TierRule:
-    """Star thresholds separating the Medium and High tiers."""
-
-    medium_min_stars: int = 30
-    high_min_stars: int = 100
-
-    def __post_init__(self) -> None:
-        if self.medium_min_stars <= 0:
-            raise ValueError("medium_min_stars must be positive")
-        if self.medium_min_stars >= self.high_min_stars:
-            raise ValueError("medium_min_stars must be below high_min_stars")
+#: Star thresholds of the Medium and High tiers. The reference table in
+#: calibration.py holds only for a Medium threshold of 27-48 and a High one
+#: of 63-116; the test suite and `selfcheck` check these against it.
+MEDIUM_MIN_STARS = 30
+HIGH_MIN_STARS = 100
 
 
-#: Thresholds used when no rule is supplied; validated against the
-#: calibration table by the test suite and `selfcheck`.
-DEFAULT_RULE = TierRule()
-
-
-def classify(metrics: "RepoMetrics", rule: TierRule = DEFAULT_RULE) -> MaturityTier:
+def classify(metrics: "RepoMetrics") -> MaturityTier:
     """Grade one snapshot. Deterministic and monotone in stars."""
-    if metrics.stars >= rule.high_min_stars:
+    if metrics.stars >= HIGH_MIN_STARS:
         return MaturityTier.HIGH
-    if metrics.stars >= rule.medium_min_stars:
+    if metrics.stars >= MEDIUM_MIN_STARS:
         return MaturityTier.MEDIUM
     return MaturityTier.LOW
-

@@ -25,7 +25,7 @@ import pytest
 import requests
 
 import repoharvest
-from repoharvest import cli
+from repoharvest import cli, maturity
 
 from conftest import FakeClock, FakeResponse, FakeSession, atom_entry, atom_feed
 from corpus import REPO_URLS, build_corpus
@@ -46,7 +46,7 @@ from repoharvest.cli import (
 from repoharvest.github import AUTHENTICATED_MIN_INTERVAL, GitHubClient, ThrottlePolicy
 from repoharvest.kb import KnowledgeBase, load_records
 from repoharvest.links import canonicalize
-from repoharvest.maturity import MaturityTier, TierRule
+from repoharvest.maturity import MaturityTier
 
 EXPECTED_LINES = [row.expected_line for row in REFERENCE_ROWS]
 
@@ -966,7 +966,7 @@ class TestMonitorRenamedRepository:
                             "Unchanged (1):\n  https://github.com/demo/newer\n")
 
 
-#: The whole selfcheck output under TierRule(1000, 2000): six tier
+#: The whole selfcheck output at thresholds of 1000/2000 stars: six tier
 #: mismatches, six line-mismatch blocks, and the summary.
 ABSURD_RULE_OUTPUT = """\
 tier mismatch for 'Clinical-Longformer': expected Medium, got Low
@@ -997,15 +997,22 @@ selfcheck: 17/23 reference rows match
 """
 
 
+@pytest.fixture
+def absurd_rule(monkeypatch):
+    """Thresholds no Medium or High reference row reaches."""
+    monkeypatch.setattr(maturity, "MEDIUM_MIN_STARS", 1000)
+    monkeypatch.setattr(maturity, "HIGH_MIN_STARS", 2000)
+
+
 class TestSelfcheck:
     def test_default_rule_passes(self):
         out = io.StringIO()
-        assert cmd_selfcheck(TierRule(30, 100), out=out) == 0
+        assert cmd_selfcheck(out=out) == 0
         assert "selfcheck: 23/23 reference rows match" in out.getvalue()
 
-    def test_absurd_rule_fails(self):
+    def test_absurd_rule_fails(self, absurd_rule):
         out = io.StringIO()
-        assert cmd_selfcheck(TierRule(1000, 2000), out=out) == 1
+        assert cmd_selfcheck(out=out) == 1
         text = out.getvalue()
         assert "selfcheck: 17/23 reference rows match" in text
         mismatches = re.findall(r"^tier mismatch for '([^']+)': expected \w+, got (\w+)$",
@@ -1017,15 +1024,13 @@ class TestSelfcheck:
         assert len(mismatches) == len(expected)
         assert {got for _, got in mismatches} == {"Low"}
 
-    def test_absurd_rule_output_is_exact(self):
+    def test_absurd_rule_output_is_exact(self, absurd_rule):
         out = io.StringIO()
-        assert cmd_selfcheck(TierRule(1000, 2000), out=out) == 1
+        assert cmd_selfcheck(out=out) == 1
         assert out.getvalue() == ABSURD_RULE_OUTPUT
 
     def test_main_wires_selfcheck_flags(self, capsys):
         assert main(["selfcheck"]) == 0
-        assert main(["selfcheck", "--medium-stars", "1000",
-                     "--high-stars", "2000"]) == 1
         capsys.readouterr()
 
     def test_takes_only_the_flags_it_reads(self, capsys):
@@ -1042,8 +1047,6 @@ class TestArgumentResolution:
         assert cfg.search.page_size == 100
         assert cfg.search.date_from == 2019 and cfg.search.date_to == 2024
         assert len(cfg.search.terms) == 4
-        assert cfg.rule.medium_min_stars == 30
-        assert cfg.rule.high_min_stars == 100
         assert cfg.arxiv_delay_ms == 3000
         assert cfg.min_interval_ms is None
         assert cfg.token_env == "GITHUB_TOKEN"
@@ -1089,6 +1092,25 @@ class TestArgumentResolution:
         flags = {flag for action in run._actions for flag in action.option_strings}
         assert documented == flags - {"-h", "--help"}
 
+    def test_every_option_says_what_it_does(self):
+        subcommands = next(action for action in build_parser()._actions
+                           if isinstance(action, argparse._SubParsersAction))
+        for command in ("run", "monitor"):
+            for action in subcommands.choices[command]._actions:
+                assert action.help, (command, action.option_strings)
+
+    def test_removed_tier_flags_exit_2(self, capsys, tmp_path):
+        """The tier thresholds are fixed; no subcommand takes them."""
+        offline = ["--out-dir", str(tmp_path), "--arxiv-delay-ms", "0",
+                   "--arxiv-base-url", "http://127.0.0.1:9/q",
+                   "--github-base-url", "http://127.0.0.1:9"]
+        for command, rest in (("run", offline), ("monitor", offline), ("selfcheck", [])):
+            for flag in ("--medium-stars", "--high-stars"):
+                with pytest.raises(SystemExit) as excinfo:
+                    main([command, flag, "40", *rest])
+                assert excinfo.value.code == 2
+                assert f"unrecognized arguments: {flag} 40" in capsys.readouterr().err
+
     def test_removed_config_flag_exits_2(self, capsys):
         """Every setting is a flag; there is no config file to read."""
         for command in ("run", "selfcheck"):
@@ -1106,13 +1128,8 @@ class TestArgumentResolution:
             resolve_config(parse_args(["run", "--max-results", "50",
                                        "--page-size", "100"]))
 
-    def test_invalid_rule_via_flags_is_usage_error(self):
-        with pytest.raises(UsageError):
-            resolve_config(parse_args(["run", "--medium-stars", "200",
-                                       "--high-stars", "100"]))
-
     def test_main_maps_usage_error_to_exit_2(self, capsys):
-        status = main(["run", "--medium-stars", "200", "--high-stars", "100"])
+        status = main(["run", "--max-results", "0"])
         assert status == 2
         assert "error:" in capsys.readouterr().err
 
@@ -1216,7 +1233,7 @@ class TestOfflineGuarantee:
         papers, _ = build_corpus(n_papers=200)
         status, _, _ = run_pipeline(tmp_path, papers, reference_fixtures())
         assert status == 0
-        assert cmd_selfcheck(TierRule(30, 100), out=io.StringIO()) == 0
+        assert cmd_selfcheck(out=io.StringIO()) == 0
 
 
 def _child_env() -> dict[str, str]:

@@ -22,7 +22,6 @@ from repoharvest.kb import (
     format_timestamp,
     load_records,
     parse_timestamp,
-    render_report,
     render_report_line,
     save_records,
 )
@@ -244,7 +243,7 @@ class TestRendering:
         metrics = make_metrics(name="x", contributors=None, fetched_at=T0)
         assert render_report_line(metrics, MaturityTier.LOW).endswith("and 0 contributors.")
 
-    def test_report_order_is_first_seen_then_name(self):
+    def test_report_order_is_first_seen_then_name(self, tmp_path):
         kb = KnowledgeBase()
         for minute, (owner, name) in enumerate(
             [("zeta", "last"), ("alpha", "mid"), ("beta", "mid2")]
@@ -254,11 +253,14 @@ class TestRendering:
         # same timestamp sorts by owner/name
         upsert_auto(kb, make_ref("aaa", "tie"),
                     make_metrics(name="tie", fetched_at=at(0)))
-        names = [line.split("'")[1] for line in render_report(kb).splitlines()]
+        export_report(kb, tmp_path / "report.txt")
+        report = (tmp_path / "report.txt").read_text(encoding="utf-8")
+        names = [line.split("'")[1] for line in report.splitlines()]
         assert names == ["tie", "last", "mid", "mid2"]
 
-    def test_empty_store_renders_empty_report(self):
-        assert render_report(KnowledgeBase()) == ""
+    def test_empty_store_renders_empty_report(self, tmp_path):
+        export_report(KnowledgeBase(), tmp_path / "report.txt")
+        assert (tmp_path / "report.txt").read_text(encoding="utf-8") == ""
 
 
 class TestPersistence:

@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 from conftest import make_metrics
 from repoharvest.calibration import REFERENCE_ROWS
 from repoharvest.kb import render_report_line
-from repoharvest.maturity import DEFAULT_RULE, MaturityTier, TierRule, classify
+from repoharvest import maturity
+from repoharvest.maturity import MaturityTier, classify
 
 
 class TestTierBasics:
@@ -56,12 +57,6 @@ class TestClassify:
                              contributors=10_000)
         assert classify(noisy) is MaturityTier.LOW
 
-    def test_custom_rule(self):
-        rule = TierRule(medium_min_stars=5, high_min_stars=10)
-        assert classify(make_metrics(stars=4), rule) is MaturityTier.LOW
-        assert classify(make_metrics(stars=5), rule) is MaturityTier.MEDIUM
-        assert classify(make_metrics(stars=10), rule) is MaturityTier.HIGH
-
     @given(st.integers(min_value=0, max_value=10_000),
            st.integers(min_value=0, max_value=10_000))
     def test_monotone_in_stars(self, a, b):
@@ -70,14 +65,9 @@ class TestClassify:
 
 
 class TestTierRuleValidation:
-    @pytest.mark.parametrize("medium,high", [(0, 10), (-1, 10), (10, 10), (20, 10)])
-    def test_bad_rules_rejected(self, medium, high):
-        with pytest.raises(ValueError):
-            TierRule(medium_min_stars=medium, high_min_stars=high)
-
     def test_defaults(self):
-        assert DEFAULT_RULE.medium_min_stars == 30
-        assert DEFAULT_RULE.high_min_stars == 100
+        assert maturity.MEDIUM_MIN_STARS == 30
+        assert maturity.HIGH_MIN_STARS == 100
 
 
 class TestReferenceTable:
