@@ -2,10 +2,8 @@
 repository maturity, and keep the knowledge base current.
 
 Subcommands:
-  run        full pipeline into a fresh knowledge base
-  monitor    re-run against a previous store and report what changed
-  selfcheck  replay the bundled calibration table through the classifier
-             and the report template
+  run      full pipeline into a fresh knowledge base
+  monitor  re-run against a previous store and report what changed
 
 Each option is one RunConfig field, which names its flag; a flag that is
 not given keeps the field's default.
@@ -24,8 +22,7 @@ from typing import Iterator, Optional, Sequence, TextIO
 from . import arxiv as arxiv_mod
 from . import github as github_mod
 from .arxiv import ArxivClient, ArxivRequestError, FeedParseError, PaperRecord, SearchSpec
-from .calibration import REFERENCE_ROWS
-from .github import FetchFailure, GitHubClient, RepoMetrics, ThrottlePolicy
+from .github import FetchFailure, GitHubClient, RepoMetrics
 from .kb import (
     RECORDS_FILENAME,
     REPORT_FILENAME,
@@ -60,7 +57,8 @@ def _option(default, **argparse_kwargs) -> Field:
 class RunConfig:
     """Everything one pipeline run needs. Each init field is an option, and
     its ``help`` states its default and bound; the search spec is built and
-    checked from them."""
+    checked from them. The pacing of both APIs is fixed, not an option, and
+    the GitHub token is read from ``GITHUB_TOKEN``."""
 
     terms: Sequence[str] = _option(arxiv_mod.DEFAULT_TERMS, action="append", metavar="PHRASE",
                                    help="search phrase; repeat the flag for several (default "
@@ -78,17 +76,8 @@ class RunConfig:
                                   f"(default {arxiv_mod.DEFAULT_BASE_URL})")
     github_base_url: str = _option(github_mod.DEFAULT_BASE_URL, help="REST endpoint "
                                    f"(default {github_mod.DEFAULT_BASE_URL})")
-    arxiv_delay_ms: int = _option(int(arxiv_mod.DEFAULT_DELAY * 1000), type=int,
-                                  help="politeness delay between feed requests, at least 0 "
-                                       f"(default {int(arxiv_mod.DEFAULT_DELAY * 1000)})")
-    min_interval_ms: Optional[int] = _option(  # None: the client's default
-        None, type=int, help="minimum gap between GitHub requests, at least 0 (default "
-                             f"{int(github_mod.ANONYMOUS_MIN_INTERVAL * 1000)} anonymous, "
-                             f"{int(github_mod.AUTHENTICATED_MIN_INTERVAL * 1000)} with a token)")
     out_dir: Path = _option(Path("."), help="where kb.jsonl, kb.csv and report.txt are "
                                             "written (default .)")
-    token_env: str = _option("GITHUB_TOKEN", help="environment variable holding the GitHub "
-                                                  "token (default GITHUB_TOKEN)")
     verbose: int = _option(0, flags=("-v", "--verbose"), action="count", help="-v lists "
                            "skipped links, -vv adds the HTTP log (default warnings only)")
 
@@ -102,9 +91,6 @@ class RunConfig:
         try:
             self.search = SearchSpec(tuple(self.terms), self.from_year, self.to_year,
                                      self.max_results, page_size)
-            for name in ("arxiv_delay_ms", "min_interval_ms"):
-                if (getattr(self, name) or 0) < 0:
-                    raise ValueError(f"{name} must be >= 0")
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
 
@@ -139,8 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "repositories against a previous store")
     monitor.add_argument("--previous", metavar="PATH",
                          help=f"previous store (default <out-dir>/{RECORDS_FILENAME})")
-    sub.add_parser("selfcheck", help="verify the tier rule and report template against "
-                                     "the bundled calibration table")
     return parser
 
 
@@ -148,21 +132,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Every flag given, over RunConfig's defaults."""
     return RunConfig(**{name: value for name, value in vars(args).items()
                         if name in _OPTIONS and value is not None})
-
-
-def _make_arxiv_client(cfg: RunConfig) -> ArxivClient:
-    return ArxivClient(
-        base_url=cfg.arxiv_base_url,
-        delay=cfg.arxiv_delay_ms / 1000.0,
-    )
-
-
-def _make_github_client(cfg: RunConfig) -> GitHubClient:
-    token = os.environ.get(cfg.token_env) or None
-    policy = None
-    if cfg.min_interval_ms is not None:
-        policy = ThrottlePolicy(min_interval=cfg.min_interval_ms / 1000.0)
-    return GitHubClient(base_url=cfg.github_base_url, token=token, policy=policy)
 
 
 def _mine_refs(paper: PaperRecord) -> Iterator[RepoRef]:
@@ -210,11 +179,15 @@ def execute_pipeline(
     first time its repository is reported, and a failure is logged under
     the name, never fatal. A paper retrieval failure after retries is
     fatal (exit status 1): the repository being enriched is finished and
-    no other is started.
+    no other is started. A client not given is built from ``cfg``'s base
+    URL at the API's fixed pacing: 3 s between feed requests, and 720 ms
+    between GitHub requests, or 100 ms with a token in ``GITHUB_TOKEN``.
     """
     out = out if out is not None else sys.stdout
-    client = arxiv_client if arxiv_client is not None else _make_arxiv_client(cfg)
-    gh = github_client if github_client is not None else _make_github_client(cfg)
+    client = arxiv_client if arxiv_client is not None else ArxivClient(
+        base_url=cfg.arxiv_base_url)
+    gh = github_client if github_client is not None else GitHubClient(
+        base_url=cfg.github_base_url, token=os.environ.get("GITHUB_TOKEN") or None)
 
     out.write("Processing arXiv papers:\n")
     refs: list[RepoRef] = []
@@ -368,29 +341,6 @@ def cmd_monitor(
     return _write_outputs(cfg, kb)
 
 
-def cmd_selfcheck(out: Optional[TextIO] = None) -> int:
-    """Replay the calibration table; nonzero exit when any row disagrees."""
-    out = out if out is not None else sys.stdout
-    tiers = [classify(row.metrics) for row in REFERENCE_ROWS]
-    failing: set[str] = set()
-    for row, tier in zip(REFERENCE_ROWS, tiers):
-        if tier != row.expected_tier:
-            failing.add(row.name)
-            out.write(
-                f"tier mismatch for '{row.name}': "
-                f"expected {row.expected_tier}, got {tier}\n"
-            )
-    for row, tier in zip(REFERENCE_ROWS, tiers):
-        line = render_report_line(row.metrics, tier)
-        if line != row.expected_line:
-            failing.add(row.name)
-            out.write(f"line mismatch for '{row.name}':\n  expected: "
-                      f"{row.expected_line}\n  rendered: {line}\n")
-    matched = len(REFERENCE_ROWS) - len(failing)
-    out.write(f"selfcheck: {matched}/{len(REFERENCE_ROWS)} reference rows match\n")
-    return 0 if not failing else 1
-
-
 def _configure_logging(verbose: int) -> None:
     level = logging.WARNING
     if verbose == 1:
@@ -415,6 +365,4 @@ def main(argv: Optional[list[str]] = None) -> int:
         return cmd_run(cfg)
     if args.command == "monitor":
         return cmd_monitor(cfg, args.previous)
-    if args.command == "selfcheck":
-        return cmd_selfcheck()
     raise AssertionError(f"unhandled command {args.command!r}")

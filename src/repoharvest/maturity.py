@@ -2,9 +2,9 @@
 
 Maps an engagement snapshot onto an ordered Low/Medium/High tier by one
 fixed rule: two star thresholds, calibrated so the rule agrees with every
-row of the reference table in calibration.py; the `selfcheck` CLI
-subcommand verifies that agreement. Forks, issues, and contributor counts
-ride along in the report but do not move the tier.
+row of the reference table in tests/calibration.py; the test suite
+verifies that agreement. Forks, issues, and contributor counts ride along
+in the report but do not move the tier.
 """
 from __future__ import annotations
 
@@ -34,8 +34,8 @@ class MaturityTier(enum.IntEnum):
 
 
 #: Star thresholds of the Medium and High tiers. The reference table in
-#: calibration.py holds only for a Medium threshold of 27-48 and a High one
-#: of 63-116; the test suite and `selfcheck` check these against it.
+#: tests/calibration.py holds only for a Medium threshold of 27-48 and a
+#: High one of 63-116; the test suite checks these against it.
 MEDIUM_MIN_STARS = 30
 HIGH_MIN_STARS = 100
 

@@ -2,11 +2,10 @@
 
 Twenty-three repository report sentences with known-good tiers and counts.
 The structured rows are parsed out of the sentences at import time, so the
-sentences are the single source of truth; the test suite and the
-`selfcheck` subcommand replay them through classify() and
-render_report_line() to guard the default thresholds and the report
-template. Changing the thresholds in maturity.py without re-establishing
-full agreement here is an error.
+sentences are the single source of truth; the test suite replays them
+through classify() and render_report_line() to guard the fixed thresholds
+and the report template. Changing the thresholds in maturity.py without
+re-establishing full agreement here is an error.
 """
 from __future__ import annotations
 
@@ -14,8 +13,8 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .github import RepoMetrics
-from .maturity import MaturityTier
+from repoharvest.github import RepoMetrics
+from repoharvest.maturity import MaturityTier
 
 #: fetched_at stamped onto metrics built from this table (arbitrary, fixed).
 CALIBRATION_TIME = datetime(2024, 1, 1, tzinfo=timezone.utc)

@@ -15,9 +15,9 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from conftest import FakeClock, FakeResponse, FakeSession, atom_entry, atom_feed
+from calibration import REFERENCE_ROWS
 from corpus import REPO_URLS, build_corpus
 from repoharvest.arxiv import ArxivClient, SearchSpec, build_query
-from repoharvest.calibration import REFERENCE_ROWS
 from repoharvest.cli import build_parser, resolve_config
 from repoharvest.github import FailureKind, GitHubClient, GitHubFetchError, ThrottlePolicy
 from repoharvest.kb import (

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import make_metrics
-from repoharvest.calibration import REFERENCE_ROWS
+from calibration import REFERENCE_ROWS
 from repoharvest.kb import render_report_line
 from repoharvest import maturity
 from repoharvest.maturity import MaturityTier, classify
