@@ -147,16 +147,19 @@ def renaming_old_to_new(handler, old="demo/old", new="demo/new"):
     return rename
 
 
-def github_client(handler, session=None):
+#: The first wall timestamp of a client github_client builds.
+START = datetime(2024, 1, 1, tzinfo=timezone.utc)
+
+
+def github_client(handler, session=None, start=START):
     """Client over ``handler`` (or ``session``) whose wall timestamps tick
-    one second per observation, keeping first-seen order identical to
-    fetch order."""
+    one second per observation from ``start``, keeping first-seen order
+    identical to fetch order."""
     clock = FakeClock()
     ticks = itertools.count()
 
     def now():
-        return (datetime(2024, 1, 1, tzinfo=timezone.utc)
-                + timedelta(seconds=next(ticks)))
+        return start + timedelta(seconds=next(ticks))
 
     session = session or FakeSession(handler, clock=clock)
     return GitHubClient(base_url="http://gh.test",
@@ -169,11 +172,11 @@ def fixtures_github_client(fixtures):
     return github_client(fixtures_handler(fixtures))
 
 
-def conditional_github_client(fixtures, renamed=()):
+def conditional_github_client(fixtures, renamed=(), start=START):
     """Client over the fixtures whose /repos answers carry an ETag and turn
     into a 304 when the request's If-None-Match matches it; with
     ``renamed``, an (old, new) pair of slugs, /repos/<old> answers a rename
-    to <new>."""
+    to <new>. Wall timestamps tick from ``start``."""
     plain = fixtures_handler(fixtures)
 
     def handler(url, params):
@@ -187,7 +190,7 @@ def conditional_github_client(fixtures, renamed=()):
         return response
 
     session = FakeSession(renaming_old_to_new(handler, *renamed) if renamed else handler)
-    return github_client(None, session=session), session
+    return github_client(None, session=session, start=start), session
 
 
 def recorded(handler, sent):

@@ -1,0 +1,109 @@
+"""Byte-for-byte check of everything a `run` and a later `monitor` write.
+
+The run harvests the reference corpus, plus one paper that names a
+repository GitHub renamed, through a GitHub fake that sends ETags and
+answers 404 for the eight repositories with no fixture. The monitor
+re-harvests a day later, with one more paper that gives the renamed
+repository's new name, after two star counts changed and one missing
+repository appeared, so 304s, Added, Updated, Unchanged and history all
+show. Stdout, the three output files and the
+WARNING lines are compared with the files under tests/golden/<phase>/,
+which hold the outputs as the program wrote them when they were made; a
+change that means to alter an output rewrites the file and says why.
+"""
+from __future__ import annotations
+
+import difflib
+import io
+import logging
+from datetime import datetime, timezone
+from pathlib import Path
+
+import pytest
+
+from corpus import build_corpus
+from repoharvest.cli import cmd_monitor, cmd_run
+from test_cli import conditional_github_client, config_for, corpus_arxiv_client, \
+    reference_fixtures
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+FILES = ("stdout.txt", "warnings.txt", "kb.jsonl", "kb.csv", "report.txt")
+PHASES = ("run", "monitor")
+
+RENAMED_PAPER = ("2102.00001", "renamed", "Code: https://github.com/demo/old.")
+LATE_PAPER = ("2102.00003", "late", "Code moved to https://github.com/demo/new.")
+MONITOR_START = datetime(2024, 1, 2, tzinfo=timezone.utc)
+
+
+class _WarningLines(logging.Handler):
+    """Each WARNING-or-worse record, formatted as the command line logs it."""
+
+    def __init__(self) -> None:
+        super().__init__(logging.WARNING)
+        self.setFormatter(logging.Formatter("%(levelname)s: %(message)s"))
+        self.lines: list[str] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.lines.append(self.format(record) + "\n")
+
+
+def _phase(out_dir: Path, command) -> dict[str, bytes]:
+    """What ``command(out)`` printed and logged, and the files it wrote."""
+    handler = _WarningLines()
+    logger = logging.getLogger("repoharvest")
+    logger.addHandler(handler)
+    out = io.StringIO()
+    try:
+        assert command(out) == 0
+    finally:
+        logger.removeHandler(handler)
+    outputs = {"stdout.txt": out.getvalue().encode("utf-8"),
+               "warnings.txt": "".join(handler.lines).encode("utf-8")}
+    for name in FILES[2:]:
+        outputs[name] = (out_dir / name).read_bytes()
+    return outputs
+
+
+def harvest(out_dir: Path) -> dict[str, dict[str, bytes]]:
+    """The outputs of each phase, by phase and then file name."""
+    papers, _ = build_corpus()
+    papers = [*papers, RENAMED_PAPER]
+    fixtures = reference_fixtures()
+    fixtures["demo/new"] = {"stars": 31, "forks": 2, "open_issues": 1, "contributors": 3,
+                            "description": 'naïve, "quoted" modèle'}
+    cap = ("--max-results", "1100")
+    client, _ = conditional_github_client(fixtures, ("demo/old", "demo/new"))
+    run = _phase(out_dir, lambda out: cmd_run(
+        config_for(out_dir, *cap), arxiv_client=corpus_arxiv_client(papers),
+        github_client=client, out=out))
+
+    evolved = {slug: dict(spec) for slug, spec in fixtures.items()}
+    evolved["ncbi-nlp/BioSentVec"]["stars"] = 548
+    evolved["ritaranx/ClinGen"]["stars"] = 31  # Low -> Medium
+    evolved["tanlab/MIMIC-III-Clinical-Drug-Representations"] = {
+        "stars": 12, "forks": 2, "open_issues": 1, "contributors": 2}
+    client, _ = conditional_github_client(evolved, ("demo/old", "demo/new"),
+                                          start=MONITOR_START)
+    monitor = _phase(out_dir, lambda out: cmd_monitor(
+        config_for(out_dir, *cap, command="monitor"), None,
+        arxiv_client=corpus_arxiv_client([*papers, LATE_PAPER]),
+        github_client=client, out=out))
+    return {"run": run, "monitor": monitor}
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    return harvest(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("phase", PHASES)
+@pytest.mark.parametrize("name", FILES)
+def test_output_matches_golden(outputs, phase, name):
+    expected = (GOLDEN / phase / name).read_bytes()
+    actual = outputs[phase][name]
+    if actual != expected:
+        diff = difflib.unified_diff(
+            expected.decode("utf-8").splitlines(keepends=True),
+            actual.decode("utf-8").splitlines(keepends=True),
+            fromfile=f"golden/{phase}/{name}", tofile=f"{phase} output")
+        pytest.fail("".join(diff), pytrace=False)
