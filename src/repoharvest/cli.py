@@ -146,9 +146,10 @@ def _mine_refs(paper: PaperRecord) -> Iterator[RepoRef]:
 
 
 def _papers_promised(client: ArxivClient, cfg: RunConfig, processed: int) -> int:
-    """The feed's ``totalResults`` up to the cap; ``processed`` before it sends one."""
+    """The feed's latest ``totalResults`` up to the cap, and never fewer than
+    ``processed``: before the feed sends one, or after it shrank."""
     total = client.last_total_results
-    return processed if total is None else min(total, cfg.search.max_results)
+    return processed if total is None else max(processed, min(total, cfg.search.max_results))
 
 
 def execute_pipeline(
@@ -235,10 +236,10 @@ def execute_pipeline(
                                 outcome.kind.value, outcome.detail)
                     continue
                 resolved, metrics = outcome
-                entry = kb.record(ref, resolved, metrics, classify(metrics))
+                entry = kb.record(ref, resolved, metrics)
                 if resolved.identity() not in reported:
                     reported.add(resolved.identity())
-                    out.write(render_report_line(entry.latest, entry.tier) + "\n")
+                    out.write(render_report_line(entry.latest, classify(entry.latest)) + "\n")
         except (ArxivRequestError, FeedParseError) as exc:
             out.write("\n")
             log.error("paper retrieval failed: %s", exc)

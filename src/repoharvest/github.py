@@ -191,7 +191,7 @@ class GitHubClient:
         conditional (If-None-Match) and a 304 is returned as an answer;
         otherwise a 3xx is a redirect. A URL off ``base_url``'s scheme and
         host is refused unsent, so the token never follows a rename redirect
-        to another host."""
+        to another host; a Location that is no URL is a malformed answer."""
         headers = self._headers if etag is None else {**self._headers, "If-None-Match": etag}
         target = url
         for hop in range(2):
@@ -217,7 +217,11 @@ class GitHubClient:
             if hop or not location:
                 problem = "repeated redirects" if hop else "redirect without Location"
                 raise GitHubFetchError(FailureKind.MALFORMED_RESPONSE, f"{problem} for {url}")
-            target, params = urljoin(url, location), None
+            try:
+                target, params = urljoin(url, location), None
+            except ValueError as exc:
+                detail = f"unparseable Location {location!r} for {url}: {exc}"
+                raise GitHubFetchError(FailureKind.MALFORMED_RESPONSE, detail) from exc
 
     @staticmethod
     def _json_body(response, url: str, kind: type):
@@ -302,7 +306,11 @@ class GitHubClient:
         header = response.headers.get("Link") or ""
         links = {link.get("rel"): link["url"]  # the first link of each rel wins
                  for link in reversed(requests.utils.parse_header_links(header))}
-        last = _page_number(links.get("last")) if len(data) == 1 else None
+        try:
+            last = _page_number(links.get("last")) if len(data) == 1 else None
+        except ValueError as exc:
+            raise GitHubFetchError(FailureKind.MALFORMED_RESPONSE,
+                                   f"unparseable Link header from {url}: {exc}") from exc
         if last is None and "next" in links:
             raise GitHubFetchError(FailureKind.MALFORMED_RESPONSE,
                                    f"{url} needs a second page to count")

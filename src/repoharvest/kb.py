@@ -1,11 +1,13 @@
 """Durable repository knowledge base.
 
 Holds one entry per repository (deduplicated case-insensitively on
-owner/name) with the latest metrics snapshot, its maturity tier, and the
-history of prior snapshots, and the other names GitHub redirected to it.
-Persists as one JSON object per line with an explicit schema version (2:
-the latest snapshot keeps its ETag; version 1 records still load, without
-one); exports a CSV table and the human-readable report.
+owner/name) with the latest metrics snapshot, the history of prior
+snapshots, and the other names GitHub redirected to it. The maturity tier
+is not kept: every writer grades the latest snapshot with
+maturity.classify. Persists as one JSON object per line with an explicit
+schema version (2: the latest snapshot keeps its ETag; version 1 records
+still load, without one); exports a CSV table and the human-readable
+report.
 Each writer writes its file in place; the command line writes the output
 set under staged names and renames each file once, so a reader of the
 outputs never sees a partial file.
@@ -22,7 +24,7 @@ from typing import Iterable, Iterator, Optional
 
 from .github import RepoMetrics
 from .links import LinkError, RepoRef, repo_from_name
-from .maturity import MaturityTier
+from .maturity import MaturityTier, classify
 
 SCHEMA_VERSION = 2
 _READABLE_VERSIONS = (1, SCHEMA_VERSION)
@@ -62,7 +64,8 @@ def parse_timestamp(text: str) -> datetime:
 
 @dataclass
 class KbEntry:
-    """One repository: identity, latest snapshot, tier, and history.
+    """One repository: identity, latest snapshot, and history. Its tier is
+    ``classify(latest)``, graded wherever it is written.
 
     History is ordered oldest-first; every history timestamp precedes
     latest.fetched_at. Only latest keeps an ETag. ``aliases`` are the other
@@ -72,7 +75,6 @@ class KbEntry:
 
     ref: RepoRef
     latest: RepoMetrics
-    tier: MaturityTier
     first_seen: datetime
     history: list[RepoMetrics] = field(default_factory=list)
     aliases: frozenset[RepoRef] = frozenset()
@@ -144,15 +146,15 @@ class KnowledgeBase:
             key=lambda e: (e.first_seen, e.ref.owner.lower(), e.ref.name.lower()),
         )
 
-    def upsert(self, ref: RepoRef, metrics: RepoMetrics, tier: MaturityTier) -> KbEntry:
+    def upsert(self, ref: RepoRef, metrics: RepoMetrics) -> KbEntry:
         """Insert or refresh one repository.
 
         A new identity is inserted with empty history. For an existing one,
         a later snapshot archives the current latest to history, a snapshot
         from the same second replaces latest in place, and an older one is
         ignored; history timestamps therefore stay strictly increasing.
-        Latest and tier are replaced together. Source papers are unioned
-        on every call.
+        Source papers are unioned on every call. No tier is stored: a
+        writer grades whatever latest is then.
         """
         key = ref.identity()
         entry = self._entries.get(key)
@@ -160,13 +162,7 @@ class KnowledgeBase:
             holder = self._names.get(key)
             if holder is not None:  # a repository of its own now holds the name
                 holder.aliases = frozenset(a for a in holder.aliases if a.identity() != key)
-            entry = KbEntry(
-                ref=ref,
-                latest=metrics,
-                tier=tier,
-                first_seen=metrics.fetched_at,
-                history=[],
-            )
+            entry = KbEntry(ref=ref, latest=metrics, first_seen=metrics.fetched_at)
             self._entries[key] = self._names[key] = entry
             return entry
         merged = entry.ref.source_papers | ref.source_papers
@@ -177,19 +173,17 @@ class KnowledgeBase:
         if metrics.fetched_at > entry.latest.fetched_at:
             entry.history.append(replace(entry.latest, etag=None))
         entry.latest = metrics
-        entry.tier = tier
         return entry
 
-    def record(self, name: RepoRef, ref: RepoRef, metrics: RepoMetrics,
-               tier: MaturityTier) -> KbEntry:
+    def record(self, name: RepoRef, ref: RepoRef, metrics: RepoMetrics) -> KbEntry:
         """Store GitHub's answer ``ref`` to the name ``name`` a paper gave.
 
         First the entry holding ``name`` moves to ``ref``'s owner/name,
         unless ``ref`` is its identity already or another entry holds
         ``ref``: its old identity becomes an alias, and its papers,
-        first_seen and history stay. Then the snapshot is upserted under
-        ``ref`` with ``name``'s source papers. Last, ``name`` is kept as an
-        alias of that entry, unless some entry already holds it.
+        first_seen and history stay. Then the snapshot is upserted, with no
+        tier, under ``ref`` with ``name``'s source papers. Last, ``name`` is
+        kept as an alias of that entry, unless some entry already holds it.
         """
         key = ref.identity()
         entry = self._names.get(name.identity())
@@ -200,7 +194,7 @@ class KnowledgeBase:
             entry.aliases = kept | {RepoRef(old.owner, old.name)}
             entry.ref = replace(old, owner=ref.owner, name=ref.name)
             self._entries[key] = self._names[key] = entry
-        entry = self.upsert(replace(ref, source_papers=name.source_papers), metrics, tier)
+        entry = self.upsert(replace(ref, source_papers=name.source_papers), metrics)
         if name.identity() not in self._names:
             entry.aliases = entry.aliases | {RepoRef(name.owner, name.name)}
             self._names[name.identity()] = entry
@@ -302,7 +296,7 @@ def entry_to_dict(entry: KbEntry) -> dict:
         "name": entry.ref.name,
         "canonical_url": entry.ref.canonical_url,
         "source_papers": sorted(entry.ref.source_papers),
-        "tier": str(entry.tier),
+        "tier": str(classify(entry.latest)),
         "first_seen": format_timestamp(entry.first_seen),
         "latest": _metrics_to_dict(entry.latest),
         "history": [_metrics_to_dict(m) for m in entry.history],
@@ -328,10 +322,10 @@ def entry_from_dict(data: dict) -> KbEntry:
         raise StoreError("history timestamps must increase and precede latest.fetched_at")
     aliases = frozenset(_repo_from_text(_checked(text, str, "alias"), "alias")
                         for text in _checked(data.get("aliases", []), list, "aliases"))
+    MaturityTier.from_label(_checked(data["tier"], str, "tier"))  # checked, not kept
     return KbEntry(
         ref=ref,
         latest=latest,
-        tier=MaturityTier.from_label(_checked(data["tier"], str, "tier")),
         first_seen=parse_timestamp(data["first_seen"]),
         history=history,
         aliases=aliases,
@@ -376,7 +370,7 @@ def export_table(kb: KnowledgeBase, path: Path | str) -> None:
                 entry.ref.owner,
                 entry.ref.name,
                 entry.ref.canonical_url,
-                str(entry.tier),
+                str(classify(m)),
                 m.stars,
                 m.forks,
                 m.open_issues,
@@ -392,5 +386,6 @@ def export_table(kb: KnowledgeBase, path: Path | str) -> None:
 
 def export_report(kb: KnowledgeBase, path: Path | str) -> None:
     """Write the human-readable report, one sentence per entry."""
-    lines = [render_report_line(entry.latest, entry.tier) for entry in kb.sorted_entries()]
+    lines = [render_report_line(entry.latest, classify(entry.latest))
+             for entry in kb.sorted_entries()]
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")

@@ -364,7 +364,7 @@ def _random_store(rng: random.Random) -> KnowledgeBase:
                 fetched_at=base + timedelta(seconds=snapshot * rng.randint(1, 9000)),
                 etag=rng.choice([None, f'W/"{rng.getrandbits(64):x}"', f'"{rng.getrandbits(32):x}"']),
             )
-            kb.upsert(ref, metrics, classify(metrics))
+            kb.upsert(ref, metrics)
     return kb
 
 

@@ -26,7 +26,8 @@ import requests
 import repoharvest
 from repoharvest import cli
 
-from conftest import FakeClock, FakeResponse, FakeSession, atom_entry, atom_feed
+from conftest import (FakeClock, FakeResponse, FakeSession, atom_entry, atom_feed,
+                      make_metrics, make_ref)
 from calibration import REFERENCE_ROWS
 from corpus import REPO_URLS, build_corpus
 from mockservers import MockArxivApp, MockGitHubApp, MockServer
@@ -41,7 +42,7 @@ from repoharvest.cli import (
     resolve_config,
 )
 from repoharvest.github import GitHubClient, ThrottlePolicy
-from repoharvest.kb import KnowledgeBase, load_records
+from repoharvest.kb import KnowledgeBase, load_records, save_records
 from repoharvest.links import canonicalize
 
 EXPECTED_LINES = [row.expected_line for row in REFERENCE_ROWS]
@@ -254,6 +255,24 @@ class TestPipelineAgainstReferenceCorpus:
         assert "Paper 40/40" in out.getvalue()
         assert "Paper 41/" not in out.getvalue()
 
+    def test_progress_counter_never_reads_below_the_papers_processed(self, tmp_path):
+        entries = [atom_entry(f"2101.{i:05d}", f"title {i}") for i in range(10)]
+
+        def shrinking(url, params):  # totalResults drops from 10 to 5 after one page
+            start = params["start"]
+            return FakeResponse(text=atom_feed(entries[start:start + 5],
+                                               total=10 if start == 0 else 5))
+
+        out = io.StringIO()
+        status = execute_pipeline(config_for(tmp_path, "--page-size", "5"), KnowledgeBase(),
+                                  arxiv_client=feed_client(shrinking),
+                                  github_client=fixtures_github_client({}), out=out)
+        assert status == 0
+        counters = [(int(done), int(total))
+                    for done, total in re.findall(r"Paper (\d+)/(\d+)", out.getvalue())]
+        assert [done for done, _ in counters] == list(range(1, 11))
+        assert all(done <= total for done, total in counters), counters
+
 
 class TestRunCommand:
     def test_writes_all_three_outputs(self, tmp_path):
@@ -328,6 +347,27 @@ class TestRunCommand:
                   if "GitHub fetch failed" in r.getMessage()]
         assert [message.split(":")[0] for message in warned] == [
             f"GitHub fetch failed for {slug}" for slug in dropped]
+
+    def test_an_unparseable_rename_location_fails_only_its_repository(self, tmp_path, caplog):
+        papers = [("2101.00001", "broken", "Code: https://github.com/demo/broken."),
+                  ("2101.00002", "alpha", "Code: https://github.com/demo/alpha.")]
+        plain = fixtures_handler(
+            {"demo/alpha": {"stars": 5, "forks": 1, "open_issues": 0, "contributors": 2}})
+
+        def handler(url, params):
+            if url.endswith("/repos/demo/broken"):
+                return FakeResponse(status_code=301, headers={"Location": "http://[::1/repos/x/y"})
+            return plain(url, params)
+
+        with caplog.at_level(logging.WARNING, logger="repoharvest"):
+            status = cmd_run(config_for(tmp_path), arxiv_client=corpus_arxiv_client(papers),
+                             github_client=github_client(handler), out=io.StringIO())
+        assert status == 0
+        assert [entry.ref.canonical_url for entry in load_records(tmp_path / "kb.jsonl")] == [
+            "https://github.com/demo/alpha"]
+        assert [r.getMessage() for r in caplog.records] == [
+            "GitHub fetch failed for demo/broken: malformed_response (unparseable Location "
+            "'http://[::1/repos/x/y' for http://gh.test/repos/demo/broken: Invalid IPv6 URL)"]
 
     def test_skipped_link_is_logged_at_info(self, tmp_path, caplog):
         papers = [("2101.00001", "title", "see https://github.com/onlyowner and "
@@ -791,6 +831,27 @@ class TestMonitorCommand:
             assert entry.latest.etag is not None
             assert entry.latest.contributors == fixtures[
                 f"{entry.ref.owner}/{entry.ref.name}"]["contributors"]
+
+    def test_monitor_regrades_a_stored_tier_no_paper_refreshes(self, tmp_path):
+        """An entry stored as High with 5 stars, by another rule or by hand,
+        is written as Low and listed as unchanged."""
+        kb = KnowledgeBase()
+        kb.upsert(make_ref("demo", "kept", {"2101.00009"}), make_metrics(name="kept", stars=5))
+        save_records(kb, tmp_path / "kb.jsonl")
+        stored = (tmp_path / "kb.jsonl").read_text()
+        (tmp_path / "kb.jsonl").write_text(stored.replace('"tier": "Low"', '"tier": "High"'))
+        out = io.StringIO()
+        status = cmd_monitor(config_for(tmp_path, command="monitor"), None,
+                             arxiv_client=corpus_arxiv_client([]),
+                             github_client=fixtures_github_client({}), out=out)
+        assert status == 0
+        assert out.getvalue().endswith(
+            "Added (0):\nUpdated (0):\nUnchanged (1):\n  https://github.com/demo/kept\n")
+        assert (tmp_path / "kb.jsonl").read_text() == stored
+        (row,) = csv.DictReader(io.StringIO((tmp_path / "kb.csv").read_text()))
+        assert row["tier"] == "Low"
+        assert (tmp_path / "report.txt").read_text().startswith(
+            "The project 'kept' has a maturity level of Low.")
 
     def test_monitor_accepts_explicit_previous_path(self, tmp_path):
         fixtures = reference_fixtures()

@@ -175,6 +175,17 @@ class TestFetchRepo:
         assert "without Location" in excinfo.value.detail
         assert len(session.calls) == 1
 
+    def test_an_unparseable_location_is_malformed_after_one_request(self):
+        location = "http://[::1/repos/x/y"
+        client, session, _ = make_client(
+            lambda url, params: FakeResponse(status_code=301, headers={"Location": location}))
+        successes, failures = client.enrich([make_ref("a", "b")])
+        assert successes == []
+        assert [(f.kind, f.detail) for f in failures] == [(
+            FailureKind.MALFORMED_RESPONSE,
+            f"unparseable Location {location!r} for {BASE}/repos/a/b: Invalid IPv6 URL")]
+        assert len(session.calls) == 1
+
     def test_non_json_body_is_malformed(self):
         client, _, _ = make_client(lambda url, params: FakeResponse(text="<html>"))
         with pytest.raises(GitHubFetchError) as excinfo:
@@ -466,6 +477,16 @@ class TestCountContributors:
                            f'<{CONTRIBUTORS}?page=2>; rel="next", '
                            f'<{CONTRIBUTORS}?cursor=end>; rel="last"'),
             f"{CONTRIBUTORS}?page=2": ([{"login": "tail"}], None)})
+
+    def test_an_unparseable_last_link_is_malformed_after_one_request(self):
+        link = f'<{CONTRIBUTORS}?page=2>; rel="next", <http://[::1?page=9>; rel="last"'
+        client, session, _ = make_client(self._last_link_handler([{"login": "u0"}], link))
+        with pytest.raises(GitHubFetchError) as excinfo:
+            client.count_contributors(make_ref("a", "b"))
+        assert (excinfo.value.kind, excinfo.value.detail) == (
+            FailureKind.MALFORMED_RESPONSE,
+            f"unparseable Link header from {CONTRIBUTORS}: Invalid IPv6 URL")
+        assert len(session.calls) == 1
 
     def test_mock_server_repository_of_250_costs_two_requests(self):
         app = MockGitHubApp({"demo/big": {"stars": 3, "forks": 0, "open_issues": 0,

@@ -26,7 +26,7 @@ from repoharvest.kb import (
     save_records,
 )
 from repoharvest.links import canonicalize
-from repoharvest.maturity import MaturityTier, classify
+from repoharvest.maturity import MaturityTier
 
 T0 = datetime(2024, 1, 1, 12, 0, 0, tzinfo=timezone.utc)
 
@@ -40,31 +40,23 @@ def snapshot_dict(fetched_at: str) -> dict:
             "contributors": 1, "fetched_at": fetched_at}
 
 
-def upsert_auto(kb: KnowledgeBase, ref, metrics) -> KbEntry:
-    return kb.upsert(ref, metrics, classify(metrics))
-
-
-def record_auto(kb: KnowledgeBase, name, ref, metrics) -> KbEntry:
-    return kb.record(name, ref, metrics, classify(metrics))
-
-
 class TestUpsert:
     def test_insert_new_entry(self):
         kb = KnowledgeBase()
         ref = make_ref("a", "b", {"p1"})
         metrics = make_metrics(name="b", stars=5, fetched_at=T0)
-        entry = upsert_auto(kb, ref, metrics)
+        entry = kb.upsert(ref, metrics)
         assert len(kb) == 1
         assert entry.first_seen == T0
         assert entry.history == []
-        assert entry.tier is MaturityTier.LOW
+        assert entry_to_dict(entry)["tier"] == "Low"
 
     def test_identical_snapshot_is_noop(self):
         kb = KnowledgeBase()
         ref = make_ref("a", "b")
         metrics = make_metrics(name="b", stars=5, fetched_at=T0)
-        upsert_auto(kb, ref, metrics)
-        entry = upsert_auto(kb, ref, metrics)
+        kb.upsert(ref, metrics)
+        entry = kb.upsert(ref, metrics)
         assert len(kb) == 1
         assert entry.history == []
 
@@ -73,11 +65,11 @@ class TestUpsert:
         ref = make_ref("a", "b")
         old = make_metrics(name="b", stars=5, fetched_at=T0)
         new = make_metrics(name="b", stars=150, fetched_at=at(10))
-        upsert_auto(kb, ref, old)
-        entry = upsert_auto(kb, ref, new)
+        kb.upsert(ref, old)
+        entry = kb.upsert(ref, new)
         assert entry.latest == new
         assert entry.history == [old]
-        assert entry.tier is MaturityTier.HIGH
+        assert entry_to_dict(entry)["tier"] == "High"
         assert entry.first_seen == T0
 
     def test_older_snapshot_ignored(self):
@@ -85,8 +77,8 @@ class TestUpsert:
         ref = make_ref("a", "b")
         current = make_metrics(name="b", stars=5, fetched_at=at(10))
         stale = make_metrics(name="b", stars=9, fetched_at=T0)
-        upsert_auto(kb, ref, current)
-        entry = upsert_auto(kb, ref, stale)
+        kb.upsert(ref, current)
+        entry = kb.upsert(ref, stale)
         assert entry.latest == current
         assert entry.history == []
 
@@ -95,8 +87,8 @@ class TestUpsert:
         ref = make_ref("a", "b")
         first = make_metrics(name="b", stars=5, fetched_at=T0, etag='"one"')
         second = make_metrics(name="b", stars=5, fetched_at=T0, etag='"two"')
-        upsert_auto(kb, ref, first)
-        entry = upsert_auto(kb, ref, second)
+        kb.upsert(ref, first)
+        entry = kb.upsert(ref, second)
         assert entry.latest == second
         assert entry.history == []
 
@@ -105,16 +97,16 @@ class TestUpsert:
         ref = make_ref("a", "b")
         first = make_metrics(name="b", stars=5, fetched_at=T0)
         second = make_metrics(name="b", stars=6, fetched_at=T0)
-        upsert_auto(kb, ref, first)
-        entry = upsert_auto(kb, ref, second)
+        kb.upsert(ref, first)
+        entry = kb.upsert(ref, second)
         assert entry.latest == second
         assert entry.history == []
 
     def test_source_papers_union_on_every_call(self):
         kb = KnowledgeBase()
         metrics = make_metrics(name="b", fetched_at=T0)
-        upsert_auto(kb, make_ref("a", "b", {"p1"}), metrics)
-        entry = upsert_auto(kb, make_ref("A", "B", {"p2"}), metrics)
+        kb.upsert(make_ref("a", "b", {"p1"}), metrics)
+        entry = kb.upsert(make_ref("A", "B", {"p2"}), metrics)
         assert entry.ref.source_papers == {"p1", "p2"}
         assert entry.ref.owner == "a"  # first casing kept
         assert len(kb) == 1
@@ -124,8 +116,8 @@ class TestUpsert:
         ref = make_ref("a", "b")
         old = make_metrics(name="b", stars=5, fetched_at=T0, etag='W/"old"')
         new = make_metrics(name="b", stars=6, fetched_at=at(10), etag='W/"new"')
-        upsert_auto(kb, ref, old)
-        entry = upsert_auto(kb, ref, new)
+        kb.upsert(ref, old)
+        entry = kb.upsert(ref, new)
         assert entry.latest.etag == 'W/"new"'
         assert entry.history == [make_metrics(name="b", stars=5, fetched_at=T0)]
 
@@ -133,8 +125,8 @@ class TestUpsert:
         kb = KnowledgeBase()
         ref = make_ref("a", "b")
         for minute in (0, 5, 5, 3, 9):
-            upsert_auto(kb, ref, make_metrics(name="b", stars=minute,
-                                              fetched_at=at(minute)))
+            kb.upsert(ref, make_metrics(name="b", stars=minute,
+                                        fetched_at=at(minute)))
         (entry,) = kb
         stamps = [m.fetched_at for m in entry.history] + [entry.latest.fetched_at]
         assert stamps == sorted(stamps)
@@ -144,7 +136,7 @@ class TestUpsert:
         kb = KnowledgeBase()
         for i, url in enumerate(REPO_URLS):
             ref = canonicalize(url, f"p{i}")
-            upsert_auto(kb, ref, make_metrics(name=ref.name, fetched_at=T0))
+            kb.upsert(ref, make_metrics(name=ref.name, fetched_at=T0))
         assert len(kb) == len(REPO_URLS)
 
 
@@ -154,8 +146,8 @@ class TestDiff:
         for slug, (stars, minute) in spec.items():
             owner, name = slug.split("/")
             ref = make_ref(owner, name)
-            upsert_auto(kb, ref, make_metrics(name=name, stars=stars,
-                                              fetched_at=at(minute)))
+            kb.upsert(ref, make_metrics(name=name, stars=stars,
+                                        fetched_at=at(minute)))
         return kb
 
     def test_added_updated_unchanged(self):
@@ -183,8 +175,8 @@ class TestDiff:
     def test_a_moved_entry_is_paired_with_its_old_name(self):
         old = KnowledgeBase([_entry("demo", "new", ["demo/old"]), _entry("c", "d", minutes=1)])
         new = old.clone()
-        record_auto(new, make_ref("demo", "new"), make_ref("demo", "newer"),
-                    make_metrics(name="newer", stars=4, fetched_at=at(2)))
+        new.record(make_ref("demo", "new"), make_ref("demo", "newer"),
+                   make_metrics(name="newer", stars=4, fetched_at=at(2)))
         result = diff(old, new)
         assert result.added == []
         assert [(r, o.stars, n.stars) for r, o, n in result.updated] == [
@@ -194,7 +186,7 @@ class TestDiff:
     def test_an_alias_that_becomes_its_own_repository_is_added(self):
         old = KnowledgeBase([_entry("demo", "new", ["demo/old"])])
         new = old.clone()
-        upsert_auto(new, make_ref("demo", "old"), make_metrics(name="old", fetched_at=at(2)))
+        new.upsert(make_ref("demo", "old"), make_metrics(name="old", fetched_at=at(2)))
         result = diff(old, new)
         assert result.added == [make_ref("demo", "old")]
         assert result.updated == []
@@ -248,11 +240,11 @@ class TestRendering:
         for minute, (owner, name) in enumerate(
             [("zeta", "last"), ("alpha", "mid"), ("beta", "mid2")]
         ):
-            upsert_auto(kb, make_ref(owner, name),
-                        make_metrics(name=name, fetched_at=at(minute)))
+            kb.upsert(make_ref(owner, name),
+                      make_metrics(name=name, fetched_at=at(minute)))
         # same timestamp sorts by owner/name
-        upsert_auto(kb, make_ref("aaa", "tie"),
-                    make_metrics(name="tie", fetched_at=at(0)))
+        kb.upsert(make_ref("aaa", "tie"),
+                  make_metrics(name="tie", fetched_at=at(0)))
         export_report(kb, tmp_path / "report.txt")
         report = (tmp_path / "report.txt").read_text(encoding="utf-8")
         names = [line.split("'")[1] for line in report.splitlines()]
@@ -267,13 +259,13 @@ class TestPersistence:
     def _populated(self) -> KnowledgeBase:
         kb = KnowledgeBase()
         history_ref = make_ref("a", "b", {"p1", "p2"})
-        upsert_auto(kb, history_ref,
-                    make_metrics(name="b", stars=5, fetched_at=T0))
-        upsert_auto(kb, history_ref,
-                    make_metrics(name="b", stars=150, contributors=None,
-                                 description="desc, with comma", fetched_at=at(5)))
-        upsert_auto(kb, make_ref("c", "d"),
-                    make_metrics(name="d", fetched_at=at(1)))
+        kb.upsert(history_ref,
+                  make_metrics(name="b", stars=5, fetched_at=T0))
+        kb.upsert(history_ref,
+                  make_metrics(name="b", stars=150, contributors=None,
+                               description="desc, with comma", fetched_at=at(5)))
+        kb.upsert(make_ref("c", "d"),
+                  make_metrics(name="d", fetched_at=at(1)))
         return kb
 
     def test_round_trip(self, tmp_path):
@@ -285,8 +277,8 @@ class TestPersistence:
     @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
     def test_description_with_a_line_separator_round_trips(self, tmp_path, separator):
         kb = KnowledgeBase()
-        upsert_auto(kb, make_ref("a", "b"),
-                    make_metrics(name="b", description=f"one{separator}two", fetched_at=T0))
+        kb.upsert(make_ref("a", "b"),
+                  make_metrics(name="b", description=f"one{separator}two", fetched_at=T0))
         path = tmp_path / "kb.jsonl"
         save_records(kb, path)
         assert separator in path.read_text(encoding="utf-8")  # written raw, not escaped
@@ -336,8 +328,8 @@ class TestPersistence:
     def test_version_2_round_trips_the_latest_etag(self, tmp_path):
         kb = KnowledgeBase()
         ref = make_ref("a", "b")
-        upsert_auto(kb, ref, make_metrics(name="b", fetched_at=T0, etag='W/"one"'))
-        upsert_auto(kb, ref, make_metrics(name="b", stars=2, fetched_at=at(5), etag='"two"'))
+        kb.upsert(ref, make_metrics(name="b", fetched_at=T0, etag='W/"one"'))
+        kb.upsert(ref, make_metrics(name="b", stars=2, fetched_at=at(5), etag='"two"'))
         record = entry_to_dict(next(iter(kb)))
         assert record["schema_version"] == 2
         assert record["latest"]["etag"] == '"two"'
@@ -350,7 +342,7 @@ class TestPersistence:
 
     def test_non_string_etag_is_a_store_error(self, tmp_path):
         kb = KnowledgeBase()
-        upsert_auto(kb, make_ref("a", "b"), make_metrics(name="b", fetched_at=T0, etag='"x"'))
+        kb.upsert(make_ref("a", "b"), make_metrics(name="b", fetched_at=T0, etag='"x"'))
         path = tmp_path / "kb.jsonl"
         save_records(kb, path)
         path.write_text(path.read_text().replace('"\\"x\\""', "5"))
@@ -379,6 +371,7 @@ class TestPersistence:
         "[]",
         '"x"',
         {"tier": 5},
+        {"tier": "Gold"},
         {"history": {"a": 1}},
         {"owner": 7},
         {"name": 7},
@@ -391,17 +384,17 @@ class TestPersistence:
         {"history": [snapshot_dict("2025-01-01T00:00:00Z"), snapshot_dict("2023-01-01T00:00:00Z")]},
         {"owner": "A", "name": "B", "source_papers": ["p2"]},
         {"owner": ".."},
-    ], ids=["list", "string", "tier", "history", "owner", "name", "papers-string",
+    ], ids=["list", "string", "tier", "tier-label", "history", "owner", "name", "papers-string",
             "papers-item", "float-count", "bool-count", "snapshot-name", "snapshot-description",
             "history-order", "repeated-identity", "dot-owner"])
     def test_line_of_the_wrong_shape_is_a_store_error(self, tmp_path, change):
         kb = KnowledgeBase()
-        upsert_auto(kb, make_ref("a", "b", {"p1"}), make_metrics(name="b", fetched_at=T0))
+        kb.upsert(make_ref("a", "b", {"p1"}), make_metrics(name="b", fetched_at=T0))
         good = entry_to_dict(next(iter(kb)))
         if isinstance(change, str):
             bad = change
         else:
-            record = dict(good)
+            record = dict(good, name="c")  # a repository of its own, unless changed
             for key, value in change.items():
                 record[key] = {**good[key], **value} if key == "latest" else value
             bad = json.dumps(record)
@@ -409,6 +402,25 @@ class TestPersistence:
         path.write_text(f"{json.dumps(good)}\n{bad}\n")
         with pytest.raises(StoreError, match=re.escape(f"{path}:2: bad record: ")):
             load_records(path)
+
+    def test_writers_grade_latest_not_the_stored_tier(self, tmp_path):
+        """A line graded by another rule, or by hand, loads, and every
+        writer grades its 5 stars Low."""
+        kb = KnowledgeBase()
+        kb.upsert(make_ref("a", "b", {"p1"}), make_metrics(name="b", stars=5, fetched_at=T0))
+        path = tmp_path / "kb.jsonl"
+        save_records(kb, path)
+        graded_high = path.read_text().replace('"tier": "Low"', '"tier": "High"')
+        assert '"tier": "High"' in graded_high
+        path.write_text(graded_high)
+        loaded = load_records(path)
+        save_records(loaded, path)
+        export_table(loaded, tmp_path / "kb.csv")
+        export_report(loaded, tmp_path / "report.txt")
+        assert json.loads(path.read_text())["tier"] == "Low"
+        assert (tmp_path / "kb.csv").read_text().splitlines()[1].split(",")[3] == "Low"
+        assert (tmp_path / "report.txt").read_text().startswith(
+            "The project 'b' has a maturity level of Low.")
 
     def test_blank_lines_skipped(self, tmp_path):
         kb = self._populated()
@@ -457,10 +469,10 @@ class TestAliases:
         kb = KnowledgeBase()
         new = make_ref("demo", "new", {"p1"})
         snapshot = make_metrics(name="new", fetched_at=T0, etag='"e"')
-        upsert_auto(kb, new, snapshot)
-        upsert_auto(kb, make_ref("c", "d"), make_metrics(name="d", fetched_at=at(1)))
+        kb.upsert(new, snapshot)
+        kb.upsert(make_ref("c", "d"), make_metrics(name="d", fetched_at=at(1)))
         for name in (make_ref("demo", "older"), make_ref("Demo", "Old", {"p2"})):
-            record_auto(kb, name, new, snapshot)
+            kb.record(name, new, snapshot)
         return kb
 
     def test_load_then_save_is_byte_exact(self, tmp_path):
@@ -475,8 +487,8 @@ class TestAliases:
 
     def test_a_store_without_aliases_saves_as_before(self, tmp_path):
         kb = KnowledgeBase()
-        upsert_auto(kb, make_ref("a", "b", {"p1"}),
-                    make_metrics(name="b", stars=5, fetched_at=T0, etag='"e"'))
+        kb.upsert(make_ref("a", "b", {"p1"}),
+                  make_metrics(name="b", stars=5, fetched_at=T0, etag='"e"'))
         path = tmp_path / "kb.jsonl"
         save_records(kb, path)
         assert path.read_text() == (
@@ -505,17 +517,17 @@ class TestAliases:
         kb = self._renamed()
         before = [entry.aliases for entry in kb]
         new, other = (entry.latest for entry in kb.sorted_entries())
-        record_auto(kb, make_ref("DEMO", "OLD"), make_ref("c", "d"), other)  # another's alias
-        record_auto(kb, make_ref("Demo", "New"), make_ref("c", "d"), other)  # another's identity
-        record_auto(kb, make_ref("demo", "OLDER"), make_ref("demo", "new"), new)  # its own alias
+        kb.record(make_ref("DEMO", "OLD"), make_ref("c", "d"), other)  # another's alias
+        kb.record(make_ref("Demo", "New"), make_ref("c", "d"), other)  # another's identity
+        kb.record(make_ref("demo", "OLDER"), make_ref("demo", "new"), new)  # its own alias
         assert [entry.aliases for entry in kb] == before
 
     def test_a_repository_that_takes_an_alias_name_keeps_it(self, tmp_path):
         kb = self._renamed()
-        upsert_auto(kb, make_ref("demo", "old"), make_metrics(name="old", fetched_at=at(2)))
+        kb.upsert(make_ref("demo", "old"), make_metrics(name="old", fetched_at=at(2)))
         by_name = {entry.ref.name: entry for entry in kb}
         assert by_name["new"].aliases == {make_ref("demo", "older")}
-        record_auto(kb, make_ref("demo", "OLD"), make_ref("c", "d"), by_name["d"].latest)
+        kb.record(make_ref("demo", "OLD"), make_ref("c", "d"), by_name["d"].latest)
         assert by_name["d"].aliases == frozenset()
         path = tmp_path / "kb.jsonl"
         save_records(kb, path)
@@ -528,8 +540,8 @@ class TestAliases:
             "repeated-alias", "own-identity", "earlier-identity", "dot-segment"])
     def test_a_bad_alias_is_a_store_error_naming_its_line(self, tmp_path, aliases):
         kb = KnowledgeBase()
-        upsert_auto(kb, make_ref("a", "b"), make_metrics(name="b", fetched_at=T0))
-        upsert_auto(kb, make_ref("c", "d"), make_metrics(name="d", fetched_at=at(1)))
+        kb.upsert(make_ref("a", "b"), make_metrics(name="b", fetched_at=T0))
+        kb.upsert(make_ref("c", "d"), make_metrics(name="d", fetched_at=at(1)))
         first, second = (entry_to_dict(entry) for entry in kb.sorted_entries())
         second["aliases"] = aliases
         path = tmp_path / "kb.jsonl"
@@ -539,9 +551,9 @@ class TestAliases:
 
     def test_an_alias_a_later_line_claims_is_a_store_error(self, tmp_path):
         kb = KnowledgeBase()
-        upsert_auto(kb, make_ref("a", "b"), make_metrics(name="b", fetched_at=T0))
-        upsert_auto(kb, make_ref("c", "d"), make_metrics(name="d", fetched_at=at(1)))
-        upsert_auto(kb, make_ref("e", "f"), make_metrics(name="f", fetched_at=at(2)))
+        kb.upsert(make_ref("a", "b"), make_metrics(name="b", fetched_at=T0))
+        kb.upsert(make_ref("c", "d"), make_metrics(name="d", fetched_at=at(1)))
+        kb.upsert(make_ref("e", "f"), make_metrics(name="f", fetched_at=at(2)))
         first, second, third = (entry_to_dict(entry) for entry in kb.sorted_entries())
         first["aliases"] = ["x/y", "C/D"]
         third["aliases"] = ["X/Y"]
@@ -558,8 +570,7 @@ class TestAliases:
 
 def _entry(owner: str, name: str, aliases=(), minutes: int = 0) -> KbEntry:
     metrics = make_metrics(name=name, fetched_at=at(minutes))
-    return KbEntry(ref=make_ref(owner, name), latest=metrics, tier=classify(metrics),
-                   first_seen=metrics.fetched_at,
+    return KbEntry(ref=make_ref(owner, name), latest=metrics, first_seen=metrics.fetched_at,
                    aliases=frozenset(make_ref(*alias.split("/")) for alias in aliases))
 
 
@@ -590,10 +601,10 @@ class TestNameIndex:
     def test_rename_moves_the_entry_and_keeps_its_old_name(self, tmp_path):
         kb = KnowledgeBase()
         snapshot = make_metrics(name="new", fetched_at=T0)
-        upsert_auto(kb, make_ref("demo", "new", {"p1"}), snapshot)
-        record_auto(kb, make_ref("demo", "old"), make_ref("demo", "new"), snapshot)
-        entry = record_auto(kb, make_ref("Demo", "OLD", {"p2"}), make_ref("Demo", "Newer"),
-                            make_metrics(name="Newer", stars=3, fetched_at=at(1)))
+        kb.upsert(make_ref("demo", "new", {"p1"}), snapshot)
+        kb.record(make_ref("demo", "old"), make_ref("demo", "new"), snapshot)
+        entry = kb.record(make_ref("Demo", "OLD", {"p2"}), make_ref("Demo", "Newer"),
+                          make_metrics(name="Newer", stars=3, fetched_at=at(1)))
         assert len(kb) == 1
         assert (entry.ref, entry.first_seen, entry.aliases) == (
             make_ref("Demo", "Newer", {"p1", "p2"}), T0,
@@ -608,13 +619,13 @@ class TestNameIndex:
         kb = KnowledgeBase([_entry("demo", "new", ["demo/old"]), _entry("c", "d", minutes=1)])
         before = kb.clone()
         new, other = (entry.latest for entry in kb.sorted_entries())
-        record_auto(kb, make_ref("demo", "new"), make_ref("C", "D"), other)  # another's identity
-        record_auto(kb, make_ref("demo", "old"), make_ref("Demo", "NEW"), new)  # its own identity
+        kb.record(make_ref("demo", "new"), make_ref("C", "D"), other)  # another's identity
+        kb.record(make_ref("demo", "old"), make_ref("Demo", "NEW"), new)  # its own identity
         assert kb == before
         assert [entry.aliases for entry in kb] == [entry.aliases for entry in before]
         assert [entry.ref for entry in kb] == [make_ref("demo", "new"), make_ref("c", "d")]
         # a name no entry holds moves nothing: the answer is stored as a new entry
-        added = record_auto(kb, make_ref("x", "y"), make_ref("x", "z"), other)
+        added = kb.record(make_ref("x", "y"), make_ref("x", "z"), other)
         assert [entry.ref for entry in kb] == [make_ref("demo", "new"), make_ref("c", "d"),
                                                make_ref("x", "z")]
         assert added.aliases == {make_ref("x", "y")}
@@ -623,8 +634,8 @@ class TestNameIndex:
 
     def test_rename_back_to_an_alias_swaps_the_two_names(self):
         kb = KnowledgeBase([_entry("demo", "new", ["demo/old", "x/y"])])
-        record_auto(kb, make_ref("demo", "new"), make_ref("Demo", "Old"),
-                    make_metrics(name="Old", fetched_at=at(1)))
+        kb.record(make_ref("demo", "new"), make_ref("Demo", "Old"),
+                  make_metrics(name="Old", fetched_at=at(1)))
         (entry,) = kb
         assert (entry.ref, entry.aliases) == (
             make_ref("Demo", "Old"), {make_ref("demo", "new"), make_ref("x", "y")})
