@@ -141,11 +141,8 @@ class ArxivClient:
 
     def fetch_page(self, query: str, start: int, page_size: int) -> list[PaperRecord]:
         """Request one feed page, retrying within the budget, and parse its
-        entries in feed order."""
-        if start < 0:
-            raise ValueError("start must be >= 0")
-        if page_size < 1:
-            raise ValueError("page_size must be >= 1")
+        entries in feed order. ``start`` and ``page_size`` are taken as
+        given: iterate_papers derives them from a checked SearchSpec."""
         params = {"search_query": query, "start": start, "max_results": page_size}
         response = retrying_get(
             self._gate,

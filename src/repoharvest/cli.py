@@ -18,6 +18,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, TextIO
+from urllib.parse import urlsplit
 
 from . import arxiv as arxiv_mod
 from . import github as github_mod
@@ -56,9 +57,10 @@ def _option(default, **argparse_kwargs) -> Field:
 @dataclass
 class RunConfig:
     """Everything one pipeline run needs. Each init field is an option, and
-    its ``help`` states its default and bound; the search spec is built and
-    checked from them. The pacing of both APIs is fixed, not an option, and
-    the GitHub token is read from ``GITHUB_TOKEN``."""
+    its ``help`` states its default and bound. The search spec built from
+    them and both base URLs are checked here, so a bad value is a UsageError
+    before any request. The pacing of both APIs is fixed, not an option,
+    and the GitHub token is read from ``GITHUB_TOKEN``."""
 
     terms: Sequence[str] = _option(arxiv_mod.DEFAULT_TERMS, action="append", metavar="PHRASE",
                                    help="search phrase; repeat the flag for several (default "
@@ -72,10 +74,10 @@ class RunConfig:
     page_size: Optional[int] = _option(  # None: default, shrunk to max_results
         None, type=int, help=f"feed page size, at most {arxiv_mod.MAX_PAGE_SIZE} (default "
                              f"{arxiv_mod.DEFAULT_PAGE_SIZE}, or --max-results if smaller)")
-    arxiv_base_url: str = _option(arxiv_mod.DEFAULT_BASE_URL, help="feed endpoint "
-                                  f"(default {arxiv_mod.DEFAULT_BASE_URL})")
-    github_base_url: str = _option(github_mod.DEFAULT_BASE_URL, help="REST endpoint "
-                                   f"(default {github_mod.DEFAULT_BASE_URL})")
+    arxiv_base_url: str = _option(arxiv_mod.DEFAULT_BASE_URL, help="feed endpoint, an "
+                                  f"http(s) URL (default {arxiv_mod.DEFAULT_BASE_URL})")
+    github_base_url: str = _option(github_mod.DEFAULT_BASE_URL, help="REST endpoint, an "
+                                   f"http(s) URL (default {github_mod.DEFAULT_BASE_URL})")
     out_dir: Path = _option(Path("."), help="where kb.jsonl, kb.csv and report.txt are "
                                             "written (default .)")
     verbose: int = _option(0, flags=("-v", "--verbose"), action="count", help="-v lists "
@@ -93,6 +95,17 @@ class RunConfig:
                                      self.max_results, page_size)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+        for name in ("arxiv_base_url", "github_base_url"):
+            url = getattr(self, name)
+            try:
+                parts = urlsplit(url)
+                # .port raises ValueError outside 0-65535; requests sends port 0 to 80
+                usable = parts.port != 0 and parts.scheme in ("http", "https") and parts.hostname
+            except ValueError:
+                usable = False
+            if not usable:
+                raise UsageError(f"--{name.replace('_', '-')} must be an http(s) URL "
+                                 f"with a host, not {url!r}")
 
 
 _OPTIONS = {option.name: option for option in fields(RunConfig) if option.init}
@@ -362,8 +375,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _configure_logging(cfg.verbose)
-    if args.command == "run":
+    if args.command == "run":  # the parser allows only run and monitor
         return cmd_run(cfg)
-    if args.command == "monitor":
-        return cmd_monitor(cfg, args.previous)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return cmd_monitor(cfg, args.previous)

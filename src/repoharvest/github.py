@@ -49,7 +49,8 @@ class FailureKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class RepoMetrics:
-    """Engagement snapshot for one repository.
+    """Engagement snapshot for one repository. Its ``name`` is checked where
+    it enters: GitHub's ``full_name``, or a store line.
 
     Each count is a non-negative int; ``contributors`` is None until the
     contributors endpoint has been counted. ``etag`` is the ETag of the
@@ -66,8 +67,6 @@ class RepoMetrics:
     etag: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.name, str):
-            raise TypeError(f"name must be a string, not {self.name!r}")
         if not isinstance(self.description, (str, type(None))):
             raise TypeError(f"description must be a string or null, not {self.description!r}")
         for field_name, value in zip(("stars", "forks", "open_issues", "contributors"),
@@ -142,6 +141,7 @@ class GitHubClient:
             policy = ThrottlePolicy(AUTHENTICATED_MIN_INTERVAL if token else ANONYMOUS_MIN_INTERVAL)
         self._gate = RequestGate(policy.min_interval, clock=clock, sleep=sleep)
         self.base_url = base_url.rstrip("/")
+        self._origin = urlsplit(self.base_url)[:2]  # scheme and host every hop must keep
         self._session = session if session is not None else requests.Session()
         self._backoff_base = backoff_base
         self._wall_clock = wall_clock
@@ -195,7 +195,7 @@ class GitHubClient:
         headers = self._headers if etag is None else {**self._headers, "If-None-Match": etag}
         target = url
         for hop in range(2):
-            if urlsplit(target)[:2] != urlsplit(self.base_url)[:2]:
+            if urlsplit(target)[:2] != self._origin:
                 raise GitHubFetchError(FailureKind.MALFORMED_RESPONSE,
                                        f"refusing to leave {self.base_url} for {target}")
             response = retrying_get(
@@ -246,9 +246,9 @@ class GitHubClient:
 
         Returns the canonical identity (updated when GitHub redirected to a
         renamed repository) together with the metrics; ``contributors`` is
-        left unset for count_contributors to fill. The identity is the
-        body's ``full_name``, which must pass links.repo_from_name, or
-        ``ref`` when the body has none.
+        left unset for count_contributors to fill. The identity, and the
+        snapshot's ``name``, come from the body's ``full_name``, which must
+        pass links.repo_from_name; a body without one is malformed.
 
         With a ``stored`` snapshot that has an ETag, the request is
         conditional, and the answer's ETag is kept on the new snapshot. A
@@ -261,20 +261,16 @@ class GitHubClient:
         if response.status_code == 304:
             return ref, replace(stored, fetched_at=self._now())
         data = self._json_body(response, url, dict)
-        resolved = ref
-        full_name = data.get("full_name")
-        if full_name is not None:
-            try:
-                named = repo_from_name(full_name)
-            except LinkError as exc:
-                raise GitHubFetchError(
-                    FailureKind.MALFORMED_RESPONSE, f"bad full_name from {url}: {exc}"
-                ) from exc
-            if named.identity() != ref.identity():
-                resolved = replace(ref, owner=named.owner, name=named.name)
+        try:
+            named = repo_from_name(data.get("full_name"))
+        except LinkError as exc:
+            raise GitHubFetchError(FailureKind.MALFORMED_RESPONSE,
+                                   f"bad full_name from {url}: {exc}") from exc
+        resolved = ref if named.identity() == ref.identity() else replace(
+            ref, owner=named.owner, name=named.name)
         try:
             metrics = RepoMetrics(
-                name=data.get("name") or resolved.name,
+                name=named.name,
                 description=data.get("description"),
                 stars=data["stargazers_count"],
                 forks=data["forks_count"],
@@ -284,9 +280,8 @@ class GitHubClient:
                 etag=response.headers.get("ETag"),
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise GitHubFetchError(
-                FailureKind.MALFORMED_RESPONSE, f"bad count fields from {url}: {exc}"
-            ) from exc
+            raise GitHubFetchError(FailureKind.MALFORMED_RESPONSE,
+                                   f"bad count fields from {url}: {exc}") from exc
         return resolved, metrics
 
     def count_contributors(self, ref: RepoRef) -> int:

@@ -270,7 +270,7 @@ def _checked(value, kind: type, what: str):
 def _metrics_from_dict(data: dict) -> RepoMetrics:
     etag = _checked(data, dict, "snapshot").get("etag")
     return RepoMetrics(
-        name=data["name"],
+        name=_checked(data["name"], str, "snapshot name"),
         description=data["description"],
         stars=data["stars"],
         forks=data["forks"],

@@ -31,8 +31,9 @@ class RequestGate:
 
     wait() blocks until the next request slot opens, then reserves the
     following slot ``min_interval`` later. Calls serialize under a lock, so
-    requests form a total order. The clock and sleep functions are
-    injectable so tests can drive a fake clock.
+    requests form a total order. ``min_interval`` comes from a client's
+    pacing constants or an injected policy, never from outside input, so it
+    is taken as given. The clock and sleep functions are injectable.
     """
 
     def __init__(
@@ -41,8 +42,6 @@ class RequestGate:
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        if min_interval < 0:
-            raise ValueError("min_interval must be >= 0")
         self.min_interval = min_interval
         self._clock = clock
         self._sleep = sleep
@@ -59,8 +58,6 @@ class RequestGate:
 
     def defer(self, delay: float) -> None:
         """Push the next allowed request to at least ``delay`` from now."""
-        if delay <= 0:
-            return
         with self._lock:
             self._not_before = max(self._not_before, self._clock() + delay)
 

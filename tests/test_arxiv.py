@@ -163,13 +163,6 @@ class TestFetchPage:
         with pytest.raises(FeedParseError):
             client.fetch_page("q", 0, 10)
 
-    def test_invalid_paging_arguments(self):
-        client, _, _ = _client(lambda url, params: FakeResponse(text=atom_feed([])))
-        with pytest.raises(ValueError, match="start must be >= 0"):
-            client.fetch_page("q", -1, 10)
-        with pytest.raises(ValueError, match="page_size must be >= 1"):
-            client.fetch_page("q", 0, 0)
-
     def test_http_error_carries_status(self):
         client, session, _ = _client(lambda url, params: FakeResponse(status_code=500, text="x"))
         with pytest.raises(ArxivRequestError, match="^HTTP 500 from feed endpoint at start=0$"):

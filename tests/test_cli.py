@@ -770,6 +770,30 @@ class TestMonitorCommand:
             assert sorted(path.name for path in tmp_path.iterdir()) == names
             assert {name: (tmp_path / name).read_bytes() for name in names} == before
 
+    def test_a_feed_failure_leaves_the_previous_store_alone(self, tmp_path, caplog):
+        """A feed that answers 5xx past the retry budget is fatal: monitor
+        exits 1 before any section, and writes no output at all."""
+        kb = KnowledgeBase()
+        kb.upsert(make_ref("demo", "alpha", {"2101.00001"}), make_metrics(stars=40))
+        store = tmp_path / "kb.jsonl"
+        save_records(kb, store)
+        before = store.read_bytes()
+        sent = []
+        feed = feed_client(recorded(
+            lambda url, params: FakeResponse(status_code=503, text="down"), sent))
+        out = io.StringIO()
+        with caplog.at_level(logging.ERROR, logger="repoharvest"):
+            status = cmd_monitor(config_for(tmp_path, command="monitor"), None,
+                                 arxiv_client=feed,
+                                 github_client=fixtures_github_client({}), out=out)
+        assert status == 1
+        assert len(sent) == 3  # the first attempt and both retries
+        assert out.getvalue() == "Processing arXiv papers:\n\n"
+        assert [r.getMessage() for r in caplog.records] == [
+            "paper retrieval failed: HTTP 503 from feed endpoint at start=0"]
+        assert list(tmp_path.iterdir()) == [store]
+        assert store.read_bytes() == before
+
     def test_monitor_names_every_changed_count_in_order(self, tmp_path):
         fixtures = reference_fixtures()
         papers = self._seed_run(tmp_path, fixtures)
@@ -1149,6 +1173,40 @@ class TestArgumentResolution:
                     main([command, flag, value, *offline])
                 assert excinfo.value.code == 2
                 assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("url", ["http://[::1", "http://h:99999", "gh.example",
+                                     "ftp://gh.example", "http://127.0.0.1:0"])
+    @pytest.mark.parametrize("flag", ["--arxiv-base-url", "--github-base-url"])
+    @pytest.mark.parametrize("command", ["run", "monitor"])
+    def test_a_malformed_endpoint_exits_2_before_any_request(self, capsys, tmp_path,
+                                                             monkeypatch, command, flag, url):
+        """An endpoint must be an http(s) URL with a host and a readable
+        port other than 0, which requests would send to port 80. Anything
+        else is a usage error that names the flag, before a request is sent
+        or an output touched, not a traceback or three failing attempts per
+        repository."""
+        sent = []
+        monkeypatch.setattr(requests.Session, "get",
+                            lambda session, target, **kwargs: sent.append(target))
+        store = tmp_path / "kb.jsonl"
+        store.write_bytes(b"previous store\n")
+        status = main([command, flag, url, "--out-dir", str(tmp_path)])
+        assert status == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} must be an http(s) URL with a host, not {url!r}\n")
+        assert sent == []
+        assert list(tmp_path.iterdir()) == [store]
+        assert store.read_bytes() == b"previous store\n"
+
+    @pytest.mark.parametrize("url", ["http://127.0.0.1:8080/api/query", "http://[::1]:8080",
+                                     "https://API.example.org/"])
+    def test_an_http_endpoint_with_a_host_is_accepted(self, url):
+        defaults = resolve_config(parse_args(["run"]))
+        assert defaults.arxiv_base_url == "http://export.arxiv.org/api/query"
+        assert defaults.github_base_url == "https://api.github.com"
+        for name in ("arxiv_base_url", "github_base_url"):
+            flag = "--" + name.replace("_", "-")
+            assert getattr(resolve_config(parse_args(["monitor", flag, url])), name) == url
 
     def test_year_that_is_not_four_digits_exits_2(self, capsys, tmp_path):
         status = main([

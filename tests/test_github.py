@@ -132,11 +132,19 @@ class TestFetchRepo:
         assert resolved.source_papers == {"p1"}
         assert metrics.stars == 7
 
-    @pytest.mark.parametrize("full_name", ["../user", "demo/a/b", "demo/..", 7])
+    @pytest.mark.parametrize("full_name", ["../user", "demo/a/b", "demo/..", 7, None])
     def test_an_invalid_full_name_is_malformed_after_one_request(self, full_name):
+        """GitHub always sends ``full_name``; a body without one (None here)
+        is as malformed as one whose value is not an owner/name."""
+        body = repo_body("demo/x")
+        if full_name is None:
+            del body["full_name"]
+        else:
+            body["full_name"] = full_name
+
         def handler(url, params):
             assert url == f"{BASE}/repos/demo/x", f"unexpected URL {url}"
-            return FakeResponse(json_body={**repo_body("demo/x"), "full_name": full_name})
+            return FakeResponse(json_body=body)
 
         client, session, _ = make_client(handler, token="SECRET")
         successes, failures = client.enrich([make_ref("demo", "x")])
@@ -146,13 +154,15 @@ class TestFetchRepo:
             f"bad full_name from {BASE}/repos/demo/x: not an owner/name: {full_name!r}")]
         assert len(session.calls) == 1
 
-    def test_a_body_without_full_name_keeps_the_name_requested(self):
-        body = repo_body("demo/x", stars=3)
-        del body["full_name"]
+    def test_the_snapshot_name_is_the_name_part_of_full_name(self):
+        """The body's ``name`` is not read: ``full_name`` alone names the
+        repository, so a ``name`` that disagrees with it changes nothing."""
+        body = {**repo_body("Demo/X", stars=3), "name": 7}
         client, _, _ = make_client(lambda url, params: FakeResponse(json_body=body))
         ref = make_ref("demo", "x", {"p1"})
         resolved, metrics = client.fetch_repo(ref)
-        assert resolved is ref and metrics.stars == 3
+        assert resolved is ref
+        assert (metrics.name, metrics.stars) == ("X", 3)
 
     def test_redirect_loop_is_malformed(self):
         def handler(url, params):
@@ -575,8 +585,7 @@ class TestEnrich:
             ("one", FailureKind.MALFORMED_RESPONSE)]
         assert "stars must be an integer" in failures[0].detail
 
-    @pytest.mark.parametrize("field, value", [("name", 7), ("description", ["d"])],
-                             ids=["name", "description"])
+    @pytest.mark.parametrize("field, value", [("description", ["d"])], ids=["description"])
     def test_non_string_text_is_one_malformed_failure(self, field, value):
         repos = {"b/two": {"stars": 5, "forks": 1, "open_issues": 4, "contributors": 3}}
         answer = self._multi_handler(repos)

@@ -7,15 +7,7 @@ import requests
 from hypothesis import given, strategies as st
 
 from conftest import FakeClock
-from repoharvest.github import GitHubClient, ThrottlePolicy
 from repoharvest.throttle import RequestGate, retrying_get, seconds_header
-
-
-def test_negative_interval_rejected():
-    with pytest.raises(ValueError):
-        RequestGate(-0.1)
-    with pytest.raises(ValueError):
-        GitHubClient(policy=ThrottlePolicy(min_interval=-0.1))
 
 
 def test_first_wait_does_not_sleep(fake_clock):
