@@ -27,9 +27,8 @@ DEFAULT_BASE_URL = "https://api.github.com"
 # Minimum gap between anonymous requests. 720 ms allows 5000 requests an
 # hour, the authenticated quota's rate; it does not keep a run inside the
 # anonymous quota of 60 requests an hour, which a default run of ~62
-# requests (two per repository) still exceeds. Past that quota GitHub
-# answers 403 with X-RateLimit-Reset, and the retry waits until the reset
-# time.
+# requests (two per repository) still exceeds: past it, the repositories
+# left fail rate_limited, unsent (see GitHubClient._classify).
 ANONYMOUS_MIN_INTERVAL = 0.72
 AUTHENTICATED_MIN_INTERVAL = 0.10
 
@@ -120,9 +119,10 @@ def _page_number(url: Optional[str]) -> Optional[int]:
 class GitHubClient:
     """REST client with throttling, retries, and rename-redirect handling.
 
-    ``session``, ``clock``, ``sleep``, ``wall_clock``, and ``now`` are
-    injectable for tests; defaults talk to the real API with real time.
-    An absent token means low-quota anonymous mode.
+    ``session``, ``clock``, ``sleep``, and ``now`` are injectable for
+    tests; defaults talk to the real API with real time. An absent token
+    means low-quota anonymous mode. After an answer that says the quota is
+    spent, the client sends nothing more (see _classify).
     """
 
     def __init__(
@@ -134,7 +134,6 @@ class GitHubClient:
         backoff_base: float = 1.0,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
-        wall_clock: Callable[[], float] = time.time,
         now: Callable[[], datetime] = utc_now,
     ) -> None:
         if policy is None:
@@ -144,7 +143,7 @@ class GitHubClient:
         self._origin = urlsplit(self.base_url)[:2]  # scheme and host every hop must keep
         self._session = session if session is not None else requests.Session()
         self._backoff_base = backoff_base
-        self._wall_clock = wall_clock
+        self._quota_spent: Optional[str] = None  # detail of the answer that spent it
         self._now = now
         self._headers = {"Accept": "application/vnd.github+json"}
         if token:
@@ -154,10 +153,12 @@ class GitHubClient:
 
     def _classify(self, outcome, url: str):
         """None for a 2xx/3xx response, else (GitHubFetchError, retryable,
-        server hint). Transport failures, 5xx answers and quota 403/429s
-        are retryable. The hint is Retry-After when sent, else, for a quota
-        answer only, the time left until X-RateLimit-Reset (epoch seconds):
-        a 5xx is not held until the quota window resets."""
+        server hint). Transport failures, 5xx answers, 429s and 403s with
+        Retry-After are retryable; the hint is Retry-After, the only wait
+        the server sets. A 403/429 with X-RateLimit-Remaining: 0 and no
+        Retry-After spends the client's quota: it is not retried, its reset
+        (up to an hour away) is not waited for, and later requests fail
+        rate_limited unsent, as GitHub may ban a client that keeps sending."""
         if isinstance(outcome, requests.RequestException):
             error = GitHubFetchError(FailureKind.TRANSPORT, f"transport failure: {outcome}")
             return error, True, None
@@ -165,25 +166,19 @@ class GitHubClient:
         if status < 400:
             return None
         headers = outcome.headers
+        detail = f"HTTP {status} for {url}"
         kind, retryable = FailureKind.TRANSPORT, status >= 500
         if status == 404:
             kind = FailureKind.NOT_FOUND
         elif status == 401:
             kind = FailureKind.FORBIDDEN
         elif status in (403, 429):
-            retryable = (
-                status == 429
-                or headers.get("X-RateLimit-Remaining") == "0"
-                or "Retry-After" in headers
-            )
-            kind = FailureKind.RATE_LIMITED if retryable else FailureKind.FORBIDDEN
-        hint = None
-        if "Retry-After" in headers:
-            hint = seconds_header(headers["Retry-After"])
-        elif kind is FailureKind.RATE_LIMITED:
-            reset = seconds_header(headers.get("X-RateLimit-Reset"))
-            hint = None if reset is None else max(0.0, reset - self._wall_clock())
-        return GitHubFetchError(kind, f"HTTP {status} for {url}"), retryable, hint
+            spent = "Retry-After" not in headers and headers.get("X-RateLimit-Remaining") == "0"
+            retryable = not spent and (status == 429 or "Retry-After" in headers)
+            kind = FailureKind.RATE_LIMITED if spent or retryable else FailureKind.FORBIDDEN
+            if spent:
+                self._quota_spent = detail = f"quota spent: {detail}"
+        return GitHubFetchError(kind, detail), retryable, seconds_header(headers.get("Retry-After"))
 
     def _request(self, url: str, params=None, etag: Optional[str] = None):
         """GET with the retry budget, following at most one rename redirect;
@@ -191,7 +186,10 @@ class GitHubClient:
         conditional (If-None-Match) and a 304 is returned as an answer;
         otherwise a 3xx is a redirect. A URL off ``base_url``'s scheme and
         host is refused unsent, so the token never follows a rename redirect
-        to another host; a Location that is no URL is a malformed answer."""
+        to another host; a Location that is no URL is a malformed answer.
+        Once the quota is spent, nothing is sent."""
+        if self._quota_spent:
+            raise GitHubFetchError(FailureKind.RATE_LIMITED, f"{self._quota_spent}; {url} not sent")
         headers = self._headers if etag is None else {**self._headers, "If-None-Match": etag}
         target = url
         for hop in range(2):

@@ -1,8 +1,8 @@
 """Request pacing and retries shared by the HTTP clients.
 
 A RequestGate serializes outbound requests and keeps a minimum interval
-between consecutive ones. Server-supplied delays (retry-after hints, quota
-resets) are folded in through defer(). retrying_get() is the one
+between consecutive ones. A server's Retry-After hint is folded in through
+defer(). retrying_get() is the one
 gate → GET → classify → backoff-or-hint loop both clients send through.
 """
 from __future__ import annotations
@@ -20,7 +20,7 @@ MAX_RETRIES = 2
 #: Seconds a client waits for a server to answer one request.
 REQUEST_TIMEOUT = 30.0
 #: A retry deferred by more seconds than this is logged as a warning, so a
-#: quota reset up to an hour away is never waited out in silence.
+#: long Retry-After is never waited out in silence.
 LONG_WAIT = 60.0
 
 log = logging.getLogger("repoharvest")

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
@@ -84,6 +85,8 @@ class MockGitHubApp:
     contributors (an int; the server fabricates that many login stubs) and
     an optional description. Unknown slugs 404. ``rate_limit_once`` slugs
     serve one quota-style 403 first; ``redirects`` maps old slugs to new.
+    With a ``budget``, every request past that many is answered with a
+    spent quota's 403: no Retry-After, and a reset an hour ahead.
     Contributors pages carry a Link header with rel="next" and rel="last",
     as GitHub's do.
     """
@@ -93,10 +96,17 @@ class MockGitHubApp:
         self.requests: list[str] = []
         self.rate_limit_once: set[str] = set()
         self.redirects: dict[str, str] = {}
+        self.budget: int | None = None
         self.base_url = ""
 
     def handle(self, path, params):
         self.requests.append(path)
+        if self.budget is not None and len(self.requests) > self.budget:
+            return (
+                403,
+                {"X-RateLimit-Remaining": "0", "X-RateLimit-Reset": str(int(time.time()) + 3600)},
+                json.dumps({"message": "API rate limit exceeded"}),
+            )
         parts = [p for p in path.split("/") if p]
         if len(parts) < 3 or parts[0] != "repos":
             return 404, {}, json.dumps({"message": "Not Found"})

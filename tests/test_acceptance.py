@@ -148,7 +148,6 @@ def _counted(handler):
         session=session,
         clock=clock,
         sleep=clock.sleep,
-        wall_clock=clock,
     )
     try:
         return client.count_contributors(RepoRef("o", "r")), session.calls
@@ -246,7 +245,7 @@ def _github_schedule(rng) -> tuple[list[float], float, float | None]:
     client = GitHubClient(
         base_url="http://gh.test",
         policy=ThrottlePolicy(min_interval=interval),
-        session=session, clock=clock, sleep=clock.sleep, wall_clock=clock,
+        session=session, clock=clock, sleep=clock.sleep,
     )
     for i in range(n_refs):
         client.fetch_repo(RepoRef("o", f"r{i}"))
@@ -282,7 +281,10 @@ def test_throttle_spacing_holds_across_randomized_schedules(caplog):
 # -- 7. robustness property ---------------------------------------------------
 
 def test_enrichment_partition_under_injected_failures():
-    """Tolerance: |successes| + |failures| == 10 for every kind/position."""
+    """Tolerance: |successes| + |failures| == 10 for every kind/position.
+    A spent quota fails the broken repository and every later one, and no
+    request follows the spent answer; any other failure is its
+    repository's alone."""
     kinds = {
         "not_found": lambda: FakeResponse(status_code=404,
                                           json_body={"message": "nf"}),
@@ -317,20 +319,23 @@ def test_enrichment_partition_under_injected_failures():
                 })
 
             clock = FakeClock()
+            session = FakeSession(handler, clock=clock)
             client = GitHubClient(
                 base_url="http://gh.test",
                 policy=ThrottlePolicy(min_interval=0.0),
-                session=FakeSession(handler, clock=clock),
-                clock=clock, sleep=clock.sleep, wall_clock=clock,
+                session=session, clock=clock, sleep=clock.sleep,
             )
             successes, failures = client.enrich(refs)
             assert len(successes) + len(failures) == 10, (kind, position)
-            assert len(failures) == 1
-            assert failures[0].repo.name == broken_name
-            assert failures[0].kind is expected_kind[kind]
+            failed = range(position, 10) if kind == "rate_limited" else [position]
+            assert [(f.repo.name, f.kind) for f in failures] == [
+                (f"r{i}", expected_kind[kind]) for i in failed]
             assert [r.name for r, _ in successes] == [
-                f"r{i}" for i in range(10) if i != position
+                f"r{i}" for i in range(10) if i not in failed
             ]
+            if kind == "rate_limited":
+                assert len(session.calls) == 2 * position + 1
+                assert session.calls[-1][1] == f"http://gh.test/repos/o/{broken_name}"
             cases += 1
     assert cases == 30
     print(f"PASS robustness: {cases}/30 injected-failure runs kept the partition")

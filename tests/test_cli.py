@@ -44,6 +44,7 @@ from repoharvest.cli import (
 from repoharvest.github import GitHubClient, ThrottlePolicy
 from repoharvest.kb import KnowledgeBase, load_records, save_records
 from repoharvest.links import canonicalize
+from repoharvest.throttle import LONG_WAIT
 
 EXPECTED_LINES = [row.expected_line for row in REFERENCE_ROWS]
 
@@ -165,8 +166,7 @@ def github_client(handler, session=None, start=START):
     session = session or FakeSession(handler, clock=clock)
     return GitHubClient(base_url="http://gh.test",
                         policy=ThrottlePolicy(min_interval=0.0),
-                        session=session, clock=clock, sleep=clock.sleep,
-                        wall_clock=clock, now=now)
+                        session=session, clock=clock, sleep=clock.sleep, now=now)
 
 
 def fixtures_github_client(fixtures):
@@ -368,6 +368,53 @@ class TestRunCommand:
         assert [r.getMessage() for r in caplog.records] == [
             "GitHub fetch failed for demo/broken: malformed_response (unparseable Location "
             "'http://[::1/repos/x/y' for http://gh.test/repos/demo/broken: Invalid IPv6 URL)"]
+
+    def test_a_spent_quota_ends_the_github_requests_and_keeps_what_was_enriched(
+            self, tmp_path, caplog):
+        """Past the server's budget every answer is a spent quota's 403 with
+        its reset an hour ahead: the run sends nothing more, waits for no
+        reset, logs each repository left once, in first-mention order, and
+        exits 0 with what it enriched before."""
+        slugs = ["alpha", "beta", "gamma", "delta", "gamma", "epsilon"]
+        papers = [(f"2101.0000{i}", slug, f"Code: https://github.com/demo/{slug}.")
+                  for i, slug in enumerate(slugs)]
+        app = MockGitHubApp({
+            "demo/alpha": {"stars": 150, "forks": 3, "open_issues": 1, "contributors": 205},
+            "demo/beta": {"stars": 31, "forks": 0, "open_issues": 0, "contributors": 1},
+            **{f"demo/{slug}": {"stars": 1, "forks": 0, "open_issues": 0, "contributors": 1}
+               for slug in ("gamma", "delta", "epsilon")},
+        })
+        app.budget = 5  # alpha and beta, then gamma's /repos; its contributors are refused
+        clock = FakeClock()
+        with MockServer(app) as gh, requests.Session() as session, \
+                caplog.at_level(logging.WARNING, logger="repoharvest"):
+            # anonymous, so at the 720 ms default pacing, on a fake clock
+            gh_client = GitHubClient(base_url=gh.base_url, session=session,
+                                     clock=clock, sleep=clock.sleep)
+            status = cmd_run(config_for(tmp_path), arxiv_client=corpus_arxiv_client(papers),
+                             github_client=gh_client, out=io.StringIO())
+        assert status == 0
+        lines = [
+            "The project 'alpha' has a maturity level of High. It has 150 stars, 3 forks, "
+            "1 open issues, and 205 contributors.",
+            "The project 'beta' has a maturity level of Medium. It has 31 stars, 0 forks, "
+            "0 open issues, and 1 contributors.",
+        ]
+        assert [entry.ref.canonical_url for entry in load_records(tmp_path / "kb.jsonl")] == [
+            "https://github.com/demo/alpha", "https://github.com/demo/beta"]
+        assert (tmp_path / "report.txt").read_text(encoding="utf-8").splitlines() == lines
+        assert app.requests == ["/repos/demo/alpha", "/repos/demo/alpha/contributors",
+                                "/repos/demo/beta", "/repos/demo/beta/contributors",
+                                "/repos/demo/gamma", "/repos/demo/gamma/contributors"]
+        spent = f"quota spent: HTTP 403 for {gh.base_url}/repos/demo/gamma/contributors"
+        assert [r.getMessage() for r in caplog.records] == [
+            f"GitHub fetch failed for demo/gamma: rate_limited ({spent})",
+            f"GitHub fetch failed for demo/delta: rate_limited "
+            f"({spent}; {gh.base_url}/repos/demo/delta not sent)",
+            f"GitHub fetch failed for demo/epsilon: rate_limited "
+            f"({spent}; {gh.base_url}/repos/demo/epsilon not sent)",
+        ]
+        assert clock.sleeps and max(clock.sleeps) < LONG_WAIT
 
     def test_skipped_link_is_logged_at_info(self, tmp_path, caplog):
         papers = [("2101.00001", "title", "see https://github.com/onlyowner and "

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import replace
 from datetime import datetime, timezone
 
@@ -76,7 +77,6 @@ def make_client(handler, clock=None, token=None, policy=None, **kwargs):
         session=session,
         clock=clock,
         sleep=clock.sleep,
-        wall_clock=clock,
         backoff_base=1.0,
         **kwargs,
     )
@@ -290,18 +290,17 @@ class TestRateLimitHandling:
         assert times[1] - times[0] >= 30.0
         assert caplog.records == []  # a short wait is not worth a warning
 
-    def test_quota_reset_wait_is_warned_about(self, caplog):
-        """A wait of up to an hour for the quota reset is never silent."""
-        clock = FakeClock(start=100.0)
+    def test_a_long_retry_after_is_waited_out_and_warned_about(self, caplog):
+        """A wait of more than a minute is never silent."""
         answers = [
             FakeResponse(
                 status_code=403,
                 json_body={"message": "rate limit exceeded"},
-                headers={"X-RateLimit-Remaining": "0", "X-RateLimit-Reset": "3100"},
+                headers={"X-RateLimit-Remaining": "0", "Retry-After": "3000"},
             ),
             FakeResponse(json_body=repo_body("a/b", stars=1)),
         ]
-        client, session, clock = make_client(lambda url, params: answers.pop(0), clock=clock)
+        client, session, clock = make_client(lambda url, params: answers.pop(0))
         with caplog.at_level(logging.WARNING, logger="repoharvest"):
             _, metrics = client.fetch_repo(make_ref("a", "b"))
         assert metrics.stars == 1
@@ -311,24 +310,19 @@ class TestRateLimitHandling:
             f"rate_limited: HTTP 403 for {BASE}/repos/a/b; waiting 3000 s before retrying",
         )]
 
-    def test_rate_limit_reset_header_used_as_hint(self):
-        clock = FakeClock(start=100.0)
-        state = {"limited": True}
-
-        def handler(url, params):
-            if state["limited"]:
-                state["limited"] = False
-                return FakeResponse(
-                    status_code=429,
-                    json_body={"message": "slow down"},
-                    headers={"X-RateLimit-Reset": "145"},  # 45s past wall clock
-                )
-            return FakeResponse(json_body=repo_body("a/b"))
-
-        client, session, clock = make_client(handler, clock=clock)
-        client.fetch_repo(make_ref("a", "b"))
-        times = session.times
-        assert times[1] - times[0] >= 45.0
+    def test_a_429_with_only_a_reset_is_retried_after_the_backoff(self):
+        """X-RateLimit-Reset is not a hint: the backoff applies."""
+        reset = str(int(time.time()) + 45)
+        answers = [
+            FakeResponse(status_code=429, json_body={"message": "slow down"},
+                         headers={"X-RateLimit-Reset": reset}),
+            FakeResponse(json_body=repo_body("a/b", stars=1)),
+        ]
+        client, session, clock = make_client(lambda url, params: answers.pop(0))
+        _, metrics = client.fetch_repo(make_ref("a", "b"))
+        assert metrics.stars == 1
+        assert len(session.calls) == 2
+        assert clock.sleeps == [1.0]
 
     def test_server_error_does_not_wait_for_quota_reset(self):
         """X-RateLimit-Reset is the end of the quota window, not a hint for
@@ -348,34 +342,48 @@ class TestRateLimitHandling:
         assert len(session.calls) == 2
         assert clock.sleeps == [1.0]
 
-    def test_budget_exhausted_surfaces_rate_limited(self):
+    @pytest.mark.parametrize("status", [403, 429])
+    def test_budget_exhausted_surfaces_rate_limited(self, status, caplog):
+        """A spent quota fails after one request: its reset, an hour away,
+        is not waited for."""
+        reset = str(int(time.time()) + 3600)
+
         def handler(url, params):
             return FakeResponse(
-                status_code=403,
+                status_code=status,
                 json_body={"message": "rate limit exceeded"},
-                headers={"X-RateLimit-Remaining": "0"},
-            )
-
-        client, session, _ = make_client(handler)
-        with pytest.raises(GitHubFetchError) as excinfo:
-            client.fetch_repo(make_ref("a", "b"))
-        assert excinfo.value.kind is FailureKind.RATE_LIMITED
-        assert len(session.calls) == 3
-
-    def test_infinite_reset_falls_back_to_backoff(self):
-        def handler(url, params):
-            return FakeResponse(
-                status_code=403,
-                json_body={"message": "rate limit exceeded"},
-                headers={"X-RateLimit-Remaining": "0", "X-RateLimit-Reset": "inf"},
+                headers={"X-RateLimit-Remaining": "0", "X-RateLimit-Reset": reset},
             )
 
         client, session, clock = make_client(handler)
+        with caplog.at_level(logging.WARNING, logger="repoharvest"), \
+                pytest.raises(GitHubFetchError) as excinfo:
+            client.fetch_repo(make_ref("a", "b"))
+        assert excinfo.value.kind is FailureKind.RATE_LIMITED
+        assert excinfo.value.detail == f"quota spent: HTTP {status} for {BASE}/repos/a/b"
+        assert len(session.calls) == 1
+        assert clock.sleeps == []
+        assert caplog.records == []
+
+    def test_after_a_spent_answer_nothing_more_is_sent(self):
+        def handler(url, params):
+            if url.endswith("/contributors"):
+                return FakeResponse(status_code=403, json_body={"message": "limit"},
+                                    headers={"X-RateLimit-Remaining": "0"})
+            return FakeResponse(json_body=repo_body("a/b", stars=1))
+
+        client, session, _ = make_client(handler)
         successes, failures = client.enrich([make_ref("a", "b")])
         assert successes == []
-        assert [f.kind for f in failures] == [FailureKind.RATE_LIMITED]
-        assert len(session.calls) == 3
-        assert clock.sleeps == [1.0, 2.0]  # the doubling backoff, not the hint
+        spent = f"quota spent: HTTP 403 for {CONTRIBUTORS}"
+        assert [(f.kind, f.detail) for f in failures] == [(FailureKind.RATE_LIMITED, spent)]
+        for call, url in ((client.fetch_repo, f"{BASE}/repos/c/d"),
+                          (client.count_contributors, f"{BASE}/repos/c/d/contributors")):
+            with pytest.raises(GitHubFetchError) as excinfo:
+                call(make_ref("c", "d"))
+            assert (excinfo.value.kind, excinfo.value.detail) == (
+                FailureKind.RATE_LIMITED, f"{spent}; {url} not sent")
+        assert [url for _, url, _ in session.calls] == [f"{BASE}/repos/a/b", CONTRIBUTORS]
 
 
 class TestCountContributors:
@@ -540,22 +548,33 @@ class TestEnrich:
 
         return handler
 
-    def test_partition_and_order(self):
+    @pytest.mark.parametrize("mode, failed, sent", [
+        # a spent quota fails the broken repository and every later one,
+        # which are not requested
+        ("rate_limited", ["two", "three"], ["one", "one/contributors", "two"]),
+        ("not_found", ["two"], ["one", "one/contributors", "two", "three",
+                                "three/contributors"]),
+        ("transport", ["two"], ["one", "one/contributors", "two", "two", "two", "three",
+                                "three/contributors"]),
+    ], ids=["rate_limited", "not_found", "transport"])
+    def test_partition_and_order(self, mode, failed, sent):
         repos = {
             "a/one": {"stars": 1, "forks": 0, "open_issues": 0, "contributors": 2},
             "b/two": {"stars": 5, "forks": 1, "open_issues": 4, "contributors": 3},
             "c/three": {"stars": 0, "forks": 0, "open_issues": 0, "contributors": 0},
         }
-        handler = self._multi_handler(repos, broken={"b/two": "not_found"})
-        client, _, _ = make_client(handler)
+        handler = self._multi_handler(repos, broken={"b/two": mode})
+        client, session, _ = make_client(handler)
         refs = [make_ref("a", "one"), make_ref("b", "two"), make_ref("c", "three")]
         successes, failures = client.enrich(refs)
-        assert [r.name for r, _ in successes] == ["one", "three"]
-        assert [f.repo.name for f in failures] == ["two"]
-        assert failures[0].kind is FailureKind.NOT_FOUND
-        assert failures[0].detail
+        assert [r.name for r, _ in successes] == [
+            r.name for r in refs if r.name not in failed]
+        assert [f.repo.name for f in failures] == failed
+        assert {f.kind for f in failures} == {FailureKind(mode)}
+        assert all(f.detail for f in failures)
         assert len(successes) + len(failures) == len(refs)
         assert successes[0][1].contributors == 2
+        assert [url.split("/repos/")[1].split("/", 1)[1] for _, url, _ in session.calls] == sent
 
     def test_empty_input(self):
         client, _, _ = make_client(lambda url, params: FakeResponse(json_body={}))
