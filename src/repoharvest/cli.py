@@ -158,6 +158,12 @@ def _mine_refs(paper: PaperRecord) -> Iterator[RepoRef]:
                 log.info("skipping %s: %s", cleaned, exc)
 
 
+def _snapshot(outcome: Outcome) -> Optional[tuple[RepoRef, RepoMetrics]]:
+    """The resolved ref and snapshot an outcome stores: a success, or the
+    snapshot a failure kept."""
+    return outcome.kept if isinstance(outcome, FetchFailure) else outcome
+
+
 def _papers_promised(client: ArxivClient, cfg: RunConfig, processed: int) -> int:
     """The feed's latest ``totalResults`` up to the cap, and never fewer than
     ``processed``: before the feed sends one, or after it shrank."""
@@ -189,13 +195,14 @@ def execute_pipeline(
     writes until the feed ends. A feed that ends before its
     ``totalResults`` (up to the cap) is warned about. Then each name's
     outcome is handled once, in first-mention order, as soon as it is
-    ready: a success is stored with one ``kb.record`` call and printed the
-    first time its repository is reported, and a failure is logged under
-    the name, never fatal. A paper retrieval failure after retries is
+    ready: a failure is logged under the name, never fatal; a success, or
+    the snapshot a failure kept, is stored with one ``kb.record`` call and
+    printed the first time its repository is reported. The memo treats a
+    kept snapshot as a success. A paper retrieval failure after retries is
     fatal (exit status 1): the repository being enriched is finished and
     no other is started. A client not given is built from ``cfg``'s base
-    URL at the API's fixed pacing: 3 s between feed requests, and 720 ms
-    between GitHub requests, or 100 ms with a token in ``GITHUB_TOKEN``.
+    URL at the API's fixed pacing: 3 s between feed requests and 100 ms
+    between GitHub requests, with or without a token in ``GITHUB_TOKEN``.
     """
     out = out if out is not None else sys.stdout
     client = arxiv_client if arxiv_client is not None else ArxivClient(
@@ -213,9 +220,10 @@ def execute_pipeline(
             stored = None if latest is None else {ref.identity(): latest}
             successes, failures = gh.enrich([ref], stored)
             outcome = successes[0] if successes else failures[0]
-            if successes:  # renamed onto an earlier success: keep its snapshot
-                earlier = done.setdefault(outcome[0].identity(), outcome)
-                if not isinstance(earlier, FetchFailure):
+            snapshot = _snapshot(outcome)
+            if snapshot:  # renamed onto an earlier snapshot: keep that one
+                earlier = _snapshot(done.setdefault(snapshot[0].identity(), snapshot))
+                if earlier and earlier is not snapshot:
                     outcome = earlier
             done[ref.identity()] = outcome
         return done[ref.identity()]
@@ -245,10 +253,12 @@ def execute_pipeline(
             for ref in unique:
                 outcome = outcomes[ref.identity()].result()
                 if isinstance(outcome, FetchFailure):
-                    log.warning("GitHub fetch failed for %s/%s: %s (%s)", ref.owner, ref.name,
-                                outcome.kind.value, outcome.detail)
-                    continue
-                resolved, metrics = outcome
+                    log.warning("GitHub fetch failed for %s/%s: %s (%s)%s", ref.owner, ref.name,
+                                outcome.kind.value, outcome.detail,
+                                "; its snapshot was kept" if outcome.kept else "")
+                    if not outcome.kept:
+                        continue
+                resolved, metrics = _snapshot(outcome)
                 entry = kb.record(ref, resolved, metrics)
                 if resolved.identity() not in reported:
                     reported.add(resolved.identity())
@@ -280,12 +290,17 @@ def _write_outputs(cfg: RunConfig, kb: KnowledgeBase) -> int:
     a staged name in it and synced to disk, and once all three are synced
     each is renamed once over its real name, ``kb.jsonl`` last; then
     ``out_dir`` is synced, so the renames survive a crash. Exit status 1,
-    with no staged file left, when a file cannot be written or synced; no
-    file is replaced unless all three were synced."""
+    with no staged file left, when a file cannot be written or synced or a
+    real name is taken by something other than a regular file; no file is
+    replaced unless all three were synced. Only an I/O fault or a crash
+    between the renames leaves the set mixed."""
     names = (TABLE_FILENAME, REPORT_FILENAME, RECORDS_FILENAME)  # replacing order
     staged = {name: cfg.out_dir / f"{name}.staged.{os.getpid()}" for name in names}
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        for target in (cfg.out_dir / name for name in names):
+            if target.exists() and not target.is_file():  # a rename over it would fail
+                raise OSError(f"{target} is not a regular file")
         save_records(kb, staged[RECORDS_FILENAME])
         export_table(kb, staged[TABLE_FILENAME])
         export_report(kb, staged[REPORT_FILENAME])

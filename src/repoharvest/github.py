@@ -24,12 +24,10 @@ from .throttle import REQUEST_TIMEOUT, RequestGate, retrying_get, seconds_header
 
 DEFAULT_BASE_URL = "https://api.github.com"
 
-# Minimum gap between anonymous requests. 720 ms allows 5000 requests an
-# hour, the authenticated quota's rate; it does not keep a run inside the
-# anonymous quota of 60 requests an hour, which a default run of ~62
-# requests (two per repository) still exceeds: past it, the repositories
-# left fail rate_limited, unsent (see GitHubClient._classify).
-ANONYMOUS_MIN_INTERVAL = 0.72
+# Minimum gap between requests, with or without a token. GitHub asks for
+# serial requests and at most 900 points a minute; a spent quota ends the
+# requests (see GitHubClient._classify), so no spacing needs to stretch a
+# run across the anonymous quota of 60 requests an hour.
 AUTHENTICATED_MIN_INTERVAL = 0.10
 
 
@@ -84,11 +82,14 @@ class RepoMetrics:
 
 @dataclass(frozen=True)
 class FetchFailure:
-    """Record of one repository that could not be enriched."""
+    """Record of one repository that could not be enriched. ``kept`` is the
+    resolved ref and snapshot of a /repos answer whose contributors request
+    failed, with the stored count or None; it is stored all the same."""
 
     repo: RepoRef
     kind: FailureKind
     detail: str
+    kept: Optional[tuple[RepoRef, RepoMetrics]] = None
 
 
 @dataclass(frozen=True)
@@ -120,8 +121,9 @@ class GitHubClient:
     """REST client with throttling, retries, and rename-redirect handling.
 
     ``session``, ``clock``, ``sleep``, and ``now`` are injectable for
-    tests; defaults talk to the real API with real time. An absent token
-    means low-quota anonymous mode. After an answer that says the quota is
+    tests; defaults talk to the real API with real time. Requests go out
+    ``policy.min_interval`` apart with or without a token, which adds only
+    its header and a larger quota. After an answer that says the quota is
     spent, the client sends nothing more (see _classify).
     """
 
@@ -129,15 +131,13 @@ class GitHubClient:
         self,
         base_url: str = DEFAULT_BASE_URL,
         token: Optional[str] = None,
-        policy: Optional[ThrottlePolicy] = None,
+        policy: ThrottlePolicy = ThrottlePolicy(AUTHENTICATED_MIN_INTERVAL),
         session=None,
         backoff_base: float = 1.0,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
         now: Callable[[], datetime] = utc_now,
     ) -> None:
-        if policy is None:
-            policy = ThrottlePolicy(AUTHENTICATED_MIN_INTERVAL if token else ANONYMOUS_MIN_INTERVAL)
         self._gate = RequestGate(policy.min_interval, clock=clock, sleep=sleep)
         self.base_url = base_url.rstrip("/")
         self._origin = urlsplit(self.base_url)[:2]  # scheme and host every hop must keep
@@ -320,17 +320,22 @@ class GitHubClient:
         makes that repository's refresh conditional (see fetch_repo).
         Failures become FetchFailure records instead of exceptions, so one
         bad repository never aborts the batch; len(successes) +
-        len(failures) equals the number of input refs.
+        len(failures) equals the number of input refs. A failed contributors
+        request keeps the snapshot in hand as the failure's ``kept``, its
+        count the stored one, as on a 304, or None.
         """
         successes: list[tuple[RepoRef, RepoMetrics]] = []
         failures: list[FetchFailure] = []
         for ref in refs:
+            latest = (stored or {}).get(ref.identity())
+            kept = None
             try:
-                resolved, metrics = self.fetch_repo(ref, (stored or {}).get(ref.identity()))
+                resolved, metrics = self.fetch_repo(ref, latest)
                 if metrics.contributors is None:
-                    count = self.count_contributors(resolved)
-                    metrics = replace(metrics, contributors=count)
+                    kept = (resolved, metrics if latest is None
+                            else replace(metrics, contributors=latest.contributors))
+                    metrics = replace(metrics, contributors=self.count_contributors(resolved))
                 successes.append((resolved, metrics))
             except GitHubFetchError as exc:
-                failures.append(FetchFailure(repo=ref, kind=exc.kind, detail=exc.detail))
+                failures.append(FetchFailure(ref, exc.kind, exc.detail, kept))
         return successes, failures

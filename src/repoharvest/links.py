@@ -14,10 +14,13 @@ from urllib.parse import urlsplit
 # A GitHub URL in running text: scheme, optional www, then a non-empty run
 # of path characters. Scheme and host match in any case (RFC 3986 §3.1,
 # §3.2.2); the path keeps the case the text gives it. The run ends at
-# whitespace or at a character RFC 3986 never allows unencoded
-# (< > " { } | \ ^ `), so markup around a URL stays out of it. Trailing
-# sentence punctuation is part of the match and removed by clean_url.
-_URL_PATTERN = re.compile(r"(?i:https?://(?:www\.)?github\.com)/[^\s<>\"{}|\\^`]+")
+# whitespace, at a non-ASCII character (a URL is ASCII, so a curly quote
+# or full-width stop after one is prose), or at a character RFC 3986 never
+# allows unencoded (< > " { } | \ ^ `), so markup around a URL stays out
+# of it; only TeX's escape ``\_`` continues it. Trailing sentence
+# punctuation is part of the match and removed by clean_url.
+_URL_PATTERN = re.compile(
+    r"(?i:https?://(?:www\.)?github\.com)/(?:[^\s<>\"{}|\\^`\x80-\U0010ffff]|\\_)+")
 
 # Characters prose glues onto a URL; stripped repeatedly from the right.
 _TRAILING_JUNK = ".,;:!?)]}'\""
@@ -51,14 +54,15 @@ class RepoRef:
 
 
 def extract_urls(text: str) -> list[str]:
-    """Return every GitHub URL in ``text`` exactly as matched, in document
-    order.
+    r"""Return every GitHub URL in ``text`` as matched, each TeX ``\_``
+    read as ``_``, in document order.
 
-    A match ends at whitespace or at a character no URL holds unencoded,
-    such as "<", '"' or "}"; trailing punctuation stays attached until
-    clean_url removes it. Empty or URL-free text yields [].
+    A match ends at whitespace, at a non-ASCII character, or at a character
+    no URL holds unencoded, such as "<", '"', "}" or a "\" that does not
+    escape "_"; trailing punctuation stays attached until clean_url removes
+    it. Empty or URL-free text yields [].
     """
-    return _URL_PATTERN.findall(text or "")
+    return [url.replace("\\_", "_") for url in _URL_PATTERN.findall(text or "")]
 
 
 def clean_url(url: str) -> str:

@@ -374,7 +374,7 @@ class TestRunCommand:
         """Past the server's budget every answer is a spent quota's 403 with
         its reset an hour ahead: the run sends nothing more, waits for no
         reset, logs each repository left once, in first-mention order, and
-        exits 0 with what it enriched before."""
+        exits 0 with what it enriched before, gamma's /repos snapshot too."""
         slugs = ["alpha", "beta", "gamma", "delta", "gamma", "epsilon"]
         papers = [(f"2101.0000{i}", slug, f"Code: https://github.com/demo/{slug}.")
                   for i, slug in enumerate(slugs)]
@@ -388,7 +388,7 @@ class TestRunCommand:
         clock = FakeClock()
         with MockServer(app) as gh, requests.Session() as session, \
                 caplog.at_level(logging.WARNING, logger="repoharvest"):
-            # anonymous, so at the 720 ms default pacing, on a fake clock
+            # anonymous, so at the 100 ms default pacing, on a fake clock
             gh_client = GitHubClient(base_url=gh.base_url, session=session,
                                      clock=clock, sleep=clock.sleep)
             status = cmd_run(config_for(tmp_path), arxiv_client=corpus_arxiv_client(papers),
@@ -399,16 +399,22 @@ class TestRunCommand:
             "1 open issues, and 205 contributors.",
             "The project 'beta' has a maturity level of Medium. It has 31 stars, 0 forks, "
             "0 open issues, and 1 contributors.",
+            "The project 'gamma' has a maturity level of Low. It has 1 stars, 0 forks, "
+            "0 open issues, and 0 contributors.",
         ]
-        assert [entry.ref.canonical_url for entry in load_records(tmp_path / "kb.jsonl")] == [
-            "https://github.com/demo/alpha", "https://github.com/demo/beta"]
+        stored = load_records(tmp_path / "kb.jsonl")
+        assert [entry.ref.canonical_url for entry in stored] == [
+            "https://github.com/demo/alpha", "https://github.com/demo/beta",
+            "https://github.com/demo/gamma"]
+        assert [entry.latest.contributors for entry in stored] == [205, 1, None]
         assert (tmp_path / "report.txt").read_text(encoding="utf-8").splitlines() == lines
         assert app.requests == ["/repos/demo/alpha", "/repos/demo/alpha/contributors",
                                 "/repos/demo/beta", "/repos/demo/beta/contributors",
                                 "/repos/demo/gamma", "/repos/demo/gamma/contributors"]
         spent = f"quota spent: HTTP 403 for {gh.base_url}/repos/demo/gamma/contributors"
         assert [r.getMessage() for r in caplog.records] == [
-            f"GitHub fetch failed for demo/gamma: rate_limited ({spent})",
+            f"GitHub fetch failed for demo/gamma: rate_limited ({spent}); "
+            "its snapshot was kept",
             f"GitHub fetch failed for demo/delta: rate_limited "
             f"({spent}; {gh.base_url}/repos/demo/delta not sent)",
             f"GitHub fetch failed for demo/epsilon: rate_limited "
@@ -663,6 +669,46 @@ class TestEnrichmentWorker:
                 for r in stored] == [
             ("https://github.com/demo/new", ["2101.00001", "2101.00002"], [], ["demo/old"])]
 
+    def test_a_snapshot_kept_under_the_old_name_answers_for_the_new_one(
+            self, tmp_path, caplog):
+        """demo/old redirects to demo/new, whose contributors request fails:
+        the snapshot is stored once, with an unknown count, the failure is
+        logged once, and a later paper naming demo/new sends nothing."""
+        papers = [
+            ("2101.00001", "old", "Code: https://github.com/demo/old."),
+            ("2101.00002", "new", "Code: https://github.com/demo/new."),
+        ]
+        plain = fixtures_handler(
+            {"demo/new": {"stars": 5, "forks": 1, "open_issues": 0, "contributors": 2}})
+
+        def handler(url, params):
+            if url.endswith("/contributors"):
+                return FakeResponse(status_code=403, text="too large to list")
+            return plain(url, params)
+
+        sent = []
+        out = io.StringIO()
+        with caplog.at_level(logging.WARNING, logger="repoharvest"):
+            status = cmd_run(config_for(tmp_path), arxiv_client=corpus_arxiv_client(papers),
+                             github_client=github_client(
+                                 recorded(renaming_old_to_new(handler), sent)), out=out)
+        assert status == 0
+        assert [url for url, _ in sent] == [
+            "http://gh.test/repos/demo/old", "http://gh.test/repos/demo/new",
+            "http://gh.test/repos/demo/new/contributors"]
+        assert [r.getMessage() for r in caplog.records] == [
+            "GitHub fetch failed for demo/old: forbidden (HTTP 403 for "
+            "http://gh.test/repos/demo/new/contributors); its snapshot was kept"]
+        assert report_lines(out.getvalue()) == [
+            "The project 'new' has a maturity level of Low. It has 5 stars, 1 forks, "
+            "0 open issues, and 0 contributors."]
+        [entry] = load_records(tmp_path / "kb.jsonl")
+        assert (entry.ref.canonical_url, sorted(entry.ref.source_papers),
+                entry.latest.contributors) == (
+            "https://github.com/demo/new", ["2101.00001", "2101.00002"], None)
+        with open(tmp_path / "kb.csv", encoding="utf-8", newline="") as fh:
+            assert [row["contributors"] for row in csv.DictReader(fh)] == [""]
+
     def test_old_name_after_new_keeps_the_first_snapshot(self, tmp_path):
         """A paper names demo/new, a later one demo/old: demo/old is
         requested and redirected, and the store keeps the first snapshot
@@ -817,6 +863,27 @@ class TestMonitorCommand:
             assert sorted(path.name for path in tmp_path.iterdir()) == names
             assert {name: (tmp_path / name).read_bytes() for name in names} == before
 
+    def test_an_output_name_taken_by_a_directory_replaces_no_output(self, tmp_path, caplog):
+        fixtures = reference_fixtures()
+        papers = self._seed_run(tmp_path, fixtures)
+        (tmp_path / "report.txt").unlink()
+        (tmp_path / "report.txt").mkdir()
+        before = {name: (tmp_path / name).read_bytes() for name in ("kb.csv", "kb.jsonl")}
+        evolved = {slug: dict(spec) for slug, spec in fixtures.items()}
+        evolved["ncbi-nlp/BioSentVec"]["stars"] = 548
+        with caplog.at_level(logging.ERROR, logger="repoharvest"):
+            status = cmd_monitor(config_for(tmp_path, command="monitor"), None,
+                                 arxiv_client=corpus_arxiv_client(papers),
+                                 github_client=fixtures_github_client(evolved),
+                                 out=io.StringIO())
+        assert status == 1
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [
+            f"cannot write outputs to {tmp_path}: {tmp_path / 'report.txt'} "
+            "is not a regular file"]
+        assert {name: (tmp_path / name).read_bytes() for name in before} == before
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "kb.csv", "kb.jsonl", "report.txt"]
+
     def test_a_feed_failure_leaves_the_previous_store_alone(self, tmp_path, caplog):
         """A feed that answers 5xx past the retry budget is fatal: monitor
         exits 1 before any section, and writes no output at all."""
@@ -863,6 +930,37 @@ class TestMonitorCommand:
             "open issues 13 -> 2, contributors 4 -> 7"
         )
         assert lines[updated + 2] == "Unchanged (22):"
+
+    def test_a_failed_contributors_request_keeps_the_refresh_and_the_stored_count(
+            self, tmp_path, caplog):
+        fixtures = reference_fixtures()
+        papers = self._seed_run(tmp_path, fixtures)
+        evolved = {slug: dict(spec) for slug, spec in fixtures.items()}
+        evolved["ncbi-nlp/BioSentVec"]["stars"] = 548
+        plain = fixtures_handler(evolved)
+        broken = "http://gh.test/repos/ncbi-nlp/BioSentVec/contributors"
+
+        def handler(url, params):
+            if url == broken:
+                return FakeResponse(status_code=500, text="boom")
+            return plain(url, params)
+
+        out = io.StringIO()
+        with caplog.at_level(logging.WARNING, logger="repoharvest"):
+            status = cmd_monitor(config_for(tmp_path, command="monitor"), None,
+                                 arxiv_client=corpus_arxiv_client(papers),
+                                 github_client=github_client(handler), out=out)
+        assert status == 0
+        assert [r.getMessage() for r in caplog.records if "BioSentVec" in r.getMessage()] == [
+            f"GitHub fetch failed for ncbi-nlp/BioSentVec: transport (HTTP 500 for {broken}); "
+            "its snapshot was kept"]
+        lines = out.getvalue().splitlines()
+        updated = lines.index("Updated (1):")
+        assert lines[updated + 1:updated + 3] == [
+            "  https://github.com/ncbi-nlp/BioSentVec: stars 546 -> 548", "Unchanged (22):"]
+        [entry] = [entry for entry in load_records(tmp_path / "kb.jsonl")
+                   if entry.ref.name == "BioSentVec"]
+        assert (entry.latest.stars, entry.latest.contributors) == (548, 4)
 
     def test_monitor_refreshes_stored_repositories_conditionally(self, tmp_path):
         fixtures = reference_fixtures()
@@ -1343,10 +1441,10 @@ class TestClientWiring:
         assert interval == 0.10
         assert [h["Authorization"] for h in headers] == ["Bearer sekret"] * 2
 
-    def test_without_a_token_requests_are_anonymous_720_ms_apart(self, monkeypatch):
+    def test_without_a_token_requests_are_anonymous_100_ms_apart(self, monkeypatch):
         monkeypatch.delenv("GITHUB_TOKEN", raising=False)
         interval, headers = self._run(monkeypatch)
-        assert interval == 0.72
+        assert interval == 0.10
         assert not any("Authorization" in h for h in headers)
 
 
@@ -1363,12 +1461,13 @@ class TestOfflineGuarantee:
 
 def _child_env() -> dict[str, str]:
     """The environment, with the src directory this process imported
-    repoharvest from put first on PYTHONPATH, and a dummy GITHUB_TOKEN, so
-    GitHub requests go out 100 ms apart; the mock server ignores it."""
+    repoharvest from put first on PYTHONPATH, and no GITHUB_TOKEN, so the
+    child runs anonymously, at the default pacing."""
     src = str(Path(repoharvest.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH", "")]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p),
-            "GITHUB_TOKEN": "dummy"}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    env.pop("GITHUB_TOKEN", None)
+    return env
 
 
 @pytest.mark.slow

@@ -12,7 +12,6 @@ import requests
 from conftest import FakeClock, FakeResponse, FakeSession, make_ref
 from mockservers import MockGitHubApp, MockServer
 from repoharvest.github import (
-    ANONYMOUS_MIN_INTERVAL,
     AUTHENTICATED_MIN_INTERVAL,
     FailureKind,
     GitHubClient,
@@ -571,10 +570,55 @@ class TestEnrich:
             r.name for r in refs if r.name not in failed]
         assert [f.repo.name for f in failures] == failed
         assert {f.kind for f in failures} == {FailureKind(mode)}
-        assert all(f.detail for f in failures)
+        assert all(f.detail and f.kept is None for f in failures)  # /repos failed
         assert len(successes) + len(failures) == len(refs)
         assert successes[0][1].contributors == 2
         assert [url.split("/repos/")[1].split("/", 1)[1] for _, url, _ in session.calls] == sent
+
+    def _contributors_fail(self, response):
+        """a/one's /repos answers, with an ETag, and its contributors request
+        gets ``response``; b/two answers in full."""
+        answer = self._multi_handler({
+            "b/two": {"stars": 5, "forks": 1, "open_issues": 4, "contributors": 3}})
+
+        def handler(url, params):
+            if url == f"{BASE}/repos/a/one":
+                return FakeResponse(json_body=repo_body("a/one", stars=7, forks=2),
+                                    headers={"ETag": 'W/"new"'})
+            if url == f"{BASE}/repos/a/one/contributors":
+                return response
+            return answer(url, params)
+
+        return handler
+
+    def test_a_failed_contributors_request_keeps_the_cold_snapshot(self):
+        handler = self._contributors_fail(FakeResponse(status_code=403, text="too large"))
+        client, session, _ = make_client(handler)
+        successes, failures = client.enrich([make_ref("a", "one"), make_ref("b", "two")])
+        assert [r.name for r, _ in successes] == ["two"]
+        [failure] = failures
+        assert (failure.repo.name, failure.kind) == ("one", FailureKind.FORBIDDEN)
+        resolved, metrics = failure.kept
+        assert resolved == make_ref("a", "one")
+        assert (metrics.name, metrics.stars, metrics.forks, metrics.contributors,
+                metrics.etag) == ("one", 7, 2, None, 'W/"new"')
+        assert len(session.calls) == 4
+
+    def test_a_failed_contributors_request_keeps_the_stored_count(self):
+        handler = self._contributors_fail(FakeResponse(status_code=500, text="boom"))
+        client, session, _ = make_client(handler)
+        stored = RepoMetrics(name="one", description=None, stars=3, forks=0, open_issues=0,
+                             contributors=42, etag='W/"old"',
+                             fetched_at=datetime(2024, 1, 1, tzinfo=timezone.utc))
+        successes, failures = client.enrich([make_ref("a", "one")], {("a", "one"): stored})
+        assert successes == []
+        [failure] = failures
+        assert failure.kind is FailureKind.TRANSPORT
+        _, metrics = failure.kept
+        assert (metrics.stars, metrics.forks, metrics.contributors, metrics.etag) == (
+            7, 2, 42, 'W/"new"')
+        assert [url for _, url, _ in session.calls] == [
+            f"{BASE}/repos/a/one"] + [f"{BASE}/repos/a/one/contributors"] * 3
 
     def test_empty_input(self):
         client, _, _ = make_client(lambda url, params: FakeResponse(json_body={}))
@@ -679,6 +723,18 @@ class TestConditionalRefresh:
         assert [url for _, url, _ in session.calls] == [f"{BASE}/repos/a/b"]
         assert session.headers[0]["If-None-Match"] == self.ETAG
 
+    def test_not_modified_with_an_unknown_count_counts_the_contributors(self):
+        def handler(url, params):
+            if url.endswith("/contributors"):
+                return FakeResponse(json_body=[{"login": "u0"}])
+            return FakeResponse(status_code=304)
+
+        client, session, _ = self._client(handler)
+        stored = replace(self._stored(), contributors=None)
+        successes, _ = client.enrich([make_ref("a", "b")], {("a", "b"): stored})
+        assert successes[0][1] == replace(stored, contributors=1, fetched_at=self.FETCHED)
+        assert [url for _, url, _ in session.calls] == [f"{BASE}/repos/a/b", CONTRIBUTORS]
+
     def test_not_modified_on_the_rename_hop(self):
         def handler(url, params):
             if url == f"{BASE}/repos/a/b":
@@ -739,11 +795,9 @@ class TestPolicyDefaults:
             client.count_contributors(make_ref("a", "b"))
         return session.times[1] - session.times[0]
 
-    def test_anonymous_interval_without_token(self):
-        assert self._gap(None) == pytest.approx(ANONYMOUS_MIN_INTERVAL)
-
-    def test_authenticated_interval_with_token(self):
-        assert self._gap("tok") == pytest.approx(AUTHENTICATED_MIN_INTERVAL)
+    @pytest.mark.parametrize("token", [None, "tok"], ids=["anonymous", "token"])
+    def test_one_interval_with_or_without_a_token(self, token):
+        assert self._gap(token) == pytest.approx(AUTHENTICATED_MIN_INTERVAL) == 0.10
 
     def test_token_becomes_bearer_header(self):
         captured = {}

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from corpus import DECOYS, REPO_URLS
+from repoharvest.arxiv import PaperRecord
+from repoharvest.cli import _mine_refs
 from repoharvest.links import (
     LinkError,
     RepoRef,
@@ -192,3 +194,51 @@ def test_decoy_urls_never_survive_the_full_chain():
             except LinkError:
                 pass
     assert survivors == []
+
+
+def mined(text: str) -> list[str]:
+    """owner/name of each repository the pipeline mines from ``text``."""
+    return [f"{ref.owner}/{ref.name}" for ref in _mine_refs(PaperRecord("p", "", text))]
+
+
+class TestTexAndNonAsciiText:
+    @pytest.mark.parametrize("text, slugs", [
+        (r"Code: https://github.com/luoyuanlab/Clinical\_Longformer.",
+         ["luoyuanlab/Clinical_Longformer"]),
+        (r"\url{https://github.com/a/b\_c}", ["a/b_c"]),
+        (r"\href{https://github.com/foo/bar}{code}", ["foo/bar"]),
+        (r"see https://github.com/foo/bar\\ and more", ["foo/bar"]),
+    ])
+    def test_a_tex_escaped_underscore_is_an_underscore(self, text, slugs):
+        """Only the pair \\_ continues a URL; any other backslash ends it."""
+        assert mined(text) == slugs
+
+    @pytest.mark.parametrize("text", [
+        "https://github.com/foo/bar\u2019s code",  # right single quote
+        "https://github.com/foo/bar\u3002",  # ideographic full stop
+        "\u201chttps://github.com/foo/bar\u201d",  # curly double quotes
+    ])
+    def test_a_url_ends_at_its_first_non_ascii_character(self, text):
+        assert mined(text) == ["foo/bar"]
+
+    def test_an_encoded_space_is_still_refused(self):
+        assert mined("https://github.com/a/bad%20name") == []
+
+
+# owner/name that mine back unchanged: slug characters, not ending in "."
+# (prose punctuation) and no ".git" suffix
+_SLUG = st.from_regex(r"[A-Za-z0-9._-]{0,12}[A-Za-z0-9_-]", fullmatch=True).filter(
+    lambda slug: not slug.endswith(".git"))
+
+
+@given(_SLUG, _SLUG, st.characters(min_codepoint=0x80), st.text(max_size=20))
+def test_any_non_ascii_character_ends_a_url(owner, name, stop, rest):
+    assert mined(f"Code: https://github.com/{owner}/{name}{stop}{rest}")[:1] == [
+        f"{owner}/{name}"]
+
+
+@given(_SLUG, _SLUG)
+def test_tex_escapes_mine_back_to_the_name(owner, name):
+    escaped = name.replace("_", "\\_")
+    assert mined(f"Code: \\url{{https://github.com/{owner}/{escaped}}}.") == [
+        f"{owner}/{name}"]
