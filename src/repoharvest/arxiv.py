@@ -38,11 +38,8 @@ _OPENSEARCH = "{http://a9.com/-/spec/opensearch/1.1/}"
 
 
 class ArxivRequestError(Exception):
-    """A feed request failed."""
-
-
-class FeedParseError(Exception):
-    """The Atom response could not be parsed."""
+    """A feed request failed: after its retries, or with a page that is not
+    well-formed XML or holds an entry with no ``<id>``."""
 
 
 @dataclass(frozen=True)
@@ -159,7 +156,7 @@ class ArxivClient:
         try:
             root = ET.fromstring(text)
         except ET.ParseError as exc:
-            raise FeedParseError(f"feed is not well-formed XML: {exc}") from exc
+            raise ArxivRequestError(f"feed is not well-formed XML: {exc}") from exc
         total = (root.findtext(f"{_OPENSEARCH}totalResults") or "").strip()
         if total.isascii() and total.isdigit():  # "²".isdigit() too, but int() refuses it
             self.last_total_results = int(total)
@@ -167,7 +164,7 @@ class ArxivClient:
         for index, entry in enumerate(root.findall(f"{_ATOM}entry")):
             raw_id = (entry.findtext(f"{_ATOM}id") or "").strip()
             if not raw_id:
-                raise FeedParseError(f"entry {index}: missing <id>")
+                raise ArxivRequestError(f"entry {index}: missing <id>")
             records.append(
                 PaperRecord(
                     arxiv_id=raw_id.rsplit("/abs/", 1)[-1],

@@ -22,7 +22,7 @@ from urllib.parse import urlsplit
 
 from . import arxiv as arxiv_mod
 from . import github as github_mod
-from .arxiv import ArxivClient, ArxivRequestError, FeedParseError, PaperRecord, SearchSpec
+from .arxiv import ArxivClient, ArxivRequestError, PaperRecord, SearchSpec
 from .github import FetchFailure, GitHubClient, RepoMetrics
 from .kb import (
     RECORDS_FILENAME,
@@ -263,7 +263,7 @@ def execute_pipeline(
                 if resolved.identity() not in reported:
                     reported.add(resolved.identity())
                     out.write(render_report_line(entry.latest, classify(entry.latest)) + "\n")
-        except (ArxivRequestError, FeedParseError) as exc:
+        except ArxivRequestError as exc:
             out.write("\n")
             log.error("paper retrieval failed: %s", exc)
             return 1
@@ -286,18 +286,22 @@ def _fsync(path: Path) -> None:
 
 def _write_outputs(cfg: RunConfig, kb: KnowledgeBase) -> int:
     """Write the three output files as a set, the one write-then-rename of
-    the program: ``out_dir`` is created if missing, each file is written to
-    a staged name in it and synced to disk, and once all three are synced
-    each is renamed once over its real name, ``kb.jsonl`` last; then
-    ``out_dir`` is synced, so the renames survive a crash. Exit status 1,
-    with no staged file left, when a file cannot be written or synced or a
-    real name is taken by something other than a regular file; no file is
-    replaced unless all three were synced. Only an I/O fault or a crash
-    between the renames leaves the set mixed."""
+    the program: ``out_dir`` is created if missing, the staged files a
+    killed run left in it are removed (one run writes to an ``out_dir`` at
+    a time), each file is written to a staged name in it and synced to
+    disk, and once all three are synced each is renamed once over its real
+    name, ``kb.jsonl`` last; then ``out_dir`` is synced, so the renames
+    survive a crash. Exit status 1, with no staged file left, when a file
+    cannot be written or synced or a real name is taken by something other
+    than a regular file; no file is replaced unless all three were synced.
+    Only an I/O fault or a crash between the renames leaves the set mixed."""
     names = (TABLE_FILENAME, REPORT_FILENAME, RECORDS_FILENAME)  # replacing order
     staged = {name: cfg.out_dir / f"{name}.staged.{os.getpid()}" for name in names}
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        for name in names:
+            for leftover in cfg.out_dir.glob(f"{name}.staged.*"):
+                leftover.unlink()
         for target in (cfg.out_dir / name for name in names):
             if target.exists() and not target.is_file():  # a rename over it would fail
                 raise OSError(f"{target} is not a regular file")
@@ -333,9 +337,11 @@ def cmd_run(
 
 
 def _describe_update(old_m, new_m) -> str:
+    """Each count that differs, old -> new; a count never counted is unknown."""
     labels = ("stars", "forks", "open issues", "contributors")  # RepoMetrics.counts() order
-    return ", ".join(f"{label} {old} -> {new}"
-                     for label, old, new in zip(labels, old_m.counts(), new_m.counts())
+    shown = [["unknown" if count is None else count for count in m.counts()]
+             for m in (old_m, new_m)]
+    return ", ".join(f"{label} {old} -> {new}" for label, old, new in zip(labels, *shown)
                      if old != new)
 
 

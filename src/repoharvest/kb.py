@@ -102,7 +102,8 @@ class KnowledgeBase:
 
     A name, whether an entry's identity or an alias, belongs to one entry:
     building a store with a name two entries claim is a StoreError, and
-    ``get`` finds the entry that holds a name.
+    ``get`` finds the entry that holds a name. Two stores are compared by
+    their ``sorted_entries()``.
     """
 
     def __init__(self, entries: Iterable[KbEntry] = ()) -> None:
@@ -123,11 +124,6 @@ class KnowledgeBase:
 
     def __iter__(self) -> Iterator[KbEntry]:
         return iter(self._entries.values())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, KnowledgeBase):
-            return NotImplemented
-        return self._entries == other._entries
 
     def get(self, name: RepoRef) -> Optional[KbEntry]:
         """The entry that holds ``name``, as its identity or an alias."""

@@ -29,7 +29,6 @@ _TRAILING_JUNK = ".,;:!?)]}'\""
 # path segments away, and the request would go to another API path. Used
 # with fullmatch: "$" would also match before a trailing newline.
 _SLUG_PATTERN = re.compile(r"(?!\.\.?$)[A-Za-z0-9._-]+")
-_HOST_PATTERN = re.compile(r"^(?i:https?://(?:www\.)?github\.com)(?=/|$)")
 
 
 class LinkError(ValueError):
@@ -71,19 +70,17 @@ def clean_url(url: str) -> str:
 
 
 def canonicalize(cleaned: str, source: str) -> RepoRef:
-    """Reduce a cleaned GitHub URL to its owner/name repository identity.
+    """Reduce a GitHub URL that extract_urls matched, after clean_url, to
+    its owner/name repository identity; the host is not checked again.
 
-    Normalizes the scheme to https, drops "www.", keeps the first two path
-    segments, strips a ".git" suffix from the name, and discards any deeper
-    path, query, or fragment.
+    Keeps the first two path segments, strips a ".git" suffix from the
+    name, and discards any deeper path, query, or fragment.
 
-    Raises LinkError when the host is not github.com, when fewer than two
-    path segments are present (e.g. a profile URL), or when the owner or
-    name contains characters GitHub slugs do not allow or is "." or "..",
-    or the name still ends in ".git" once one suffix is stripped.
+    Raises LinkError when fewer than two path segments are present (e.g. a
+    profile URL), or when the owner or name contains characters GitHub
+    slugs do not allow or is "." or "..", or the name still ends in ".git"
+    once one suffix is stripped.
     """
-    if not _HOST_PATTERN.match(cleaned):
-        raise LinkError(f"not a GitHub URL: {cleaned!r}")
     segments = [s for s in urlsplit(cleaned).path.split("/") if s]
     if len(segments) < 2:
         raise LinkError(f"no owner/name path in {cleaned!r}")

@@ -1,18 +1,22 @@
 """Shared fakes: a deterministic clock, canned HTTP responses, and a
-scripted session that records request timing; and a check that no test
-leaves a thread running."""
+scripted session that records request timing; a check that an output set
+agrees with itself; and a check that no test leaves a thread running."""
 from __future__ import annotations
 
+import csv
 import json
 import threading
 import time
 from datetime import datetime, timezone
+from pathlib import Path
 from xml.sax.saxutils import escape
 
 import pytest
 
 from repoharvest.github import RepoMetrics
+from repoharvest.kb import load_records, render_report_line
 from repoharvest.links import RepoRef
+from repoharvest.maturity import MaturityTier
 
 _UNSET = object()
 
@@ -131,6 +135,27 @@ def make_metrics(
         fetched_at=fetched_at or datetime(2024, 1, 1, tzinfo=timezone.utc),
         etag=etag,
     )
+
+
+def assert_output_set_matches(out_dir: Path) -> None:
+    """``kb.csv`` rows and ``report.txt`` lines match the entries of
+    ``kb.jsonl`` one for one, in store order, each with the tier that
+    ``kb.jsonl`` records for it."""
+    store = out_dir / "kb.jsonl"
+    records = [json.loads(line) for line in store.read_text(encoding="utf-8").split("\n")
+               if line]
+    with (out_dir / "kb.csv").open(newline="", encoding="utf-8") as table:
+        rows = list(csv.DictReader(table))
+    counted = ("stars", "forks", "open_issues", "contributors")
+    assert [[row[key] for key in ("owner", "name", "tier", *counted)] for row in rows] == [
+        [record["owner"], record["name"], record["tier"],
+         *("" if record["latest"][key] is None else str(record["latest"][key])
+           for key in counted)]
+        for record in records]
+    entries = load_records(store).sorted_entries()
+    assert (out_dir / "report.txt").read_text(encoding="utf-8").splitlines() == [
+        render_report_line(entry.latest, MaturityTier.from_label(record["tier"]))
+        for entry, record in zip(entries, records, strict=True)]
 
 
 @pytest.fixture

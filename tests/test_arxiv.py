@@ -12,7 +12,6 @@ from repoharvest.arxiv import (
     DEFAULT_TERMS,
     ArxivClient,
     ArxivRequestError,
-    FeedParseError,
     PaperRecord,
     SearchSpec,
     build_query,
@@ -140,7 +139,7 @@ class TestFetchPage:
             "<entry><title>no id</title><published>2021-01-01T00:00:00Z</published></entry>",
         ])
         client, _, _ = _client(lambda url, params: FakeResponse(text=bad))
-        with pytest.raises(FeedParseError, match="entry 1"):
+        with pytest.raises(ArxivRequestError, match="^entry 1: missing <id>$"):
             client.fetch_page("q", 0, 10)
 
     @pytest.mark.parametrize("published", [
@@ -160,7 +159,7 @@ class TestFetchPage:
 
     def test_non_xml_body(self):
         client, _, _ = _client(lambda url, params: FakeResponse(text="<html>boom"))
-        with pytest.raises(FeedParseError):
+        with pytest.raises(ArxivRequestError, match="^feed is not well-formed XML: "):
             client.fetch_page("q", 0, 10)
 
     def test_http_error_carries_status(self):

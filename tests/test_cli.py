@@ -12,6 +12,7 @@ import json
 import logging
 import os
 import re
+import shutil
 import socket
 import subprocess
 import sys
@@ -26,8 +27,8 @@ import requests
 import repoharvest
 from repoharvest import cli
 
-from conftest import (FakeClock, FakeResponse, FakeSession, atom_entry, atom_feed,
-                      make_metrics, make_ref)
+from conftest import (FakeClock, FakeResponse, FakeSession, assert_output_set_matches,
+                      atom_entry, atom_feed, make_metrics, make_ref)
 from calibration import REFERENCE_ROWS
 from corpus import REPO_URLS, build_corpus
 from mockservers import MockArxivApp, MockGitHubApp, MockServer
@@ -477,6 +478,19 @@ class TestRunCommand:
         assert sorted(path.name for path in out_dir.iterdir()) == [
             "kb.csv", "kb.jsonl", "report.txt"]
 
+    def test_the_staged_files_a_killed_run_left_are_removed(self, tmp_path):
+        """A killed run never reaches its own cleanup; the next write sweeps
+        every staged output name, whatever its pid, and nothing else."""
+        left = ["kb.jsonl.staged.99999", "kb.csv.staged.1", "report.txt.staged.99999"]
+        for name in [*left, "kb.jsonl.bak"]:
+            (tmp_path / name).write_text("partial")
+        papers = [("2101.00001", "alpha", "Code: https://github.com/demo/alpha.")]
+        fixtures = {"demo/alpha": {"stars": 5, "forks": 1, "open_issues": 0, "contributors": 2}}
+        assert cmd_run(config_for(tmp_path), arxiv_client=corpus_arxiv_client(papers),
+                       github_client=fixtures_github_client(fixtures), out=io.StringIO()) == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "kb.csv", "kb.jsonl", "kb.jsonl.bak", "report.txt"]
+
     def test_outputs_are_synced_then_each_renamed_once_records_last(self, tmp_path,
                                                                     monkeypatch):
         calls = []  # ("fsync", inode synced) and ("replace", destination name), in order
@@ -863,6 +877,51 @@ class TestMonitorCommand:
             assert sorted(path.name for path in tmp_path.iterdir()) == names
             assert {name: (tmp_path / name).read_bytes() for name in names} == before
 
+    @pytest.mark.parametrize("fault", [OSError("rename failed"), KeyboardInterrupt()],
+                             ids=["oserror", "interrupt"])
+    @pytest.mark.parametrize("failing", [0, 1, 2], ids=["kb.csv", "report.txt", "kb.jsonl"])
+    def test_a_fault_at_a_rename_keeps_a_whole_store(self, tmp_path, monkeypatch, failing,
+                                                     fault):
+        """The ``failing``-th rename raises ``fault`` (an interrupt stands in
+        for a kill). ``kb.jsonl`` is then the old store or the new one, no
+        staged file is left, and the next run leaves a set that agrees."""
+        out_dir, reference = tmp_path / "out", tmp_path / "reference"
+        fixtures = reference_fixtures()
+        papers = self._seed_run(out_dir, fixtures)
+        evolved = {slug: dict(spec) for slug, spec in fixtures.items()}
+        evolved["ncbi-nlp/BioSentVec"]["stars"] = 548
+
+        def monitor(where):
+            return cmd_monitor(config_for(where, command="monitor"), None,
+                               arxiv_client=corpus_arxiv_client(papers),
+                               github_client=fixtures_github_client(evolved),
+                               out=io.StringIO())
+
+        shutil.copytree(out_dir, reference)
+        assert monitor(reference) == 0
+        stores = [(where / "kb.jsonl").read_bytes() for where in (out_dir, reference)]
+        assert stores[0] != stores[1]
+        renames, rename = itertools.count(), os.replace
+
+        def faulty_rename(src, dst):
+            if next(renames) == failing:
+                raise fault
+            rename(src, dst)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", faulty_rename)
+            if isinstance(fault, OSError):
+                assert monitor(out_dir) == 1
+            else:
+                with pytest.raises(KeyboardInterrupt):
+                    monitor(out_dir)
+        outputs = ["kb.csv", "kb.jsonl", "report.txt"]
+        assert (out_dir / "kb.jsonl").read_bytes() in stores
+        assert sorted(path.name for path in out_dir.iterdir()) == outputs
+        assert monitor(out_dir) == 0
+        assert sorted(path.name for path in out_dir.iterdir()) == outputs
+        assert_output_set_matches(out_dir)
+
     def test_an_output_name_taken_by_a_directory_replaces_no_output(self, tmp_path, caplog):
         fixtures = reference_fixtures()
         papers = self._seed_run(tmp_path, fixtures)
@@ -961,6 +1020,37 @@ class TestMonitorCommand:
         [entry] = [entry for entry in load_records(tmp_path / "kb.jsonl")
                    if entry.ref.name == "BioSentVec"]
         assert (entry.latest.stars, entry.latest.contributors) == (548, 4)
+
+    def test_a_count_never_counted_reads_unknown(self, tmp_path):
+        """A first harvest whose contributors request fails stores no count
+        (``null``); the monitor that counts it reports the old count as
+        unknown, not as Python's None."""
+        fixtures = reference_fixtures()
+        plain = fixtures_handler(fixtures)
+        broken = "http://gh.test/repos/ncbi-nlp/BioSentVec/contributors"
+
+        def handler(url, params):
+            if url == broken:
+                return FakeResponse(status_code=500, text="boom")
+            return plain(url, params)
+
+        papers, _ = build_corpus()
+        assert cmd_run(config_for(tmp_path), arxiv_client=corpus_arxiv_client(papers),
+                       github_client=github_client(handler), out=io.StringIO()) == 0
+        [entry] = [entry for entry in load_records(tmp_path / "kb.jsonl")
+                   if entry.ref.name == "BioSentVec"]
+        assert entry.latest.contributors is None
+        out = io.StringIO()
+        assert cmd_monitor(config_for(tmp_path, command="monitor"), None,
+                           arxiv_client=corpus_arxiv_client(papers),
+                           github_client=github_client(plain, start=START + timedelta(days=1)),
+                           out=out) == 0
+        lines = out.getvalue().splitlines()
+        updated = lines.index("Updated (1):")
+        assert lines[updated + 1:updated + 3] == [
+            "  https://github.com/ncbi-nlp/BioSentVec: contributors unknown -> 4",
+            "Unchanged (22):"]
+        assert "None" not in out.getvalue()
 
     def test_monitor_refreshes_stored_repositories_conditionally(self, tmp_path):
         fixtures = reference_fixtures()

@@ -272,7 +272,7 @@ class TestPersistence:
         kb = self._populated()
         path = tmp_path / "kb.jsonl"
         save_records(kb, path)
-        assert load_records(path) == kb
+        assert load_records(path).sorted_entries() == kb.sorted_entries()
 
     @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
     def test_description_with_a_line_separator_round_trips(self, tmp_path, separator):
@@ -282,14 +282,14 @@ class TestPersistence:
         path = tmp_path / "kb.jsonl"
         save_records(kb, path)
         assert separator in path.read_text(encoding="utf-8")  # written raw, not escaped
-        assert load_records(path) == kb
+        assert load_records(path).sorted_entries() == kb.sorted_entries()
 
     def test_crlf_store_loads(self, tmp_path):
         kb = self._populated()
         path = tmp_path / "kb.jsonl"
         save_records(kb, path)
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        assert load_records(path) == kb
+        assert load_records(path).sorted_entries() == kb.sorted_entries()
 
     def test_save_is_deterministic(self, tmp_path):
         kb = self._populated()
@@ -337,7 +337,7 @@ class TestPersistence:
         path = tmp_path / "kb.jsonl"
         save_records(kb, path)
         loaded = load_records(path)
-        assert loaded == kb
+        assert loaded.sorted_entries() == kb.sorted_entries()
         assert next(iter(loaded)).latest.etag == '"two"'
 
     def test_non_string_etag_is_a_store_error(self, tmp_path):
@@ -427,7 +427,7 @@ class TestPersistence:
         path = tmp_path / "kb.jsonl"
         save_records(kb, path)
         path.write_text(path.read_text() + "\n\n")
-        assert load_records(path) == kb
+        assert load_records(path).sorted_entries() == kb.sorted_entries()
 
     def test_export_table_shape(self, tmp_path):
         import csv
@@ -481,7 +481,7 @@ class TestAliases:
         first = json.loads(path.read_text().splitlines()[0])
         assert first["aliases"] == ["Demo/Old", "demo/older"]
         loaded = load_records(path)
-        assert loaded == self._renamed()
+        assert loaded.sorted_entries() == self._renamed().sorted_entries()
         save_records(loaded, again)
         assert again.read_bytes() == path.read_bytes()
 
@@ -510,7 +510,7 @@ class TestAliases:
 
     def test_clone_keeps_aliases(self):
         kb = self._renamed()
-        assert kb.clone() == kb
+        assert kb.clone().sorted_entries() == kb.sorted_entries()
         assert [entry.aliases for entry in kb.clone()] == [entry.aliases for entry in kb]
 
     def test_a_name_some_entry_holds_is_not_added(self):
@@ -531,7 +531,7 @@ class TestAliases:
         assert by_name["d"].aliases == frozenset()
         path = tmp_path / "kb.jsonl"
         save_records(kb, path)
-        assert load_records(path) == kb
+        assert load_records(path).sorted_entries() == kb.sorted_entries()
 
     @pytest.mark.parametrize("aliases", [
         "demo/old", [5], ["demo"], ["demo/old/tree"], ["demo/old.git"], ["demo/o ld"],
@@ -613,7 +613,7 @@ class TestNameIndex:
         assert kb.get(make_ref("demo", "new")) is kb.get(make_ref("demo", "newer")) is entry
         path = tmp_path / "kb.jsonl"
         save_records(kb, path)
-        assert load_records(path) == kb
+        assert load_records(path).sorted_entries() == kb.sorted_entries()
 
     def test_rename_moves_nothing_onto_a_held_name(self):
         kb = KnowledgeBase([_entry("demo", "new", ["demo/old"]), _entry("c", "d", minutes=1)])
@@ -621,7 +621,7 @@ class TestNameIndex:
         new, other = (entry.latest for entry in kb.sorted_entries())
         kb.record(make_ref("demo", "new"), make_ref("C", "D"), other)  # another's identity
         kb.record(make_ref("demo", "old"), make_ref("Demo", "NEW"), new)  # its own identity
-        assert kb == before
+        assert kb.sorted_entries() == before.sorted_entries()
         assert [entry.aliases for entry in kb] == [entry.aliases for entry in before]
         assert [entry.ref for entry in kb] == [make_ref("demo", "new"), make_ref("c", "d")]
         # a name no entry holds moves nothing: the answer is stored as a new entry

@@ -44,8 +44,11 @@ class TestExtractUrls:
         "https://example.com/github.com/trap",
         "see github for details",
         "https://GitHub.community/x/y",
+        "ftp://github.com/a/b",
     ])
     def test_non_matches(self, decoy):
+        """Only here is a host other than github.com rejected: canonicalize
+        takes what extract_urls matched and does not check it again."""
         assert extract_urls(f"prefix {decoy} suffix") == []
 
     @pytest.mark.parametrize("text", [
@@ -127,10 +130,6 @@ class TestCanonicalize:
             canonicalize(url, "p")
 
     @pytest.mark.parametrize("url", [
-        "https://gitlab.com/a/b",
-        "https://example.com/github.com/a/b",
-        "https://GitHub.community/x/y",
-        "ftp://github.com/a/b",
         "https://github.com/bad owner/name",
         "https://github.com/a%32c/b",
         "https://github.com/../user",
@@ -139,8 +138,8 @@ class TestCanonicalize:
         "https://github.com/x/..git",
         "https://github.com/x/y.git.git",
     ])
-    def test_wrong_host_or_bad_slug_is_malformed(self, url):
-        with pytest.raises(LinkError, match="^(not a GitHub URL:|invalid owner/name in) "):
+    def test_bad_slug_is_malformed(self, url):
+        with pytest.raises(LinkError, match="^invalid owner/name in "):
             canonicalize(url, "p")
 
     def test_all_reference_urls_round_trip(self):
