@@ -48,8 +48,8 @@ class SearchSpec:
     that breaks an invariant raises ValueError."""
 
     terms: tuple[str, ...]
-    date_from: int = DEFAULT_DATE_FROM
-    date_to: int = DEFAULT_DATE_TO
+    from_year: int = DEFAULT_DATE_FROM
+    to_year: int = DEFAULT_DATE_TO
     max_results: int = DEFAULT_MAX_RESULTS
     page_size: int = DEFAULT_PAGE_SIZE
 
@@ -60,11 +60,11 @@ class SearchSpec:
             raise ValueError("terms must be non-empty")
         if any(not t for t in trimmed):
             raise ValueError("each term must be non-empty after trimming whitespace")
-        for name in ("date_from", "date_to"):
+        for name in ("from_year", "to_year"):
             if not 1000 <= getattr(self, name) <= 9999:
                 raise ValueError(f"{name} must be a four-digit year")
-        if self.date_from > self.date_to:
-            raise ValueError("date_from must not exceed date_to")
+        if self.from_year > self.to_year:
+            raise ValueError("from_year must not exceed to_year")
         if self.max_results < 1:
             raise ValueError("max_results must be >= 1")
         if not 1 <= self.page_size <= self.max_results:
@@ -91,7 +91,7 @@ def build_query(spec: SearchSpec) -> str:
     of both years. Identical specs produce identical strings.
     """
     clauses = " OR ".join(f"ti:{t} OR abs:{t}" for t in spec.terms)
-    return f"{clauses} AND submittedDate:[{spec.date_from}01010000 TO {spec.date_to}12312359]"
+    return f"{clauses} AND submittedDate:[{spec.from_year}01010000 TO {spec.to_year}12312359]"
 
 
 def _classify(outcome, start: int):

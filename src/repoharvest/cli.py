@@ -5,8 +5,8 @@ Subcommands:
   run      full pipeline into a fresh knowledge base
   monitor  re-run against a previous store and report what changed
 
-Each option is one RunConfig field, which names its flag; a flag that is
-not given keeps the field's default.
+build_parser declares the flags both take, and resolve_config turns them
+into the checked RunConfig a run reads.
 """
 from __future__ import annotations
 
@@ -15,9 +15,9 @@ import logging
 import os
 import sys
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import Field, dataclass, field, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, TextIO
+from typing import Iterator, Optional, TextIO
 from urllib.parse import urlsplit
 
 from . import arxiv as arxiv_mod
@@ -49,82 +49,48 @@ class UsageError(Exception):
     """Invalid flag combination; maps to exit status 2."""
 
 
-def _option(default, **argparse_kwargs) -> Field:
-    """An option whose flag takes ``argparse_kwargs`` (``flags`` replaces ``--name``)."""
-    return field(default=default, metadata=argparse_kwargs)
-
-
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything one pipeline run needs. Each init field is an option, and
-    its ``help`` states its default and bound. The search spec built from
-    them and both base URLs are checked here, so a bad value is a UsageError
-    before any request. The pacing of both APIs is fixed, not an option,
-    and the GitHub token is read from ``GITHUB_TOKEN``."""
+    """The checked values one run reads, as resolve_config builds them. Both
+    APIs' pacing is fixed, and the GitHub token is read from ``GITHUB_TOKEN``."""
 
-    terms: Sequence[str] = _option(arxiv_mod.DEFAULT_TERMS, action="append", metavar="PHRASE",
-                                   help="search phrase; repeat the flag for several (default "
-                                        f"{len(arxiv_mod.DEFAULT_TERMS)} built-in phrases)")
-    from_year: int = _option(arxiv_mod.DEFAULT_DATE_FROM, type=int, help="first submission "
-                             f"year, four digits (default {arxiv_mod.DEFAULT_DATE_FROM})")
-    to_year: int = _option(arxiv_mod.DEFAULT_DATE_TO, type=int, help="last submission "
-                           f"year, four digits (default {arxiv_mod.DEFAULT_DATE_TO})")
-    max_results: int = _option(arxiv_mod.DEFAULT_MAX_RESULTS, type=int, help="cap on papers "
-                               f"processed (default {arxiv_mod.DEFAULT_MAX_RESULTS})")
-    page_size: Optional[int] = _option(  # None: default, shrunk to max_results
-        None, type=int, help=f"feed page size, at most {arxiv_mod.MAX_PAGE_SIZE} (default "
-                             f"{arxiv_mod.DEFAULT_PAGE_SIZE}, or --max-results if smaller)")
-    arxiv_base_url: str = _option(arxiv_mod.DEFAULT_BASE_URL, help="feed endpoint, an "
-                                  f"http(s) URL (default {arxiv_mod.DEFAULT_BASE_URL})")
-    github_base_url: str = _option(github_mod.DEFAULT_BASE_URL, help="REST endpoint, an "
-                                   f"http(s) URL (default {github_mod.DEFAULT_BASE_URL})")
-    out_dir: Path = _option(Path("."), help="where kb.jsonl, kb.csv and report.txt are "
-                                            "written (default .)")
-    verbose: int = _option(0, flags=("-v", "--verbose"), action="count", help="-v lists "
-                           "skipped links, -vv adds the HTTP log (default warnings only)")
-
-    search: SearchSpec = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.out_dir = Path(self.out_dir)
-        page_size = self.page_size
-        if page_size is None:
-            page_size = min(arxiv_mod.DEFAULT_PAGE_SIZE, self.max_results)
-        try:
-            self.search = SearchSpec(tuple(self.terms), self.from_year, self.to_year,
-                                     self.max_results, page_size)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        for name in ("arxiv_base_url", "github_base_url"):
-            url = getattr(self, name)
-            try:
-                parts = urlsplit(url)
-                # .port raises ValueError outside 0-65535; requests sends port 0 to 80
-                usable = parts.port != 0 and parts.scheme in ("http", "https") and parts.hostname
-            except ValueError:
-                usable = False
-            if not usable:
-                raise UsageError(f"--{name.replace('_', '-')} must be an http(s) URL "
-                                 f"with a host, not {url!r}")
-
-
-_OPTIONS = {option.name: option for option in fields(RunConfig) if option.init}
-
-
-def _option_parser() -> argparse.ArgumentParser:
-    """The flags of every option."""
-    parser = argparse.ArgumentParser(add_help=False)
-    for name, option in _OPTIONS.items():
-        kwargs = dict(option.metadata)
-        flags = kwargs.pop("flags", ("--" + name.replace("_", "-"),))
-        # None marks a flag not given; it also keeps --terms from
-        # appending to the default phrases instead of replacing them
-        parser.add_argument(*flags, default=None, **kwargs)
-    return parser
+    search: SearchSpec
+    arxiv_base_url: str
+    github_base_url: str
+    out_dir: Path
 
 
 def build_parser() -> argparse.ArgumentParser:
-    pipeline = _option_parser()
+    """``run`` and ``monitor`` take the same pipeline flags, each with a
+    help that states its default and bound; ``monitor`` adds --previous."""
+    pipeline = argparse.ArgumentParser(add_help=False)
+    # No default: given phrases replace the built-in ones, not append to them
+    pipeline.add_argument("--terms", action="append", metavar="PHRASE",
+                          help="search phrase; repeat the flag for several (default "
+                               f"{len(arxiv_mod.DEFAULT_TERMS)} built-in phrases)")
+    pipeline.add_argument("--from-year", type=int, default=arxiv_mod.DEFAULT_DATE_FROM,
+                          help="first submission year, four digits "
+                               f"(default {arxiv_mod.DEFAULT_DATE_FROM})")
+    pipeline.add_argument("--to-year", type=int, default=arxiv_mod.DEFAULT_DATE_TO,
+                          help="last submission year, four digits "
+                               f"(default {arxiv_mod.DEFAULT_DATE_TO})")
+    pipeline.add_argument("--max-results", type=int, default=arxiv_mod.DEFAULT_MAX_RESULTS,
+                          help=f"cap on papers processed (default {arxiv_mod.DEFAULT_MAX_RESULTS})")
+    # No default: the default page size shrinks to --max-results
+    pipeline.add_argument("--page-size", type=int,
+                          help=f"feed page size, at most {arxiv_mod.MAX_PAGE_SIZE} (default "
+                               f"{arxiv_mod.DEFAULT_PAGE_SIZE}, or --max-results if smaller)")
+    pipeline.add_argument("--arxiv-base-url", default=arxiv_mod.DEFAULT_BASE_URL,
+                          help="feed endpoint, an http(s) URL "
+                               f"(default {arxiv_mod.DEFAULT_BASE_URL})")
+    pipeline.add_argument("--github-base-url", default=github_mod.DEFAULT_BASE_URL,
+                          help="REST endpoint, an http(s) URL "
+                               f"(default {github_mod.DEFAULT_BASE_URL})")
+    pipeline.add_argument("--out-dir", default=".",
+                          help="where kb.jsonl, kb.csv and report.txt are written (default .)")
+    pipeline.add_argument("-v", "--verbose", action="count", default=0,
+                          help="-v lists skipped links, -vv adds the HTTP log "
+                               "(default warnings only)")
     parser = argparse.ArgumentParser(
         prog="repoharvest",
         description="Mine paper metadata for GitHub repositories and keep a "
@@ -142,9 +108,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Every flag given, over RunConfig's defaults."""
-    return RunConfig(**{name: value for name, value in vars(args).items()
-                        if name in _OPTIONS and value is not None})
+    """The checked values a run reads, from the parsed pipeline flags. A
+    page size not given is shrunk to --max-results; a search value or an
+    endpoint that is refused is a UsageError, raised before any request."""
+    page_size = args.page_size
+    if page_size is None:
+        page_size = min(arxiv_mod.DEFAULT_PAGE_SIZE, args.max_results)
+    try:
+        search = SearchSpec(tuple(args.terms or arxiv_mod.DEFAULT_TERMS), args.from_year,
+                            args.to_year, args.max_results, page_size)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    for flag, url in (("--arxiv-base-url", args.arxiv_base_url),
+                      ("--github-base-url", args.github_base_url)):
+        try:
+            parts = urlsplit(url)
+            # .port raises ValueError outside 0-65535; requests sends port 0 to 80
+            usable = parts.port != 0 and parts.scheme in ("http", "https") and parts.hostname
+        except ValueError:
+            usable = False
+        if not usable:
+            raise UsageError(f"{flag} must be an http(s) URL with a host, not {url!r}")
+    return RunConfig(search, args.arxiv_base_url, args.github_base_url, Path(args.out_dir))
 
 
 def _mine_refs(paper: PaperRecord) -> Iterator[RepoRef]:
@@ -245,7 +230,7 @@ def execute_pipeline(
             if processed < promised:
                 log.warning("the feed ended after %d of %d papers", processed, promised)
             if processed == 0:
-                out.write("Paper 0/0")
+                out.write(f"Paper 0/{promised}")
             out.write("\n\n")
             unique = dedupe(refs)
             out.write(f"Found GitHub URLs: {[ref.canonical_url for ref in unique]}\n\n")
@@ -395,7 +380,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _configure_logging(cfg.verbose)
+    _configure_logging(args.verbose)
     if args.command == "run":  # the parser allows only run and monitor
         return cmd_run(cfg)
     return cmd_monitor(cfg, args.previous)

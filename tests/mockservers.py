@@ -40,7 +40,10 @@ class MockServer:
         self._httpd.app = app
         self.base_url = f"http://127.0.0.1:{self._httpd.server_address[1]}"
         app.base_url = self.base_url
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        # serve_forever checks for shutdown() every poll_interval (0.5 s
+        # by default), so each close would otherwise wait up to that long
+        self._thread = threading.Thread(target=self._httpd.serve_forever,
+                                        kwargs={"poll_interval": 0.05}, daemon=True)
 
     def __enter__(self):
         self._thread.start()

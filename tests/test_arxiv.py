@@ -45,7 +45,7 @@ class TestBuildQuery:
         assert build_query(SearchSpec(terms=DEFAULT_TERMS)) == EXPECTED_DEFAULT_QUERY
 
     def test_single_term(self):
-        spec = SearchSpec(terms=("sepsis prediction",), date_from=2020, date_to=2021)
+        spec = SearchSpec(terms=("sepsis prediction",), from_year=2020, to_year=2021)
         assert build_query(spec) == (
             "ti:sepsis prediction OR abs:sepsis prediction"
             " AND submittedDate:[202001010000 TO 202112312359]"
@@ -59,23 +59,23 @@ class TestBuildQuery:
                     min_size=1, max_size=6),
            st.integers(1000, 9999), st.integers(1000, 9999))
     def test_clause_count_scales_with_terms(self, terms, year_a, year_b):
-        date_from, date_to = sorted((year_a, year_b))
-        query = build_query(SearchSpec(terms=tuple(terms), date_from=date_from, date_to=date_to))
+        from_year, to_year = sorted((year_a, year_b))
+        query = build_query(SearchSpec(terms=tuple(terms), from_year=from_year, to_year=to_year))
         assert query.count(" OR ") == 2 * len(terms) - 1
         assert query.count("ti:") == len(terms)
         assert query.count("abs:") == len(terms)
         assert query.endswith(
-            f" AND submittedDate:[{date_from}01010000 TO {date_to}12312359]")
+            f" AND submittedDate:[{from_year}01010000 TO {to_year}12312359]")
 
 
 class TestSearchSpecValidation:
     @pytest.mark.parametrize("kwargs", [
         {"terms": ()},
         {"terms": ("ok", "   ")},
-        {"terms": ("ok",), "date_from": 2025, "date_to": 2024},
-        {"terms": ("ok",), "date_from": 999},
-        {"terms": ("ok",), "date_to": 10000},
-        {"terms": ("ok",), "date_from": -5},
+        {"terms": ("ok",), "from_year": 2025, "to_year": 2024},
+        {"terms": ("ok",), "from_year": 999},
+        {"terms": ("ok",), "to_year": 10000},
+        {"terms": ("ok",), "from_year": -5},
         {"terms": ("ok",), "max_results": 0},
         {"terms": ("ok",), "page_size": 0},
         {"terms": ("ok",), "max_results": 10, "page_size": 11},

@@ -300,6 +300,19 @@ class TestRunCommand:
         assert "Found GitHub URLs: []" in stdout
         assert len(kb) == 0
 
+    def test_an_empty_feed_that_promised_papers_shows_the_promise(self, tmp_path, caplog):
+        """The progress line agrees with the warning beside it: the feed
+        promised five papers and sent none."""
+        feed = feed_client(lambda url, params: FakeResponse(text=atom_feed([], total=5)))
+        out = io.StringIO()
+        with caplog.at_level(logging.WARNING, logger="repoharvest"):
+            status = cmd_run(config_for(tmp_path), arxiv_client=feed,
+                             github_client=fixtures_github_client({}), out=out)
+        assert status == 0
+        assert out.getvalue().startswith("Processing arXiv papers:\nPaper 0/5\n\n")
+        assert [r.getMessage() for r in caplog.records] == [
+            "the feed ended after 0 of 5 papers"]
+
     def test_report_file_matches_reference_order(self, tmp_path):
         papers, _ = build_corpus()
         cfg = config_for(tmp_path)
@@ -1301,7 +1314,7 @@ class TestArgumentResolution:
         cfg = resolve_config(parse_args(["run"]))
         assert cfg.search.max_results == 1000
         assert cfg.search.page_size == 100
-        assert cfg.search.date_from == 2019 and cfg.search.date_to == 2024
+        assert cfg.search.from_year == 2019 and cfg.search.to_year == 2024
         assert len(cfg.search.terms) == 4
 
     def test_flags_override(self):
@@ -1311,7 +1324,7 @@ class TestArgumentResolution:
             "--max-results", "20", "--page-size", "10",
         ]))
         assert cfg.search.terms == ("alpha", "beta gamma")
-        assert (cfg.search.date_from, cfg.search.date_to) == (2020, 2021)
+        assert (cfg.search.from_year, cfg.search.to_year) == (2020, 2021)
         assert cfg.search.max_results == 20
         assert cfg.search.page_size == 10
 
@@ -1450,7 +1463,7 @@ class TestArgumentResolution:
             "--github-base-url", "http://127.0.0.1:9",
         ])
         assert status == 2
-        assert "error: date_from must be a four-digit year" in capsys.readouterr().err
+        assert "error: from_year must be a four-digit year" in capsys.readouterr().err
 
     def test_page_size_past_the_feed_limit_exits_2(self, capsys, tmp_path):
         """The feed serves at most 2000 results per request; a larger page
@@ -1584,6 +1597,29 @@ class TestSubprocessEndToEnd:
             "demo/beta": {"stars": 31, "forks": 0, "open_issues": 0,
                           "contributors": 1},
         }
+
+    @pytest.mark.parametrize("flags", [(), ("-v",), ("-vv",)], ids=["quiet", "v", "vv"])
+    def test_verbose_chooses_what_stderr_logs(self, tmp_path, flags):
+        """Warnings only by default; -v adds the skipped links at INFO, and
+        -vv the HTTP connection log at DEBUG. GitHub knows no repository,
+        so each costs one request."""
+        with MockServer(MockArxivApp(self._papers())) as feed, \
+                MockServer(MockGitHubApp({})) as gh:
+            result = subprocess.run([
+                sys.executable, "-m", "repoharvest", "run", *flags,
+                "--arxiv-base-url", f"{feed.base_url}/api/query",
+                "--github-base-url", gh.base_url,
+                "--out-dir", str(tmp_path), "--page-size", "7",
+            ], capture_output=True, text=True, timeout=60, env=_child_env())
+        assert result.returncode == 0, result.stderr
+        lines = result.stderr.splitlines()
+        skipped = ("INFO: skipping https://github.com/demo: "
+                   "no owner/name path in 'https://github.com/demo'")
+        assert (skipped in lines) == bool(flags)
+        assert any(line.startswith("INFO:") for line in lines) == bool(flags)
+        assert any(line.startswith("DEBUG: Starting new HTTP connection")
+                   for line in lines) == (flags == ("-vv",))
+        assert any(line.startswith("DEBUG:") for line in lines) == (flags == ("-vv",))
 
     def test_run_and_monitor_over_local_servers(self, tmp_path):
         env = _child_env()

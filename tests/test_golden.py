@@ -10,6 +10,9 @@ show. Stdout, the three output files and the
 WARNING lines are compared with the files under tests/golden/<phase>/,
 which hold the outputs as the program wrote them when they were made; a
 change that means to alter an output rewrites the file and says why.
+
+The ``--help`` text of the top-level parser and of each subcommand, at
+100 columns, is compared with tests/golden/help/ in the same way.
 """
 from __future__ import annotations
 
@@ -22,9 +25,9 @@ from pathlib import Path
 import pytest
 
 from corpus import build_corpus
-from repoharvest.cli import cmd_monitor, cmd_run
+from repoharvest.cli import build_parser, cmd_monitor, cmd_run
 from test_cli import conditional_github_client, config_for, corpus_arxiv_client, \
-    reference_fixtures
+    reference_fixtures, subcommand
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FILES = ("stdout.txt", "warnings.txt", "kb.jsonl", "kb.csv", "report.txt")
@@ -96,14 +99,26 @@ def outputs(tmp_path_factory):
     return harvest(tmp_path_factory.mktemp("golden"))
 
 
-@pytest.mark.parametrize("phase", PHASES)
-@pytest.mark.parametrize("name", FILES)
-def test_output_matches_golden(outputs, phase, name):
-    expected = (GOLDEN / phase / name).read_bytes()
-    actual = outputs[phase][name]
+def assert_matches_golden(actual: bytes, golden: str) -> None:
+    """``actual`` is the bytes of tests/golden/``golden``, or the test fails
+    with their diff."""
+    expected = (GOLDEN / golden).read_bytes()
     if actual != expected:
         diff = difflib.unified_diff(
             expected.decode("utf-8").splitlines(keepends=True),
             actual.decode("utf-8").splitlines(keepends=True),
-            fromfile=f"golden/{phase}/{name}", tofile=f"{phase} output")
+            fromfile=f"golden/{golden}", tofile="output")
         pytest.fail("".join(diff), pytrace=False)
+
+
+@pytest.mark.parametrize("phase", PHASES)
+@pytest.mark.parametrize("name", FILES)
+def test_output_matches_golden(outputs, phase, name):
+    assert_matches_golden(outputs[phase][name], f"{phase}/{name}")
+
+
+@pytest.mark.parametrize("command", ("top", "run", "monitor"))
+def test_help_matches_golden(monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "100")  # argparse wraps help to this width
+    parser = build_parser() if command == "top" else subcommand(command)
+    assert_matches_golden(parser.format_help().encode("utf-8"), f"help/{command}.txt")

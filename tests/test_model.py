@@ -1,11 +1,12 @@
 """A model-based test of ``run``/``monitor`` sequences.
 
 Hypothesis drives a small GitHub world through generated steps: a paper
-names a repository, a repository's counts change, its contributors
-requests fail, and ``run`` then ``monitor`` are called over the in-process
-fakes of ``conftest``, with no sockets. After each command the outputs and
-the log are checked against invariants that hold for any sequence.
-Renames, deletions and a spent quota are not modelled yet.
+names a repository under any name it has had, a repository's counts
+change, it is renamed, its contributors requests fail, the quota runs out,
+and ``run`` then ``monitor`` are called over the in-process fakes of
+``conftest``, with no sockets. After each command the outputs, the log and
+the requests sent are checked against invariants that hold for any
+sequence. Deletions are not modelled yet.
 """
 from __future__ import annotations
 
@@ -17,9 +18,10 @@ import tempfile
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from typing import Optional
 
 from hypothesis import settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
 
 from conftest import FakeClock, FakeResponse, FakeSession, assert_output_set_matches, \
     atom_entry, atom_feed
@@ -29,11 +31,12 @@ from repoharvest.github import GitHubClient, ThrottlePolicy
 from repoharvest.kb import load_records, save_records
 from repoharvest.links import repo_from_name
 
-#: The repositories of the world, under GitHub's own names.
+#: The repositories of the world, by the name each starts with.
 REPOS = ("demo/alpha", "demo/beta", "Lab/Gamma")
-_BY_IDENTITY = {slug.lower(): slug for slug in REPOS}
 START = datetime(2024, 1, 1, tzinfo=timezone.utc)
-_FAILED = re.compile(r"GitHub fetch failed for ([^:]+): ")
+_FAILED = re.compile(r"GitHub fetch failed for ([^:]+): (\w+) ")
+_SPENT = FakeResponse(status_code=403, headers={"X-RateLimit-Remaining": "0"},
+                      json_body={"message": "API rate limit exceeded"})
 
 
 class _Records(logging.Handler):
@@ -52,9 +55,15 @@ class HarvestMachine(RuleBasedStateMachine):
         super().__init__()
         self.scratch = tempfile.TemporaryDirectory()
         self.out_dir = Path(self.scratch.name) / "out"
-        self.world = {slug: {"stars": 10, "forks": 1, "open_issues": 0, "contributors": 2,
-                             "version": 0} for slug in REPOS}
+        # each repository's names, in order: the last is GitHub's current one
+        self.world = {slug: {"names": [slug], "stars": 10, "forks": 1, "open_issues": 0,
+                             "contributors": 2, "version": 0} for slug in REPOS}
+        self.names = {slug.lower(): slug for slug in REPOS}  # any name had -> REPOS key
+        self.renames = 0
         self.failing: set[str] = set()  # contributors answer 500 until the next command ends
+        # GitHub requests until the one that spends the quota, which stays
+        # spent until the command ends: the next one runs a day later
+        self.quota: Optional[int] = None
         self.papers: list[tuple[str, str, str]] = []
         self.named: set[str] = set()  # "owner/name" lowercased, as papers named them
         self.commands = 0
@@ -64,13 +73,23 @@ class HarvestMachine(RuleBasedStateMachine):
 
     # -- the world ---------------------------------------------------------
 
-    @rule(slug=st.sampled_from(REPOS),
-          casing=st.sampled_from([str, str.lower, str.upper, str.swapcase]))
-    def a_paper_names_a_repository(self, slug, casing):
+    def _paper_names(self, name: str) -> None:
         number = len(self.papers)
         self.papers.append((f"2101.{number:05d}", f"paper {number}",
-                            f"Code: https://github.com/{casing(slug)}."))
-        self.named.add(slug.lower())
+                            f"Code: https://github.com/{name}."))
+        self.named.add(name.lower())
+
+    @initialize()
+    def a_paper_names_each_repository(self):
+        """So that every command has requests to send, and to cut short."""
+        for slug in REPOS:
+            self._paper_names(slug)
+
+    @rule(slug=st.sampled_from(REPOS), which=st.integers(0, 2),
+          casing=st.sampled_from([str, str.lower, str.upper, str.swapcase]))
+    def a_paper_names_a_repository(self, slug, which, casing):
+        names = self.world[slug]["names"]
+        self._paper_names(casing(names[which % len(names)]))
 
     @rule(slug=st.sampled_from(REPOS), stars=st.integers(0, 150),
           open_issues=st.integers(0, 3), contributors=st.integers(1, 5))
@@ -80,8 +99,22 @@ class HarvestMachine(RuleBasedStateMachine):
                     version=repo["version"] + 1)  # a new ETag
 
     @rule(slug=st.sampled_from(REPOS))
+    def it_is_renamed(self, slug):
+        """Its old names answer 301 to the new one."""
+        self.renames += 1
+        repo = self.world[slug]
+        repo["names"].append(f"{slug}-{self.renames}")
+        repo["version"] += 1  # the body's full_name, and so its ETag, changed
+        self.names[repo["names"][-1].lower()] = slug
+
+    @rule(slug=st.sampled_from(REPOS))
     def its_contributors_requests_fail(self, slug):
         self.failing.add(slug)
+
+    @rule(k=st.integers(1, 6))
+    def the_quota_runs_out(self, k):
+        """The k-th GitHub request from now answers that the quota is spent."""
+        self.quota = k
 
     # -- the commands ------------------------------------------------------
 
@@ -107,11 +140,20 @@ class HarvestMachine(RuleBasedStateMachine):
                            session=FakeSession(answer, clock=clock), clock=clock,
                            sleep=clock.sleep)
 
-    def _github(self) -> GitHubClient:
+    def _github(self) -> tuple[GitHubClient, FakeSession]:
         def answer(url, params):
+            if self.quota is not None:
+                self.quota -= 1
+                if self.quota <= 0:
+                    return _SPENT
             path = url.split("/repos/", 1)[1]
-            slug = _BY_IDENTITY[path.removesuffix("/contributors").lower()]
+            name = path.removesuffix("/contributors")
+            slug = self.names[name.lower()]
             repo = self.world[slug]
+            current = repo["names"][-1]
+            if name.lower() != current.lower():
+                return FakeResponse(status_code=301, headers={
+                    "Location": f"http://gh.test/repos/{current}{path[len(name):]}"})
             if path.endswith("/contributors"):
                 if slug in self.failing:
                     return FakeResponse(status_code=500, text="boom")
@@ -121,20 +163,23 @@ class HarvestMachine(RuleBasedStateMachine):
             if session.headers[-1].get("If-None-Match") == etag:
                 return FakeResponse(status_code=304, headers={"ETag": etag})
             return FakeResponse(headers={"ETag": etag}, json_body={
-                "full_name": slug, "description": None, "stargazers_count": repo["stars"],
+                "full_name": current, "description": None, "stargazers_count": repo["stars"],
                 "forks_count": repo["forks"], "open_issues_count": repo["open_issues"]})
 
         clock = FakeClock()
         session = FakeSession(answer, clock=clock)
         ticks = itertools.count()
         start = START + timedelta(days=self.commands)  # each command observes later
-        return GitHubClient(base_url="http://gh.test", policy=ThrottlePolicy(min_interval=0.0),
-                            session=session, clock=clock, sleep=clock.sleep,
-                            now=lambda: start + timedelta(seconds=next(ticks)))
+        client = GitHubClient(base_url="http://gh.test", policy=ThrottlePolicy(min_interval=0.0),
+                              session=session, clock=clock, sleep=clock.sleep,
+                              now=lambda: start + timedelta(seconds=next(ticks)))
+        return client, session
 
     def _command(self, command):
         cfg = resolve_config(build_parser().parse_args([command, "--out-dir", str(self.out_dir)]))
-        clients = (self._feed(), self._github())
+        began = START + timedelta(days=self.commands)
+        github, session = self._github()
+        clients = (self._feed(), github)
         out, log = io.StringIO(), _Records()
         logger = logging.getLogger("repoharvest")
         logger.addHandler(log)
@@ -146,14 +191,21 @@ class HarvestMachine(RuleBasedStateMachine):
         finally:
             logger.removeHandler(log)
         self.failing.clear()
+        spent = self.quota is not None and self.quota <= 0
+        if spent:
+            self.quota = None
         self.commands += 1
         assert status == 0
         assert "None" not in out.getvalue()
-        self._check_outputs(log.records)
+        self._check_outputs(log.records, session, began, spent)
 
     # -- the invariants ----------------------------------------------------
 
-    def _check_outputs(self, records):
+    def _current(self, name: str) -> str:
+        """GitHub's current name, lowercased, of the repository ``name`` names."""
+        return self.world[self.names[name.lower()]]["names"][-1].lower()
+
+    def _check_outputs(self, records, session, began, spent):
         store = self.out_dir / "kb.jsonl"
         kb = load_records(store)
         again = Path(self.scratch.name) / "again.jsonl"
@@ -165,22 +217,46 @@ class HarvestMachine(RuleBasedStateMachine):
             times.append(entry.latest.fetched_at)
             assert all(earlier < later for earlier, later in zip(times, times[1:]))
 
-        failed = Counter()
+        # the answer that spends the quota is the last request sent
+        assert 403 not in session.statuses[:-1]
+        assert (session.statuses[-1:] == [403]) == spent
+
+        failed, limited = Counter(), Counter()
         for record in records:
             match = _FAILED.match(record.getMessage())
             if match:
                 failed[match[1].lower()] += 1
-                assert record.getMessage().endswith("; its snapshot was kept")
+                if match[2] == "rate_limited":
+                    limited[match[1].lower()] += 1
+                else:
+                    assert record.getMessage().endswith("; its snapshot was kept")
         assert set(failed) <= self.named
+        assert spent or not limited
+
+        def refreshed(entry) -> bool:
+            return entry is not None and entry.latest.fetched_at >= began
+
         for identity in self.named:
             assert failed[identity] <= 1  # a failure is logged once
-            # /repos never fails here, so each name is stored, a kept snapshot
-            # after a logged failure included, with the counts /repos serves
             entry = kb.get(repo_from_name(identity))
-            assert entry is not None
-            repo = self.world[_BY_IDENTITY[identity]]
+            if not refreshed(entry):
+                # only a spent quota leaves a name unanswered, and then the
+                # name is logged as rate limited
+                assert limited[identity] == 1
+                continue
+            # each name answered is stored, a kept snapshot after a logged
+            # failure included, under GitHub's current name and with the
+            # counts /repos serves
+            repo = self.world[self.names[identity]]
+            assert "/".join(entry.ref.identity()) == self._current(identity)
             assert (entry.latest.stars, entry.latest.open_issues) == (
                 repo["stars"], repo["open_issues"])
+        for (_, url, _), status in zip(session.calls, session.statuses):
+            if status == 200 and not url.endswith("/contributors"):  # a /repos answer
+                assert refreshed(kb.get(repo_from_name(url.split("/repos/", 1)[1])))
+        for entry in kb:  # a stored name is current unless the quota ran out first
+            identity = "/".join(entry.ref.identity())
+            assert identity == self._current(identity) or (spent and not refreshed(entry))
 
 
 HarvestMachine.TestCase.settings = settings(
