@@ -13,7 +13,7 @@ from typing import Callable, Iterator, Optional
 
 import requests
 
-from .throttle import REQUEST_TIMEOUT, RequestGate, retrying_get, seconds_header
+from .throttle import REQUEST_TIMEOUT, RequestGate
 
 DEFAULT_BASE_URL = "http://export.arxiv.org/api/query"
 
@@ -35,6 +35,7 @@ DEFAULT_DELAY = 3.0
 
 _ATOM = "{http://www.w3.org/2005/Atom}"
 _OPENSEARCH = "{http://a9.com/-/spec/opensearch/1.1/}"
+_ARXIV = "{http://arxiv.org/schemas/atom}"
 
 
 class ArxivRequestError(Exception):
@@ -75,12 +76,13 @@ class SearchSpec:
 
 @dataclass(frozen=True)
 class PaperRecord:
-    """One paper as the harvest reads it: its id, and the title and
-    abstract that are mined for GitHub URLs."""
+    """One paper as the harvest reads it: its id, and the title, abstract
+    and authors' comment (``<arxiv:comment>``) mined for GitHub URLs."""
 
     arxiv_id: str
     title: str
     abstract: str
+    comment: str
 
 
 def build_query(spec: SearchSpec) -> str:
@@ -95,27 +97,23 @@ def build_query(spec: SearchSpec) -> str:
 
 
 def _classify(outcome, start: int):
-    """None for a 200, else (error, retryable, Retry-After hint); the error
-    names the page's ``start`` offset.
+    """None for a 200, else (error, retryable); the error names the page's
+    ``start`` offset.
 
     Transport failures and 5xx answers are retryable; other statuses are
     not.
     """
     if isinstance(outcome, requests.RequestException):
-        return ArxivRequestError(f"transport failure at start={start}: {outcome}"), True, None
+        return ArxivRequestError(f"transport failure at start={start}: {outcome}"), True
     status = outcome.status_code
     if status == 200:
         return None
-    return (
-        ArxivRequestError(f"HTTP {status} from feed endpoint at start={start}"),
-        status >= 500,
-        seconds_header(outcome.headers.get("Retry-After")),
-    )
+    return ArxivRequestError(f"HTTP {status} from feed endpoint at start={start}"), status >= 500
 
 
 class ArxivClient:
     """Feed client with paging, politeness delay, and the shared retry
-    budget of throttle.retrying_get.
+    budget of throttle.RequestGate.get.
 
     ``session``, ``clock``, and ``sleep`` are injectable for tests.
     """
@@ -130,9 +128,8 @@ class ArxivClient:
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.base_url = base_url
-        self._backoff_base = backoff_base
         self._session = session if session is not None else requests.Session()
-        self._gate = RequestGate(delay, clock=clock, sleep=sleep)
+        self._gate = RequestGate(delay, backoff_base, clock=clock, sleep=sleep)
         #: Total result count reported by the most recent page, if any.
         self.last_total_results: Optional[int] = None
 
@@ -141,11 +138,9 @@ class ArxivClient:
         entries in feed order. ``start`` and ``page_size`` are taken as
         given: iterate_papers derives them from a checked SearchSpec."""
         params = {"search_query": query, "start": start, "max_results": page_size}
-        response = retrying_get(
-            self._gate,
+        response = self._gate.get(
             lambda: self._session.get(self.base_url, params=params, timeout=REQUEST_TIMEOUT),
             lambda outcome: _classify(outcome, start),
-            self._backoff_base,
         )
         return self._parse_feed(response.text)
 
@@ -170,6 +165,7 @@ class ArxivClient:
                     arxiv_id=raw_id.rsplit("/abs/", 1)[-1],
                     title=(entry.findtext(f"{_ATOM}title") or "").strip(),
                     abstract=(entry.findtext(f"{_ATOM}summary") or "").strip(),
+                    comment=(entry.findtext(f"{_ARXIV}comment") or "").strip(),
                 )
             )
         return records

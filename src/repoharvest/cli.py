@@ -133,8 +133,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _mine_refs(paper: PaperRecord) -> Iterator[RepoRef]:
-    """The repositories the paper's title and abstract link to, in order."""
-    for text in (paper.title, paper.abstract):
+    """The repositories a paper's title, abstract and comment link to, in order."""
+    for text in (paper.title, paper.abstract, paper.comment):
         for url in extract_urls(text):
             cleaned = clean_url(url)
             try:
@@ -253,10 +253,8 @@ def execute_pipeline(
             log.error("paper retrieval failed: %s", exc)
             return 1
         finally:
-            # Cancel before leaving the block joins the worker: the
-            # repository in progress finishes and no queued one starts.
-            for outcome in outcomes.values():
-                outcome.cancel()
+            # The repository in progress finishes and no queued one starts.
+            worker.shutdown(cancel_futures=True)
     return 0
 
 

@@ -20,7 +20,7 @@ from urllib.parse import parse_qs, urljoin, urlsplit
 import requests
 
 from .links import LinkError, RepoRef, repo_from_name
-from .throttle import REQUEST_TIMEOUT, RequestGate, retrying_get, seconds_header
+from .throttle import REQUEST_TIMEOUT, RequestGate
 
 DEFAULT_BASE_URL = "https://api.github.com"
 
@@ -95,7 +95,7 @@ class FetchFailure:
 @dataclass(frozen=True)
 class ThrottlePolicy:
     """Outbound request pacing: the minimum gap between requests, in
-    seconds. Retries follow the shared budget of throttle.retrying_get."""
+    seconds. Retries follow the shared budget of throttle.RequestGate.get."""
 
     min_interval: float
 
@@ -138,11 +138,10 @@ class GitHubClient:
         sleep: Callable[[float], None] = time.sleep,
         now: Callable[[], datetime] = utc_now,
     ) -> None:
-        self._gate = RequestGate(policy.min_interval, clock=clock, sleep=sleep)
+        self._gate = RequestGate(policy.min_interval, backoff_base, clock=clock, sleep=sleep)
         self.base_url = base_url.rstrip("/")
         self._origin = urlsplit(self.base_url)[:2]  # scheme and host every hop must keep
         self._session = session if session is not None else requests.Session()
-        self._backoff_base = backoff_base
         self._quota_spent: Optional[str] = None  # detail of the answer that spent it
         self._now = now
         self._headers = {"Accept": "application/vnd.github+json"}
@@ -152,16 +151,16 @@ class GitHubClient:
     # -- low-level request machinery -------------------------------------
 
     def _classify(self, outcome, url: str):
-        """None for a 2xx/3xx response, else (GitHubFetchError, retryable,
-        server hint). Transport failures, 5xx answers, 429s and 403s with
-        Retry-After are retryable; the hint is Retry-After, the only wait
+        """None for a 2xx/3xx response, else (GitHubFetchError, retryable).
+        Transport failures, 5xx answers, 429s and 403s with Retry-After are
+        retryable; RequestGate.get waits out the Retry-After, the only wait
         the server sets. A 403/429 with X-RateLimit-Remaining: 0 and no
         Retry-After spends the client's quota: it is not retried, its reset
         (up to an hour away) is not waited for, and later requests fail
         rate_limited unsent, as GitHub may ban a client that keeps sending."""
         if isinstance(outcome, requests.RequestException):
             error = GitHubFetchError(FailureKind.TRANSPORT, f"transport failure: {outcome}")
-            return error, True, None
+            return error, True
         status = outcome.status_code
         if status < 400:
             return None
@@ -178,7 +177,7 @@ class GitHubClient:
             kind = FailureKind.RATE_LIMITED if spent or retryable else FailureKind.FORBIDDEN
             if spent:
                 self._quota_spent = detail = f"quota spent: {detail}"
-        return GitHubFetchError(kind, detail), retryable, seconds_header(headers.get("Retry-After"))
+        return GitHubFetchError(kind, detail), retryable
 
     def _request(self, url: str, params=None, etag: Optional[str] = None):
         """GET with the retry budget, following at most one rename redirect;
@@ -196,8 +195,7 @@ class GitHubClient:
             if urlsplit(target)[:2] != self._origin:
                 raise GitHubFetchError(FailureKind.MALFORMED_RESPONSE,
                                        f"refusing to leave {self.base_url} for {target}")
-            response = retrying_get(
-                self._gate,
+            response = self._gate.get(
                 lambda: self._session.get(
                     target,
                     params=params,
@@ -206,7 +204,6 @@ class GitHubClient:
                     allow_redirects=False,
                 ),
                 lambda outcome: self._classify(outcome, target),
-                self._backoff_base,
             )
             status = response.status_code
             if not 300 <= status < 400 or (status == 304 and etag is not None):

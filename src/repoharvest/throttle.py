@@ -1,9 +1,9 @@
 """Request pacing and retries shared by the HTTP clients.
 
-A RequestGate serializes outbound requests and keeps a minimum interval
-between consecutive ones. A server's Retry-After hint is folded in through
-defer(). retrying_get() is the one
-gate → GET → classify → backoff-or-hint loop both clients send through.
+A RequestGate is one client's whole request path. It serializes outbound
+requests, keeps a minimum interval between consecutive ones, and its get()
+is the one wait → GET → classify → backoff-or-Retry-After loop both clients
+send through.
 """
 from __future__ import annotations
 
@@ -31,18 +31,21 @@ class RequestGate:
 
     wait() blocks until the next request slot opens, then reserves the
     following slot ``min_interval`` later. Calls serialize under a lock, so
-    requests form a total order. ``min_interval`` comes from a client's
-    pacing constants or an injected policy, never from outside input, so it
-    is taken as given. The clock and sleep functions are injectable.
+    requests form a total order; get() adds retries, backing off from
+    ``backoff`` seconds. Both values come from a client's pacing constants
+    or an injected policy, never from outside input, so they are taken as
+    given. The clock and sleep functions are injectable.
     """
 
     def __init__(
         self,
         min_interval: float,
+        backoff: float,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.min_interval = min_interval
+        self.backoff = backoff
         self._clock = clock
         self._sleep = sleep
         self._lock = threading.Lock()
@@ -61,6 +64,38 @@ class RequestGate:
         with self._lock:
             self._not_before = max(self._not_before, self._clock() + delay)
 
+    def get(self, send, classify):
+        """Send ``send()`` through the gate until it succeeds or the budget ends.
+
+        ``classify`` maps the response, or the ``requests.RequestException``
+        that ``send`` raised, to None on success or to ``(error,
+        retryable)``. A retryable failure defers the next request by the
+        backoff, or by the response's Retry-After seconds when that is
+        longer, and the backoff doubles. A deferral longer than LONG_WAIT is
+        logged as a warning. After MAX_RETRIES retries, or on a failure that
+        is not retryable, ``error`` is raised.
+        """
+        backoff = self.backoff
+        for attempt in range(MAX_RETRIES + 1):
+            self.wait()
+            try:
+                outcome = send()
+            except requests.RequestException as exc:
+                outcome = exc
+            failure = classify(outcome)
+            if failure is None:
+                return outcome
+            error, retryable = failure
+            cause = outcome if isinstance(outcome, requests.RequestException) else None
+            if not retryable or attempt == MAX_RETRIES:
+                raise error from cause
+            hint = None if cause else seconds_header(outcome.headers.get("Retry-After"))
+            delay = backoff if hint is None else max(backoff, hint)
+            if delay > LONG_WAIT:
+                log.warning("%s; waiting %.0f s before retrying", error, delay)
+            self.defer(delay)
+            backoff *= 2
+
 
 def seconds_header(value: Optional[str]) -> Optional[float]:
     """A header value holding a number of seconds, floored at 0.
@@ -77,34 +112,3 @@ def seconds_header(value: Optional[str]) -> Optional[float]:
     except ValueError:
         return None
     return max(0.0, seconds) if math.isfinite(seconds) else None
-
-
-def retrying_get(gate: RequestGate, get, classify, backoff: float):
-    """Send ``get()`` through ``gate`` until it succeeds or the budget ends.
-
-    ``classify`` maps the response, or the ``requests.RequestException``
-    that ``get`` raised, to None on success or to ``(error, retryable,
-    hint)``. A retryable failure defers the next request by ``backoff``, or
-    by the server's ``hint`` seconds when that is longer, and the backoff
-    doubles. A deferral longer than LONG_WAIT is logged as a warning. After
-    MAX_RETRIES retries, or on a failure that is not retryable, ``error``
-    is raised.
-    """
-    for attempt in range(MAX_RETRIES + 1):
-        gate.wait()
-        try:
-            outcome = get()
-        except requests.RequestException as exc:
-            outcome = exc
-        failure = classify(outcome)
-        if failure is None:
-            return outcome
-        error, retryable, hint = failure
-        if not retryable or attempt == MAX_RETRIES:
-            cause = outcome if isinstance(outcome, requests.RequestException) else None
-            raise error from cause
-        delay = backoff if hint is None else max(backoff, hint)
-        if delay > LONG_WAIT:
-            log.warning("%s; waiting %.0f s before retrying", error, delay)
-        gate.defer(delay)
-        backoff *= 2

@@ -86,12 +86,18 @@ class FakeSession:
 
 
 def atom_entry(arxiv_id: str, title: str = "", abstract: str = "",
-               published: str = "2021-06-01T00:00:00Z") -> str:
+               published: str = "2021-06-01T00:00:00Z", comment: str = "") -> str:
+    """One Atom entry; the authors' ``<arxiv:comment>`` only when given."""
+    comment_el = (
+        f'<arxiv:comment xmlns:arxiv="http://arxiv.org/schemas/atom">{escape(comment)}'
+        "</arxiv:comment>" if comment else ""
+    )
     return (
         "<entry>"
         f"<id>http://arxiv.org/abs/{arxiv_id}</id>"
         f"<title>{escape(title)}</title>"
         f"<summary>{escape(abstract)}</summary>"
+        f"{comment_el}"
         f"<published>{published}</published>"
         "</entry>"
     )

@@ -106,9 +106,9 @@ class TestFetchPage:
         client, _, _ = _client(lambda url, params: FakeResponse(text=feed))
         records = client.fetch_page("q", 0, 10)
         assert records == [
-            PaperRecord("2101.00001", "First title", "First abstract"),
-            PaperRecord("2102.00002v2", "Second", "Body two"),
-            PaperRecord("2103.00003", "Third", "Body three"),
+            PaperRecord("2101.00001", "First title", "First abstract", ""),
+            PaperRecord("2102.00002v2", "Second", "Body two", ""),
+            PaperRecord("2103.00003", "Third", "Body three", ""),
         ]
         assert client.last_total_results == 3
 
@@ -154,7 +154,7 @@ class TestFetchPage:
         ])
         client, _, _ = _client(lambda url, params: FakeResponse(text=feed))
         assert client.fetch_page("q", 0, 10) == [
-            PaperRecord("2101.00001", "", ""), PaperRecord("x", "T", ""),
+            PaperRecord("2101.00001", "", "", ""), PaperRecord("x", "T", "", ""),
         ]
 
     def test_non_xml_body(self):

@@ -92,8 +92,9 @@ def config_for(tmp_path, *extra, command="run"):
 
 
 def corpus_feed(papers):
-    """Feed handler serving ``papers`` in start/max_results slices."""
-    entries = [atom_entry(pid, title, abstract) for pid, title, abstract in papers]
+    """Feed handler serving ``papers``, each (id, title, abstract) with an
+    optional authors' comment after it, in start/max_results slices."""
+    entries = [atom_entry(*paper[:3], comment="".join(paper[3:])) for paper in papers]
 
     def handler(url, params):
         start = params["start"]
@@ -667,6 +668,40 @@ class TestEnrichmentWorker:
         with open(tmp_path / "kb.csv", encoding="utf-8", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert {r["canonical_url"]: r["source_papers"].split() for r in rows} == expected
+
+    def test_a_repository_linked_only_in_the_comment_is_requested_and_stored(self, tmp_path):
+        papers = [("2101.00001", "title", "no link here", "Code: https://github.com/demo/alpha")]
+        counts = {"stars": 5, "forks": 1, "open_issues": 0, "contributors": 2}
+        sent = []
+        github = recorded(fixtures_handler({"demo/alpha": counts}), sent)
+        status = cmd_run(config_for(tmp_path), arxiv_client=corpus_arxiv_client(papers),
+                         github_client=github_client(github), out=io.StringIO())
+        assert status == 0
+        assert sent == [("http://gh.test/repos/demo/alpha", None),
+                        ("http://gh.test/repos/demo/alpha/contributors", {"per_page": 1})]
+        with open(tmp_path / "kb.jsonl", encoding="utf-8") as fh:
+            stored = [json.loads(line) for line in fh]
+        assert [(r["canonical_url"], r["source_papers"]) for r in stored] == [
+            ("https://github.com/demo/alpha", ["2101.00001"])]
+
+    def test_a_repository_linked_in_the_abstract_and_the_comment_is_requested_once(
+            self, tmp_path):
+        papers = [("2101.00001", "title", "Code: https://github.com/demo/alpha.",
+                   "Code: https://github.com/Demo/Alpha, 12 pages")]
+        counts = {"stars": 5, "forks": 1, "open_issues": 0, "contributors": 2}
+        sent = []
+        github = recorded(fixtures_handler({"demo/alpha": counts}), sent)
+        out = io.StringIO()
+        status = cmd_run(config_for(tmp_path), arxiv_client=corpus_arxiv_client(papers),
+                         github_client=github_client(github), out=out)
+        assert status == 0
+        assert sent == [("http://gh.test/repos/demo/alpha", None),
+                        ("http://gh.test/repos/demo/alpha/contributors", {"per_page": 1})]
+        assert len(report_lines(out.getvalue())) == 1
+        with open(tmp_path / "kb.jsonl", encoding="utf-8") as fh:
+            stored = [json.loads(line) for line in fh]
+        assert [(r["canonical_url"], r["source_papers"]) for r in stored] == [
+            ("https://github.com/demo/alpha", ["2101.00001"])]
 
     def test_renamed_repository_named_under_both_names_is_stored_once(self, tmp_path):
         """One paper names demo/old, which GitHub renamed to demo/new; a

@@ -197,7 +197,7 @@ def test_decoy_urls_never_survive_the_full_chain():
 
 def mined(text: str) -> list[str]:
     """owner/name of each repository the pipeline mines from ``text``."""
-    return [f"{ref.owner}/{ref.name}" for ref in _mine_refs(PaperRecord("p", "", text))]
+    return [f"{ref.owner}/{ref.name}" for ref in _mine_refs(PaperRecord("p", "", text, ""))]
 
 
 class TestTexAndNonAsciiText:

@@ -2,11 +2,11 @@
 
 Hypothesis drives a small GitHub world through generated steps: a paper
 names a repository under any name it has had, a repository's counts
-change, it is renamed, its contributors requests fail, the quota runs out,
-and ``run`` then ``monitor`` are called over the in-process fakes of
-``conftest``, with no sockets. After each command the outputs, the log and
-the requests sent are checked against invariants that hold for any
-sequence. Deletions are not modelled yet.
+change, it is renamed or deleted, its contributors requests fail, the
+server asks the client to wait, the quota runs out, and ``run`` then
+``monitor`` are called over the in-process fakes of ``conftest``, with no
+sockets. After each command the outputs, the log and the requests sent are
+checked against invariants that hold for any sequence.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ import itertools
 import logging
 import re
 import tempfile
-from collections import Counter
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Optional
@@ -30,10 +29,13 @@ from repoharvest.cli import build_parser, cmd_monitor, cmd_run, resolve_config
 from repoharvest.github import GitHubClient, ThrottlePolicy
 from repoharvest.kb import load_records, save_records
 from repoharvest.links import repo_from_name
+from repoharvest.throttle import LONG_WAIT
 
 #: The repositories of the world, by the name each starts with.
 REPOS = ("demo/alpha", "demo/beta", "Lab/Gamma")
 START = datetime(2024, 1, 1, tzinfo=timezone.utc)
+#: GitHubClient's default backoff before its first retry, in seconds.
+BACKOFF = 1.0
 _FAILED = re.compile(r"GitHub fetch failed for ([^:]+): (\w+) ")
 _SPENT = FakeResponse(status_code=403, headers={"X-RateLimit-Remaining": "0"},
                       json_body={"message": "API rate limit exceeded"})
@@ -61,6 +63,11 @@ class HarvestMachine(RuleBasedStateMachine):
         self.names = {slug.lower(): slug for slug in REPOS}  # any name had -> REPOS key
         self.renames = 0
         self.failing: set[str] = set()  # contributors answer 500 until the next command ends
+        self.deleted: set[str] = set()  # every name answers 404 from now on
+        # Retry-After seconds of the 429 the next command's first GitHub
+        # request gets, and that request's index among the command's calls
+        self.retry_after: Optional[int] = None
+        self.asked_to_wait: Optional[int] = None
         # GitHub requests until the one that spends the quota, which stays
         # spent until the command ends: the next one runs a day later
         self.quota: Optional[int] = None
@@ -111,10 +118,22 @@ class HarvestMachine(RuleBasedStateMachine):
     def its_contributors_requests_fail(self, slug):
         self.failing.add(slug)
 
+    @rule(slug=st.sampled_from(REPOS))
+    def it_is_deleted(self, slug):
+        """Every name it has had, or gets, answers 404."""
+        self.deleted.add(slug)
+
     @rule(k=st.integers(1, 6))
     def the_quota_runs_out(self, k):
-        """The k-th GitHub request from now answers that the quota is spent."""
+        """The k-th GitHub request from now, not counting a 429 that asks to
+        wait, answers that the quota is spent."""
         self.quota = k
+
+    @rule(k=st.sampled_from([0, 2, int(LONG_WAIT) + 1]))
+    def the_server_asks_to_wait(self, k):
+        """The next GitHub request answers 429 with Retry-After: k, shorter
+        than the backoff, longer, or long enough to be warned about."""
+        self.retry_after = k
 
     # -- the commands ------------------------------------------------------
 
@@ -142,6 +161,10 @@ class HarvestMachine(RuleBasedStateMachine):
 
     def _github(self) -> tuple[GitHubClient, FakeSession]:
         def answer(url, params):
+            if self.retry_after is not None and self.asked_to_wait is None:
+                self.asked_to_wait = len(session.calls) - 1
+                return FakeResponse(status_code=429,
+                                    headers={"Retry-After": str(self.retry_after)})
             if self.quota is not None:
                 self.quota -= 1
                 if self.quota <= 0:
@@ -149,6 +172,8 @@ class HarvestMachine(RuleBasedStateMachine):
             path = url.split("/repos/", 1)[1]
             name = path.removesuffix("/contributors")
             slug = self.names[name.lower()]
+            if slug in self.deleted:
+                return FakeResponse(status_code=404, json_body={"message": "Not Found"})
             repo = self.world[slug]
             current = repo["names"][-1]
             if name.lower() != current.lower():
@@ -180,6 +205,8 @@ class HarvestMachine(RuleBasedStateMachine):
         began = START + timedelta(days=self.commands)
         github, session = self._github()
         clients = (self._feed(), github)
+        store = self.out_dir / "kb.jsonl"
+        before = load_records(store) if self.commands else None
         out, log = io.StringIO(), _Records()
         logger = logging.getLogger("repoharvest")
         logger.addHandler(log)
@@ -194,10 +221,13 @@ class HarvestMachine(RuleBasedStateMachine):
         spent = self.quota is not None and self.quota <= 0
         if spent:
             self.quota = None
+        waited = self.retry_after, self.asked_to_wait
+        self.retry_after = self.asked_to_wait = None
         self.commands += 1
         assert status == 0
         assert "None" not in out.getvalue()
-        self._check_outputs(log.records, session, began, spent)
+        self._check_wait(log.records, session, *waited)
+        self._check_outputs(log.records, session, before, began, spent)
 
     # -- the invariants ----------------------------------------------------
 
@@ -205,7 +235,24 @@ class HarvestMachine(RuleBasedStateMachine):
         """GitHub's current name, lowercased, of the repository ``name`` names."""
         return self.world[self.names[name.lower()]]["names"][-1].lower()
 
-    def _check_outputs(self, records, session, began, spent):
+    @staticmethod
+    def _check_wait(records, session, retry_after, asked_to_wait):
+        """The request after a 429 goes out no sooner than the longer of the
+        backoff and its Retry-After, and only a wait past LONG_WAIT is
+        warned about."""
+        long_waits = [record for record in records
+                      if record.getMessage().endswith("before retrying")]
+        if retry_after is None:
+            assert long_waits == []
+            return
+        assert asked_to_wait is not None  # every command sends a GitHub request
+        times = session.times
+        assert len(times) > asked_to_wait + 1  # a 429 is retried
+        delay = max(BACKOFF, retry_after)
+        assert times[asked_to_wait + 1] - times[asked_to_wait] >= delay
+        assert len(long_waits) == (delay > LONG_WAIT)
+
+    def _check_outputs(self, records, session, before, began, spent):
         store = self.out_dir / "kb.jsonl"
         kb = load_records(store)
         again = Path(self.scratch.name) / "again.jsonl"
@@ -221,28 +268,35 @@ class HarvestMachine(RuleBasedStateMachine):
         assert 403 not in session.statuses[:-1]
         assert (session.statuses[-1:] == [403]) == spent
 
-        failed, limited = Counter(), Counter()
+        failed: dict[str, str] = {}  # each name logged as failed, and its kind
         for record in records:
             match = _FAILED.match(record.getMessage())
             if match:
-                failed[match[1].lower()] += 1
-                if match[2] == "rate_limited":
-                    limited[match[1].lower()] += 1
-                else:
+                assert match[1].lower() not in failed  # a failure is logged once
+                failed[match[1].lower()] = match[2]
+                if match[2] not in ("rate_limited", "not_found"):
                     assert record.getMessage().endswith("; its snapshot was kept")
         assert set(failed) <= self.named
-        assert spent or not limited
+        assert spent or "rate_limited" not in failed.values()
 
         def refreshed(entry) -> bool:
             return entry is not None and entry.latest.fetched_at >= began
 
         for identity in self.named:
-            assert failed[identity] <= 1  # a failure is logged once
-            entry = kb.get(repo_from_name(identity))
+            ref = repo_from_name(identity)
+            entry = kb.get(ref)
+            if self.names[identity] in self.deleted:
+                # each name of a deleted repository is logged as not found,
+                # unless the quota ran out first, and the store keeps what
+                # it held: nothing on a run, the entry as it was on monitor
+                assert failed[identity] == "not_found" or (
+                    spent and failed[identity] == "rate_limited")
+                assert entry == (None if before is None else before.get(ref))
+                continue
             if not refreshed(entry):
                 # only a spent quota leaves a name unanswered, and then the
                 # name is logged as rate limited
-                assert limited[identity] == 1
+                assert failed.get(identity) == "rate_limited"
                 continue
             # each name answered is stored, a kept snapshot after a logged
             # failure included, under GitHub's current name and with the
@@ -255,10 +309,11 @@ class HarvestMachine(RuleBasedStateMachine):
             if status == 200 and not url.endswith("/contributors"):  # a /repos answer
                 assert refreshed(kb.get(repo_from_name(url.split("/repos/", 1)[1])))
         for entry in kb:  # a stored name is current unless the quota ran out first
-            identity = "/".join(entry.ref.identity())
-            assert identity == self._current(identity) or (spent and not refreshed(entry))
+            identity = "/".join(entry.ref.identity())  # or the repository is gone
+            assert identity == self._current(identity) or not refreshed(entry) and (
+                spent or self.names[identity] in self.deleted)
 
 
 HarvestMachine.TestCase.settings = settings(
-    max_examples=40, stateful_step_count=12, derandomize=True, deadline=None, database=None)
+    max_examples=100, stateful_step_count=12, derandomize=True, deadline=None, database=None)
 TestHarvestSequences = HarvestMachine.TestCase
