@@ -17,18 +17,20 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from .github import RepoMetrics
-from .links import LinkError, RepoRef, repo_from_name
+from .links import RepoRef, repo_from_name
 from .maturity import MaturityTier, classify
 
 SCHEMA_VERSION = 2
 _READABLE_VERSIONS = (1, SCHEMA_VERSION)
-TIMESTAMP_FMT = "%Y-%m-%dT%H:%M:%SZ"
+# The one timestamp layout the store writes and reads: YYYY-MM-DDTHH:MM:SSZ.
+_TIMESTAMP = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})Z")
 
 RECORDS_FILENAME = "kb.jsonl"
 TABLE_FILENAME = "kb.csv"
@@ -55,11 +57,17 @@ class StoreError(Exception):
 
 
 def format_timestamp(value: datetime) -> str:
-    return value.astimezone(timezone.utc).strftime(TIMESTAMP_FMT)
+    """``value`` in UTC to the second, the year in four digits."""
+    return value.astimezone(timezone.utc).isoformat(timespec="seconds").replace("+00:00", "Z")
 
 
 def parse_timestamp(text: str) -> datetime:
-    return datetime.strptime(text, TIMESTAMP_FMT).replace(tzinfo=timezone.utc)
+    """The UTC time a ``YYYY-MM-DDTHH:MM:SSZ`` string names. Any other
+    string, or an impossible date or time in that layout, is a ValueError."""
+    match = _TIMESTAMP.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not a YYYY-MM-DDTHH:MM:SSZ time: {text!r}")
+    return datetime(*map(int, match.groups()), tzinfo=timezone.utc)
 
 
 @dataclass
@@ -277,14 +285,6 @@ def _metrics_from_dict(data: dict) -> RepoMetrics:
     )
 
 
-def _repo_from_text(text: str, what: str) -> RepoRef:
-    """The repository an ``owner/name`` string in a store line names."""
-    try:
-        return repo_from_name(text)
-    except LinkError:
-        raise StoreError(f"{what} {text!r} is not an owner/name") from None
-
-
 def entry_to_dict(entry: KbEntry) -> dict:
     data = {
         "schema_version": SCHEMA_VERSION,
@@ -309,15 +309,14 @@ def entry_from_dict(data: dict) -> KbEntry:
     papers = _checked(data["source_papers"], list, "source_papers")
     owner = _checked(data["owner"], str, "owner")
     name = _checked(data["name"], str, "name")
-    ref = replace(_repo_from_text(f"{owner}/{name}", "repository"),
+    ref = replace(repo_from_name(f"{owner}/{name}"),
                   source_papers=frozenset(_checked(p, str, "source paper") for p in papers))
     latest = _metrics_from_dict(data["latest"])
     history = [_metrics_from_dict(m) for m in _checked(data["history"], list, "history")]
     times = [m.fetched_at for m in history] + [latest.fetched_at]
     if any(earlier >= later for earlier, later in zip(times, times[1:])):
         raise StoreError("history timestamps must increase and precede latest.fetched_at")
-    aliases = frozenset(_repo_from_text(_checked(text, str, "alias"), "alias")
-                        for text in _checked(data.get("aliases", []), list, "aliases"))
+    aliases = frozenset(map(repo_from_name, _checked(data.get("aliases", []), list, "aliases")))
     MaturityTier.from_label(_checked(data["tier"], str, "tier"))  # checked, not kept
     return KbEntry(
         ref=ref,

@@ -71,44 +71,33 @@ def clean_url(url: str) -> str:
 
 def canonicalize(cleaned: str, source: str) -> RepoRef:
     """Reduce a GitHub URL that extract_urls matched, after clean_url, to
-    its owner/name repository identity; the host is not checked again.
+    its owner/name repository identity, with ``source`` as its paper; the
+    host is not checked again.
 
-    Keeps the first two path segments, strips a ".git" suffix from the
-    name, and discards any deeper path, query, or fragment.
-
-    Raises LinkError when fewer than two path segments are present (e.g. a
-    profile URL), or when the owner or name contains characters GitHub
-    slugs do not allow or is "." or "..", or the name still ends in ".git"
-    once one suffix is stripped.
+    Keeps the first two path segments, strips one ".git" suffix from the
+    name, and discards any deeper path, query, or fragment. Raises
+    LinkError when fewer than two path segments are present (e.g. a
+    profile URL), or when what is left fails repo_from_name's rule.
     """
     segments = [s for s in urlsplit(cleaned).path.split("/") if s]
     if len(segments) < 2:
         raise LinkError(f"no owner/name path in {cleaned!r}")
-    owner, name = segments[0], segments[1]
-    if name.endswith(".git"):
-        name = name[: -len(".git")]
-    if not _is_owner_name(owner, name):
-        raise LinkError(f"invalid owner/name in {cleaned!r}")
-    return RepoRef(owner, name, frozenset({source}) if source else frozenset())
-
-
-def _is_owner_name(owner: str, name: str) -> bool:
-    """The one owner/name rule: each is made of the characters GitHub slugs
-    allow and is neither "." nor "..", and the name has no ".git" suffix."""
-    return (_SLUG_PATTERN.fullmatch(owner) is not None
-            and _SLUG_PATTERN.fullmatch(name) is not None and not name.endswith(".git"))
+    ref = repo_from_name(f"{segments[0]}/{segments[1].removesuffix('.git')}")
+    return replace(ref, source_papers=frozenset({source}) if source else frozenset())
 
 
 def repo_from_name(text) -> RepoRef:
     """The repository an exact ``owner/name`` string names, with no papers.
 
-    For a name from outside the program, such as a store line or GitHub's
-    ``full_name``: one owner and one name joined by "/" that pass the rule
-    canonicalize applies. Anything else, a value that is not a string
-    included, raises LinkError.
+    The one owner/name rule, for a URL's path (through canonicalize),
+    GitHub's ``full_name`` and a store line: one owner and one name joined
+    by "/", each made of the characters GitHub slugs allow and neither "."
+    nor "..", and a name with no ".git" suffix. Anything else, a value
+    that is not a string included, raises LinkError.
     """
     owner, _, name = str(text).partition("/")
-    if not isinstance(text, str) or not _is_owner_name(owner, name):
+    if not (isinstance(text, str) and _SLUG_PATTERN.fullmatch(owner)
+            and _SLUG_PATTERN.fullmatch(name) and not name.endswith(".git")):
         raise LinkError(f"not an owner/name: {text!r}")
     return RepoRef(owner, name)
 

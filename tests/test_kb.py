@@ -642,6 +642,19 @@ class TestNameIndex:
         assert kb.get(make_ref("demo", "old")) is kb.get(make_ref("demo", "new")) is entry
 
 
+_STRPTIME_LAYOUT = "%Y-%m-%dT%H:%M:%SZ"
+_SECONDS = st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59),
+                        timezones=st.just(timezone.utc)).map(lambda t: t.replace(microsecond=0))
+
+
+def _strptime(text: str):
+    """The time strptime reads from ``text`` in the store's layout, or None."""
+    try:
+        return datetime.strptime(text, _STRPTIME_LAYOUT).replace(tzinfo=timezone.utc)
+    except ValueError:
+        return None
+
+
 class TestTimestamps:
     def test_format_round_trip(self):
         stamp = datetime(2024, 3, 5, 6, 7, 8, tzinfo=timezone.utc)
@@ -649,3 +662,56 @@ class TestTimestamps:
 
     def test_format_shape(self):
         assert format_timestamp(T0) == "2024-01-01T12:00:00Z"
+
+    @given(_SECONDS)
+    def test_every_second_of_years_1_to_9999_round_trips(self, stamp):
+        assert parse_timestamp(format_timestamp(stamp)) == stamp
+
+    @given(_SECONDS.filter(lambda t: t.year >= 1000))
+    def test_years_from_1000_are_written_as_strftime_wrote_them(self, stamp):
+        assert format_timestamp(stamp) == stamp.strftime(_STRPTIME_LAYOUT)
+
+    @given(st.one_of(
+        _SECONDS.map(format_timestamp),
+        st.from_regex(r"[0-9]{1,4}-[0-9]{1,2}-[0-9]{1,2}T[0-9]{1,2}:[0-9]{1,2}:[0-9]{1,2}Z",
+                      fullmatch=True),
+        st.text(st.sampled_from("0123456789-:TZtz \u0662\n"), max_size=22),
+    ))
+    def test_what_the_parser_accepts_strptime_reads_as_the_same_time(self, text):
+        try:
+            parsed = parse_timestamp(text)
+        except ValueError:
+            return
+        assert parsed == _strptime(text)
+        assert format_timestamp(parsed) == text  # the one layout, written back byte for byte
+
+    @pytest.mark.parametrize("text", [
+        "2024-1-2T3:4:5Z", "2024-1-02T03:04:05Z", "2024-01-2T03:04:05Z", "2024-01-02T3:04:05Z",
+        "2024-01-02T03:4:05Z", "2024-01-02T03:04:5Z",
+        "\u0662\u0660\u0662\u0664-01-02T03:04:05Z", "2024-01-02t03:04:05z",
+    ], ids=["unpadded", "month", "day", "hour", "minute", "second", "non-ascii-digits",
+            "lower-case"])
+    def test_other_spellings_strptime_read_are_refused(self, text):
+        assert _strptime(text) is not None
+        with pytest.raises(ValueError, match="^not a YYYY-MM-DDTHH:MM:SSZ time: "):
+            parse_timestamp(text)
+
+    @pytest.mark.parametrize("text", [
+        "2024-02-30T00:00:00Z", "2024-01-01T24:00:00Z", "2024-01-01T00:00:60Z",
+        "0000-01-01T00:00:00Z", " 2024-01-01T00:00:00Z", "2024-01-01T00:00:00Z\n",
+        "2024-01-01T00:00:00", "2024-01-01 00:00:00Z",
+    ])
+    def test_what_strptime_refuses_stays_refused(self, text):
+        assert _strptime(text) is None
+        with pytest.raises(ValueError):
+            parse_timestamp(text)
+
+    def test_a_store_dated_before_1000_loads_after_a_save(self, tmp_path):
+        stamp = datetime(999, 1, 1, tzinfo=timezone.utc)
+        kb = KnowledgeBase()
+        kb.upsert(make_ref("a", "b"), make_metrics(name="b", fetched_at=stamp))
+        path = tmp_path / "kb.jsonl"
+        save_records(kb, path)
+        assert '"first_seen": "0999-01-01T00:00:00Z"' in path.read_text(encoding="utf-8")
+        save_records(load_records(path), path)
+        assert load_records(path).sorted_entries() == kb.sorted_entries()

@@ -1,12 +1,16 @@
 """URL mining: extraction, cleaning, canonicalization, deduplication."""
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import make_metrics, make_ref
 from corpus import DECOYS, REPO_URLS
 from repoharvest.arxiv import PaperRecord
 from repoharvest.cli import _mine_refs
+from repoharvest.kb import KbEntry, StoreError, entry_to_dict, load_records
 from repoharvest.links import (
     LinkError,
     RepoRef,
@@ -14,6 +18,7 @@ from repoharvest.links import (
     clean_url,
     dedupe,
     extract_urls,
+    repo_from_name,
 )
 
 
@@ -139,7 +144,7 @@ class TestCanonicalize:
         "https://github.com/x/y.git.git",
     ])
     def test_bad_slug_is_malformed(self, url):
-        with pytest.raises(LinkError, match="^invalid owner/name in "):
+        with pytest.raises(LinkError, match="^not an owner/name: "):
             canonicalize(url, "p")
 
     def test_all_reference_urls_round_trip(self):
@@ -241,3 +246,51 @@ def test_tex_escapes_mine_back_to_the_name(owner, name):
     escaped = name.replace("_", "\\_")
     assert mined(f"Code: \\url{{https://github.com/{owner}/{escaped}}}.") == [
         f"{owner}/{name}"]
+
+
+# An owner or a name as a URL path holds it: slug characters and a few that
+# GitHub slugs never hold, but no "/", "?" or "#" and no ".git" suffix. Its
+# only ASCII letters are a and b, so it never repeats the store's "octo/spoon".
+_SEGMENT = st.text(st.sampled_from("abAB09._- %~\u00e9\u0660\uff41"), max_size=6).filter(
+    lambda segment: not segment.endswith(".git"))
+
+
+def _owner_name(owner: str, name: str):
+    """repo_from_name's answer to ``owner/name``, or None when it refuses."""
+    try:
+        return repo_from_name(f"{owner}/{name}")
+    except LinkError:
+        return None
+
+
+class TestOneOwnerNameRule:
+    @pytest.mark.parametrize("text", ["\uff41/b", "a/\u00e9", "a/\u0660", "a b/c", "a/%41", "a/b~"])
+    def test_only_ascii_slug_characters_make_a_name(self, text):
+        with pytest.raises(LinkError, match="^not an owner/name: "):
+            repo_from_name(text)
+
+    @given(_SEGMENT, _SEGMENT)
+    def test_canonicalize_refuses_exactly_what_repo_from_name_refuses(self, owner, name):
+        expected = _owner_name(owner, name)
+        try:
+            ref = canonicalize(f"https://github.com/{owner}/{name}", "p")
+        except LinkError:
+            assert expected is None
+        else:
+            assert (ref.owner, ref.name) == (expected.owner, expected.name)
+
+    @given(_SEGMENT, _SEGMENT)
+    def test_a_store_alias_loads_exactly_when_repo_from_name_accepts_it(
+            self, tmp_path_factory, owner, name):
+        metrics = make_metrics()
+        record = entry_to_dict(KbEntry(make_ref(), metrics, first_seen=metrics.fetched_at))
+        record["aliases"] = [f"{owner}/{name}"]
+        path = tmp_path_factory.mktemp("store") / "kb.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        expected = _owner_name(owner, name)
+        try:
+            (entry,) = load_records(path)
+        except StoreError:
+            assert expected is None
+        else:
+            assert entry.aliases == {expected}
