@@ -13,7 +13,7 @@ from typing import Callable, Iterator, Optional
 
 import requests
 
-from .throttle import REQUEST_TIMEOUT, RequestGate
+from .throttle import MAX_RETRIES, REQUEST_TIMEOUT, RequestGate
 
 DEFAULT_BASE_URL = "http://export.arxiv.org/api/query"
 
@@ -45,8 +45,8 @@ class ArxivRequestError(Exception):
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """Search phrases, submission-year range, and paging bounds; a value
-    that breaks an invariant raises ValueError."""
+    """Search phrases, submission-year range, the cap on papers, and the most
+    papers a feed request asks for; a value it refuses raises ValueError."""
 
     terms: tuple[str, ...]
     from_year: int = DEFAULT_DATE_FROM
@@ -68,8 +68,8 @@ class SearchSpec:
             raise ValueError("from_year must not exceed to_year")
         if self.max_results < 1:
             raise ValueError("max_results must be >= 1")
-        if not 1 <= self.page_size <= self.max_results:
-            raise ValueError("page_size must be between 1 and max_results")
+        if self.page_size < 1:
+            raise ValueError("page_size must be >= 1")
         if self.page_size > MAX_PAGE_SIZE:
             raise ValueError(f"page_size must be at most {MAX_PAGE_SIZE}, the feed's limit")
 
@@ -174,18 +174,24 @@ class ArxivClient:
         """Stream records page by page until the cap, a short page, or a
         full page with no new id.
 
-        Every page sends build_query(spec). Yields at most
+        Every page sends build_query(spec) and asks for ``spec.page_size``
+        papers, or for what the cap leaves if that is fewer. Yields at most
         ``spec.max_results`` records and never issues another request once
         the cap is reached. Repeated ids (a shifting feed) are skipped so ids
         are unique within one run; a full page of them ends the feed, since
-        a feed that ignores ``start`` would otherwise be paged forever.
+        a feed that ignores ``start`` would otherwise be paged forever. A
+        short page that ends before the latest ``totalResults`` is asked for
+        again, at most MAX_RETRIES more times, before the feed is taken to
+        have ended.
         """
         query = build_query(spec)
         seen: set[str] = set()
         yielded = 0
         start = 0
+        retries = 0
         while yielded < spec.max_results:
-            records = self.fetch_page(query, start, spec.page_size)
+            size = min(spec.page_size, spec.max_results - yielded)
+            records = self.fetch_page(query, start, size)
             known = len(seen)
             for record in records:
                 if record.arxiv_id in seen:
@@ -195,6 +201,12 @@ class ArxivClient:
                 yielded += 1
                 if yielded >= spec.max_results:
                     return
-            if len(records) < spec.page_size or len(seen) == known:
+            if len(records) < size:
+                if retries < MAX_RETRIES and start + len(records) < (self.last_total_results or 0):
+                    retries += 1
+                    continue
                 return
-            start += spec.page_size
+            if len(seen) == known:
+                return
+            start += size
+            retries = 0

@@ -76,10 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
                                f"(default {arxiv_mod.DEFAULT_DATE_TO})")
     pipeline.add_argument("--max-results", type=int, default=arxiv_mod.DEFAULT_MAX_RESULTS,
                           help=f"cap on papers processed (default {arxiv_mod.DEFAULT_MAX_RESULTS})")
-    # No default: the default page size shrinks to --max-results
-    pipeline.add_argument("--page-size", type=int,
-                          help=f"feed page size, at most {arxiv_mod.MAX_PAGE_SIZE} (default "
-                               f"{arxiv_mod.DEFAULT_PAGE_SIZE}, or --max-results if smaller)")
+    pipeline.add_argument("--page-size", type=int, default=arxiv_mod.DEFAULT_PAGE_SIZE,
+                          help=f"feed page size, at most {arxiv_mod.MAX_PAGE_SIZE} "
+                               f"(default {arxiv_mod.DEFAULT_PAGE_SIZE})")
     pipeline.add_argument("--arxiv-base-url", default=arxiv_mod.DEFAULT_BASE_URL,
                           help="feed endpoint, an http(s) URL "
                                f"(default {arxiv_mod.DEFAULT_BASE_URL})")
@@ -109,14 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """The checked values a run reads, from the parsed pipeline flags. A
-    page size not given is shrunk to --max-results; a search value or an
-    endpoint that is refused is a UsageError, raised before any request."""
-    page_size = args.page_size
-    if page_size is None:
-        page_size = min(arxiv_mod.DEFAULT_PAGE_SIZE, args.max_results)
+    search value or an endpoint that is refused is a UsageError, raised
+    before any request."""
     try:
         search = SearchSpec(tuple(args.terms or arxiv_mod.DEFAULT_TERMS), args.from_year,
-                            args.to_year, args.max_results, page_size)
+                            args.to_year, args.max_results, args.page_size)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     for flag, url in (("--arxiv-base-url", args.arxiv_base_url),

@@ -86,7 +86,6 @@ class FetchFailure:
     resolved ref and snapshot of a /repos answer whose contributors request
     failed, with the stored count or None; it is stored all the same."""
 
-    repo: RepoRef
     kind: FailureKind
     detail: str
     kept: Optional[tuple[RepoRef, RepoMetrics]] = None
@@ -334,5 +333,5 @@ class GitHubClient:
                     metrics = replace(metrics, contributors=self.count_contributors(resolved))
                 successes.append((resolved, metrics))
             except GitHubFetchError as exc:
-                failures.append(FetchFailure(ref, exc.kind, exc.detail, kept))
+                failures.append(FetchFailure(exc.kind, exc.detail, kept))
         return successes, failures

@@ -78,7 +78,6 @@ class TestSearchSpecValidation:
         {"terms": ("ok",), "from_year": -5},
         {"terms": ("ok",), "max_results": 0},
         {"terms": ("ok",), "page_size": 0},
-        {"terms": ("ok",), "max_results": 10, "page_size": 11},
         {"terms": ("ok",), "max_results": 5000, "page_size": 2001},
     ])
     def test_bad_specs_rejected(self, kwargs):
@@ -261,6 +260,43 @@ class TestIteratePapers:
         spec = SearchSpec(terms=("x",), max_results=10, page_size=2)
         assert [r.arxiv_id for r in client.iterate_papers(spec)] == ["id0", "id1"]
         assert [params["start"] for _, _, params in session.calls] == [0, 2]
+
+    def test_a_short_page_the_total_contradicts_is_asked_for_again(self):
+        """Page 2 comes back short once, then full: every paper arrives, at
+        the cost of one extra request."""
+        entries = [atom_entry(f"id{i:02d}") for i in range(15)]
+        short = {"left": 1}
+
+        def handler(url, params):
+            start, count = params["start"], params["max_results"]
+            if start == 5 and short["left"]:
+                short["left"] -= 1
+                count = 3
+            return FakeResponse(text=atom_feed(entries[start:start + count], total=15))
+
+        client, session, _ = _client(handler)
+        spec = SearchSpec(terms=("x",), max_results=100, page_size=5)
+        assert [r.arxiv_id for r in client.iterate_papers(spec)] == [
+            f"id{i:02d}" for i in range(15)]
+        assert [params["start"] for _, _, params in session.calls] == [0, 5, 5, 10, 15]
+
+    def test_a_short_page_at_a_shrunken_total_is_the_end(self):
+        """Page 2 is short against a total of 15, then short again with a
+        total that shrank to where it ends: no further request."""
+        entries = [atom_entry(f"id{i:02d}") for i in range(15)]
+        totals = {0: [15], 5: [15, 8]}
+
+        def handler(url, params):
+            start = params["start"]
+            count = params["max_results"] if start == 0 else 3
+            return FakeResponse(text=atom_feed(entries[start:start + count],
+                                               total=totals[start].pop(0)))
+
+        client, session, _ = _client(handler)
+        spec = SearchSpec(terms=("x",), max_results=100, page_size=5)
+        assert len(list(client.iterate_papers(spec))) == 8
+        assert [params["start"] for _, _, params in session.calls] == [0, 5, 5]
+        assert client.last_total_results == 8
 
     def test_politeness_delay_between_page_requests(self):
         clock = FakeClock()

@@ -34,7 +34,6 @@ from corpus import REPO_URLS, build_corpus
 from mockservers import MockArxivApp, MockGitHubApp, MockServer
 from repoharvest.arxiv import ArxivClient
 from repoharvest.cli import (
-    UsageError,
     build_parser,
     cmd_monitor,
     cmd_run,
@@ -45,7 +44,7 @@ from repoharvest.cli import (
 from repoharvest.github import GitHubClient, ThrottlePolicy
 from repoharvest.kb import KnowledgeBase, load_records, save_records
 from repoharvest.links import canonicalize
-from repoharvest.throttle import LONG_WAIT
+from repoharvest.throttle import LONG_WAIT, MAX_RETRIES
 
 EXPECTED_LINES = [row.expected_line for row in REFERENCE_ROWS]
 
@@ -551,6 +550,28 @@ class TestRunCommand:
                              github_client=fixtures_github_client({}), out=io.StringIO())
         assert status == 0
         assert [r.getMessage() for r in caplog.records] == warned
+
+    def test_a_page_that_stays_short_is_asked_for_a_bounded_number_of_times(self, tmp_path,
+                                                                           caplog):
+        """Page 2 is always short of the total of 15: it is asked for
+        1 + MAX_RETRIES times, and then the feed is taken to have ended."""
+        entries = [atom_entry(f"2101.{i:05d}", f"title {i}") for i in range(15)]
+        starts = []
+
+        def short_page_two(url, params):
+            start = params["start"]
+            starts.append(start)
+            count = params["max_results"] if start == 0 else 3
+            return FakeResponse(text=atom_feed(entries[start:start + count], total=15))
+
+        feed = feed_client(short_page_two)
+        with caplog.at_level(logging.WARNING, logger="repoharvest"):
+            status = cmd_run(config_for(tmp_path, "--page-size", "5"), arxiv_client=feed,
+                             github_client=fixtures_github_client({}), out=io.StringIO())
+        assert status == 0
+        assert starts == [0] + [5] * (1 + MAX_RETRIES)
+        assert [r.getMessage() for r in caplog.records] == [
+            "the feed ended after 8 of 15 papers"]
 
     def test_feed_failure_is_fatal_and_writes_nothing(self, tmp_path, caplog):
         clock = FakeClock()
@@ -1420,14 +1441,29 @@ class TestArgumentResolution:
             assert excinfo.value.code == 2
             assert "unrecognized arguments: --config x.json" in capsys.readouterr().err
 
-    def test_default_page_size_shrinks_to_small_max_results(self):
-        cfg = resolve_config(parse_args(["run", "--max-results", "50"]))
-        assert cfg.search.page_size == 50
+    @pytest.mark.parametrize("extra,n_papers,sizes", [
+        (("--max-results", "1000", "--page-size", "100"), 1000, [100] * 10),
+        (("--max-results", "50", "--page-size", "50"), 50, [50]),
+        (("--max-results", "50",), 60, [50]),
+        (("--max-results", "250",), 300, [100, 100, 50]),
+        (("--max-results", "5", "--page-size", "100"), 10, [5]),
+    ], ids=["harvest-shape", "large-store-shape", "default-page-above-cap", "cap-250",
+            "explicit-page-above-cap"])
+    def test_each_request_asks_for_what_the_cap_leaves(self, tmp_path, extra, n_papers,
+                                                      sizes):
+        """A request asks for --page-size papers, or for what --max-results
+        leaves if that is fewer; the benchmark's two shapes come first."""
+        feed = corpus_feed([(f"2101.{i:05d}", "t", "a") for i in range(n_papers)])
+        sizes_sent = []
 
-    def test_explicit_page_size_above_max_results_rejected(self):
-        with pytest.raises(UsageError):
-            resolve_config(parse_args(["run", "--max-results", "50",
-                                       "--page-size", "100"]))
+        def recorded(url, params):
+            sizes_sent.append(params["max_results"])
+            return feed(url, params)
+
+        assert execute_pipeline(config_for(tmp_path, *extra), KnowledgeBase(),
+                                feed_client(recorded), fixtures_github_client({}),
+                                out=io.StringIO()) == 0
+        assert sizes_sent == sizes
 
     def test_main_maps_usage_error_to_exit_2(self, capsys):
         status = main(["run", "--max-results", "0"])
