@@ -23,7 +23,7 @@ from urllib.parse import urlsplit
 from . import arxiv as arxiv_mod
 from . import github as github_mod
 from .arxiv import ArxivClient, ArxivRequestError, PaperRecord, SearchSpec
-from .github import FetchFailure, GitHubClient, RepoMetrics
+from .github import GitHubClient, GitHubFetchError, RepoMetrics
 from .kb import (
     RECORDS_FILENAME,
     REPORT_FILENAME,
@@ -42,11 +42,7 @@ from .maturity import classify
 
 log = logging.getLogger("repoharvest")
 
-Outcome = tuple[RepoRef, RepoMetrics] | FetchFailure  # one name's enrichment
-
-
-class UsageError(Exception):
-    """Invalid flag combination; maps to exit status 2."""
+Outcome = tuple[RepoRef, RepoMetrics] | GitHubFetchError  # one name's enrichment
 
 
 @dataclass(frozen=True)
@@ -108,13 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """The checked values a run reads, from the parsed pipeline flags. A
-    search value or an endpoint that is refused is a UsageError, raised
+    search value or an endpoint that is refused is a ValueError, raised
     before any request."""
-    try:
-        search = SearchSpec(tuple(args.terms or arxiv_mod.DEFAULT_TERMS), args.from_year,
-                            args.to_year, args.max_results, args.page_size)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    search = SearchSpec(tuple(args.terms or arxiv_mod.DEFAULT_TERMS), args.from_year,
+                        args.to_year, args.max_results, args.page_size)
     for flag, url in (("--arxiv-base-url", args.arxiv_base_url),
                       ("--github-base-url", args.github_base_url)):
         try:
@@ -124,7 +117,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         except ValueError:
             usable = False
         if not usable:
-            raise UsageError(f"{flag} must be an http(s) URL with a host, not {url!r}")
+            raise ValueError(f"{flag} must be an http(s) URL with a host, not {url!r}")
     return RunConfig(search, args.arxiv_base_url, args.github_base_url, Path(args.out_dir))
 
 
@@ -142,7 +135,7 @@ def _mine_refs(paper: PaperRecord) -> Iterator[RepoRef]:
 def _snapshot(outcome: Outcome) -> Optional[tuple[RepoRef, RepoMetrics]]:
     """The resolved ref and snapshot an outcome stores: a success, or the
     snapshot a failure kept."""
-    return outcome.kept if isinstance(outcome, FetchFailure) else outcome
+    return outcome.kept if isinstance(outcome, GitHubFetchError) else outcome
 
 
 def _papers_promised(client: ArxivClient, cfg: RunConfig, processed: int) -> int:
@@ -168,7 +161,7 @@ def execute_pipeline(
     that entry's ref and latest snapshot, so it is requested as stored,
     conditionally; the worker sees only these frozen values, never ``kb``.
     A name's outcome is one value, its resolved ref and snapshot or its
-    FetchFailure. The worker's one memo, ``done``, keeps each outcome under
+    GitHubFetchError. The worker's one memo, ``done``, keeps each outcome under
     the identity requested and each success under the identity it resolved
     to, so no repository is requested twice under a name it already
     answered to, and a rename onto an earlier success keeps that success's
@@ -233,7 +226,7 @@ def execute_pipeline(
             reported: set[tuple[str, str]] = set()
             for ref in unique:
                 outcome = outcomes[ref.identity()].result()
-                if isinstance(outcome, FetchFailure):
+                if isinstance(outcome, GitHubFetchError):
                     log.warning("GitHub fetch failed for %s/%s: %s (%s)%s", ref.owner, ref.name,
                                 outcome.kind.value, outcome.detail,
                                 "; its snapshot was kept" if outcome.kept else "")
@@ -371,7 +364,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _configure_logging(args.verbose)

@@ -6,7 +6,8 @@ entry per page, so the Link header's rel="last" page number is the count.
 A stored snapshot's ETag makes the snapshot request conditional, and an
 unchanged repository costs one request. All requests pass through a single
 RequestGate, so outbound traffic respects the throttle policy;
-per-repository failures are returned as data and never abort a batch.
+enrich returns each repository's failure as a GitHubFetchError, so none
+aborts a batch.
 """
 from __future__ import annotations
 
@@ -81,17 +82,6 @@ class RepoMetrics:
 
 
 @dataclass(frozen=True)
-class FetchFailure:
-    """Record of one repository that could not be enriched. ``kept`` is the
-    resolved ref and snapshot of a /repos answer whose contributors request
-    failed, with the stored count or None; it is stored all the same."""
-
-    kind: FailureKind
-    detail: str
-    kept: Optional[tuple[RepoRef, RepoMetrics]] = None
-
-
-@dataclass(frozen=True)
 class ThrottlePolicy:
     """Outbound request pacing: the minimum gap between requests, in
     seconds. Retries follow the shared budget of throttle.RequestGate.get."""
@@ -100,12 +90,17 @@ class ThrottlePolicy:
 
 
 class GitHubFetchError(Exception):
-    """A single repository fetch failed; carries the failure kind."""
+    """A single repository fetch failed; carries the failure kind. As one of
+    enrich's failures, ``kept`` is the resolved ref and snapshot of a /repos
+    answer whose contributors request failed, with the stored count or None;
+    it is stored all the same."""
 
-    def __init__(self, kind: FailureKind, detail: str) -> None:
+    def __init__(self, kind: FailureKind, detail: str,
+                 kept: Optional[tuple[RepoRef, RepoMetrics]] = None) -> None:
         super().__init__(f"{kind.value}: {detail}")
         self.kind = kind
         self.detail = detail
+        self.kept = kept
 
 
 def _page_number(url: Optional[str]) -> Optional[int]:
@@ -222,7 +217,7 @@ class GitHubClient:
         """The response's JSON body, which must be a ``kind`` (dict or list)."""
         try:
             data = response.json()
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise GitHubFetchError(
                 FailureKind.MALFORMED_RESPONSE, f"unparseable body from {url}: {exc}"
             ) from exc
@@ -309,19 +304,19 @@ class GitHubClient:
         self,
         refs: Iterable[RepoRef],
         stored: Optional[Mapping[tuple[str, str], RepoMetrics]] = None,
-    ) -> tuple[list[tuple[RepoRef, RepoMetrics]], list[FetchFailure]]:
+    ) -> tuple[list[tuple[RepoRef, RepoMetrics]], list[GitHubFetchError]]:
         """Fetch metrics and contributor counts for every ref, in order.
 
         ``stored`` maps an identity to its stored latest snapshot, which
         makes that repository's refresh conditional (see fetch_repo).
-        Failures become FetchFailure records instead of exceptions, so one
-        bad repository never aborts the batch; len(successes) +
-        len(failures) equals the number of input refs. A failed contributors
-        request keeps the snapshot in hand as the failure's ``kept``, its
-        count the stored one, as on a 304, or None.
+        Failures are returned, not raised, as new GitHubFetchErrors that hold
+        no traceback, so one bad repository never aborts the batch;
+        len(successes) + len(failures) equals the number of input refs. A
+        failed contributors request keeps the snapshot in hand as the
+        failure's ``kept``, its count the stored one, as on a 304, or None.
         """
         successes: list[tuple[RepoRef, RepoMetrics]] = []
-        failures: list[FetchFailure] = []
+        failures: list[GitHubFetchError] = []
         for ref in refs:
             latest = (stored or {}).get(ref.identity())
             kept = None
@@ -333,5 +328,5 @@ class GitHubClient:
                     metrics = replace(metrics, contributors=self.count_contributors(resolved))
                 successes.append((resolved, metrics))
             except GitHubFetchError as exc:
-                failures.append(FetchFailure(exc.kind, exc.detail, kept))
+                failures.append(GitHubFetchError(exc.kind, exc.detail, kept))
         return successes, failures

@@ -348,7 +348,7 @@ def load_records(path: Path | str) -> KnowledgeBase:
             continue
         try:
             kb._add(entry_from_dict(json.loads(line)))
-        except (StoreError, KeyError, TypeError, ValueError) as exc:
+        except (StoreError, KeyError, TypeError, ValueError, RecursionError) as exc:
             raise StoreError(f"{path}:{lineno}: bad record: {exc}") from exc
     return kb
 

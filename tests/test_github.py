@@ -661,6 +661,24 @@ class TestEnrich:
         assert [f.kind for f in failures] == [FailureKind.MALFORMED_RESPONSE]
         assert f"{field} must be a string" in failures[0].detail
 
+    def test_a_body_nested_too_deeply_is_one_malformed_failure(self):
+        """json raises RecursionError, not ValueError, on such a body."""
+        repos = {"b/two": {"stars": 5, "forks": 1, "open_issues": 4, "contributors": 3}}
+        answer = self._multi_handler(repos)
+
+        def handler(url, params):
+            if url.endswith("/repos/a/one"):
+                return FakeResponse(text="[" * 100_000 + "]" * 100_000)
+            return answer(url, params)
+
+        client, _, _ = make_client(handler)
+        successes, failures = client.enrich([make_ref("a", "one"), make_ref("b", "two")])
+        assert [(r.name, m.contributors) for r, m in successes] == [("two", 3)]
+        [failure] = failures
+        assert failure.kind is FailureKind.MALFORMED_RESPONSE
+        assert failure.detail.startswith(f"unparseable body from {BASE}/repos/a/one: ")
+        assert failure.kept is None
+
 
 class TestCrossOriginUrls:
     """The token goes only to base_url's scheme and host."""

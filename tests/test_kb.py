@@ -291,6 +291,15 @@ class TestPersistence:
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         assert load_records(path).sorted_entries() == kb.sorted_entries()
 
+    def test_a_line_nested_too_deeply_is_a_store_error(self, tmp_path):
+        """json raises RecursionError, not ValueError, on such a line."""
+        path = tmp_path / "kb.jsonl"
+        save_records(self._populated(), path)
+        with path.open("a", encoding="utf-8") as store:
+            store.write("[" * 100_000 + "\n")
+        with pytest.raises(StoreError, match=re.escape(f"{path}:3: bad record: ")):
+            load_records(path)
+
     def test_save_is_deterministic(self, tmp_path):
         kb = self._populated()
         save_records(kb, tmp_path / "one.jsonl")
