@@ -6,6 +6,7 @@ requests; transport and 5xx failures are retried with doubling backoff.
 """
 from __future__ import annotations
 
+import contextlib
 import time
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ from typing import Callable, Iterator, Optional
 
 import requests
 
-from .throttle import MAX_RETRIES, REQUEST_TIMEOUT, RequestGate
+from .throttle import MAX_RETRIES, RequestGate
 
 DEFAULT_BASE_URL = "http://export.arxiv.org/api/query"
 
@@ -112,8 +113,8 @@ def _classify(outcome, start: int):
 
 
 class ArxivClient:
-    """Feed client with paging, politeness delay, and the shared retry
-    budget of throttle.RequestGate.get.
+    """Feed client with paging and politeness delay; its RequestGate sends
+    each request on ``session`` with the shared retry budget.
 
     ``session``, ``clock``, and ``sleep`` are injectable for tests.
     """
@@ -128,8 +129,7 @@ class ArxivClient:
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.base_url = base_url
-        self._session = session if session is not None else requests.Session()
-        self._gate = RequestGate(delay, backoff_base, clock=clock, sleep=sleep)
+        self._gate = RequestGate(delay, backoff_base, session, clock, sleep)
         #: Total result count reported by the most recent page, if any.
         self.last_total_results: Optional[int] = None
 
@@ -137,24 +137,23 @@ class ArxivClient:
         """Request one feed page, retrying within the budget, and parse its
         entries in feed order. ``start`` and ``page_size`` are taken as
         given: iterate_papers derives them from a checked SearchSpec."""
-        params = {"search_query": query, "start": start, "max_results": page_size}
         response = self._gate.get(
-            lambda: self._session.get(self.base_url, params=params, timeout=REQUEST_TIMEOUT),
-            lambda outcome: _classify(outcome, start),
-        )
+            self.base_url, lambda outcome: _classify(outcome, start),
+            params={"search_query": query, "start": start, "max_results": page_size})
         return self._parse_feed(response.text)
 
     def _parse_feed(self, text: str) -> list[PaperRecord]:
         """The page's entries in feed order. Only what the harvest reads is
         checked: well-formed XML and an ``<id>`` per entry; ``totalResults``
-        is kept when it is ASCII digits, and ``<published>`` is not read."""
+        is kept when it is ASCII digits int() reads; ``<published>`` is not read."""
         try:
             root = ET.fromstring(text)
         except ET.ParseError as exc:
             raise ArxivRequestError(f"feed is not well-formed XML: {exc}") from exc
         total = (root.findtext(f"{_OPENSEARCH}totalResults") or "").strip()
         if total.isascii() and total.isdigit():  # "²".isdigit() too, but int() refuses it
-            self.last_total_results = int(total)
+            with contextlib.suppress(ValueError):  # more digits than int() reads
+                self.last_total_results = int(total)
         records = []
         for index, entry in enumerate(root.findall(f"{_ATOM}entry")):
             raw_id = (entry.findtext(f"{_ATOM}id") or "").strip()

@@ -21,7 +21,7 @@ from urllib.parse import parse_qs, urljoin, urlsplit
 import requests
 
 from .links import LinkError, RepoRef, repo_from_name
-from .throttle import REQUEST_TIMEOUT, RequestGate
+from .throttle import MAX_WAIT, RequestGate, seconds_header
 
 DEFAULT_BASE_URL = "https://api.github.com"
 
@@ -115,10 +115,11 @@ class GitHubClient:
     """REST client with throttling, retries, and rename-redirect handling.
 
     ``session``, ``clock``, ``sleep``, and ``now`` are injectable for
-    tests; defaults talk to the real API with real time. Requests go out
-    ``policy.min_interval`` apart with or without a token, which adds only
-    its header and a larger quota. After an answer that says the quota is
-    spent, the client sends nothing more (see _classify).
+    tests; defaults talk to the real API with real time. The client's
+    RequestGate sends each request on ``session``, ``policy.min_interval``
+    apart with or without a token, which adds only its header (kept over
+    any ~/.netrc entry) and a larger quota. After an answer that says the
+    quota is spent, the client sends nothing more (see _classify).
     """
 
     def __init__(
@@ -132,13 +133,14 @@ class GitHubClient:
         sleep: Callable[[float], None] = time.sleep,
         now: Callable[[], datetime] = utc_now,
     ) -> None:
-        self._gate = RequestGate(policy.min_interval, backoff_base, clock=clock, sleep=sleep)
+        self._gate = RequestGate(policy.min_interval, backoff_base, session, clock, sleep)
         self.base_url = base_url.rstrip("/")
         self._origin = urlsplit(self.base_url)[:2]  # scheme and host every hop must keep
-        self._session = session if session is not None else requests.Session()
         self._quota_spent: Optional[str] = None  # detail of the answer that spent it
         self._now = now
         self._headers = {"Accept": "application/vnd.github+json"}
+        # an auth that leaves the token's header as built: requests reads no ~/.netrc
+        self._auth = (lambda request: request) if token else None
         if token:
             self._headers["Authorization"] = f"Bearer {token}"
 
@@ -149,9 +151,10 @@ class GitHubClient:
         Transport failures, 5xx answers, 429s and 403s with Retry-After are
         retryable; RequestGate.get waits out the Retry-After, the only wait
         the server sets. A 403/429 with X-RateLimit-Remaining: 0 and no
-        Retry-After spends the client's quota: it is not retried, its reset
-        (up to an hour away) is not waited for, and later requests fail
-        rate_limited unsent, as GitHub may ban a client that keeps sending."""
+        Retry-After, or with a Retry-After past throttle.MAX_WAIT, spends
+        the client's quota: it is not retried, its reset is not waited for,
+        and later requests fail rate_limited unsent, as GitHub may ban a
+        client that keeps sending."""
         if isinstance(outcome, requests.RequestException):
             error = GitHubFetchError(FailureKind.TRANSPORT, f"transport failure: {outcome}")
             return error, True
@@ -166,11 +169,14 @@ class GitHubClient:
         elif status == 401:
             kind = FailureKind.FORBIDDEN
         elif status in (403, 429):
-            spent = "Retry-After" not in headers and headers.get("X-RateLimit-Remaining") == "0"
-            retryable = not spent and (status == 429 or "Retry-After" in headers)
+            hint = headers.get("Retry-After")
+            wait = seconds_header(hint) or 0.0
+            spent = wait > MAX_WAIT or hint is None and headers.get("X-RateLimit-Remaining") == "0"
+            retryable = not spent and (status == 429 or hint is not None)
             kind = FailureKind.RATE_LIMITED if spent or retryable else FailureKind.FORBIDDEN
             if spent:
-                self._quota_spent = detail = f"quota spent: {detail}"
+                asked = f", which asks for a {wait:.0f} s wait" if wait > MAX_WAIT else ""
+                self._quota_spent = detail = f"quota spent: {detail}{asked}"
         return GitHubFetchError(kind, detail), retryable
 
     def _request(self, url: str, params=None, etag: Optional[str] = None):
@@ -190,15 +196,8 @@ class GitHubClient:
                 raise GitHubFetchError(FailureKind.MALFORMED_RESPONSE,
                                        f"refusing to leave {self.base_url} for {target}")
             response = self._gate.get(
-                lambda: self._session.get(
-                    target,
-                    params=params,
-                    headers=headers,
-                    timeout=REQUEST_TIMEOUT,
-                    allow_redirects=False,
-                ),
-                lambda outcome: self._classify(outcome, target),
-            )
+                target, lambda outcome: self._classify(outcome, target),
+                params=params, headers=headers, auth=self._auth, allow_redirects=False)
             status = response.status_code
             if not 300 <= status < 400 or (status == 304 and etag is not None):
                 return response

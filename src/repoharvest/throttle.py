@@ -1,9 +1,9 @@
 """Request pacing and retries shared by the HTTP clients.
 
-A RequestGate is one client's whole request path. It serializes outbound
-requests, keeps a minimum interval between consecutive ones, and its get()
-is the one wait → GET → classify → backoff-or-Retry-After loop both clients
-send through.
+A RequestGate is one client's whole request path. It holds the client's
+session, serializes outbound requests, keeps a minimum interval between
+consecutive ones, and its get() is the one wait → GET → classify →
+backoff-or-Retry-After loop both clients send through, with one timeout.
 """
 from __future__ import annotations
 
@@ -22,6 +22,8 @@ REQUEST_TIMEOUT = 30.0
 #: A retry deferred by more seconds than this is logged as a warning, so a
 #: long Retry-After is never waited out in silence.
 LONG_WAIT = 60.0
+#: GitHub's one-hour quota window: a failure that asks for a longer wait is not retried.
+MAX_WAIT = 3600.0
 
 log = logging.getLogger("repoharvest")
 
@@ -31,7 +33,8 @@ class RequestGate:
 
     wait() blocks until the next request slot opens, then reserves the
     following slot ``min_interval`` later. Calls serialize under a lock, so
-    requests form a total order; get() adds retries, backing off from
+    requests form a total order; get() sends each request on ``session``,
+    a new requests.Session if none is given, and retries, backing off from
     ``backoff`` seconds. Both values come from a client's pacing constants
     or an injected policy, never from outside input, so they are taken as
     given. The clock and sleep functions are injectable.
@@ -41,11 +44,13 @@ class RequestGate:
         self,
         min_interval: float,
         backoff: float,
+        session=None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.min_interval = min_interval
         self.backoff = backoff
+        self._session = session if session is not None else requests.Session()
         self._clock = clock
         self._sleep = sleep
         self._lock = threading.Lock()
@@ -64,22 +69,23 @@ class RequestGate:
         with self._lock:
             self._not_before = max(self._not_before, self._clock() + delay)
 
-    def get(self, send, classify):
-        """Send ``send()`` through the gate until it succeeds or the budget ends.
+    def get(self, url: str, classify, **request):
+        """GET ``url`` through the gate until it succeeds or the budget ends.
 
+        Each attempt sends ``session.get(url, timeout=REQUEST_TIMEOUT, **request)``.
         ``classify`` maps the response, or the ``requests.RequestException``
-        that ``send`` raised, to None on success or to ``(error,
-        retryable)``. A retryable failure defers the next request by the
-        backoff, or by the response's Retry-After seconds when that is
-        longer, and the backoff doubles. A deferral longer than LONG_WAIT is
-        logged as a warning. After MAX_RETRIES retries, or on a failure that
-        is not retryable, ``error`` is raised.
+        raised, to None on success or to ``(error, retryable)``. A retryable
+        failure defers the next request by the backoff, or by the response's
+        Retry-After seconds when that is longer, and the backoff doubles. A
+        deferral longer than LONG_WAIT is logged as a warning. After
+        MAX_RETRIES retries, on a failure that is not retryable, or on one
+        whose wait would pass MAX_WAIT, ``error`` is raised.
         """
         backoff = self.backoff
         for attempt in range(MAX_RETRIES + 1):
             self.wait()
             try:
-                outcome = send()
+                outcome = self._session.get(url, timeout=REQUEST_TIMEOUT, **request)
             except requests.RequestException as exc:
                 outcome = exc
             failure = classify(outcome)
@@ -87,10 +93,10 @@ class RequestGate:
                 return outcome
             error, retryable = failure
             cause = outcome if isinstance(outcome, requests.RequestException) else None
-            if not retryable or attempt == MAX_RETRIES:
-                raise error from cause
             hint = None if cause else seconds_header(outcome.headers.get("Retry-After"))
             delay = backoff if hint is None else max(backoff, hint)
+            if not retryable or attempt == MAX_RETRIES or delay > MAX_WAIT:
+                raise error from cause
             if delay > LONG_WAIT:
                 log.warning("%s; waiting %.0f s before retrying", error, delay)
             self.defer(delay)

@@ -132,6 +132,13 @@ class TestFetchPage:
         assert [record.arxiv_id for record in client.fetch_page("q", 0, 10)] == ["2101.00001"]
         assert client.last_total_results is None
 
+    def test_total_too_long_for_int_is_ignored(self):
+        """Since Python 3.11, int() refuses a string of more than 4300 digits."""
+        feed = atom_feed([atom_entry("2101.00001")], total="9" * 5000)
+        client, _, _ = _client(lambda url, params: FakeResponse(text=feed))
+        assert [record.arxiv_id for record in client.fetch_page("q", 0, 10)] == ["2101.00001"]
+        assert client.last_total_results in (None, 10 ** 5000 - 1)
+
     def test_entry_missing_id_names_position(self):
         bad = atom_feed([
             atom_entry("2101.00001"),
@@ -376,3 +383,14 @@ class TestIteratePapers:
         assert len(session.calls) == 3
         assert clock.sleeps == [1.0, 2.0]  # the doubling backoff, not the hint
 
+
+    @pytest.mark.parametrize("hint", ["1e20", "3601"])
+    def test_a_retry_after_past_an_hour_fails_the_page_unwaited(self, hint):
+        def handler(url, params):
+            return FakeResponse(status_code=503, text="busy", headers={"Retry-After": hint})
+
+        client, session, clock = _client(handler)
+        with pytest.raises(ArxivRequestError, match="HTTP 503 from feed endpoint at start=0"):
+            client.fetch_page("q", 0, 10)
+        assert len(session.calls) == 1
+        assert clock.sleeps == []

@@ -591,6 +591,20 @@ class TestRunCommand:
         assert any("paper retrieval failed" in r.getMessage()
                    for r in caplog.records)
 
+    def test_a_feed_page_asking_past_an_hour_fails_the_run_unwaited(self, tmp_path, caplog):
+        clock = FakeClock()
+        session = FakeSession(lambda url, params: FakeResponse(
+            status_code=503, text="down", headers={"Retry-After": "1e20"}), clock=clock)
+        client = ArxivClient(base_url="http://feed.test/q", delay=0.0,
+                             session=session, clock=clock, sleep=clock.sleep)
+        with caplog.at_level(logging.WARNING, logger="repoharvest"):
+            status = cmd_run(config_for(tmp_path), arxiv_client=client,
+                             github_client=fixtures_github_client({}), out=io.StringIO())
+        assert status == 1
+        assert len(session.calls) == 1 and clock.sleeps == []
+        assert [r.getMessage() for r in caplog.records] == [
+            "paper retrieval failed: HTTP 503 from feed endpoint at start=0"]
+
 
 #: Seconds a test waits on another thread before it fails.
 HANDOFF_TIMEOUT = 10.0

@@ -1,6 +1,7 @@
 """GitHub client: snapshots, contributor pagination, failures, throttling."""
 from __future__ import annotations
 
+import json
 import logging
 import time
 from dataclasses import replace
@@ -364,6 +365,39 @@ class TestRateLimitHandling:
         assert clock.sleeps == []
         assert caplog.records == []
 
+    @pytest.mark.parametrize("status", [403, 429])
+    @pytest.mark.parametrize("hint", ["1e20", "3601"])
+    def test_a_retry_after_past_an_hour_spends_the_quota(self, status, hint, caplog):
+        """A wait past MAX_WAIT is not slept: the quota is taken as spent."""
+        def handler(url, params):
+            return FakeResponse(status_code=status, json_body={"message": "slow down"},
+                                headers={"Retry-After": hint})
+
+        client, session, clock = make_client(handler)
+        with caplog.at_level(logging.WARNING, logger="repoharvest"), \
+                pytest.raises(GitHubFetchError) as excinfo:
+            client.fetch_repo(make_ref("a", "b"))
+        spent = (f"quota spent: HTTP {status} for {BASE}/repos/a/b, "
+                 f"which asks for a {float(hint):.0f} s wait")
+        assert (excinfo.value.kind, excinfo.value.detail) == (FailureKind.RATE_LIMITED, spent)
+        with pytest.raises(GitHubFetchError, match="not sent"):
+            client.fetch_repo(make_ref("c", "d"))
+        assert len(session.calls) == 1
+        assert clock.sleeps == []
+        assert caplog.records == []
+
+    def test_a_server_error_asking_past_an_hour_fails_unwaited(self):
+        """Only a 403 or 429 spends the quota; a 5xx fails its repository."""
+        answers = [FakeResponse(status_code=503, text="busy", headers={"Retry-After": "1e20"}),
+                   FakeResponse(json_body=repo_body("c/d", stars=1))]
+        client, session, clock = make_client(lambda url, params: answers.pop(0))
+        with pytest.raises(GitHubFetchError) as excinfo:
+            client.fetch_repo(make_ref("a", "b"))
+        assert excinfo.value.kind is FailureKind.TRANSPORT
+        assert client.fetch_repo(make_ref("c", "d"))[1].stars == 1
+        assert len(session.calls) == 2
+        assert clock.sleeps == []
+
     def test_after_a_spent_answer_nothing_more_is_sent(self):
         def handler(url, params):
             if url.endswith("/contributors"):
@@ -383,6 +417,37 @@ class TestRateLimitHandling:
             assert (excinfo.value.kind, excinfo.value.detail) == (
                 FailureKind.RATE_LIMITED, f"{spent}; {url} not sent")
         assert [url for _, url, _ in session.calls] == [f"{BASE}/repos/a/b", CONTRIBUTORS]
+
+
+class TestNetrc:
+    """requests reads ~/.netrc for a request sent with no auth."""
+
+    @pytest.mark.parametrize("token,expected", [("tok", "Bearer tok"), (None, "Basic ")])
+    def test_a_token_is_sent_even_where_netrc_names_the_api_host(
+            self, tmp_path, monkeypatch, token, expected):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine api.github.com login someone password secret\n")
+        netrc.chmod(0o600)
+        monkeypatch.setenv("NETRC", str(netrc))
+        sent = []
+
+        class Capture(requests.adapters.HTTPAdapter):
+            """Answers every request itself: no socket is opened."""
+
+            def send(self, request, **kwargs):
+                sent.append(request.headers.get("Authorization"))
+                response = requests.Response()
+                response.status_code = 200
+                response._content = json.dumps(repo_body("a/b")).encode()
+                response.request, response.url = request, request.url
+                return response
+
+        with requests.Session() as session:
+            session.mount("https://", Capture())
+            client = GitHubClient(token=token, policy=ThrottlePolicy(min_interval=0.0),
+                                  session=session)
+            client.fetch_repo(make_ref("a", "b"))
+        assert len(sent) == 1 and sent[0].startswith(expected)
 
 
 class TestCountContributors:

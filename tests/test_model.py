@@ -6,7 +6,8 @@ change, it is renamed or deleted, its contributors requests fail, the
 server asks the client to wait, the quota runs out, and ``run`` then
 ``monitor`` are called over the in-process fakes of ``conftest``, with no
 sockets. After each command the outputs, the log and the requests sent are
-checked against invariants that hold for any sequence.
+checked against invariants that hold for any sequence, and the store, and
+what ``monitor`` prints, against a plain-dict model of the expected store.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from repoharvest.cli import build_parser, cmd_monitor, cmd_run, resolve_config
 from repoharvest.github import GitHubClient, ThrottlePolicy
 from repoharvest.kb import load_records, save_records
 from repoharvest.links import repo_from_name
-from repoharvest.throttle import LONG_WAIT
+from repoharvest.throttle import LONG_WAIT, MAX_WAIT
 
 #: The repositories of the world, by the name each starts with.
 REPOS = ("demo/alpha", "demo/beta", "Lab/Gamma")
@@ -39,6 +40,9 @@ BACKOFF = 1.0
 _FAILED = re.compile(r"GitHub fetch failed for ([^:]+): (\w+) ")
 _SPENT = FakeResponse(status_code=403, headers={"X-RateLimit-Remaining": "0"},
                       json_body={"message": "API rate limit exceeded"})
+#: The counts monitor describes an update by, in RepoMetrics.counts() order.
+_LABELS = ("stars", "forks", "open issues", "contributors")
+_SECTION = re.compile(r"(Added|Updated|Unchanged) \((\d+)\):")
 
 
 class _Records(logging.Handler):
@@ -74,6 +78,13 @@ class HarvestMachine(RuleBasedStateMachine):
         self.papers: list[tuple[str, str, str]] = []
         self.named: set[str] = set()  # "owner/name" lowercased, as papers named them
         self.commands = 0
+        # the model of the expected store: each repository stored, by its
+        # REPOS key, as (the name it is stored under, its four counts)
+        self.store: dict[str, tuple[str, tuple]] = {}
+        # the repositories whose /repos, and whose contributors, requests
+        # were answered during the command in progress
+        self.answered: set[str] = set()
+        self.counted: set[str] = set()
 
     def teardown(self) -> None:
         self.scratch.cleanup()
@@ -129,10 +140,11 @@ class HarvestMachine(RuleBasedStateMachine):
         wait, answers that the quota is spent."""
         self.quota = k
 
-    @rule(k=st.sampled_from([0, 2, int(LONG_WAIT) + 1]))
+    @rule(k=st.sampled_from([0, 2, int(LONG_WAIT) + 1, int(MAX_WAIT) + 1]))
     def the_server_asks_to_wait(self, k):
         """The next GitHub request answers 429 with Retry-After: k, shorter
-        than the backoff, longer, or long enough to be warned about."""
+        than the backoff, longer, long enough to be warned about, or too
+        long to wait, which spends the quota."""
         self.retry_after = k
 
     # -- the commands ------------------------------------------------------
@@ -182,9 +194,11 @@ class HarvestMachine(RuleBasedStateMachine):
             if path.endswith("/contributors"):
                 if slug in self.failing:
                     return FakeResponse(status_code=500, text="boom")
+                self.counted.add(slug)
                 return FakeResponse(json_body=[{"login": f"u{k}"}
                                                for k in range(repo["contributors"])])
             etag = f'"{slug}-{repo["version"]}"'
+            self.answered.add(slug)
             if session.headers[-1].get("If-None-Match") == etag:
                 return FakeResponse(status_code=304, headers={"ETag": etag})
             return FakeResponse(headers={"ETag": etag}, json_body={
@@ -207,6 +221,7 @@ class HarvestMachine(RuleBasedStateMachine):
         clients = (self._feed(), github)
         store = self.out_dir / "kb.jsonl"
         before = load_records(store) if self.commands else None
+        self.answered, self.counted = set(), set()
         out, log = io.StringIO(), _Records()
         logger = logging.getLogger("repoharvest")
         logger.addHandler(log)
@@ -222,12 +237,14 @@ class HarvestMachine(RuleBasedStateMachine):
         if spent:
             self.quota = None
         waited = self.retry_after, self.asked_to_wait
+        refused = (self.retry_after or 0) > MAX_WAIT  # a wait too long spends the quota
         self.retry_after = self.asked_to_wait = None
         self.commands += 1
         assert status == 0
         assert "None" not in out.getvalue()
         self._check_wait(log.records, session, *waited)
-        self._check_outputs(log.records, session, before, began, spent)
+        self._check_outputs(log.records, session, before, began, spent or refused)
+        self._check_model(command, out.getvalue())
 
     # -- the invariants ----------------------------------------------------
 
@@ -246,6 +263,11 @@ class HarvestMachine(RuleBasedStateMachine):
             assert long_waits == []
             return
         assert asked_to_wait is not None  # every command sends a GitHub request
+        if retry_after > MAX_WAIT:  # not waited for: nothing more is sent
+            assert session.statuses == [429] and long_waits == []
+            assert any(f"which asks for a {retry_after} s wait" in record.getMessage()
+                       for record in records)
+            return
         times = session.times
         assert len(times) > asked_to_wait + 1  # a 429 is retried
         delay = max(BACKOFF, retry_after)
@@ -266,7 +288,7 @@ class HarvestMachine(RuleBasedStateMachine):
 
         # the answer that spends the quota is the last request sent
         assert 403 not in session.statuses[:-1]
-        assert (session.statuses[-1:] == [403]) == spent
+        assert (session.statuses[-1:] in ([403], [429])) == spent
 
         failed: dict[str, str] = {}  # each name logged as failed, and its kind
         for record in records:
@@ -312,6 +334,48 @@ class HarvestMachine(RuleBasedStateMachine):
             identity = "/".join(entry.ref.identity())  # or the repository is gone
             assert identity == self._current(identity) or not refreshed(entry) and (
                 spent or self.names[identity] in self.deleted)
+
+    def _check_model(self, command, output):
+        """The store holds what the model expects, and monitor lists each
+        repository under the section the model gives it. A repository
+        answered is stored under GitHub's current name with the counts it
+        serves, its contributors count kept unless counted again; any other
+        keeps what it had."""
+        before = dict(self.store)
+        for slug in self.answered:
+            repo = self.world[slug]
+            kept = before[slug][1][3] if slug in before else None
+            self.store[slug] = (repo["names"][-1], (
+                repo["stars"], repo["forks"], repo["open_issues"],
+                repo["contributors"] if slug in self.counted else kept))
+        kb = load_records(self.out_dir / "kb.jsonl")
+        assert {entry.ref.canonical_url: entry.latest.counts() for entry in kb} == {
+            f"https://github.com/{name}": counts for name, counts in self.store.values()}
+        if command != "monitor":
+            return
+        expected: dict[str, list[str]] = {"Added": [], "Updated": [], "Unchanged": []}
+        for slug, (name, counts) in self.store.items():
+            url = f"https://github.com/{name}"
+            if slug not in before:
+                expected["Added"].append(url)
+            elif counts != before[slug][1]:
+                shown = [["unknown" if count is None else count for count in c]
+                         for c in (before[slug][1], counts)]
+                expected["Updated"].append(url + ": " + ", ".join(
+                    f"{label} {old} -> {new}" for label, old, new in zip(_LABELS, *shown)
+                    if old != new))
+            else:
+                expected["Unchanged"].append(url)
+        printed: dict[str, list[str]] = {}
+        for line in output[output.rindex("\nAdded ("):].splitlines()[1:]:
+            header = _SECTION.fullmatch(line)
+            if header:
+                section = printed.setdefault(header[1], [])
+                assert int(header[2]) == len(expected[header[1]])
+            else:
+                section.append(line.removeprefix("  "))
+        assert {name: sorted(lines) for name, lines in printed.items()} == {
+            name: sorted(lines) for name, lines in expected.items()}
 
 
 HarvestMachine.TestCase.settings = settings(

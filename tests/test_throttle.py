@@ -5,8 +5,10 @@ import pytest
 import requests
 from hypothesis import given, strategies as st
 
-from conftest import FakeClock, FakeResponse
-from repoharvest.throttle import RequestGate, seconds_header
+from conftest import FakeClock, FakeResponse, FakeSession
+from repoharvest.throttle import MAX_WAIT, REQUEST_TIMEOUT, RequestGate, seconds_header
+
+URL = "http://gate.test/"
 
 
 def test_first_wait_does_not_sleep(fake_clock):
@@ -99,39 +101,39 @@ def test_seconds_header(value, expected):
 
 
 def test_retry_waits_for_longer_of_backoff_and_hint(fake_clock):
-    gate = RequestGate(0.0, 1.0, clock=fake_clock, sleep=fake_clock.sleep)
     # longer than the 1 s backoff, then shorter than 2 s
     replies = iter([FakeResponse(503, headers={"Retry-After": "5"}),
                     FakeResponse(503, headers={"Retry-After": "0.5"}),
                     FakeResponse(200)])
+    session = FakeSession(lambda url, params: next(replies))
+    gate = RequestGate(0.0, 1.0, session, clock=fake_clock, sleep=fake_clock.sleep)
 
     def classify(response):
         return None if response.status_code == 200 else (RuntimeError("busy"), True)
 
-    assert gate.get(lambda: next(replies), classify).status_code == 200
+    assert gate.get(URL, classify).status_code == 200
     assert fake_clock.sleeps == [5.0, 2.0]
 
 
 def test_retry_after_on_an_answer_not_retried_is_not_waited(fake_clock):
-    gate = RequestGate(0.0, 1.0, clock=fake_clock, sleep=fake_clock.sleep)
     sent = []
 
-    def send():
+    def send(url, params):
         sent.append(fake_clock.now)
         return FakeResponse(400, headers={"Retry-After": "30"})
 
+    gate = RequestGate(0.0, 1.0, FakeSession(send), clock=fake_clock, sleep=fake_clock.sleep)
     with pytest.raises(RuntimeError, match="refused"):
-        gate.get(send, lambda response: (RuntimeError("refused"), False))
+        gate.get(URL, lambda response: (RuntimeError("refused"), False))
     gate.wait()  # nor is the next request deferred by it
     assert sent == [0.0]
     assert fake_clock.sleeps == []
 
 
 def test_retry_budget_exhausted_raises_with_transport_cause(fake_clock):
-    gate = RequestGate(0.0, 1.0, clock=fake_clock, sleep=fake_clock.sleep)
     calls = []
 
-    def send():
+    def send(url, params):
         calls.append(fake_clock.now)
         raise requests.ConnectionError("refused")
 
@@ -139,7 +141,56 @@ def test_retry_budget_exhausted_raises_with_transport_cause(fake_clock):
         assert isinstance(outcome, requests.ConnectionError)
         return RuntimeError("gave up"), True
 
+    gate = RequestGate(0.0, 1.0, FakeSession(send), clock=fake_clock, sleep=fake_clock.sleep)
     with pytest.raises(RuntimeError, match="gave up") as excinfo:
-        gate.get(send, classify)
+        gate.get(URL, classify)
     assert isinstance(excinfo.value.__cause__, requests.ConnectionError)
     assert calls == [0.0, 1.0, 3.0]
+
+
+def test_every_attempt_is_sent_with_the_timeout_and_the_callers_keywords(fake_clock):
+    class Recording:
+        def __init__(self):
+            self.sent = []
+
+        def get(self, url, **kwargs):
+            self.sent.append((url, kwargs))
+            if len(self.sent) == 1:
+                raise requests.ConnectionError("reset")
+            return FakeResponse(503 if len(self.sent) == 2 else 200)
+
+    def classify(outcome):
+        ok = getattr(outcome, "status_code", None) == 200
+        return None if ok else (RuntimeError("busy"), True)
+
+    session = Recording()
+    gate = RequestGate(0.0, 1.0, session, clock=fake_clock, sleep=fake_clock.sleep)
+    params, headers = {"page": 2}, {"Accept": "x"}
+    assert gate.get(URL, classify, params=params, headers=headers,
+                    allow_redirects=False).status_code == 200
+    expected = {"timeout": REQUEST_TIMEOUT, "params": params, "headers": headers,
+                "allow_redirects": False}
+    assert session.sent == [(URL, expected)] * 3
+
+
+@pytest.mark.parametrize("hint", ["1e20", str(int(MAX_WAIT) + 1)])
+def test_a_wait_past_max_wait_is_not_retried(fake_clock, hint):
+    session = FakeSession(lambda url, params: FakeResponse(503, headers={"Retry-After": hint}))
+    gate = RequestGate(0.0, 1.0, session, clock=fake_clock, sleep=fake_clock.sleep)
+    with pytest.raises(RuntimeError, match="busy"):
+        gate.get(URL, lambda response: (RuntimeError("busy"), True))
+    gate.wait()  # nor is the next request deferred by it
+    assert len(session.calls) == 1
+    assert fake_clock.sleeps == []
+
+
+def test_a_wait_of_max_wait_is_waited_out(fake_clock):
+    replies = iter([FakeResponse(503, headers={"Retry-After": str(MAX_WAIT)}), FakeResponse()])
+    session = FakeSession(lambda url, params: next(replies))
+    gate = RequestGate(0.0, 1.0, session, clock=fake_clock, sleep=fake_clock.sleep)
+
+    def classify(response):
+        return None if response.status_code == 200 else (RuntimeError("busy"), True)
+
+    assert gate.get(URL, classify).status_code == 200
+    assert fake_clock.sleeps == [MAX_WAIT]
