@@ -23,7 +23,7 @@ from urllib.parse import urlsplit
 from . import arxiv as arxiv_mod
 from . import github as github_mod
 from .arxiv import ArxivClient, ArxivRequestError, PaperRecord, SearchSpec
-from .github import GitHubClient, GitHubFetchError, RepoMetrics
+from .github import GitHubClient, Outcome, RepoMetrics, Snapshot
 from .kb import (
     RECORDS_FILENAME,
     REPORT_FILENAME,
@@ -42,18 +42,17 @@ from .maturity import classify
 
 log = logging.getLogger("repoharvest")
 
-Outcome = tuple[RepoRef, RepoMetrics] | GitHubFetchError  # one name's enrichment
-
 
 @dataclass(frozen=True)
 class RunConfig:
     """The checked values one run reads, as resolve_config builds them. Both
-    APIs' pacing is fixed, and the GitHub token is read from ``GITHUB_TOKEN``."""
+    APIs' pacing is fixed; ``github_token`` comes from ``GITHUB_TOKEN``."""
 
     search: SearchSpec
     arxiv_base_url: str
     github_base_url: str
     out_dir: Path
+    github_token: Optional[str] = None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,9 +102,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """The checked values a run reads, from the parsed pipeline flags. A
-    search value or an endpoint that is refused is a ValueError, raised
-    before any request."""
+    """The checked values a run reads, from the parsed pipeline flags and
+    ``GITHUB_TOKEN``, stripped of surrounding whitespace; a blank one is no
+    token. A search value, an endpoint or a token that is refused is a
+    ValueError, raised before any request; its message never holds the
+    token."""
     search = SearchSpec(tuple(args.terms or arxiv_mod.DEFAULT_TERMS), args.from_year,
                         args.to_year, args.max_results, args.page_size)
     for flag, url in (("--arxiv-base-url", args.arxiv_base_url),
@@ -118,7 +119,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             usable = False
         if not usable:
             raise ValueError(f"{flag} must be an http(s) URL with a host, not {url!r}")
-    return RunConfig(search, args.arxiv_base_url, args.github_base_url, Path(args.out_dir))
+    token = os.environ.get("GITHUB_TOKEN", "").strip()
+    if not token.isprintable() or any(char.isspace() for char in token):
+        raise ValueError("GITHUB_TOKEN holds whitespace or a control character")
+    return RunConfig(search, args.arxiv_base_url, args.github_base_url, Path(args.out_dir),
+                     token or None)
 
 
 def _mine_refs(paper: PaperRecord) -> Iterator[RepoRef]:
@@ -130,12 +135,6 @@ def _mine_refs(paper: PaperRecord) -> Iterator[RepoRef]:
                 yield canonicalize(cleaned, paper.arxiv_id)
             except LinkError as exc:
                 log.info("skipping %s: %s", cleaned, exc)
-
-
-def _snapshot(outcome: Outcome) -> Optional[tuple[RepoRef, RepoMetrics]]:
-    """The resolved ref and snapshot an outcome stores: a success, or the
-    snapshot a failure kept."""
-    return outcome.kept if isinstance(outcome, GitHubFetchError) else outcome
 
 
 def _papers_promised(client: ArxivClient, cfg: RunConfig, processed: int) -> int:
@@ -160,47 +159,44 @@ def execute_pipeline(
     pages. A name ``kb`` holds, as an identity or an alias, is submitted as
     that entry's ref and latest snapshot, so it is requested as stored,
     conditionally; the worker sees only these frozen values, never ``kb``.
-    A name's outcome is one value, its resolved ref and snapshot or its
-    GitHubFetchError. The worker's one memo, ``done``, keeps each outcome under
-    the identity requested and each success under the identity it resolved
-    to, so no repository is requested twice under a name it already
-    answered to, and a rename onto an earlier success keeps that success's
-    snapshot. Only this thread touches ``out`` and ``kb``, which nothing
-    writes until the feed ends. A feed that ends before its
-    ``totalResults`` (up to the cap) is warned about. Then each name's
-    outcome is handled once, in first-mention order, as soon as it is
-    ready: a failure is logged under the name, never fatal; a success, or
-    the snapshot a failure kept, is stored with one ``kb.record`` call and
-    printed the first time its repository is reported. The memo treats a
-    kept snapshot as a success. A paper retrieval failure after retries is
-    fatal (exit status 1): the repository being enriched is finished and
-    no other is started. A client not given is built from ``cfg``'s base
-    URL at the API's fixed pacing: 3 s between feed requests and 100 ms
-    between GitHub requests, with or without a token in ``GITHUB_TOKEN``.
+    A name's outcome is GitHubClient.enrich's pair: the resolved ref and
+    snapshot to store, or None, and the failures to log. The worker keeps
+    two memos: ``done``, each outcome under the identity requested, and
+    ``known``, each snapshot under the identity it resolved to. So no
+    repository is requested twice under a name it already answered to, and
+    a name that resolves onto a known snapshot keeps that snapshot and
+    sends no contributors request. Only this thread touches ``out`` and
+    ``kb``, which nothing writes until the feed ends. A feed that ends
+    before its ``totalResults`` (up to the cap) is warned about. Then each
+    name's outcome is handled once, in first-mention order, as soon as it
+    is ready: each failure is logged under the name, never fatal, and the
+    snapshot, if any, is stored with one ``kb.record`` call and printed the
+    first time its repository is reported. A paper retrieval failure after
+    retries is fatal (exit status 1): the repository being enriched is
+    finished and no other is started. A client not given is built from
+    ``cfg``'s base URL at the API's fixed pacing: 3 s between feed requests
+    and 100 ms between GitHub requests, with or without ``cfg``'s token.
     """
     out = out if out is not None else sys.stdout
     client = arxiv_client if arxiv_client is not None else ArxivClient(
         base_url=cfg.arxiv_base_url)
     gh = github_client if github_client is not None else GitHubClient(
-        base_url=cfg.github_base_url, token=os.environ.get("GITHUB_TOKEN") or None)
+        base_url=cfg.github_base_url, token=cfg.github_token)
 
     out.write("Processing arXiv papers:\n")
     refs: list[RepoRef] = []
     outcomes: dict[tuple[str, str], Future] = {}  # by the name papers give
-    done: dict[tuple[str, str], Outcome] = {}  # worker only
+    done: dict[tuple[str, str], Outcome] = {}  # by the identity requested; worker only
+    known: dict[tuple[str, str], Snapshot] = {}  # by the identity resolved; worker only
 
     def enrich_once(ref: RepoRef, latest: Optional[RepoMetrics]) -> Outcome:
-        if ref.identity() not in done:
-            stored = None if latest is None else {ref.identity(): latest}
-            successes, failures = gh.enrich([ref], stored)
-            outcome = successes[0] if successes else failures[0]
-            snapshot = _snapshot(outcome)
-            if snapshot:  # renamed onto an earlier snapshot: keep that one
-                earlier = _snapshot(done.setdefault(snapshot[0].identity(), snapshot))
-                if earlier and earlier is not snapshot:
-                    outcome = earlier
-            done[ref.identity()] = outcome
-        return done[ref.identity()]
+        key = ref.identity()
+        if key not in done:
+            done[key] = (known[key], ()) if key in known else gh.enrich(ref, latest, known)
+            snapshot = done[key][0]
+            if snapshot:
+                known.setdefault(snapshot[0].identity(), snapshot)
+        return done[key]
 
     processed = 0
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="repoharvest-github") as worker:
@@ -225,17 +221,16 @@ def execute_pipeline(
             out.write(f"Found GitHub URLs: {[ref.canonical_url for ref in unique]}\n\n")
             reported: set[tuple[str, str]] = set()
             for ref in unique:
-                outcome = outcomes[ref.identity()].result()
-                if isinstance(outcome, GitHubFetchError):
+                snapshot, failures = outcomes[ref.identity()].result()
+                for failure in failures:
                     log.warning("GitHub fetch failed for %s/%s: %s (%s)%s", ref.owner, ref.name,
-                                outcome.kind.value, outcome.detail,
-                                "; its snapshot was kept" if outcome.kept else "")
-                    if not outcome.kept:
-                        continue
-                resolved, metrics = _snapshot(outcome)
-                entry = kb.record(ref, resolved, metrics)
-                if resolved.identity() not in reported:
-                    reported.add(resolved.identity())
+                                failure.kind.value, failure.detail,
+                                "; its snapshot was kept" if snapshot else "")
+                if not snapshot:
+                    continue
+                entry = kb.record(ref, *snapshot)
+                if snapshot[0].identity() not in reported:
+                    reported.add(snapshot[0].identity())
                     out.write(render_report_line(entry.latest, classify(entry.latest)) + "\n")
         except ArxivRequestError as exc:
             out.write("\n")

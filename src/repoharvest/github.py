@@ -5,9 +5,9 @@ and counts contributors from one answer of the contributors endpoint: one
 entry per page, so the Link header's rel="last" page number is the count.
 A stored snapshot's ETag makes the snapshot request conditional, and an
 unchanged repository costs one request. All requests pass through a single
-RequestGate, so outbound traffic respects the throttle policy;
-enrich returns each repository's failure as a GitHubFetchError, so none
-aborts a batch.
+RequestGate, so outbound traffic respects the throttle policy. enrich
+takes one repository and returns its outcome, the snapshot to store and
+its failure as a GitHubFetchError, so no failure is raised to the caller.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import enum
 import time
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Mapping, Optional
 from urllib.parse import parse_qs, urljoin, urlsplit
 
 import requests
@@ -89,18 +89,21 @@ class ThrottlePolicy:
     min_interval: float
 
 
-class GitHubFetchError(Exception):
-    """A single repository fetch failed; carries the failure kind. As one of
-    enrich's failures, ``kept`` is the resolved ref and snapshot of a /repos
-    answer whose contributors request failed, with the stored count or None;
-    it is stored all the same."""
+Snapshot = tuple[RepoRef, RepoMetrics]  # a resolved ref and the snapshot to store
 
-    def __init__(self, kind: FailureKind, detail: str,
-                 kept: Optional[tuple[RepoRef, RepoMetrics]] = None) -> None:
+
+class GitHubFetchError(Exception):
+    """A single repository fetch failed; carries the failure kind and a
+    detail that names the request."""
+
+    def __init__(self, kind: FailureKind, detail: str) -> None:
         super().__init__(f"{kind.value}: {detail}")
         self.kind = kind
         self.detail = detail
-        self.kept = kept
+
+
+# enrich's outcome: the snapshot to store, or None, and the failures to log
+Outcome = tuple[Optional[Snapshot], tuple[GitHubFetchError, ...]]
 
 
 def _page_number(url: Optional[str]) -> Optional[int]:
@@ -301,31 +304,30 @@ class GitHubClient:
 
     def enrich(
         self,
-        refs: Iterable[RepoRef],
-        stored: Optional[Mapping[tuple[str, str], RepoMetrics]] = None,
-    ) -> tuple[list[tuple[RepoRef, RepoMetrics]], list[GitHubFetchError]]:
-        """Fetch metrics and contributor counts for every ref, in order.
+        ref: RepoRef,
+        latest: Optional[RepoMetrics] = None,
+        known: Optional[Mapping[tuple[str, str], Snapshot]] = None,
+    ) -> Outcome:
+        """Fetch one repository's metrics and contributor count.
 
-        ``stored`` maps an identity to its stored latest snapshot, which
-        makes that repository's refresh conditional (see fetch_repo).
-        Failures are returned, not raised, as new GitHubFetchErrors that hold
-        no traceback, so one bad repository never aborts the batch;
-        len(successes) + len(failures) equals the number of input refs. A
-        failed contributors request keeps the snapshot in hand as the
-        failure's ``kept``, its count the stored one, as on a 304, or None.
+        ``latest``, its stored snapshot, makes the refresh conditional (see
+        fetch_repo). ``known`` holds the snapshots already taken, by the
+        identity each resolved to: a ref that resolves onto one of them
+        returns it, after the /repos request and any rename hop, with no
+        contributors request. Returns the snapshot to store, or None, and
+        the failures to log: none, or one new GitHubFetchError that holds
+        no traceback. A failed contributors request returns both: the
+        snapshot, its contributor count the stored one, as on a 304, or None.
         """
-        successes: list[tuple[RepoRef, RepoMetrics]] = []
-        failures: list[GitHubFetchError] = []
-        for ref in refs:
-            latest = (stored or {}).get(ref.identity())
-            kept = None
-            try:
-                resolved, metrics = self.fetch_repo(ref, latest)
-                if metrics.contributors is None:
-                    kept = (resolved, metrics if latest is None
+        snapshot = None
+        try:
+            resolved, metrics = self.fetch_repo(ref, latest)
+            if known and resolved.identity() in known:
+                return known[resolved.identity()], ()
+            if metrics.contributors is None:
+                snapshot = (resolved, metrics if latest is None
                             else replace(metrics, contributors=latest.contributors))
-                    metrics = replace(metrics, contributors=self.count_contributors(resolved))
-                successes.append((resolved, metrics))
-            except GitHubFetchError as exc:
-                failures.append(GitHubFetchError(exc.kind, exc.detail, kept))
-        return successes, failures
+                metrics = replace(metrics, contributors=self.count_contributors(resolved))
+            return (resolved, metrics), ()
+        except GitHubFetchError as exc:
+            return snapshot, (GitHubFetchError(exc.kind, exc.detail),)

@@ -12,6 +12,7 @@ from pathlib import Path
 from xml.sax.saxutils import escape
 
 import pytest
+from hypothesis import settings
 
 from repoharvest.github import RepoMetrics
 from repoharvest.kb import load_records, render_report_line
@@ -19,6 +20,11 @@ from repoharvest.links import RepoRef
 from repoharvest.maturity import MaturityTier
 
 _UNSET = object()
+
+# A randomized run of tests/test_model.py, longer than Tier-1's; it is
+# registered here, before pytest loads a --hypothesis-profile.
+settings.register_profile("model-random", max_examples=1000, stateful_step_count=20,
+                          derandomize=False, deadline=None, database=None)
 
 
 class FakeClock:

@@ -281,10 +281,11 @@ def test_throttle_spacing_holds_across_randomized_schedules(caplog):
 # -- 7. robustness property ---------------------------------------------------
 
 def test_enrichment_partition_under_injected_failures():
-    """Tolerance: |successes| + |failures| == 10 for every kind/position.
-    A spent quota fails the broken repository and every later one, and no
-    request follows the spent answer; any other failure is its
-    repository's alone."""
+    """Tolerance: each of the 10 refs, enriched in order, gives a snapshot
+    or a failure, never neither, for every kind/position; none gives both,
+    since no contributors request fails. A spent quota fails the broken
+    repository and every later one, and no request follows the spent
+    answer; any other failure is its repository's alone."""
     kinds = {
         "not_found": lambda: FakeResponse(status_code=404,
                                           json_body={"message": "nf"}),
@@ -325,11 +326,13 @@ def test_enrichment_partition_under_injected_failures():
                 policy=ThrottlePolicy(min_interval=0.0),
                 session=session, clock=clock, sleep=clock.sleep,
             )
-            successes, failures = client.enrich(refs)
-            assert len(successes) + len(failures) == 10, (kind, position)
+            outcomes = [client.enrich(ref) for ref in refs]
+            assert [(snapshot is None, len(failures)) in ((True, 1), (False, 0))
+                    for snapshot, failures in outcomes] == [True] * 10, (kind, position)
             failed = range(position, 10) if kind == "rate_limited" else [position]
+            failures = [failure for _, some in outcomes for failure in some]
             assert [f.kind for f in failures] == [expected_kind[kind]] * len(failed)
-            assert [r.name for r, _ in successes] == [
+            assert [snapshot[0].name for snapshot, _ in outcomes if snapshot] == [
                 f"r{i}" for i in range(10) if i not in failed
             ]
             if kind == "rate_limited":

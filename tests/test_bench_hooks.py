@@ -43,13 +43,19 @@ def test_tracer_patches_the_cli_names_and_restores_them():
 
 
 def test_hooks_count_what_the_program_returns():
+    """The enrich hook counts each failure enrich returns at index 1,
+    including one returned with its snapshot: demo/flaky's contributors
+    request answers 500 past its retries after a good /repos answer."""
     def api(url, params):
         if "/repos/gone/" in url:
             return FakeResponse(status_code=404, json_body={"message": "Not Found"})
+        if url.endswith("/flaky/contributors"):
+            return FakeResponse(status_code=500, text="boom")
         if url.endswith("/contributors"):
             return FakeResponse(json_body=[{"login": "u0"}])
+        name = url.rsplit("/", 1)[1]
         return FakeResponse(json_body={
-            "full_name": "demo/alpha", "name": "alpha", "description": None,
+            "full_name": f"demo/{name}", "name": name, "description": None,
             "stargazers_count": 1, "forks_count": 0, "open_issues_count": 0,
         })
 
@@ -62,11 +68,14 @@ def test_hooks_count_what_the_program_returns():
     tracer = Tracer()
     workloads.install_tracing(tracer, arxiv_client, github_client, feed_session, api_session)
     try:
-        github_client.enrich([make_ref("demo", "alpha"), make_ref("gone", "away")])
+        outcomes = [github_client.enrich(make_ref(*slug.split("/")))
+                    for slug in ("demo/alpha", "gone/away", "demo/flaky")]
         with pytest.raises(LinkError):
             cli.canonicalize("https://github.com/onlyowner", "p")
     finally:
         tracer.restore()
+    assert [snapshot is not None for snapshot, _ in outcomes] == [True, False, True]
     assert tracer.counts["github.failures.not_found"] == 1
+    assert tracer.counts["github.failures.transport"] == 1
     assert tracer.counts["github.status.404"] == 1
     assert tracer.counts["links.rejected"] == 1

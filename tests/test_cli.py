@@ -640,8 +640,9 @@ class TestEnrichmentWorker:
         assert report_lines(out.getvalue()) == EXPECTED_LINES
         # one request at a time, in the order of the whole harvest's list
         sequential = []
-        github_client(recorded(fixtures_handler(reference_fixtures()), sequential)).enrich(
-            [canonicalize(url, "") for url in expected_urls])
+        client = github_client(recorded(fixtures_handler(reference_fixtures()), sequential))
+        for url in expected_urls:
+            client.enrich(canonicalize(url, ""))
         assert sent == sequential
 
     def test_report_lines_start_before_the_last_repository_is_done(self, tmp_path):
@@ -808,8 +809,9 @@ class TestEnrichmentWorker:
 
     def test_old_name_after_new_keeps_the_first_snapshot(self, tmp_path):
         """A paper names demo/new, a later one demo/old: demo/old is
-        requested and redirected, and the store keeps the first snapshot
-        without a history entry, though the second one was taken later."""
+        requested and redirected onto the snapshot already taken, so no
+        second contributors request is sent, and the store keeps the first
+        snapshot without a history entry."""
         papers = [
             ("2101.00001", "new", "Code: https://github.com/demo/new."),
             ("2101.00002", "old", "Code: https://github.com/demo/old."),
@@ -823,8 +825,7 @@ class TestEnrichmentWorker:
         assert status == 0
         assert [url for url, _ in sent] == [
             "http://gh.test/repos/demo/new", "http://gh.test/repos/demo/new/contributors",
-            "http://gh.test/repos/demo/old", "http://gh.test/repos/demo/new",
-            "http://gh.test/repos/demo/new/contributors"]
+            "http://gh.test/repos/demo/old", "http://gh.test/repos/demo/new"]
         assert len(report_lines(out.getvalue())) == 1
         with open(tmp_path / "kb.jsonl", encoding="utf-8") as fh:
             stored = [json.loads(line) for line in fh]
@@ -1541,6 +1542,24 @@ class TestArgumentResolution:
             flag = "--" + name.replace("_", "-")
             assert getattr(resolve_config(parse_args(["monitor", flag, url])), name) == url
 
+    @pytest.mark.parametrize("token", ["to k", "tok\x00", "tok\tx", "tok\x7f"])
+    @pytest.mark.parametrize("command", ["run", "monitor"])
+    def test_a_token_with_whitespace_or_a_control_character_exits_2(
+            self, capsys, tmp_path, monkeypatch, command, token):
+        """Such a token is refused before any request, as a usage error that
+        does not print it, not sent to fail every repository after its
+        retries. No environment holds a NUL, so the mapping is replaced."""
+        sent = []
+        monkeypatch.setattr(requests.Session, "get",
+                            lambda session, target, **kwargs: sent.append(target))
+        monkeypatch.setattr(os, "environ", {**os.environ, "GITHUB_TOKEN": token})
+        status = main([command, "--out-dir", str(tmp_path)])
+        assert status == 2
+        assert capsys.readouterr().err == (
+            "error: GITHUB_TOKEN holds whitespace or a control character\n")
+        assert sent == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_year_that_is_not_four_digits_exits_2(self, capsys, tmp_path):
         status = main([
             "run", "--from-year", "19", "--out-dir", str(tmp_path),
@@ -1623,14 +1642,21 @@ class TestClientWiring:
         assert 0 < slept[GitHubClient][0] <= gate.min_interval
         return gate.min_interval, [headers for _, _, headers in api]
 
-    def test_a_token_in_github_token_is_sent_100_ms_apart(self, monkeypatch):
-        monkeypatch.setenv("GITHUB_TOKEN", "sekret")
+    @pytest.mark.parametrize("value", ["sekret", "sekret\r\n", " sekret\n"])
+    def test_a_token_in_github_token_is_sent_100_ms_apart(self, monkeypatch, value):
+        """The token is sent without the whitespace around it, such as the
+        line end a file or a secret store leaves on it."""
+        monkeypatch.setenv("GITHUB_TOKEN", value)
         interval, headers = self._run(monkeypatch)
         assert interval == 0.10
         assert [h["Authorization"] for h in headers] == ["Bearer sekret"] * 2
 
-    def test_without_a_token_requests_are_anonymous_100_ms_apart(self, monkeypatch):
-        monkeypatch.delenv("GITHUB_TOKEN", raising=False)
+    @pytest.mark.parametrize("value", [None, "", " \r\n"], ids=["unset", "empty", "blank"])
+    def test_without_a_token_requests_are_anonymous_100_ms_apart(self, monkeypatch, value):
+        if value is None:
+            monkeypatch.delenv("GITHUB_TOKEN", raising=False)
+        else:
+            monkeypatch.setenv("GITHUB_TOKEN", value)
         interval, headers = self._run(monkeypatch)
         assert interval == 0.10
         assert not any("Authorization" in h for h in headers)

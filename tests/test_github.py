@@ -10,7 +10,7 @@ from datetime import datetime, timezone
 import pytest
 import requests
 
-from conftest import FakeClock, FakeResponse, FakeSession, make_ref
+from conftest import FakeClock, FakeResponse, FakeSession, make_metrics, make_ref
 from mockservers import MockGitHubApp, MockServer
 from repoharvest.github import (
     AUTHENTICATED_MIN_INTERVAL,
@@ -147,8 +147,8 @@ class TestFetchRepo:
             return FakeResponse(json_body=body)
 
         client, session, _ = make_client(handler, token="SECRET")
-        successes, failures = client.enrich([make_ref("demo", "x")])
-        assert successes == []
+        snapshot, failures = client.enrich(make_ref("demo", "x"))
+        assert snapshot is None
         assert [(f.kind, f.detail) for f in failures] == [(
             FailureKind.MALFORMED_RESPONSE,
             f"bad full_name from {BASE}/repos/demo/x: not an owner/name: {full_name!r}")]
@@ -189,8 +189,8 @@ class TestFetchRepo:
         location = "http://[::1/repos/x/y"
         client, session, _ = make_client(
             lambda url, params: FakeResponse(status_code=301, headers={"Location": location}))
-        successes, failures = client.enrich([make_ref("a", "b")])
-        assert successes == []
+        snapshot, failures = client.enrich(make_ref("a", "b"))
+        assert snapshot is None
         assert [(f.kind, f.detail) for f in failures] == [(
             FailureKind.MALFORMED_RESPONSE,
             f"unparseable Location {location!r} for {BASE}/repos/a/b: Invalid IPv6 URL")]
@@ -406,8 +406,8 @@ class TestRateLimitHandling:
             return FakeResponse(json_body=repo_body("a/b", stars=1))
 
         client, session, _ = make_client(handler)
-        successes, failures = client.enrich([make_ref("a", "b")])
-        assert successes == []
+        snapshot, failures = client.enrich(make_ref("a", "b"))
+        assert (snapshot[1].stars, snapshot[1].contributors) == (1, None)  # kept uncounted
         spent = f"quota spent: HTTP 403 for {CONTRIBUTORS}"
         assert [(f.kind, f.detail) for f in failures] == [(FailureKind.RATE_LIMITED, spent)]
         for call, url in ((client.fetch_repo, f"{BASE}/repos/c/d"),
@@ -500,9 +500,9 @@ class TestCountContributors:
         link = (f'<{BASE}/repositories/7/contributors?per_page=1&page=2>; rel="next", '
                 f'<{BASE}/repositories/7/contributors?per_page=1&page=250>; rel="last"')
         client, session, _ = make_client(self._last_link_handler([{"login": "u0"}], link))
-        successes, failures = client.enrich([make_ref("a", "b")])
-        assert failures == []
-        assert successes[0][1].contributors == 250
+        snapshot, failures = client.enrich(make_ref("a", "b"))
+        assert failures == ()
+        assert snapshot[1].contributors == 250
         assert [url for _, url, _ in session.calls] == [
             f"{BASE}/repos/a/b", f"{BASE}/repos/a/b/contributors"]
 
@@ -576,9 +576,9 @@ class TestCountContributors:
         with MockServer(app) as server, requests.Session() as session:
             client = GitHubClient(base_url=server.base_url, session=session,
                                   policy=ThrottlePolicy(min_interval=0.0))
-            successes, failures = client.enrich([make_ref("demo", "big")])
-        assert failures == []
-        assert successes[0][1].contributors == 250
+            snapshot, failures = client.enrich(make_ref("demo", "big"))
+        assert failures == ()
+        assert snapshot[1].contributors == 250
         assert app.requests == ["/repos/demo/big", "/repos/demo/big/contributors"]
 
 
@@ -630,13 +630,15 @@ class TestEnrich:
         handler = self._multi_handler(repos, broken={"b/two": mode})
         client, session, _ = make_client(handler)
         refs = [make_ref("a", "one"), make_ref("b", "two"), make_ref("c", "three")]
-        successes, failures = client.enrich(refs)
-        assert [r.name for r, _ in successes] == [
-            r.name for r in refs if r.name not in failed]
+        outcomes = [client.enrich(ref) for ref in refs]
+        # /repos failed: a failure and no snapshot; any other ref: a snapshot alone
+        assert [len(failures) for _, failures in outcomes] == [
+            int(r.name in failed) for r in refs]
+        assert [r.name for r, (snapshot, _) in zip(refs, outcomes) if snapshot is None] == failed
+        failures = [f for _, fs in outcomes for f in fs]
         assert [f.kind for f in failures] == [FailureKind(mode)] * len(failed)
-        assert all(f.detail and f.kept is None for f in failures)  # /repos failed
-        assert len(successes) + len(failures) == len(refs)
-        assert successes[0][1].contributors == 2
+        assert all(f.detail for f in failures)
+        assert outcomes[0][0][1].contributors == 2
         assert [url.split("/repos/")[1].split("/", 1)[1] for _, url, _ in session.calls] == sent
 
     def _contributors_fail(self, response):
@@ -658,14 +660,12 @@ class TestEnrich:
     def test_a_failed_contributors_request_keeps_the_cold_snapshot(self):
         handler = self._contributors_fail(FakeResponse(status_code=403, text="too large"))
         client, session, _ = make_client(handler)
-        successes, failures = client.enrich([make_ref("a", "one"), make_ref("b", "two")])
-        assert [r.name for r, _ in successes] == ["two"]
-        [failure] = failures
+        (resolved, metrics), [failure] = client.enrich(make_ref("a", "one"))
         assert failure.kind is FailureKind.FORBIDDEN
-        resolved, metrics = failure.kept
         assert resolved == make_ref("a", "one")
         assert (metrics.name, metrics.stars, metrics.forks, metrics.contributors,
                 metrics.etag) == ("one", 7, 2, None, 'W/"new"')
+        assert client.enrich(make_ref("b", "two"))[0][0].name == "two"
         assert len(session.calls) == 4
 
     def test_a_failed_contributors_request_keeps_the_stored_count(self):
@@ -674,19 +674,41 @@ class TestEnrich:
         stored = RepoMetrics(name="one", description=None, stars=3, forks=0, open_issues=0,
                              contributors=42, etag='W/"old"',
                              fetched_at=datetime(2024, 1, 1, tzinfo=timezone.utc))
-        successes, failures = client.enrich([make_ref("a", "one")], {("a", "one"): stored})
-        assert successes == []
-        [failure] = failures
+        (_, metrics), [failure] = client.enrich(make_ref("a", "one"), stored)
         assert failure.kind is FailureKind.TRANSPORT
-        _, metrics = failure.kept
         assert (metrics.stars, metrics.forks, metrics.contributors, metrics.etag) == (
             7, 2, 42, 'W/"new"')
         assert [url for _, url, _ in session.calls] == [
             f"{BASE}/repos/a/one"] + [f"{BASE}/repos/a/one/contributors"] * 3
 
-    def test_empty_input(self):
-        client, _, _ = make_client(lambda url, params: FakeResponse(json_body={}))
-        assert client.enrich([]) == ([], [])
+    def test_a_rename_onto_a_known_snapshot_returns_it_without_a_count(self):
+        """The snapshot taken under the new name is returned after the old
+        name's /repos request and its hop; no contributors request is sent."""
+        def handler(url, params):
+            if url == f"{BASE}/repos/demo/old":
+                return FakeResponse(status_code=301,
+                                    headers={"Location": f"{BASE}/repos/demo/new"})
+            assert url == f"{BASE}/repos/demo/new", f"unexpected URL {url}"
+            return FakeResponse(json_body=repo_body("Demo/New", stars=9))
+
+        client, session, _ = make_client(handler)
+        earlier = (make_ref("demo", "new", {"p1"}), make_metrics(name="new", stars=5))
+        snapshot, failures = client.enrich(make_ref("demo", "old", {"p2"}),
+                                           known={("demo", "new"): earlier})
+        assert snapshot is earlier and failures == ()
+        assert [url for _, url, _ in session.calls] == [
+            f"{BASE}/repos/demo/old", f"{BASE}/repos/demo/new"]
+
+    @staticmethod
+    def _one_fails_then_two_answers(client) -> GitHubFetchError:
+        """a/one's one failure, after b/two is enriched in full."""
+        (snapshot, failures), (answered, none) = (
+            client.enrich(make_ref("a", "one")), client.enrich(make_ref("b", "two")))
+        assert snapshot is None and none == ()
+        assert (answered[0].name, answered[1].stars, answered[1].contributors) == ("two", 5, 3)
+        [failure] = failures
+        assert failure.kind is FailureKind.MALFORMED_RESPONSE
+        return failure
 
     def test_negative_count_is_one_malformed_failure(self):
         repos = {
@@ -694,9 +716,7 @@ class TestEnrich:
             "b/two": {"stars": 5, "forks": 1, "open_issues": 4, "contributors": 3},
         }
         client, _, _ = make_client(self._multi_handler(repos))
-        successes, failures = client.enrich([make_ref("a", "one"), make_ref("b", "two")])
-        assert [r.name for r, _ in successes] == ["two"]
-        assert [f.kind for f in failures] == [FailureKind.MALFORMED_RESPONSE]
+        self._one_fails_then_two_answers(client)
 
     @pytest.mark.parametrize("stars", ["12", 12.7, True])
     def test_non_integer_count_is_one_malformed_failure(self, stars):
@@ -705,10 +725,7 @@ class TestEnrich:
             "b/two": {"stars": 5, "forks": 1, "open_issues": 4, "contributors": 3},
         }
         client, _, _ = make_client(self._multi_handler(repos))
-        successes, failures = client.enrich([make_ref("a", "one"), make_ref("b", "two")])
-        assert [(r.name, m.stars) for r, m in successes] == [("two", 5)]
-        assert [f.kind for f in failures] == [FailureKind.MALFORMED_RESPONSE]
-        assert "stars must be an integer" in failures[0].detail
+        assert "stars must be an integer" in self._one_fails_then_two_answers(client).detail
 
     @pytest.mark.parametrize("field, value", [("description", ["d"])], ids=["description"])
     def test_non_string_text_is_one_malformed_failure(self, field, value):
@@ -721,10 +738,7 @@ class TestEnrich:
             return answer(url, params)
 
         client, _, _ = make_client(handler)
-        successes, failures = client.enrich([make_ref("a", "one"), make_ref("b", "two")])
-        assert [(r.name, m.stars) for r, m in successes] == [("two", 5)]
-        assert [f.kind for f in failures] == [FailureKind.MALFORMED_RESPONSE]
-        assert f"{field} must be a string" in failures[0].detail
+        assert f"{field} must be a string" in self._one_fails_then_two_answers(client).detail
 
     def test_a_body_nested_too_deeply_is_one_malformed_failure(self):
         """json raises RecursionError, not ValueError, on such a body."""
@@ -737,25 +751,21 @@ class TestEnrich:
             return answer(url, params)
 
         client, _, _ = make_client(handler)
-        successes, failures = client.enrich([make_ref("a", "one"), make_ref("b", "two")])
-        assert [(r.name, m.contributors) for r, m in successes] == [("two", 3)]
-        [failure] = failures
-        assert failure.kind is FailureKind.MALFORMED_RESPONSE
+        failure = self._one_fails_then_two_answers(client)
         assert failure.detail.startswith(f"unparseable body from {BASE}/repos/a/one: ")
-        assert failure.kept is None
 
 
 class TestCrossOriginUrls:
     """The token goes only to base_url's scheme and host."""
 
     def _enrich_with_token(self, handler):
+        """The snapshot enrich returns, and the session, after one failure."""
         client, session, _ = make_client(handler, token="SECRET")
-        successes, failures = client.enrich([make_ref("demo", "old")])
-        assert successes == []
+        snapshot, failures = client.enrich(make_ref("demo", "old"))
         assert [f.kind for f in failures] == [FailureKind.MALFORMED_RESPONSE]
         assert all(url.startswith(f"{BASE}/") for _, url, _ in session.calls)
         assert all(h["Authorization"] == "Bearer SECRET" for h in session.headers)
-        return session
+        return snapshot, session
 
     @pytest.mark.parametrize("location", ["http://evil.test/repos/demo/new",
                                           "https://gh.test/repos/demo/new"])
@@ -764,7 +774,9 @@ class TestCrossOriginUrls:
             assert url == f"{BASE}/repos/demo/old"
             return FakeResponse(status_code=301, headers={"Location": location})
 
-        assert len(self._enrich_with_token(handler).calls) == 1
+        snapshot, session = self._enrich_with_token(handler)
+        assert snapshot is None
+        assert len(session.calls) == 1
 
     def test_cross_origin_next_link_is_not_followed(self):
         def handler(url, params):
@@ -774,7 +786,9 @@ class TestCrossOriginUrls:
             return FakeResponse(json_body=[{"login": "u0"}, {"login": "u1"}],
                                 headers={"Link": '<http://evil2.test/next?page=2>; rel="next"'})
 
-        assert len(self._enrich_with_token(handler).calls) == 2
+        snapshot, session = self._enrich_with_token(handler)
+        assert snapshot[1].contributors is None  # the /repos snapshot is kept uncounted
+        assert len(session.calls) == 2
 
 
 class TestConditionalRefresh:
@@ -796,9 +810,9 @@ class TestConditionalRefresh:
     def test_not_modified_reuses_the_stored_snapshot(self):
         client, session, _ = self._client(lambda url, params: FakeResponse(status_code=304))
         stored = self._stored()
-        successes, failures = client.enrich([make_ref("a", "b")], {("a", "b"): stored})
-        assert failures == []
-        assert successes == [(make_ref("a", "b"), replace(stored, fetched_at=self.FETCHED))]
+        snapshot, failures = client.enrich(make_ref("a", "b"), stored)
+        assert failures == ()
+        assert snapshot == (make_ref("a", "b"), replace(stored, fetched_at=self.FETCHED))
         assert [url for _, url, _ in session.calls] == [f"{BASE}/repos/a/b"]
         assert session.headers[0]["If-None-Match"] == self.ETAG
 
@@ -810,8 +824,8 @@ class TestConditionalRefresh:
 
         client, session, _ = self._client(handler)
         stored = replace(self._stored(), contributors=None)
-        successes, _ = client.enrich([make_ref("a", "b")], {("a", "b"): stored})
-        assert successes[0][1] == replace(stored, contributors=1, fetched_at=self.FETCHED)
+        snapshot, _ = client.enrich(make_ref("a", "b"), stored)
+        assert snapshot[1] == replace(stored, contributors=1, fetched_at=self.FETCHED)
         assert [url for _, url, _ in session.calls] == [f"{BASE}/repos/a/b", CONTRIBUTORS]
 
     def test_not_modified_on_the_rename_hop(self):
@@ -823,9 +837,9 @@ class TestConditionalRefresh:
 
         client, session, _ = self._client(handler)
         stored = self._stored()
-        successes, failures = client.enrich([make_ref("a", "b")], {("a", "b"): stored})
-        assert failures == []
-        assert successes[0][1] == replace(stored, fetched_at=self.FETCHED)
+        snapshot, failures = client.enrich(make_ref("a", "b"), stored)
+        assert failures == ()
+        assert snapshot[1] == replace(stored, fetched_at=self.FETCHED)
         assert [url for _, url, _ in session.calls] == [
             f"{BASE}/repos/a/b", f"{BASE}/repositories/7"]
         assert [h["If-None-Match"] for h in session.headers] == [self.ETAG, self.ETAG]
@@ -838,9 +852,8 @@ class TestConditionalRefresh:
                                 headers={"ETag": 'W/"new"'})
 
         client, session, _ = self._client(handler)
-        successes, failures = client.enrich([make_ref("a", "b")], {("a", "b"): self._stored()})
-        assert failures == []
-        _, metrics = successes[0]
+        (_, metrics), failures = client.enrich(make_ref("a", "b"), self._stored())
+        assert failures == ()
         assert (metrics.stars, metrics.contributors, metrics.etag) == (10, 2, 'W/"new"')
         assert metrics.fetched_at == self.FETCHED
         assert len(session.calls) == 2
@@ -851,8 +864,8 @@ class TestConditionalRefresh:
         handler = PagedHandler("a/b", [3])
         client, session, _ = self._client(handler)
         stored = replace(self._stored(), etag=None)
-        successes, _ = client.enrich([make_ref("a", "b")], {("a", "b"): stored})
-        assert successes[0][1].contributors == 3
+        snapshot, _ = client.enrich(make_ref("a", "b"), stored)
+        assert snapshot[1].contributors == 3
         assert all("If-None-Match" not in h for h in session.headers)
 
     def test_not_modified_without_a_validator_is_malformed(self):

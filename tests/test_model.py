@@ -3,11 +3,17 @@
 Hypothesis drives a small GitHub world through generated steps: a paper
 names a repository under any name it has had, a repository's counts
 change, it is renamed or deleted, its contributors requests fail, the
-server asks the client to wait, the quota runs out, and ``run`` then
-``monitor`` are called over the in-process fakes of ``conftest``, with no
-sockets. After each command the outputs, the log and the requests sent are
-checked against invariants that hold for any sequence, and the store, and
-what ``monitor`` prints, against a plain-dict model of the expected store.
+server asks the client to wait, the quota runs out, a feed page fails, and
+``run`` then ``monitor`` are called over the in-process fakes of
+``conftest``, with no sockets. After each command the outputs, the log and
+the requests sent are checked against invariants that hold for any
+sequence, and the store, and what ``monitor`` prints, against a plain-dict
+model of the expected store.
+
+Tier-1 runs 100 derandomized examples. The ``model-random`` profile that
+``conftest`` registers runs 1000 random ones of up to 20 steps:
+
+    pytest tests/test_model.py --hypothesis-profile=model-random
 """
 from __future__ import annotations
 
@@ -37,6 +43,8 @@ REPOS = ("demo/alpha", "demo/beta", "Lab/Gamma")
 START = datetime(2024, 1, 1, tzinfo=timezone.utc)
 #: GitHubClient's default backoff before its first retry, in seconds.
 BACKOFF = 1.0
+#: Papers per feed page, so that every feed has more than one page to fail.
+PAGE_SIZE = 2
 _FAILED = re.compile(r"GitHub fetch failed for ([^:]+): (\w+) ")
 _SPENT = FakeResponse(status_code=403, headers={"X-RateLimit-Remaining": "0"},
                       json_body={"message": "API rate limit exceeded"})
@@ -75,6 +83,9 @@ class HarvestMachine(RuleBasedStateMachine):
         # GitHub requests until the one that spends the quota, which stays
         # spent until the command ends: the next one runs a day later
         self.quota: Optional[int] = None
+        # the page the next monitor's feed answers 503 to past its retries,
+        # or its last page if it has fewer
+        self.feed_fails: Optional[int] = None
         self.papers: list[tuple[str, str, str]] = []
         self.named: set[str] = set()  # "owner/name" lowercased, as papers named them
         self.commands = 0
@@ -147,6 +158,12 @@ class HarvestMachine(RuleBasedStateMachine):
         long to wait, which spends the quota."""
         self.retry_after = k
 
+    @precondition(lambda self: self.commands > 0)
+    @rule(page=st.integers(0, 3))
+    def a_feed_page_fails(self, page):
+        """The next command, a monitor, fails on that feed page."""
+        self.feed_fails = page
+
     # -- the commands ------------------------------------------------------
 
     @precondition(lambda self: self.commands == 0)
@@ -161,9 +178,13 @@ class HarvestMachine(RuleBasedStateMachine):
 
     def _feed(self) -> ArxivClient:
         entries = [atom_entry(*paper) for paper in self.papers]
+        failing = None if self.feed_fails is None else PAGE_SIZE * min(
+            self.feed_fails, (len(entries) - 1) // PAGE_SIZE)
 
         def answer(url, params):
             start, count = params["start"], params["max_results"]
+            if start == failing:
+                return FakeResponse(status_code=503, text="busy")
             return FakeResponse(text=atom_feed(entries[start:start + count], total=len(entries)))
 
         clock = FakeClock()
@@ -215,12 +236,14 @@ class HarvestMachine(RuleBasedStateMachine):
         return client, session
 
     def _command(self, command):
-        cfg = resolve_config(build_parser().parse_args([command, "--out-dir", str(self.out_dir)]))
+        cfg = resolve_config(build_parser().parse_args(
+            [command, "--out-dir", str(self.out_dir), "--page-size", str(PAGE_SIZE)]))
         began = START + timedelta(days=self.commands)
         github, session = self._github()
         clients = (self._feed(), github)
         store = self.out_dir / "kb.jsonl"
         before = load_records(store) if self.commands else None
+        outputs = {path.name: path.read_bytes() for path in self.out_dir.glob("*")}
         self.answered, self.counted = set(), set()
         out, log = io.StringIO(), _Records()
         logger = logging.getLogger("repoharvest")
@@ -233,6 +256,9 @@ class HarvestMachine(RuleBasedStateMachine):
         finally:
             logger.removeHandler(log)
         self.failing.clear()
+        if self.feed_fails is not None:
+            self._check_feed_failure(status, log.records, outputs)
+            return
         spent = self.quota is not None and self.quota <= 0
         if spent:
             self.quota = None
@@ -247,6 +273,18 @@ class HarvestMachine(RuleBasedStateMachine):
         self._check_model(command, out.getvalue())
 
     # -- the invariants ----------------------------------------------------
+
+    def _check_feed_failure(self, status, records, outputs):
+        """A monitor whose feed fails exits 1 and leaves the output set as
+        it was, so the model does not change. How many GitHub requests it
+        sent first depends on thread timing, so it also ends the quota and
+        the wait it was asked for, and the next command starts from none."""
+        self.feed_fails = self.quota = self.retry_after = self.asked_to_wait = None
+        self.commands += 1
+        assert status == 1
+        assert any(record.getMessage().startswith("paper retrieval failed: HTTP 503")
+                   for record in records)
+        assert {path.name: path.read_bytes() for path in self.out_dir.glob("*")} == outputs
 
     def _current(self, name: str) -> str:
         """GitHub's current name, lowercased, of the repository ``name`` names."""
@@ -378,6 +416,7 @@ class HarvestMachine(RuleBasedStateMachine):
             name: sorted(lines) for name, lines in expected.items()}
 
 
-HarvestMachine.TestCase.settings = settings(
+HarvestMachine.TestCase.settings = settings() if (
+    settings.get_current_profile_name() == "model-random") else settings(
     max_examples=100, stateful_step_count=12, derandomize=True, deadline=None, database=None)
 TestHarvestSequences = HarvestMachine.TestCase
