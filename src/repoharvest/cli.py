@@ -120,8 +120,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if not usable:
             raise ValueError(f"{flag} must be an http(s) URL with a host, not {url!r}")
     token = os.environ.get("GITHUB_TOKEN", "").strip()
-    if not token.isprintable() or any(char.isspace() for char in token):
-        raise ValueError("GITHUB_TOKEN holds whitespace or a control character")
+    if not all("!" <= char <= "~" for char in token):  # printable ASCII, no space
+        raise ValueError("GITHUB_TOKEN may hold only printable ASCII other than space")
     return RunConfig(search, args.arxiv_base_url, args.github_base_url, Path(args.out_dir),
                      token or None)
 
@@ -319,6 +319,10 @@ def cmd_monitor(
     github_client: Optional[GitHubClient] = None,
     out: Optional[TextIO] = None,
 ) -> int:
+    """Run the pipeline over a copy of the previous store; then, in one pass
+    over ``diff``'s pairs in store order, list each entry as Added (no
+    previous snapshot), Updated (counts differ) or Unchanged, and write the
+    output set."""
     out = out if out is not None else sys.stdout
     path = Path(previous_path) if previous_path else cfg.out_dir / RECORDS_FILENAME
     try:
@@ -330,16 +334,18 @@ def cmd_monitor(
     status = execute_pipeline(cfg, kb, arxiv_client, github_client, out)
     if status:
         return status
-    changes = diff(previous, kb)
-    out.write(f"\nAdded ({len(changes.added)}):\n")
-    for ref in changes.added:
-        out.write(f"  {ref.canonical_url}\n")
-    out.write(f"Updated ({len(changes.updated)}):\n")
-    for ref, old_m, new_m in changes.updated:
-        out.write(f"  {ref.canonical_url}: {_describe_update(old_m, new_m)}\n")
-    out.write(f"Unchanged ({len(changes.unchanged)}):\n")
-    for ref in changes.unchanged:
-        out.write(f"  {ref.canonical_url}\n")
+    sections: dict[str, list[str]] = {"Added": [], "Updated": [], "Unchanged": []}
+    for entry, old_m in diff(previous, kb):
+        url = entry.ref.canonical_url
+        if old_m is None:
+            sections["Added"].append(f"  {url}\n")
+        elif old_m.counts() != entry.latest.counts():
+            sections["Updated"].append(f"  {url}: {_describe_update(old_m, entry.latest)}\n")
+        else:
+            sections["Unchanged"].append(f"  {url}\n")
+    out.write("\n")
+    for title, lines in sections.items():
+        out.write(f"{title} ({len(lines)}):\n" + "".join(lines))
     return _write_outputs(cfg, kb)
 
 

@@ -7,7 +7,8 @@ is not kept: every writer grades the latest snapshot with
 maturity.classify. Persists as one JSON object per line with an explicit
 schema version (2: the latest snapshot keeps its ETag; version 1 records
 still load, without one); exports a CSV table and the human-readable
-report.
+report, and pairs each entry with the snapshot an earlier store held for
+it.
 Each writer writes its file in place; the command line writes the output
 set under staged names and renames each file once, so a reader of the
 outputs never sees a partial file.
@@ -86,23 +87,6 @@ class KbEntry:
     first_seen: datetime
     history: list[RepoMetrics] = field(default_factory=list)
     aliases: frozenset[RepoRef] = frozenset()
-
-
-@dataclass
-class KbDiff:
-    """What changed between two stores.
-
-    A new entry is paired with the old entry stored under its identity, or
-    else under one of its aliases (a repository a rename moved). ``added``
-    holds the new entries with no pair; ``updated`` pairs the old and new
-    snapshots where any count differs; ``unchanged`` covers pairs with
-    identical counts plus old entries the new run did not observe at all.
-    Each repository is listed once, under its name in the new store.
-    """
-
-    added: list[RepoRef] = field(default_factory=list)
-    updated: list[tuple[RepoRef, RepoMetrics, RepoMetrics]] = field(default_factory=list)
-    unchanged: list[RepoRef] = field(default_factory=list)
 
 
 class KnowledgeBase:
@@ -205,30 +189,19 @@ class KnowledgeBase:
         return entry
 
 
-def diff(old: KnowledgeBase, new: KnowledgeBase) -> KbDiff:
-    """Classify every repository across two stores.
-
-    Each ``new`` entry is paired with the ``old`` entry whose identity is
-    its identity, or else one of its aliases, so a repository renamed and
-    moved since ``old`` is listed once, under its new name. A new entry
-    with no pair is added; a pair with any differing count is updated;
-    otherwise unchanged. Old entries with no pair were simply not observed
-    again, so they land in unchanged.
-    """
-    result = KbDiff()
-    unpaired = dict(old._entries)
+def diff(old: KnowledgeBase, new: KnowledgeBase) -> list[tuple[KbEntry, Optional[RepoMetrics]]]:
+    """Each ``new`` entry, in store order, with the latest snapshot ``old``
+    held for it: under the entry's identity, or else under one of its
+    aliases, so a repository renamed and moved since ``old`` is paired with
+    its old entry; None when ``old`` held neither. A name belongs to one
+    entry, so no two entries are paired with the same old entry."""
+    pairs = []
     for entry in new:
         names = (entry.ref, *sorted(entry.aliases, key=RepoRef.identity))
-        previous = next((unpaired.pop(n.identity()) for n in names  # the first match only
-                         if n.identity() in unpaired), None)
-        if previous is None:
-            result.added.append(entry.ref)
-        elif previous.latest.counts() != entry.latest.counts():
-            result.updated.append((entry.ref, previous.latest, entry.latest))
-        else:
-            result.unchanged.append(entry.ref)
-    result.unchanged.extend(entry.ref for entry in unpaired.values())
-    return result
+        previous = next((old._entries[n.identity()] for n in names  # the first match only
+                         if n.identity() in old._entries), None)
+        pairs.append((entry, previous.latest if previous is not None else None))
+    return pairs
 
 
 def render_report_line(metrics: RepoMetrics, tier: MaturityTier) -> str:

@@ -14,10 +14,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
 from tracing import Tracer  # noqa: E402
 
-from conftest import FakeClock, FakeResponse, FakeSession, make_ref  # noqa: E402
+from conftest import (FakeClock, FakeResponse, FakeSession, atom_entry, atom_feed,  # noqa: E402
+                      make_ref)
 from repoharvest import cli  # noqa: E402
 from repoharvest.arxiv import ArxivClient  # noqa: E402
-from repoharvest.github import GitHubClient  # noqa: E402
+from repoharvest.github import GitHubClient, ThrottlePolicy  # noqa: E402
 from repoharvest.links import LinkError  # noqa: E402
 
 HOOKED = {
@@ -79,3 +80,45 @@ def test_hooks_count_what_the_program_returns():
     assert tracer.counts["github.failures.transport"] == 1
     assert tracer.counts["github.status.404"] == 1
     assert tracer.counts["links.rejected"] == 1
+
+
+def test_run_and_monitor_write_to_out_only_with_write_and_flush(tmp_path):
+    """The benchmark's ``out`` stream has only ``write`` and ``flush``, so
+    any other call on ``out`` fails here. A run stores two repositories; a
+    monitor then finds one new, one updated and one unchanged."""
+    stars = {"demo/alpha": 1, "demo/beta": 2}
+
+    def api(url, params):
+        slug = "/".join(url.split("/")[4:6])
+        if slug not in stars:
+            return FakeResponse(status_code=404, json_body={"message": "Not Found"})
+        if url.endswith("/contributors"):
+            return FakeResponse(json_body=[{"login": "u0"}])
+        return FakeResponse(json_body={
+            "full_name": slug, "name": slug.split("/")[1], "description": None,
+            "stargazers_count": stars[slug], "forks_count": 0, "open_issues_count": 0,
+        })
+
+    def clients():
+        entries = [atom_entry(f"2101.0000{k}", abstract=f"https://github.com/{slug}")
+                   for k, slug in enumerate(stars)]
+        page = FakeResponse(text=atom_feed(entries, total=len(entries)))
+        clock = FakeClock()
+        feed = FakeSession(lambda url, params: page, clock=clock)
+        return (ArxivClient(base_url="http://feed.test/q", delay=0.0, session=feed,
+                            clock=clock, sleep=clock.sleep),
+                GitHubClient(base_url="http://gh.test", policy=ThrottlePolicy(min_interval=0.0),
+                             session=FakeSession(api, clock=clock), clock=clock,
+                             sleep=clock.sleep))
+
+    args = cli.build_parser().parse_args(["run", "--out-dir", str(tmp_path)])
+    out = workloads.TimedStream()
+    assert cli.cmd_run(cli.resolve_config(args), *clients(), out=out) == 0
+    assert out.first_report is not None
+    stars.update({"demo/beta": 3, "demo/gamma": 4})
+    out = workloads.TimedStream()
+    assert cli.cmd_monitor(cli.resolve_config(args), None, *clients(), out=out) == 0
+    assert out.getvalue().split("\n\nAdded", 1)[1] == (
+        " (1):\n  https://github.com/demo/gamma\n"
+        "Updated (1):\n  https://github.com/demo/beta: stars 2 -> 3\n"
+        "Unchanged (1):\n  https://github.com/demo/alpha\n")

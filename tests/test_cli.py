@@ -1542,13 +1542,15 @@ class TestArgumentResolution:
             flag = "--" + name.replace("_", "-")
             assert getattr(resolve_config(parse_args(["monitor", flag, url])), name) == url
 
-    @pytest.mark.parametrize("token", ["to k", "tok\x00", "tok\tx", "tok\x7f"])
+    @pytest.mark.parametrize("token", ["to k", "tok\x00", "tok\tx", "tok\x7f", "tok€", "toké"])
     @pytest.mark.parametrize("command", ["run", "monitor"])
     def test_a_token_with_whitespace_or_a_control_character_exits_2(
             self, capsys, tmp_path, monkeypatch, command, token):
-        """Such a token is refused before any request, as a usage error that
-        does not print it, not sent to fail every repository after its
-        retries. No environment holds a NUL, so the mapping is replaced."""
+        """Such a token, or one with a character outside ASCII, is refused
+        before any request, as a usage error that does not print it, not
+        sent to fail every repository after its retries or to end the run in
+        an encoding error. No environment holds a NUL, so the mapping is
+        replaced."""
         sent = []
         monkeypatch.setattr(requests.Session, "get",
                             lambda session, target, **kwargs: sent.append(target))
@@ -1556,7 +1558,7 @@ class TestArgumentResolution:
         status = main([command, "--out-dir", str(tmp_path)])
         assert status == 2
         assert capsys.readouterr().err == (
-            "error: GITHUB_TOKEN holds whitespace or a control character\n")
+            "error: GITHUB_TOKEN may hold only printable ASCII other than space\n")
         assert sent == []
         assert list(tmp_path.iterdir()) == []
 

@@ -150,47 +150,43 @@ class TestDiff:
                                         fetched_at=at(minute)))
         return kb
 
+    @staticmethod
+    def _shown(pairs) -> list[tuple[str, int | None, int]]:
+        """(owner/name, old stars or None, new stars) of each pair."""
+        return [(f"{entry.ref.owner}/{entry.ref.name}",
+                 None if old is None else old.stars, entry.latest.stars)
+                for entry, old in pairs]
+
     def test_added_updated_unchanged(self):
+        """An old entry no new entry names (a/one) is not listed: under
+        ``monitor`` the new store starts as a copy of the old one."""
         old = self._store({"a/one": (1, 0), "b/two": (5, 0), "c/three": (9, 0)})
         new = self._store({"b/two": (7, 10), "c/three": (9, 10), "d/four": (2, 10)})
-        result = diff(old, new)
-        assert [r.name for r in result.added] == ["four"]
-        assert [(r.name, o.stars, n.stars) for r, o, n in result.updated] == [
-            ("two", 5, 7)
-        ]
-        # c/three kept identical counts; a/one was not observed again
-        assert sorted(r.name for r in result.unchanged) == ["one", "three"]
+        assert self._shown(diff(old, new)) == [
+            ("b/two", 5, 7), ("c/three", 9, 9), ("d/four", None, 2)]
 
     def test_identical_stores(self):
         old = self._store({"a/one": (1, 0)})
-        result = diff(old, old.clone())
-        assert result.added == [] and result.updated == []
-        assert [r.name for r in result.unchanged] == ["one"]
+        new = old.clone()
+        assert [(entry, previous) for entry, previous in diff(old, new)] == [
+            (next(iter(new)), next(iter(old)).latest)]
 
     def test_empty_old_store(self):
         new = self._store({"a/one": (1, 0)})
-        result = diff(KnowledgeBase(), new)
-        assert [r.name for r in result.added] == ["one"]
+        assert self._shown(diff(KnowledgeBase(), new)) == [("a/one", None, 1)]
 
     def test_a_moved_entry_is_paired_with_its_old_name(self):
         old = KnowledgeBase([_entry("demo", "new", ["demo/old"]), _entry("c", "d", minutes=1)])
         new = old.clone()
         new.record(make_ref("demo", "new"), make_ref("demo", "newer"),
                    make_metrics(name="newer", stars=4, fetched_at=at(2)))
-        result = diff(old, new)
-        assert result.added == []
-        assert [(r, o.stars, n.stars) for r, o, n in result.updated] == [
-            (make_ref("demo", "newer"), 0, 4)]
-        assert result.unchanged == [make_ref("c", "d")]
+        assert self._shown(diff(old, new)) == [("c/d", 0, 0), ("demo/newer", 0, 4)]
 
     def test_an_alias_that_becomes_its_own_repository_is_added(self):
         old = KnowledgeBase([_entry("demo", "new", ["demo/old"])])
         new = old.clone()
         new.upsert(make_ref("demo", "old"), make_metrics(name="old", fetched_at=at(2)))
-        result = diff(old, new)
-        assert result.added == [make_ref("demo", "old")]
-        assert result.updated == []
-        assert result.unchanged == [make_ref("demo", "new")]
+        assert self._shown(diff(old, new)) == [("demo/new", 0, 0), ("demo/old", None, 0)]
 
     @given(
         old_slugs=st.sets(st.sampled_from([u.rsplit("/", 2)[-2] + "/" + u.rsplit("/", 1)[-1]
@@ -201,17 +197,18 @@ class TestDiff:
     )
     @settings(max_examples=50)
     def test_partition_property(self, old_slugs, new_slugs, bumped):
+        """Each new entry is listed once, in store order, with the old
+        snapshot of its name or None: no dupes, no gaps."""
         old = self._store({s: (1, 0) for s in old_slugs})
         new = self._store({
             s: (1 + (1 if i in bumped else 0), 10)
             for i, s in enumerate(sorted(new_slugs))
         })
-        result = diff(old, new)
-        seen = ([r.identity() for r in result.added]
-                + [r.identity() for r, _, _ in result.updated]
-                + [r.identity() for r in result.unchanged])
-        every = {e.ref.identity() for e in old} | {e.ref.identity() for e in new}
-        assert sorted(seen) == sorted(every)  # partition: no dupes, no gaps
+        pairs = diff(old, new)
+        assert [entry for entry, _ in pairs] == list(new)
+        for entry, previous in pairs:
+            held = old.get(entry.ref)
+            assert previous is (None if held is None else held.latest)
 
 
 class TestRendering:
