@@ -7,6 +7,7 @@ requests; transport and 5xx failures are retried with doubling backoff.
 from __future__ import annotations
 
 import contextlib
+import re
 import time
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
@@ -37,11 +38,12 @@ DEFAULT_DELAY = 3.0
 _ATOM = "{http://www.w3.org/2005/Atom}"
 _OPENSEARCH = "{http://a9.com/-/spec/opensearch/1.1/}"
 _ARXIV = "{http://arxiv.org/schemas/atom}"
+_VERSIONED_ID = re.compile(r"\A([0-9]{4}\.[0-9]{4,5}|[a-z-]+(?:\.[A-Z]{2})?/[0-9]{7})v[0-9]+\Z")
 
 
 class ArxivRequestError(Exception):
     """A feed request failed: after its retries, or with a page that is not
-    well-formed XML or holds an entry with no ``<id>``."""
+    well-formed XML or holds an entry with no ``<id>`` or an empty one."""
 
 
 @dataclass(frozen=True)
@@ -77,13 +79,21 @@ class SearchSpec:
 
 @dataclass(frozen=True)
 class PaperRecord:
-    """One paper as the harvest reads it: its id, and the title, abstract
-    and authors' comment (``<arxiv:comment>``) mined for GitHub URLs."""
+    """One paper as the harvest reads it: its unversioned id, and the title,
+    abstract and authors' comment (``<arxiv:comment>``) mined for GitHub URLs."""
 
     arxiv_id: str
     title: str
     abstract: str
     comment: str
+
+
+def strip_version(arxiv_id: str) -> str:
+    """``arxiv_id`` without the ``vN`` of either arXiv id shape, so every
+    version is one paper: ``2102.00002v2`` is ``2102.00002`` and
+    ``hep-th/9901001v1`` is ``hep-th/9901001``. No other id changes
+    (https://info.arxiv.org/help/arxiv_identifier.html)."""
+    return _VERSIONED_ID.sub(r"\1", arxiv_id)
 
 
 def build_query(spec: SearchSpec) -> str:
@@ -143,9 +153,10 @@ class ArxivClient:
         return self._parse_feed(response.text)
 
     def _parse_feed(self, text: str) -> list[PaperRecord]:
-        """The page's entries in feed order. Only what the harvest reads is
-        checked: well-formed XML and an ``<id>`` per entry; ``totalResults``
-        is kept when it is ASCII digits int() reads; ``<published>`` is not read."""
+        """The page's entries in feed order, each id after ``/abs/`` and
+        unversioned. Only what the harvest reads is checked: well-formed XML
+        and a non-empty id per entry; ``totalResults`` is kept when it is
+        ASCII digits int() reads; ``<published>`` is not read."""
         try:
             root = ET.fromstring(text)
         except ET.ParseError as exc:
@@ -157,11 +168,12 @@ class ArxivClient:
         records = []
         for index, entry in enumerate(root.findall(f"{_ATOM}entry")):
             raw_id = (entry.findtext(f"{_ATOM}id") or "").strip()
-            if not raw_id:
+            arxiv_id = strip_version(raw_id.rsplit("/abs/", 1)[-1])
+            if not arxiv_id:
                 raise ArxivRequestError(f"entry {index}: missing <id>")
             records.append(
                 PaperRecord(
-                    arxiv_id=raw_id.rsplit("/abs/", 1)[-1],
+                    arxiv_id=arxiv_id,
                     title=(entry.findtext(f"{_ATOM}title") or "").strip(),
                     abstract=(entry.findtext(f"{_ATOM}summary") or "").strip(),
                     comment=(entry.findtext(f"{_ARXIV}comment") or "").strip(),

@@ -132,7 +132,7 @@ def _mine_refs(paper: PaperRecord) -> Iterator[RepoRef]:
         for url in extract_urls(text):
             cleaned = clean_url(url)
             try:
-                yield canonicalize(cleaned, paper.arxiv_id)
+                yield canonicalize(cleaned)
             except LinkError as exc:
                 log.info("skipping %s: %s", cleaned, exc)
 
@@ -170,8 +170,9 @@ def execute_pipeline(
     before its ``totalResults`` (up to the cap) is warned about. Then each
     name's outcome is handled once, in first-mention order, as soon as it
     is ready: each failure is logged under the name, never fatal, and the
-    snapshot, if any, is stored with one ``kb.record`` call and printed the
-    first time its repository is reported. A paper retrieval failure after
+    snapshot, if any, is stored with the ids of the papers that give the
+    name in one ``kb.record`` call, and printed the first time its
+    repository is reported. A paper retrieval failure after
     retries is fatal (exit status 1): the repository being enriched is
     finished and no other is started. A client not given is built from
     ``cfg``'s base URL at the API's fixed pacing: 3 s between feed requests
@@ -186,6 +187,7 @@ def execute_pipeline(
     out.write("Processing arXiv papers:\n")
     refs: list[RepoRef] = []
     outcomes: dict[tuple[str, str], Future] = {}  # by the name papers give
+    papers: dict[tuple[str, str], set[str]] = {}  # the ids that give each name
     done: dict[tuple[str, str], Outcome] = {}  # by the identity requested; worker only
     known: dict[tuple[str, str], Snapshot] = {}  # by the identity resolved; worker only
 
@@ -207,6 +209,7 @@ def execute_pipeline(
                 out.flush()
                 for ref in _mine_refs(paper):
                     refs.append(ref)
+                    papers.setdefault(ref.identity(), set()).add(paper.arxiv_id)
                     if ref.identity() not in outcomes:
                         entry = kb.get(ref)
                         task = (ref, None) if entry is None else (entry.ref, entry.latest)
@@ -228,7 +231,7 @@ def execute_pipeline(
                                 "; its snapshot was kept" if snapshot else "")
                 if not snapshot:
                     continue
-                entry = kb.record(ref, *snapshot)
+                entry = kb.record(ref, *snapshot, papers[ref.identity()])
                 if snapshot[0].identity() not in reported:
                     reported.add(snapshot[0].identity())
                     out.write(render_report_line(entry.latest, classify(entry.latest)) + "\n")

@@ -235,11 +235,11 @@ class GitHubClient:
     ) -> tuple[RepoRef, RepoMetrics]:
         """Fetch the basic snapshot for one repository.
 
-        Returns the canonical identity (updated when GitHub redirected to a
-        renamed repository) together with the metrics; ``contributors`` is
-        left unset for count_contributors to fill. The identity, and the
-        snapshot's ``name``, come from the body's ``full_name``, which must
-        pass links.repo_from_name; a body without one is malformed.
+        Returns the metrics with ``ref``, or, when GitHub answers for another
+        name (a rename), with the ref the body's ``full_name`` gives;
+        ``contributors`` is left unset for count_contributors to fill. The
+        snapshot's ``name`` also comes from ``full_name``, which must pass
+        links.repo_from_name; a body without one is malformed.
 
         With a ``stored`` snapshot that has an ETag, the request is
         conditional, and the answer's ETag is kept on the new snapshot. A
@@ -257,8 +257,6 @@ class GitHubClient:
         except LinkError as exc:
             raise GitHubFetchError(FailureKind.MALFORMED_RESPONSE,
                                    f"bad full_name from {url}: {exc}") from exc
-        resolved = ref if named.identity() == ref.identity() else replace(
-            ref, owner=named.owner, name=named.name)
         try:
             metrics = RepoMetrics(
                 name=named.name,
@@ -273,7 +271,7 @@ class GitHubClient:
         except (KeyError, TypeError, ValueError) as exc:
             raise GitHubFetchError(FailureKind.MALFORMED_RESPONSE,
                                    f"bad count fields from {url}: {exc}") from exc
-        return resolved, metrics
+        return ref if named.identity() == ref.identity() else named, metrics
 
     def count_contributors(self, ref: RepoRef) -> int:
         """Number of contributor entries of the repository, from one request.

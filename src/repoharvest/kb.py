@@ -2,13 +2,12 @@
 
 Holds one entry per repository (deduplicated case-insensitively on
 owner/name) with the latest metrics snapshot, the history of prior
-snapshots, and the other names GitHub redirected to it. The maturity tier
-is not kept: every writer grades the latest snapshot with
-maturity.classify. Persists as one JSON object per line with an explicit
-schema version (2: the latest snapshot keeps its ETag; version 1 records
-still load, without one); exports a CSV table and the human-readable
-report, and pairs each entry with the snapshot an earlier store held for
-it.
+snapshots, the other names GitHub redirected to it, and the papers that
+named it. The maturity tier is not kept: every writer grades the latest
+snapshot with maturity.classify. Persists as one JSON object per line with
+an explicit schema version (2: the latest snapshot keeps its ETag; version 1
+records still load, without one); exports a CSV table and the human-readable
+report, and pairs each entry with the snapshot an earlier store held for it.
 Each writer writes its file in place; the command line writes the output
 set under staged names and renames each file once, so a reader of the
 outputs never sees a partial file.
@@ -22,8 +21,9 @@ import re
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import AbstractSet, Iterable, Iterator, Optional
 
+from .arxiv import strip_version
 from .github import RepoMetrics
 from .links import RepoRef, repo_from_name
 from .maturity import MaturityTier, classify
@@ -73,8 +73,9 @@ def parse_timestamp(text: str) -> datetime:
 
 @dataclass
 class KbEntry:
-    """One repository: identity, latest snapshot, and history. Its tier is
-    ``classify(latest)``, graded wherever it is written.
+    """One repository: identity, latest snapshot, history, and ``papers``,
+    the ids of the papers that gave any of its names, which only grow. Its
+    tier is ``classify(latest)``, graded wherever it is written.
 
     History is ordered oldest-first; every history timestamp precedes
     latest.fetched_at. Only latest keeps an ETag. ``aliases`` are the other
@@ -87,6 +88,7 @@ class KbEntry:
     first_seen: datetime
     history: list[RepoMetrics] = field(default_factory=list)
     aliases: frozenset[RepoRef] = frozenset()
+    papers: frozenset[str] = frozenset()
 
 
 class KnowledgeBase:
@@ -134,15 +136,16 @@ class KnowledgeBase:
             key=lambda e: (e.first_seen, e.ref.owner.lower(), e.ref.name.lower()),
         )
 
-    def upsert(self, ref: RepoRef, metrics: RepoMetrics) -> KbEntry:
-        """Insert or refresh one repository.
+    def upsert(self, ref: RepoRef, metrics: RepoMetrics,
+               papers: AbstractSet[str] = frozenset()) -> KbEntry:
+        """Insert or refresh one repository, named by ``papers``.
 
         A new identity is inserted with empty history. For an existing one,
         a later snapshot archives the current latest to history, a snapshot
         from the same second replaces latest in place, and an older one is
         ignored; history timestamps therefore stay strictly increasing.
-        Source papers are unioned on every call. No tier is stored: a
-        writer grades whatever latest is then.
+        ``papers`` join the entry's on every call, even with an older
+        snapshot. No tier is stored: a writer grades whatever latest is then.
         """
         key = ref.identity()
         entry = self._entries.get(key)
@@ -152,10 +155,7 @@ class KnowledgeBase:
                 holder.aliases = frozenset(a for a in holder.aliases if a.identity() != key)
             entry = KbEntry(ref=ref, latest=metrics, first_seen=metrics.fetched_at)
             self._entries[key] = self._names[key] = entry
-            return entry
-        merged = entry.ref.source_papers | ref.source_papers
-        if merged != entry.ref.source_papers:
-            entry.ref = replace(entry.ref, source_papers=merged)
+        entry.papers |= papers
         if metrics.fetched_at < entry.latest.fetched_at:
             return entry
         if metrics.fetched_at > entry.latest.fetched_at:
@@ -163,28 +163,28 @@ class KnowledgeBase:
         entry.latest = metrics
         return entry
 
-    def record(self, name: RepoRef, ref: RepoRef, metrics: RepoMetrics) -> KbEntry:
-        """Store GitHub's answer ``ref`` to the name ``name`` a paper gave.
+    def record(self, name: RepoRef, ref: RepoRef, metrics: RepoMetrics,
+               papers: AbstractSet[str] = frozenset()) -> KbEntry:
+        """Store GitHub's answer ``ref`` to the name ``name`` that ``papers`` gave.
 
-        First the entry holding ``name`` moves to ``ref``'s owner/name,
-        unless ``ref`` is its identity already or another entry holds
-        ``ref``: its old identity becomes an alias, and its papers,
-        first_seen and history stay. Then the snapshot is upserted, with no
-        tier, under ``ref`` with ``name``'s source papers. Last, ``name`` is
-        kept as an alias of that entry, unless some entry already holds it.
+        First the entry holding ``name`` moves to ``ref``, unless ``ref`` is
+        its identity already or another entry holds ``ref``: its old ref
+        becomes an alias, and its papers, first_seen and history stay. Then
+        the snapshot and ``papers`` are upserted, with no tier, under
+        ``ref``. Last, ``name`` is kept as an alias of that entry, unless
+        some entry already holds it.
         """
         key = ref.identity()
         entry = self._names.get(name.identity())
         if (entry is not None and entry.ref.identity() != key
                 and self._names.get(key, entry) is entry):
-            old = self._entries.pop(entry.ref.identity()).ref
-            kept = frozenset(a for a in entry.aliases if a.identity() != key)
-            entry.aliases = kept | {RepoRef(old.owner, old.name)}
-            entry.ref = replace(old, owner=ref.owner, name=ref.name)
+            del self._entries[entry.ref.identity()]
+            entry.aliases = frozenset(a for a in entry.aliases if a.identity() != key) | {entry.ref}
+            entry.ref = ref
             self._entries[key] = self._names[key] = entry
-        entry = self.upsert(replace(ref, source_papers=name.source_papers), metrics)
+        entry = self.upsert(ref, metrics, papers)
         if name.identity() not in self._names:
-            entry.aliases = entry.aliases | {RepoRef(name.owner, name.name)}
+            entry.aliases = entry.aliases | {name}
             self._names[name.identity()] = entry
         return entry
 
@@ -264,7 +264,7 @@ def entry_to_dict(entry: KbEntry) -> dict:
         "owner": entry.ref.owner,
         "name": entry.ref.name,
         "canonical_url": entry.ref.canonical_url,
-        "source_papers": sorted(entry.ref.source_papers),
+        "source_papers": sorted(entry.papers),
         "tier": str(classify(entry.latest)),
         "first_seen": format_timestamp(entry.first_seen),
         "latest": _metrics_to_dict(entry.latest),
@@ -282,8 +282,6 @@ def entry_from_dict(data: dict) -> KbEntry:
     papers = _checked(data["source_papers"], list, "source_papers")
     owner = _checked(data["owner"], str, "owner")
     name = _checked(data["name"], str, "name")
-    ref = replace(repo_from_name(f"{owner}/{name}"),
-                  source_papers=frozenset(_checked(p, str, "source paper") for p in papers))
     latest = _metrics_from_dict(data["latest"])
     history = [_metrics_from_dict(m) for m in _checked(data["history"], list, "history")]
     times = [m.fetched_at for m in history] + [latest.fetched_at]
@@ -292,11 +290,12 @@ def entry_from_dict(data: dict) -> KbEntry:
     aliases = frozenset(map(repo_from_name, _checked(data.get("aliases", []), list, "aliases")))
     MaturityTier.from_label(_checked(data["tier"], str, "tier"))  # checked, not kept
     return KbEntry(
-        ref=ref,
+        ref=repo_from_name(f"{owner}/{name}"),
         latest=latest,
         first_seen=parse_timestamp(data["first_seen"]),
         history=history,
         aliases=aliases,
+        papers=frozenset(strip_version(_checked(p, str, "source paper")) for p in papers),
     )
 
 
@@ -346,7 +345,7 @@ def export_table(kb: KnowledgeBase, path: Path | str) -> None:
                 m.description or "",
                 format_timestamp(entry.first_seen),
                 format_timestamp(m.fetched_at),
-                " ".join(sorted(entry.ref.source_papers)),
+                " ".join(sorted(entry.papers)),
             ]
         )
     Path(path).write_text(buffer.getvalue(), encoding="utf-8")

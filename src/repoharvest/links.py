@@ -1,13 +1,13 @@
 """GitHub link mining from paper metadata text.
 
 Finds GitHub URLs in free text, trims the prose punctuation that typically
-trails them, reduces each to its owner/name repository identity, and
-deduplicates case-insensitively across papers.
+trails them, reduces each to the owner/name that names its repository, and
+keeps the first mention of each case-insensitive owner/name.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 from urllib.parse import urlsplit
 
@@ -37,11 +37,10 @@ class LinkError(ValueError):
 
 @dataclass(frozen=True)
 class RepoRef:
-    """Canonical repository identity plus the papers that mentioned it."""
+    """A repository's owner/name, nothing more."""
 
     owner: str
     name: str
-    source_papers: frozenset[str] = frozenset()
 
     @property
     def canonical_url(self) -> str:
@@ -69,10 +68,9 @@ def clean_url(url: str) -> str:
     return url.rstrip(_TRAILING_JUNK)
 
 
-def canonicalize(cleaned: str, source: str) -> RepoRef:
+def canonicalize(cleaned: str) -> RepoRef:
     """Reduce a GitHub URL that extract_urls matched, after clean_url, to
-    its owner/name repository identity, with ``source`` as its paper; the
-    host is not checked again.
+    its owner/name repository identity; the host is not checked again.
 
     Keeps the first two path segments, strips one ".git" suffix from the
     name, and discards any deeper path, query, or fragment. Raises
@@ -82,12 +80,11 @@ def canonicalize(cleaned: str, source: str) -> RepoRef:
     segments = [s for s in urlsplit(cleaned).path.split("/") if s]
     if len(segments) < 2:
         raise LinkError(f"no owner/name path in {cleaned!r}")
-    ref = repo_from_name(f"{segments[0]}/{segments[1].removesuffix('.git')}")
-    return replace(ref, source_papers=frozenset({source}) if source else frozenset())
+    return repo_from_name(f"{segments[0]}/{segments[1].removesuffix('.git')}")
 
 
 def repo_from_name(text) -> RepoRef:
-    """The repository an exact ``owner/name`` string names, with no papers.
+    """The repository an exact ``owner/name`` string names.
 
     The one owner/name rule, for a URL's path (through canonicalize),
     GitHub's ``full_name`` and a store line: one owner and one name joined
@@ -103,19 +100,9 @@ def repo_from_name(text) -> RepoRef:
 
 
 def dedupe(refs: Iterable[RepoRef]) -> list[RepoRef]:
-    """Merge refs that share a case-insensitive (owner, name) identity.
-
-    The first-seen casing wins; source papers are unioned. Output
-    preserves first-occurrence order.
-    """
-    merged: dict[tuple[str, str], RepoRef] = {}
+    """The first ref of each case-insensitive (owner, name) identity, in
+    first-mention order: the first-seen casing wins."""
+    first: dict[tuple[str, str], RepoRef] = {}
     for ref in refs:
-        key = ref.identity()
-        seen = merged.get(key)
-        if seen is None:
-            merged[key] = ref
-        elif not ref.source_papers <= seen.source_papers:
-            merged[key] = replace(
-                seen, source_papers=seen.source_papers | ref.source_papers
-            )
-    return list(merged.values())
+        first.setdefault(ref.identity(), ref)
+    return list(first.values())

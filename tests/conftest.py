@@ -123,8 +123,8 @@ def atom_feed(entries: list[str], total: int | None = None) -> str:
     )
 
 
-def make_ref(owner="octo", name="spoon", sources=()) -> RepoRef:
-    return RepoRef(owner=owner, name=name, source_papers=frozenset(sources))
+def make_ref(owner="octo", name="spoon") -> RepoRef:
+    return RepoRef(owner=owner, name=name)
 
 
 def make_metrics(

@@ -72,11 +72,11 @@ def test_extraction_recall_and_precision_on_synthetic_corpus():
     papers, expected_urls = build_corpus(n_papers=1000)
     started = time.perf_counter()
     refs = []
-    for paper_id, title, abstract in papers:
+    for _, title, abstract in papers:
         for text in (title, abstract):
             for url in extract_urls(text):
                 try:
-                    refs.append(canonicalize(clean_url(url), paper_id))
+                    refs.append(canonicalize(clean_url(url)))
                 except LinkError:
                     continue
     unique = dedupe(refs)
@@ -356,7 +356,8 @@ def _random_store(rng: random.Random) -> KnowledgeBase:
     n_repos = rng.randint(1, 25)
     chosen = rng.sample(REPO_URLS, min(n_repos, len(REPO_URLS)))
     for url in chosen:
-        ref = canonicalize(url, f"paper-{rng.randrange(10_000)}")
+        ref = canonicalize(url)
+        papers = {f"paper-{rng.randrange(10_000)}"}
         base = datetime(2023, 1, 1, tzinfo=UTC) + timedelta(
             seconds=rng.randrange(10_000_000)
         )
@@ -371,7 +372,7 @@ def _random_store(rng: random.Random) -> KnowledgeBase:
                 fetched_at=base + timedelta(seconds=snapshot * rng.randint(1, 9000)),
                 etag=rng.choice([None, f'W/"{rng.getrandbits(64):x}"', f'"{rng.getrandbits(32):x}"']),
             )
-            kb.upsert(ref, metrics)
+            kb.upsert(ref, metrics, papers)
     return kb
 
 

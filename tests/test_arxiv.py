@@ -15,6 +15,7 @@ from repoharvest.arxiv import (
     PaperRecord,
     SearchSpec,
     build_query,
+    strip_version,
 )
 
 EXPECTED_DEFAULT_QUERY = (
@@ -68,6 +69,33 @@ class TestBuildQuery:
             f" AND submittedDate:[{from_year}01010000 TO {to_year}12312359]")
 
 
+class TestStripVersion:
+    @pytest.mark.parametrize("arxiv_id, expected", [
+        ("2102.00002v2", "2102.00002"),
+        ("2102.00002v12", "2102.00002"),
+        ("0704.0001v1", "0704.0001"),
+        ("hep-th/9901001v1", "hep-th/9901001"),
+        ("math.GT/0309136v3", "math.GT/0309136"),
+        ("2102.00002", "2102.00002"),
+        ("hep-th/9901001", "hep-th/9901001"),
+    ])
+    def test_either_arxiv_shape_loses_its_version(self, arxiv_id, expected):
+        assert strip_version(arxiv_id) == expected
+
+    @pytest.mark.parametrize("arxiv_id", [
+        "", "p1", "id0001v2", "draft-v2", "2102.00002v", "2102.000002v1", "21020.0002v1",
+        "hep-th/990100v1", "2102.00002v2 ", "2102.00002v2\n", "x/2102.00002v2",
+    ])
+    def test_an_id_of_neither_shape_is_returned_as_is(self, arxiv_id):
+        assert strip_version(arxiv_id) == arxiv_id
+
+    @given(st.text())
+    def test_removes_at_most_a_version_and_is_idempotent(self, text):
+        stripped = strip_version(text)
+        assert text.startswith(stripped)
+        assert strip_version(stripped) == stripped
+
+
 class TestSearchSpecValidation:
     @pytest.mark.parametrize("kwargs", [
         {"terms": ()},
@@ -91,6 +119,7 @@ class TestSearchSpecValidation:
 
 class TestFetchPage:
     def test_parses_three_entry_feed(self):
+        """The second id loses its ``v2``: every version is one paper."""
         feed = atom_feed(
             [
                 atom_entry("2101.00001", "First title", "First abstract",
@@ -106,7 +135,7 @@ class TestFetchPage:
         records = client.fetch_page("q", 0, 10)
         assert records == [
             PaperRecord("2101.00001", "First title", "First abstract", ""),
-            PaperRecord("2102.00002v2", "Second", "Body two", ""),
+            PaperRecord("2102.00002", "Second", "Body two", ""),
             PaperRecord("2103.00003", "Third", "Body three", ""),
         ]
         assert client.last_total_results == 3
@@ -146,6 +175,14 @@ class TestFetchPage:
         ])
         client, _, _ = _client(lambda url, params: FakeResponse(text=bad))
         with pytest.raises(ArxivRequestError, match="^entry 1: missing <id>$"):
+            client.fetch_page("q", 0, 10)
+
+    @pytest.mark.parametrize("raw_id", [
+        "http://arxiv.org/abs/", "  http://arxiv.org/abs/  ", "http://arxiv.org/abs/abs/"])
+    def test_an_id_empty_after_abs_is_refused_like_a_missing_one(self, raw_id):
+        bad = atom_feed([f"<entry><id>{raw_id}</id><title>T</title></entry>"])
+        client, _, _ = _client(lambda url, params: FakeResponse(text=bad))
+        with pytest.raises(ArxivRequestError, match="^entry 0: missing <id>$"):
             client.fetch_page("q", 0, 10)
 
     @pytest.mark.parametrize("published", [
@@ -242,6 +279,14 @@ class TestIteratePapers:
         assert len(list(client.iterate_papers(spec))) == 10
         # third request returns the empty short page and ends iteration
         assert len(session.calls) == 3
+
+    def test_two_versions_of_a_paper_are_one_paper(self):
+        page = [atom_entry("2102.00002v1", "t", "a"), atom_entry("2102.00002v2", "t", "b"),
+                atom_entry("hep-th/9901001v1", "t", "c")]
+        client, _, _ = _client(lambda url, params: FakeResponse(text=atom_feed(page, total=3)))
+        spec = SearchSpec(terms=("x",), max_results=10, page_size=5)
+        assert [(r.arxiv_id, r.abstract) for r in client.iterate_papers(spec)] == [
+            ("2102.00002", "a"), ("hep-th/9901001", "c")]
 
     def test_duplicate_ids_across_pages_are_skipped(self):
         first = [atom_entry("dup", "t", "a"), atom_entry("u1", "t", "a")]

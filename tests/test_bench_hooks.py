@@ -72,7 +72,7 @@ def test_hooks_count_what_the_program_returns():
         outcomes = [github_client.enrich(make_ref(*slug.split("/")))
                     for slug in ("demo/alpha", "gone/away", "demo/flaky")]
         with pytest.raises(LinkError):
-            cli.canonicalize("https://github.com/onlyowner", "p")
+            cli.canonicalize("https://github.com/onlyowner")
     finally:
         tracer.restore()
     assert [snapshot is not None for snapshot, _ in outcomes] == [True, False, True]

@@ -642,7 +642,7 @@ class TestEnrichmentWorker:
         sequential = []
         client = github_client(recorded(fixtures_handler(reference_fixtures()), sequential))
         for url in expected_urls:
-            client.enrich(canonicalize(url, ""))
+            client.enrich(canonicalize(url))
         assert sent == sequential
 
     def test_report_lines_start_before_the_last_repository_is_done(self, tmp_path):
@@ -704,6 +704,38 @@ class TestEnrichmentWorker:
         with open(tmp_path / "kb.csv", encoding="utf-8", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert {r["canonical_url"]: r["source_papers"].split() for r in rows} == expected
+
+    def test_papers_that_name_a_repository_in_any_casing_are_stored_with_it(self, tmp_path):
+        """Papers are collected by the name's case-insensitive identity, and
+        the entry keeps the first casing."""
+        papers = [(f"2101.0000{i}", "t", f"Code: https://github.com/{slug}.")
+                  for i, slug in enumerate(["Demo/Alpha", "demo/alpha", "DEMO/ALPHA"], 1)]
+        counts = {"stars": 5, "forks": 1, "open_issues": 0, "contributors": 2}
+        sent = []
+        github = recorded(fixtures_handler({"Demo/Alpha": counts}), sent)
+        status = cmd_run(config_for(tmp_path), arxiv_client=corpus_arxiv_client(papers),
+                         github_client=github_client(github), out=io.StringIO())
+        assert status == 0
+        assert [url for url, _ in sent] == ["http://gh.test/repos/Demo/Alpha",
+                                            "http://gh.test/repos/Demo/Alpha/contributors"]
+        with open(tmp_path / "kb.jsonl", encoding="utf-8") as fh:
+            stored = [json.loads(line) for line in fh]
+        assert [(r["owner"], r["name"], r["source_papers"]) for r in stored] == [
+            ("Demo", "Alpha", ["2101.00001", "2101.00002", "2101.00003"])]
+
+    def test_a_paper_revised_between_runs_is_stored_as_one_paper(self, tmp_path):
+        counts = {"stars": 5, "forks": 1, "open_issues": 0, "contributors": 2}
+        for version in (1, 2):  # a run, then a monitor over its store
+            papers = [(f"2101.00001v{version}", "t", "Code: https://github.com/demo/alpha."),
+                      (f"hep-th/9901001v{version}", "t", "Code: https://github.com/demo/alpha.")]
+            clients = (corpus_arxiv_client(papers),
+                       github_client(fixtures_handler({"demo/alpha": counts})), io.StringIO())
+            cfg = config_for(tmp_path)
+            status = cmd_run(cfg, *clients) if version == 1 else cmd_monitor(cfg, None, *clients)
+            assert status == 0
+            with open(tmp_path / "kb.jsonl", encoding="utf-8") as fh:
+                assert [json.loads(line)["source_papers"] for line in fh] == [
+                    ["2101.00001", "hep-th/9901001"]]
 
     def test_a_repository_linked_only_in_the_comment_is_requested_and_stored(self, tmp_path):
         papers = [("2101.00001", "title", "no link here", "Code: https://github.com/demo/alpha")]
@@ -801,7 +833,7 @@ class TestEnrichmentWorker:
             "The project 'new' has a maturity level of Low. It has 5 stars, 1 forks, "
             "0 open issues, and 0 contributors."]
         [entry] = load_records(tmp_path / "kb.jsonl")
-        assert (entry.ref.canonical_url, sorted(entry.ref.source_papers),
+        assert (entry.ref.canonical_url, sorted(entry.papers),
                 entry.latest.contributors) == (
             "https://github.com/demo/new", ["2101.00001", "2101.00002"], None)
         with open(tmp_path / "kb.csv", encoding="utf-8", newline="") as fh:
@@ -1031,7 +1063,7 @@ class TestMonitorCommand:
         """A feed that answers 5xx past the retry budget is fatal: monitor
         exits 1 before any section, and writes no output at all."""
         kb = KnowledgeBase()
-        kb.upsert(make_ref("demo", "alpha", {"2101.00001"}), make_metrics(stars=40))
+        kb.upsert(make_ref("demo", "alpha"), make_metrics(stars=40), {"2101.00001"})
         store = tmp_path / "kb.jsonl"
         save_records(kb, store)
         before = store.read_bytes()
@@ -1179,7 +1211,7 @@ class TestMonitorCommand:
         """An entry stored as High with 5 stars, by another rule or by hand,
         is written as Low and listed as unchanged."""
         kb = KnowledgeBase()
-        kb.upsert(make_ref("demo", "kept", {"2101.00009"}), make_metrics(name="kept", stars=5))
+        kb.upsert(make_ref("demo", "kept"), make_metrics(name="kept", stars=5), {"2101.00009"})
         save_records(kb, tmp_path / "kb.jsonl")
         stored = (tmp_path / "kb.jsonl").read_text()
         (tmp_path / "kb.jsonl").write_text(stored.replace('"tier": "Low"', '"tier": "High"'))

@@ -89,7 +89,7 @@ class TestFetchRepo:
                                repo=repo_body("ncbi-nlp/BioSentVec", 546, 93, 13,
                                               "sentence embeddings"))
         client, session, _ = make_client(handler)
-        ref = make_ref("ncbi-nlp", "BioSentVec", {"2810.04805"})
+        ref = make_ref("ncbi-nlp", "BioSentVec")
         resolved, metrics = client.fetch_repo(ref)
         assert resolved is ref  # same identity, no rename
         assert (metrics.stars, metrics.forks, metrics.open_issues) == (546, 93, 13)
@@ -126,10 +126,9 @@ class TestFetchRepo:
             return FakeResponse(json_body=repo_body("new/shiny", stars=7))
 
         client, _, _ = make_client(handler)
-        resolved, metrics = client.fetch_repo(make_ref("old", "name", {"p1"}))
-        assert (resolved.owner, resolved.name) == ("new", "shiny")
+        resolved, metrics = client.fetch_repo(make_ref("old", "name"))
+        assert resolved == make_ref("new", "shiny")  # the ref full_name gives
         assert resolved.canonical_url == "https://github.com/new/shiny"
-        assert resolved.source_papers == {"p1"}
         assert metrics.stars == 7
 
     @pytest.mark.parametrize("full_name", ["../user", "demo/a/b", "demo/..", 7, None])
@@ -159,7 +158,7 @@ class TestFetchRepo:
         repository, so a ``name`` that disagrees with it changes nothing."""
         body = {**repo_body("Demo/X", stars=3), "name": 7}
         client, _, _ = make_client(lambda url, params: FakeResponse(json_body=body))
-        ref = make_ref("demo", "x", {"p1"})
+        ref = make_ref("demo", "x")
         resolved, metrics = client.fetch_repo(ref)
         assert resolved is ref
         assert (metrics.name, metrics.stars) == ("X", 3)
@@ -692,8 +691,8 @@ class TestEnrich:
             return FakeResponse(json_body=repo_body("Demo/New", stars=9))
 
         client, session, _ = make_client(handler)
-        earlier = (make_ref("demo", "new", {"p1"}), make_metrics(name="new", stars=5))
-        snapshot, failures = client.enrich(make_ref("demo", "old", {"p2"}),
+        earlier = (make_ref("demo", "new"), make_metrics(name="new", stars=5))
+        snapshot, failures = client.enrich(make_ref("demo", "old"),
                                            known={("demo", "new"): earlier})
         assert snapshot is earlier and failures == ()
         assert [url for _, url, _ in session.calls] == [

@@ -43,10 +43,11 @@ def snapshot_dict(fetched_at: str) -> dict:
 class TestUpsert:
     def test_insert_new_entry(self):
         kb = KnowledgeBase()
-        ref = make_ref("a", "b", {"p1"})
+        ref = make_ref("a", "b")
         metrics = make_metrics(name="b", stars=5, fetched_at=T0)
-        entry = kb.upsert(ref, metrics)
+        entry = kb.upsert(ref, metrics, {"p1"})
         assert len(kb) == 1
+        assert entry.papers == {"p1"}
         assert entry.first_seen == T0
         assert entry.history == []
         assert entry_to_dict(entry)["tier"] == "Low"
@@ -104,12 +105,33 @@ class TestUpsert:
 
     def test_source_papers_union_on_every_call(self):
         kb = KnowledgeBase()
-        metrics = make_metrics(name="b", fetched_at=T0)
-        kb.upsert(make_ref("a", "b", {"p1"}), metrics)
-        entry = kb.upsert(make_ref("A", "B", {"p2"}), metrics)
-        assert entry.ref.source_papers == {"p1", "p2"}
+        metrics = make_metrics(name="b", fetched_at=at(5))
+        kb.upsert(make_ref("a", "b"), metrics, {"p1"})
+        entry = kb.upsert(make_ref("A", "B"), metrics, {"p2"})
+        assert entry.papers == {"p1", "p2"}
         assert entry.ref.owner == "a"  # first casing kept
         assert len(kb) == 1
+        # an older snapshot is ignored, but its papers are kept
+        kb.upsert(make_ref("a", "b"), make_metrics(name="b", fetched_at=T0), {"p3"})
+        assert (entry.latest, entry.papers) == (metrics, {"p1", "p2", "p3"})
+
+    def test_upsert_without_papers_leaves_them_as_they_were(self):
+        kb = KnowledgeBase()
+        kb.upsert(make_ref("a", "b"), make_metrics(name="b", fetched_at=T0), {"p1", "p2"})
+        entry = kb.upsert(make_ref("a", "b"), make_metrics(name="b", stars=3, fetched_at=at(1)))
+        assert entry.papers == {"p1", "p2"}
+        assert entry.latest.stars == 3
+
+    @given(st.lists(st.sampled_from(REPO_URLS), max_size=60))
+    def test_every_paper_that_names_a_repository_is_kept(self, urls):
+        kb = KnowledgeBase()
+        for i, url in enumerate(urls):
+            ref = canonicalize(url)
+            kb.upsert(ref, make_metrics(name=ref.name, fetched_at=T0), {f"p{i}"})
+        assert len(kb) == len({canonicalize(url).identity() for url in urls})
+        for i, url in enumerate(urls):
+            assert f"p{i}" in kb.get(canonicalize(url)).papers
+        assert sum(len(entry.papers) for entry in kb) == len(urls)
 
     def test_only_latest_keeps_its_etag(self):
         kb = KnowledgeBase()
@@ -134,8 +156,8 @@ class TestUpsert:
 
     def test_all_reference_urls_insert_once(self):
         kb = KnowledgeBase()
-        for i, url in enumerate(REPO_URLS):
-            ref = canonicalize(url, f"p{i}")
+        for url in REPO_URLS:
+            ref = canonicalize(url)
             kb.upsert(ref, make_metrics(name=ref.name, fetched_at=T0))
         assert len(kb) == len(REPO_URLS)
 
@@ -255,12 +277,12 @@ class TestRendering:
 class TestPersistence:
     def _populated(self) -> KnowledgeBase:
         kb = KnowledgeBase()
-        history_ref = make_ref("a", "b", {"p1", "p2"})
+        history_ref = make_ref("a", "b")
         kb.upsert(history_ref,
-                  make_metrics(name="b", stars=5, fetched_at=T0))
+                  make_metrics(name="b", stars=5, fetched_at=T0), {"p1"})
         kb.upsert(history_ref,
                   make_metrics(name="b", stars=150, contributors=None,
-                               description="desc, with comma", fetched_at=at(5)))
+                               description="desc, with comma", fetched_at=at(5)), {"p2"})
         kb.upsert(make_ref("c", "d"),
                   make_metrics(name="d", fetched_at=at(1)))
         return kb
@@ -287,6 +309,25 @@ class TestPersistence:
         save_records(kb, path)
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         assert load_records(path).sorted_entries() == kb.sorted_entries()
+
+    def test_papers_survive_save_and_load(self, tmp_path):
+        path = tmp_path / "kb.jsonl"
+        save_records(self._populated(), path)
+        assert [json.loads(line)["source_papers"] for line in path.read_text().splitlines()] == [
+            ["p1", "p2"], []]
+        assert [entry.papers for entry in load_records(path)] == [{"p1", "p2"}, frozenset()]
+        export_table(self._populated(), tmp_path / "kb.csv")
+        assert [line.rsplit(",", 1)[1] for line in
+                (tmp_path / "kb.csv").read_text().splitlines()[1:]] == ["p1 p2", ""]
+
+    def test_stored_paper_ids_load_without_their_version(self):
+        """A store written while ids kept their ``vN`` loads one id per paper;
+        an id of neither arXiv shape loads as stored."""
+        record = entry_to_dict(next(iter(self._populated())))
+        record["source_papers"] = ["2102.00002v1", "2102.00002v3", "hep-th/9901001v2",
+                                   "math.GT/0309136v1", "2102.00002", "p1", "draft-v2"]
+        assert entry_from_dict(record).papers == {
+            "2102.00002", "hep-th/9901001", "math.GT/0309136", "p1", "draft-v2"}
 
     def test_a_line_nested_too_deeply_is_a_store_error(self, tmp_path):
         """json raises RecursionError, not ValueError, on such a line."""
@@ -395,7 +436,7 @@ class TestPersistence:
             "history-order", "repeated-identity", "dot-owner"])
     def test_line_of_the_wrong_shape_is_a_store_error(self, tmp_path, change):
         kb = KnowledgeBase()
-        kb.upsert(make_ref("a", "b", {"p1"}), make_metrics(name="b", fetched_at=T0))
+        kb.upsert(make_ref("a", "b"), make_metrics(name="b", fetched_at=T0), {"p1"})
         good = entry_to_dict(next(iter(kb)))
         if isinstance(change, str):
             bad = change
@@ -413,7 +454,7 @@ class TestPersistence:
         """A line graded by another rule, or by hand, loads, and every
         writer grades its 5 stars Low."""
         kb = KnowledgeBase()
-        kb.upsert(make_ref("a", "b", {"p1"}), make_metrics(name="b", stars=5, fetched_at=T0))
+        kb.upsert(make_ref("a", "b"), make_metrics(name="b", stars=5, fetched_at=T0), {"p1"})
         path = tmp_path / "kb.jsonl"
         save_records(kb, path)
         graded_high = path.read_text().replace('"tier": "Low"', '"tier": "High"')
@@ -473,12 +514,12 @@ class TestAliases:
 
     def _renamed(self) -> KnowledgeBase:
         kb = KnowledgeBase()
-        new = make_ref("demo", "new", {"p1"})
+        new = make_ref("demo", "new")
         snapshot = make_metrics(name="new", fetched_at=T0, etag='"e"')
-        kb.upsert(new, snapshot)
+        kb.upsert(new, snapshot, {"p1"})
         kb.upsert(make_ref("c", "d"), make_metrics(name="d", fetched_at=at(1)))
-        for name in (make_ref("demo", "older"), make_ref("Demo", "Old", {"p2"})):
-            kb.record(name, new, snapshot)
+        kb.record(make_ref("demo", "older"), new, snapshot)
+        kb.record(make_ref("Demo", "Old"), new, snapshot, {"p2"})
         return kb
 
     def test_load_then_save_is_byte_exact(self, tmp_path):
@@ -493,8 +534,8 @@ class TestAliases:
 
     def test_a_store_without_aliases_saves_as_before(self, tmp_path):
         kb = KnowledgeBase()
-        kb.upsert(make_ref("a", "b", {"p1"}),
-                  make_metrics(name="b", stars=5, fetched_at=T0, etag='"e"'))
+        kb.upsert(make_ref("a", "b"),
+                  make_metrics(name="b", stars=5, fetched_at=T0, etag='"e"'), {"p1"})
         path = tmp_path / "kb.jsonl"
         save_records(kb, path)
         assert path.read_text() == (
@@ -607,14 +648,14 @@ class TestNameIndex:
     def test_rename_moves_the_entry_and_keeps_its_old_name(self, tmp_path):
         kb = KnowledgeBase()
         snapshot = make_metrics(name="new", fetched_at=T0)
-        kb.upsert(make_ref("demo", "new", {"p1"}), snapshot)
+        kb.upsert(make_ref("demo", "new"), snapshot, {"p1"})
         kb.record(make_ref("demo", "old"), make_ref("demo", "new"), snapshot)
-        entry = kb.record(make_ref("Demo", "OLD", {"p2"}), make_ref("Demo", "Newer"),
-                          make_metrics(name="Newer", stars=3, fetched_at=at(1)))
+        entry = kb.record(make_ref("Demo", "OLD"), make_ref("Demo", "Newer"),
+                          make_metrics(name="Newer", stars=3, fetched_at=at(1)), {"p2"})
         assert len(kb) == 1
-        assert (entry.ref, entry.first_seen, entry.aliases) == (
-            make_ref("Demo", "Newer", {"p1", "p2"}), T0,
-            {make_ref("demo", "new"), make_ref("demo", "old")})
+        assert (entry.ref, entry.first_seen, entry.aliases, entry.papers) == (
+            make_ref("Demo", "Newer"), T0,
+            {make_ref("demo", "new"), make_ref("demo", "old")}, {"p1", "p2"})
         assert [m.fetched_at for m in entry.history] == [T0]
         assert kb.get(make_ref("demo", "new")) is kb.get(make_ref("demo", "newer")) is entry
         path = tmp_path / "kb.jsonl"

@@ -78,7 +78,7 @@ class TestExtractUrls:
         """RFC 3986 makes scheme and host case-insensitive; owner and name
         keep the casing the text gives them."""
         assert extract_urls(f"Code: {url}.") == [f"{url}."]
-        ref = canonicalize(clean_url(url), "p")
+        ref = canonicalize(clean_url(url))
         assert f"{ref.owner}/{ref.name}" == slug
 
 
@@ -107,22 +107,21 @@ class TestCleanUrl:
 
 class TestCanonicalize:
     def test_basic(self):
-        ref = canonicalize("https://github.com/ncbi-nlp/BioSentVec", "2810.04805")
-        assert (ref.owner, ref.name) == ("ncbi-nlp", "BioSentVec")
+        ref = canonicalize("https://github.com/ncbi-nlp/BioSentVec")
+        assert ref == RepoRef("ncbi-nlp", "BioSentVec")
         assert ref.canonical_url == "https://github.com/ncbi-nlp/BioSentVec"
-        assert ref.source_papers == frozenset({"2810.04805"})
 
     def test_strips_www_git_suffix_and_deep_path(self):
-        ref = canonicalize("http://www.github.com/a/b.git/tree/main/src", "p")
+        ref = canonicalize("http://www.github.com/a/b.git/tree/main/src")
         assert (ref.owner, ref.name) == ("a", "b")
         assert ref.canonical_url == "https://github.com/a/b"
 
     def test_git_suffix_alone(self):
-        ref = canonicalize("https://github.com/frankkramer-lab/covid19.MISenn.git", "p")
+        ref = canonicalize("https://github.com/frankkramer-lab/covid19.MISenn.git")
         assert ref.name == "covid19.MISenn"
 
     def test_query_and_fragment_dropped(self):
-        ref = canonicalize("https://github.com/a/b?tab=readme#install", "p")
+        ref = canonicalize("https://github.com/a/b?tab=readme#install")
         assert ref.canonical_url == "https://github.com/a/b"
 
     @pytest.mark.parametrize("url", [
@@ -132,7 +131,7 @@ class TestCanonicalize:
     ])
     def test_owner_only_is_not_a_repository(self, url):
         with pytest.raises(LinkError, match="^no owner/name path in "):
-            canonicalize(url, "p")
+            canonicalize(url)
 
     @pytest.mark.parametrize("url", [
         "https://github.com/bad owner/name",
@@ -145,48 +144,39 @@ class TestCanonicalize:
     ])
     def test_bad_slug_is_malformed(self, url):
         with pytest.raises(LinkError, match="^not an owner/name: "):
-            canonicalize(url, "p")
+            canonicalize(url)
 
     def test_all_reference_urls_round_trip(self):
         for url in REPO_URLS:
-            ref = canonicalize(url, "p")
+            ref = canonicalize(url)
             assert ref.canonical_url == url
 
 
 class TestDedupe:
-    def _ref(self, owner, name, sources=()):
-        return RepoRef(owner, name, frozenset(sources))
-
     def test_case_insensitive_first_casing_wins(self):
-        a = self._ref("NCBI-NLP", "BioSentVec", {"p1"})
-        b = self._ref("ncbi-nlp", "biosentvec", {"p2"})
-        merged = dedupe([a, b])
-        assert len(merged) == 1
-        assert merged[0].owner == "NCBI-NLP"
-        assert merged[0].source_papers == {"p1", "p2"}
+        a = RepoRef("NCBI-NLP", "BioSentVec")
+        merged = dedupe([a, RepoRef("ncbi-nlp", "biosentvec")])
+        assert merged == [a]
+        assert merged[0] is a
 
     def test_preserves_first_seen_order(self):
-        refs = [self._ref("z", "one"), self._ref("a", "two"), self._ref("Z", "ONE")]
+        refs = [RepoRef("z", "one"), RepoRef("a", "two"), RepoRef("Z", "ONE")]
         merged = dedupe(refs)
         assert [(r.owner, r.name) for r in merged] == [("z", "one"), ("a", "two")]
 
     def test_distinct_repos_kept(self):
-        refs = [self._ref("tanlab", "ConvolutionMedicalNer"),
-                self._ref("tanlab", "MIMIC-III-Clinical-Drug-Representations")]
+        refs = [RepoRef("tanlab", "ConvolutionMedicalNer"),
+                RepoRef("tanlab", "MIMIC-III-Clinical-Drug-Representations")]
         assert len(dedupe(refs)) == 2
 
     def test_empty(self):
         assert dedupe([]) == []
 
     @given(st.lists(st.sampled_from(REPO_URLS), max_size=60))
-    def test_size_never_exceeds_distinct_identities(self, urls):
-        refs = [canonicalize(u, f"p{i}") for i, u in enumerate(urls)]
-        merged = dedupe(refs)
-        assert len(merged) == len({r.identity() for r in refs})
-        # every source paper survives the merge
-        assert set().union(*(r.source_papers for r in merged), set()) == {
-            f"p{i}" for i in range(len(urls))
-        }
+    def test_keeps_the_first_ref_of_each_identity(self, urls):
+        refs = [canonicalize(u) for u in urls]
+        assert dedupe(refs) == [ref for i, ref in enumerate(refs)
+                                if ref.identity() not in {r.identity() for r in refs[:i]}]
 
 
 def test_decoy_urls_never_survive_the_full_chain():
@@ -194,7 +184,7 @@ def test_decoy_urls_never_survive_the_full_chain():
     for decoy in DECOYS:
         for url in extract_urls(f"text {decoy}. more"):
             try:
-                survivors.append(canonicalize(clean_url(url), "p"))
+                survivors.append(canonicalize(clean_url(url)))
             except LinkError:
                 pass
     assert survivors == []
@@ -273,7 +263,7 @@ class TestOneOwnerNameRule:
     def test_canonicalize_refuses_exactly_what_repo_from_name_refuses(self, owner, name):
         expected = _owner_name(owner, name)
         try:
-            ref = canonicalize(f"https://github.com/{owner}/{name}", "p")
+            ref = canonicalize(f"https://github.com/{owner}/{name}")
         except LinkError:
             assert expected is None
         else:

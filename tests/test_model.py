@@ -5,10 +5,11 @@ names a repository under any name it has had, a repository's counts
 change, it is renamed or deleted, its contributors requests fail, the
 server asks the client to wait, the quota runs out, a feed page fails, and
 ``run`` then ``monitor`` are called over the in-process fakes of
-``conftest``, with no sockets. After each command the outputs, the log and
-the requests sent are checked against invariants that hold for any
-sequence, and the store, and what ``monitor`` prints, against a plain-dict
-model of the expected store.
+``conftest``, with no sockets. Each command's feed serves every paper as a
+new version (``vN``). After each command the outputs, the log and the
+requests sent are checked against invariants that hold for any sequence,
+and the store, the unversioned paper ids it holds, and what ``monitor``
+prints, against a plain-dict model of the expected store.
 
 Tier-1 runs 100 derandomized examples. The ``model-random`` profile that
 ``conftest`` registers runs 1000 random ones of up to 20 steps:
@@ -19,10 +20,12 @@ from __future__ import annotations
 
 import io
 import itertools
+import json
 import logging
 import re
 import tempfile
 from datetime import datetime, timedelta, timezone
+from collections import defaultdict
 from pathlib import Path
 from typing import Optional
 
@@ -86,12 +89,15 @@ class HarvestMachine(RuleBasedStateMachine):
         # the page the next monitor's feed answers 503 to past its retries,
         # or its last page if it has fewer
         self.feed_fails: Optional[int] = None
-        self.papers: list[tuple[str, str, str]] = []
+        self.papers: list[tuple[str, str, str]] = []  # id without version, title, abstract
+        self.mentions: list[tuple[str, str]] = []  # each paper's id and the name it gives
         self.named: set[str] = set()  # "owner/name" lowercased, as papers named them
         self.commands = 0
         # the model of the expected store: each repository stored, by its
         # REPOS key, as (the name it is stored under, its four counts)
         self.store: dict[str, tuple[str, tuple]] = {}
+        # and the ids of the papers stored with it
+        self.cited: defaultdict[str, set[str]] = defaultdict(set)
         # the repositories whose /repos, and whose contributors, requests
         # were answered during the command in progress
         self.answered: set[str] = set()
@@ -106,6 +112,7 @@ class HarvestMachine(RuleBasedStateMachine):
         number = len(self.papers)
         self.papers.append((f"2101.{number:05d}", f"paper {number}",
                             f"Code: https://github.com/{name}."))
+        self.mentions.append((f"2101.{number:05d}", name))
         self.named.add(name.lower())
 
     @initialize()
@@ -177,7 +184,8 @@ class HarvestMachine(RuleBasedStateMachine):
         self._command("monitor")
 
     def _feed(self) -> ArxivClient:
-        entries = [atom_entry(*paper) for paper in self.papers]
+        entries = [atom_entry(f"{paper_id}v{self.commands + 1}", *text)
+                   for paper_id, *text in self.papers]
         failing = None if self.feed_fails is None else PAGE_SIZE * min(
             self.feed_fails, (len(entries) - 1) // PAGE_SIZE)
 
@@ -270,7 +278,7 @@ class HarvestMachine(RuleBasedStateMachine):
         assert "None" not in out.getvalue()
         self._check_wait(log.records, session, *waited)
         self._check_outputs(log.records, session, before, began, spent or refused)
-        self._check_model(command, out.getvalue())
+        self._check_model(command, out.getvalue(), session, before)
 
     # -- the invariants ----------------------------------------------------
 
@@ -373,12 +381,26 @@ class HarvestMachine(RuleBasedStateMachine):
             assert identity == self._current(identity) or not refreshed(entry) and (
                 spent or self.names[identity] in self.deleted)
 
-    def _check_model(self, command, output):
+    def _check_model(self, command, output, session, kb_before):
         """The store holds what the model expects, and monitor lists each
         repository under the section the model gives it. A repository
         answered is stored under GitHub's current name with the counts it
         serves, its contributors count kept unless counted again; any other
-        keeps what it had."""
+        keeps what it had. Its papers only grow: a name gets a snapshot when
+        the /repos request for the name it is requested under (the stored
+        entry's, if one holds it) ends in 200 or 304, or when that name is
+        one such a request resolved to. Each paper that gives such a name is
+        stored with the repository, by its id without version."""
+        resolved = set()
+        for i, ((_, url, _), status) in enumerate(zip(session.calls, session.statuses)):
+            if status in (200, 304) and not url.endswith("/contributors"):
+                resolved.add(url.split("/repos/", 1)[1].lower())
+                if i and session.statuses[i - 1] == 301:  # the old name's hop
+                    resolved.add(session.calls[i - 1][1].split("/repos/", 1)[1].lower())
+        for paper_id, name in self.mentions:
+            held = kb_before.get(repo_from_name(name)) if kb_before is not None else None
+            if "/".join((held.ref if held else repo_from_name(name)).identity()) in resolved:
+                self.cited[self.names[name.lower()]].add(paper_id)
         before = dict(self.store)
         for slug in self.answered:
             repo = self.world[slug]
@@ -389,6 +411,10 @@ class HarvestMachine(RuleBasedStateMachine):
         kb = load_records(self.out_dir / "kb.jsonl")
         assert {entry.ref.canonical_url: entry.latest.counts() for entry in kb} == {
             f"https://github.com/{name}": counts for name, counts in self.store.values()}
+        written = map(json.loads, (self.out_dir / "kb.jsonl").read_text().splitlines())
+        assert {line["canonical_url"]: line["source_papers"] for line in written} == {
+            f"https://github.com/{name}": sorted(self.cited[slug])
+            for slug, (name, _) in self.store.items()}
         if command != "monitor":
             return
         expected: dict[str, list[str]] = {"Added": [], "Updated": [], "Unchanged": []}
