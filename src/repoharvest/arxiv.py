@@ -197,11 +197,10 @@ class ArxivClient:
         """
         query = build_query(spec)
         seen: set[str] = set()
-        yielded = 0
         start = 0
         retries = 0
-        while yielded < spec.max_results:
-            size = min(spec.page_size, spec.max_results - yielded)
+        while len(seen) < spec.max_results:
+            size = min(spec.page_size, spec.max_results - len(seen))
             records = self.fetch_page(query, start, size)
             known = len(seen)
             for record in records:
@@ -209,8 +208,7 @@ class ArxivClient:
                     continue
                 seen.add(record.arxiv_id)
                 yield record
-                yielded += 1
-                if yielded >= spec.max_results:
+                if len(seen) >= spec.max_results:
                     return
             if len(records) < size:
                 if retries < MAX_RETRIES and start + len(records) < (self.last_total_results or 0):

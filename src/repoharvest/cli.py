@@ -322,23 +322,23 @@ def cmd_monitor(
     github_client: Optional[GitHubClient] = None,
     out: Optional[TextIO] = None,
 ) -> int:
-    """Run the pipeline over a copy of the previous store; then, in one pass
-    over ``diff``'s pairs in store order, list each entry as Added (no
-    previous snapshot), Updated (counts differ) or Unchanged, and write the
-    output set."""
+    """Run the pipeline over the previous store, which it updates in place;
+    then, in one pass over ``diff``'s pairs in store order, list each entry
+    as Added (the run made it), Updated (counts differ from the entry's own
+    snapshot before the run) or Unchanged, and write the output set."""
     out = out if out is not None else sys.stdout
     path = Path(previous_path) if previous_path else cfg.out_dir / RECORDS_FILENAME
     try:
-        previous = load_records(path)
+        kb = load_records(path)
     except StoreError as exc:
         log.error("cannot load previous store: %s", exc)
         return 1
-    kb = previous.clone()
+    before = {id(entry): entry.latest for entry in kb}  # frozen snapshots, not copies
     status = execute_pipeline(cfg, kb, arxiv_client, github_client, out)
     if status:
         return status
     sections: dict[str, list[str]] = {"Added": [], "Updated": [], "Unchanged": []}
-    for entry, old_m in diff(previous, kb):
+    for entry, old_m in diff(before, kb):
         url = entry.ref.canonical_url
         if old_m is None:
             sections["Added"].append(f"  {url}\n")

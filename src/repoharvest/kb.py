@@ -7,7 +7,8 @@ named it. The maturity tier is not kept: every writer grades the latest
 snapshot with maturity.classify. Persists as one JSON object per line with
 an explicit schema version (2: the latest snapshot keeps its ETag; version 1
 records still load, without one); exports a CSV table and the human-readable
-report, and pairs each entry with the snapshot an earlier store held for it.
+report, and pairs each entry with the latest snapshot it held before a run
+updated the store in place.
 Each writer writes its file in place; the command line writes the output
 set under staged names and renames each file once, so a reader of the
 outputs never sees a partial file.
@@ -21,7 +22,7 @@ import re
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import AbstractSet, Iterable, Iterator, Optional
+from typing import AbstractSet, Iterable, Iterator, Mapping, Optional
 
 from .arxiv import strip_version
 from .github import RepoMetrics
@@ -124,7 +125,10 @@ class KnowledgeBase:
         return self._names.get(name.identity())
 
     def clone(self) -> "KnowledgeBase":
-        """Independent copy; immutable members are shared."""
+        """Independent copy; immutable members are shared. The program no
+        longer calls it: ``monitor`` updates the store it loads and pairs
+        entries through ``diff``. It stays only because the benchmark's
+        tracer wraps it by name, and goes when that hook moves."""
         return KnowledgeBase(
             replace(entry, history=list(entry.history)) for entry in self
         )
@@ -135,6 +139,15 @@ class KnowledgeBase:
             self._entries.values(),
             key=lambda e: (e.first_seen, e.ref.owner.lower(), e.ref.name.lower()),
         )
+
+    def _claim(self, entry: KbEntry) -> None:
+        """File ``entry`` under its ref, a name it takes from the entry that
+        held it as an alias, if one did."""
+        key = entry.ref.identity()
+        holder = self._names.get(key)
+        if holder is not None:
+            holder.aliases = frozenset(a for a in holder.aliases if a.identity() != key)
+        self._entries[key] = self._names[key] = entry
 
     def upsert(self, ref: RepoRef, metrics: RepoMetrics,
                papers: AbstractSet[str] = frozenset()) -> KbEntry:
@@ -147,14 +160,10 @@ class KnowledgeBase:
         ``papers`` join the entry's on every call, even with an older
         snapshot. No tier is stored: a writer grades whatever latest is then.
         """
-        key = ref.identity()
-        entry = self._entries.get(key)
+        entry = self._entries.get(ref.identity())
         if entry is None:
-            holder = self._names.get(key)
-            if holder is not None:  # a repository of its own now holds the name
-                holder.aliases = frozenset(a for a in holder.aliases if a.identity() != key)
             entry = KbEntry(ref=ref, latest=metrics, first_seen=metrics.fetched_at)
-            self._entries[key] = self._names[key] = entry
+            self._claim(entry)
         entry.papers |= papers
         if metrics.fetched_at < entry.latest.fetched_at:
             return entry
@@ -168,20 +177,18 @@ class KnowledgeBase:
         """Store GitHub's answer ``ref`` to the name ``name`` that ``papers`` gave.
 
         First the entry holding ``name`` moves to ``ref``, unless ``ref`` is
-        its identity already or another entry holds ``ref``: its old ref
+        an entry's identity already, its own or another's: its old ref
         becomes an alias, and its papers, first_seen and history stay. Then
         the snapshot and ``papers`` are upserted, with no tier, under
         ``ref``. Last, ``name`` is kept as an alias of that entry, unless
         some entry already holds it.
         """
-        key = ref.identity()
         entry = self._names.get(name.identity())
-        if (entry is not None and entry.ref.identity() != key
-                and self._names.get(key, entry) is entry):
+        if entry is not None and ref.identity() not in self._entries:
             del self._entries[entry.ref.identity()]
-            entry.aliases = frozenset(a for a in entry.aliases if a.identity() != key) | {entry.ref}
+            entry.aliases |= {entry.ref}
             entry.ref = ref
-            self._entries[key] = self._names[key] = entry
+            self._claim(entry)
         entry = self.upsert(ref, metrics, papers)
         if name.identity() not in self._names:
             entry.aliases = entry.aliases | {name}
@@ -189,19 +196,13 @@ class KnowledgeBase:
         return entry
 
 
-def diff(old: KnowledgeBase, new: KnowledgeBase) -> list[tuple[KbEntry, Optional[RepoMetrics]]]:
-    """Each ``new`` entry, in store order, with the latest snapshot ``old``
-    held for it: under the entry's identity, or else under one of its
-    aliases, so a repository renamed and moved since ``old`` is paired with
-    its old entry; None when ``old`` held neither. A name belongs to one
-    entry, so no two entries are paired with the same old entry."""
-    pairs = []
-    for entry in new:
-        names = (entry.ref, *sorted(entry.aliases, key=RepoRef.identity))
-        previous = next((old._entries[n.identity()] for n in names  # the first match only
-                         if n.identity() in old._entries), None)
-        pairs.append((entry, previous.latest if previous is not None else None))
-    return pairs
+def diff(before: Mapping[int, RepoMetrics],
+         kb: KnowledgeBase) -> list[tuple[KbEntry, Optional[RepoMetrics]]]:
+    """Each entry of ``kb``, in store order, with ``before[id(entry)]``: the
+    latest snapshot it held before a run updated ``kb`` in place, whatever
+    names it has had since; None for an entry the run added. A store never
+    drops an entry, so no id in ``before`` names another entry."""
+    return [(entry, before.get(id(entry))) for entry in kb]
 
 
 def render_report_line(metrics: RepoMetrics, tier: MaturityTier) -> str:

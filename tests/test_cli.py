@@ -1411,6 +1411,47 @@ class TestMonitorRenamedRepository:
         assert sections == ("Added (0):\nUpdated (0):\n"
                             "Unchanged (1):\n  https://github.com/demo/newer\n")
 
+    def test_a_name_another_repository_takes_is_a_new_entry(self, tmp_path):
+        """In one monitor, GitHub answers the stored demo/x as demo/y, and
+        then answers demo/z, which another paper names, as a new demo/x:
+        demo/y is paired with its own earlier snapshot, and demo/x is new."""
+        x = ("2101.00003", "x", "Code: https://github.com/demo/x.")
+        z = ("2101.00004", "z", "Code: https://github.com/demo/z.")
+        client, _ = conditional_github_client({"demo/x": self.COUNTS})
+        assert cmd_run(config_for(tmp_path), arxiv_client=corpus_arxiv_client([x]),
+                       github_client=client, out=io.StringIO()) == 0
+        fixtures = {"demo/y": self.COUNTS}
+        plain = fixtures_handler(fixtures)
+
+        def handler(url, params):
+            if url.endswith("/repos/demo/z"):  # takes the name demo/x gave up
+                fixtures["demo/x"] = {**self.COUNTS, "stars": 50}
+                return FakeResponse(status_code=301,
+                                    headers={"Location": "http://gh.test/repos/demo/x"})
+            if url.endswith("/repos/demo/x") and "demo/x" not in fixtures:
+                return FakeResponse(status_code=301,
+                                    headers={"Location": "http://gh.test/repos/demo/y"})
+            return plain(url, params)
+
+        session = FakeSession(handler)
+        out = io.StringIO()
+        assert cmd_monitor(config_for(tmp_path, command="monitor"), None,
+                           arxiv_client=corpus_arxiv_client([x, z]),
+                           github_client=github_client(None, session=session), out=out) == 0
+        assert [url for _, url, _ in session.calls] == [
+            "http://gh.test/repos/demo/x", "http://gh.test/repos/demo/y",
+            "http://gh.test/repos/demo/y/contributors", "http://gh.test/repos/demo/z",
+            "http://gh.test/repos/demo/x", "http://gh.test/repos/demo/x/contributors"]
+        text = out.getvalue()
+        assert text[text.index("Added ("):] == (
+            "Added (1):\n  https://github.com/demo/x\nUpdated (0):\n"
+            "Unchanged (1):\n  https://github.com/demo/y\n")
+        records = [json.loads(line) for line in (tmp_path / "kb.jsonl").read_text().splitlines()]
+        assert sorted((r["canonical_url"], r["latest"]["stars"], r.get("aliases"),
+                       r["source_papers"]) for r in records) == [
+            ("https://github.com/demo/x", 50, ["demo/z"], ["2101.00004"]),
+            ("https://github.com/demo/y", 5, None, ["2101.00003"])]
+
 
 class TestArgumentResolution:
     def test_defaults(self, tmp_path):

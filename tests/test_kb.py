@@ -163,14 +163,22 @@ class TestUpsert:
 
 
 class TestDiff:
-    def _store(self, spec: dict[str, tuple[int, int]]) -> KnowledgeBase:
-        kb = KnowledgeBase()
+    """``diff(before, kb)`` over one store that a run updates in place, as
+    ``monitor`` does: ``before`` maps each entry's id to its latest snapshot
+    as the run found it."""
+
+    def _store(self, spec: dict[str, tuple[int, int]], kb=None) -> KnowledgeBase:
+        kb = KnowledgeBase() if kb is None else kb
         for slug, (stars, minute) in spec.items():
             owner, name = slug.split("/")
             ref = make_ref(owner, name)
             kb.upsert(ref, make_metrics(name=name, stars=stars,
                                         fetched_at=at(minute)))
         return kb
+
+    @staticmethod
+    def _before(kb: KnowledgeBase) -> dict:
+        return {id(entry): entry.latest for entry in kb}
 
     @staticmethod
     def _shown(pairs) -> list[tuple[str, int | None, int]]:
@@ -180,35 +188,49 @@ class TestDiff:
                 for entry, old in pairs]
 
     def test_added_updated_unchanged(self):
-        """An old entry no new entry names (a/one) is not listed: under
-        ``monitor`` the new store starts as a copy of the old one."""
-        old = self._store({"a/one": (1, 0), "b/two": (5, 0), "c/three": (9, 0)})
-        new = self._store({"b/two": (7, 10), "c/three": (9, 10), "d/four": (2, 10)})
-        assert self._shown(diff(old, new)) == [
-            ("b/two", 5, 7), ("c/three", 9, 9), ("d/four", None, 2)]
+        """An entry the run does not refresh (a/one) is listed with its own
+        snapshot, which is its latest."""
+        kb = self._store({"a/one": (1, 0), "b/two": (5, 0), "c/three": (9, 0)})
+        before = self._before(kb)
+        self._store({"b/two": (7, 10), "c/three": (9, 10), "d/four": (2, 10)}, kb)
+        assert self._shown(diff(before, kb)) == [
+            ("a/one", 1, 1), ("b/two", 5, 7), ("c/three", 9, 9), ("d/four", None, 2)]
 
-    def test_identical_stores(self):
-        old = self._store({"a/one": (1, 0)})
-        new = old.clone()
-        assert [(entry, previous) for entry, previous in diff(old, new)] == [
-            (next(iter(new)), next(iter(old)).latest)]
+    def test_an_unchanged_store(self):
+        kb = self._store({"a/one": (1, 0)})
+        before = self._before(kb)
+        ((entry, previous),) = diff(before, kb)
+        assert previous is entry.latest
 
-    def test_empty_old_store(self):
-        new = self._store({"a/one": (1, 0)})
-        assert self._shown(diff(KnowledgeBase(), new)) == [("a/one", None, 1)]
+    def test_an_empty_store(self):
+        kb = KnowledgeBase()
+        before = self._before(kb)
+        self._store({"a/one": (1, 0)}, kb)
+        assert self._shown(diff(before, kb)) == [("a/one", None, 1)]
 
-    def test_a_moved_entry_is_paired_with_its_old_name(self):
-        old = KnowledgeBase([_entry("demo", "new", ["demo/old"]), _entry("c", "d", minutes=1)])
-        new = old.clone()
-        new.record(make_ref("demo", "new"), make_ref("demo", "newer"),
-                   make_metrics(name="newer", stars=4, fetched_at=at(2)))
-        assert self._shown(diff(old, new)) == [("c/d", 0, 0), ("demo/newer", 0, 4)]
+    def test_a_moved_entry_is_paired_with_its_own_snapshot(self):
+        kb = KnowledgeBase([_entry("demo", "new", ["demo/old"]), _entry("c", "d", minutes=1)])
+        before = self._before(kb)
+        kb.record(make_ref("demo", "new"), make_ref("demo", "newer"),
+                  make_metrics(name="newer", stars=4, fetched_at=at(2)))
+        assert self._shown(diff(before, kb)) == [("c/d", 0, 0), ("demo/newer", 0, 4)]
 
     def test_an_alias_that_becomes_its_own_repository_is_added(self):
-        old = KnowledgeBase([_entry("demo", "new", ["demo/old"])])
-        new = old.clone()
-        new.upsert(make_ref("demo", "old"), make_metrics(name="old", fetched_at=at(2)))
-        assert self._shown(diff(old, new)) == [("demo/new", 0, 0), ("demo/old", None, 0)]
+        kb = KnowledgeBase([_entry("demo", "new", ["demo/old"])])
+        before = self._before(kb)
+        kb.upsert(make_ref("demo", "old"), make_metrics(name="old", fetched_at=at(2)))
+        assert self._shown(diff(before, kb)) == [("demo/new", 0, 0), ("demo/old", None, 0)]
+
+    def test_a_name_given_up_and_taken_is_a_new_entry(self):
+        """demo/x moves to demo/y, and then demo/z answers as a new demo/x:
+        the moved entry keeps its own snapshot, and the new one is added."""
+        kb = self._store({"demo/x": (5, 0)})
+        before = self._before(kb)
+        kb.record(make_ref("demo", "x"), make_ref("demo", "y"),
+                  make_metrics(name="y", stars=5, fetched_at=at(1)))
+        kb.record(make_ref("demo", "z"), make_ref("demo", "x"),
+                  make_metrics(name="x", stars=50, fetched_at=at(2)))
+        assert self._shown(diff(before, kb)) == [("demo/y", 5, 5), ("demo/x", None, 50)]
 
     @given(
         old_slugs=st.sets(st.sampled_from([u.rsplit("/", 2)[-2] + "/" + u.rsplit("/", 1)[-1]
@@ -219,18 +241,21 @@ class TestDiff:
     )
     @settings(max_examples=50)
     def test_partition_property(self, old_slugs, new_slugs, bumped):
-        """Each new entry is listed once, in store order, with the old
-        snapshot of its name or None: no dupes, no gaps."""
-        old = self._store({s: (1, 0) for s in old_slugs})
-        new = self._store({
+        """Each entry is listed once, in store order, with the snapshot its
+        name held before the run, or None if it held none: no dupes, no
+        gaps."""
+        kb = self._store({s: (1, 0) for s in old_slugs})
+        held = {entry.ref.identity(): entry.latest for entry in kb}
+        before = self._before(kb)
+        self._store({
             s: (1 + (1 if i in bumped else 0), 10)
             for i, s in enumerate(sorted(new_slugs))
-        })
-        pairs = diff(old, new)
-        assert [entry for entry, _ in pairs] == list(new)
+        }, kb)
+        pairs = diff(before, kb)
+        assert [entry for entry, _ in pairs] == list(kb)
+        assert len(kb) == len(old_slugs | new_slugs)
         for entry, previous in pairs:
-            held = old.get(entry.ref)
-            assert previous is (None if held is None else held.latest)
+            assert previous is held.get(entry.ref.identity())
 
 
 class TestRendering:
@@ -661,6 +686,19 @@ class TestNameIndex:
         path = tmp_path / "kb.jsonl"
         save_records(kb, path)
         assert load_records(path).sorted_entries() == kb.sorted_entries()
+
+    def test_a_rename_onto_another_entrys_alias_moves_and_takes_it(self):
+        """demo/x moved to demo/y, keeping demo/x as an alias; then GitHub
+        answers the stored demo/z as demo/x: demo/z's entry moves there."""
+        kb = KnowledgeBase([_entry("demo", "y", ["demo/x"]), _entry("demo", "z", minutes=1)])
+        moved = kb.record(make_ref("demo", "z"), make_ref("demo", "x"),
+                          make_metrics(name="x", stars=50, fetched_at=at(2)))
+        giver = kb.get(make_ref("demo", "y"))
+        assert len(kb) == 2
+        assert (giver.ref, giver.aliases) == (make_ref("demo", "y"), frozenset())
+        assert (moved.ref, moved.aliases, moved.latest.stars, [m.stars for m in moved.history]) \
+            == (make_ref("demo", "x"), {make_ref("demo", "z")}, 50, [0])
+        assert kb.get(make_ref("demo", "x")) is kb.get(make_ref("demo", "z")) is moved
 
     def test_rename_moves_nothing_onto_a_held_name(self):
         kb = KnowledgeBase([_entry("demo", "new", ["demo/old"]), _entry("c", "d", minutes=1)])

@@ -2,10 +2,10 @@
 
 Hypothesis drives a small GitHub world through generated steps: a paper
 names a repository under any name it has had, a repository's counts
-change, it is renamed or deleted, its contributors requests fail, the
-server asks the client to wait, the quota runs out, a feed page fails, and
-``run`` then ``monitor`` are called over the in-process fakes of
-``conftest``, with no sockets. Each command's feed serves every paper as a
+change, it is renamed or deleted, another repository takes a name it gave
+up, its contributors requests fail, the server asks the client to wait,
+the quota runs out, a feed page fails, and ``run`` then ``monitor`` are
+called over the in-process fakes of ``conftest``, with no sockets. Each command's feed serves every paper as a
 new version (``vN``). After each command the outputs, the log and the
 requests sent are checked against invariants that hold for any sequence,
 and the store, the unversioned paper ids it holds, and what ``monitor``
@@ -77,6 +77,9 @@ class HarvestMachine(RuleBasedStateMachine):
                              "contributors": 2, "version": 0} for slug in REPOS}
         self.names = {slug.lower(): slug for slug in REPOS}  # any name had -> REPOS key
         self.renames = 0
+        # (giver, taker, name, k): the taker is renamed to the name the giver
+        # gave up once k GitHub requests of a later command have been sent
+        self.taking: Optional[tuple[str, str, str, int]] = None
         self.failing: set[str] = set()  # contributors answer 500 until the next command ends
         self.deleted: set[str] = set()  # every name answers 404 from now on
         # Retry-After seconds of the 429 the next command's first GitHub
@@ -98,10 +101,16 @@ class HarvestMachine(RuleBasedStateMachine):
         self.store: dict[str, tuple[str, tuple]] = {}
         # and the ids of the papers stored with it
         self.cited: defaultdict[str, set[str]] = defaultdict(set)
-        # the repositories whose /repos, and whose contributors, requests
-        # were answered during the command in progress
-        self.answered: set[str] = set()
+        # during the command in progress: the store it loaded; the repository
+        # each /repos request reached, by the name requested; the name each
+        # repository's /repos requests were answered under, and the
+        # repositories whose contributors requests were; and the names whose
+        # 301 was followed by an answer
+        self.loaded = None
+        self.served: dict[str, str] = {}
+        self.answered: dict[str, str] = {}
         self.counted: set[str] = set()
+        self.gave_up: set[str] = set()
 
     def teardown(self) -> None:
         self.scratch.cleanup()
@@ -142,6 +151,46 @@ class HarvestMachine(RuleBasedStateMachine):
         repo["names"].append(f"{slug}-{self.renames}")
         repo["version"] += 1  # the body's full_name, and so its ETag, changed
         self.names[repo["names"][-1].lower()] = slug
+
+    @precondition(lambda self: self.taking is None and any(
+        len(repo["names"]) > 1 for repo in self.world.values()))
+    @rule(data=st.data(), k=st.integers(0, 6))
+    def another_repository_takes_a_name_it_gave_up(self, data, k):
+        """``giver``, renamed at least once, is renamed again, and ``taker``
+        takes the name it gave up once k GitHub requests of a later command
+        have been sent: from then on that name, and each of ``taker``'s old
+        names, answers as ``taker``. It waits while ``taker`` has already
+        been answered in the command, and, if the store holds the name as a
+        repository's own, until that name's 301 has been followed in the
+        command: before then no client that knows repositories by name
+        could tell the two apart. A first name is never taken: the papers
+        of the first command give it, so every command requests each stored
+        repository under its stored name before any other name of it."""
+        giver = data.draw(st.sampled_from(
+            [slug for slug in REPOS if len(self.world[slug]["names"]) > 1]), label="giver")
+        taker = data.draw(st.sampled_from([slug for slug in REPOS if slug != giver]),
+                          label="taker")
+        self.it_is_renamed(giver)
+        self.taking = (giver, taker, self.world[giver]["names"][-2], k)
+
+    def _take(self, session: FakeSession) -> None:
+        """The pending rename of another_repository_takes_a_name_it_gave_up,
+        if it is due before the request ``session`` is sending, and that
+        request does not follow a 301."""
+        if self.taking is None or self.feed_fails is not None:  # the timing must not matter
+            return
+        giver, taker, name, k = self.taking
+        held = self.loaded.get(repo_from_name(name)) if self.loaded is not None else None
+        due = len(session.calls) - 1 >= k and session.statuses[-1:] != [301]
+        if not due or taker in self.answered or (
+                held is not None and "/".join(held.ref.identity()) == name.lower()
+                and name.lower() not in self.gave_up):
+            return
+        self.taking = None
+        self.world[giver]["names"].remove(name)
+        self.world[taker]["names"].append(name)
+        self.world[taker]["version"] += 1
+        self.names[name.lower()] = taker
 
     @rule(slug=st.sampled_from(REPOS))
     def its_contributors_requests_fail(self, slug):
@@ -202,6 +251,7 @@ class HarvestMachine(RuleBasedStateMachine):
 
     def _github(self) -> tuple[GitHubClient, FakeSession]:
         def answer(url, params):
+            self._take(session)
             if self.retry_after is not None and self.asked_to_wait is None:
                 self.asked_to_wait = len(session.calls) - 1
                 return FakeResponse(status_code=429,
@@ -213,6 +263,8 @@ class HarvestMachine(RuleBasedStateMachine):
             path = url.split("/repos/", 1)[1]
             name = path.removesuffix("/contributors")
             slug = self.names[name.lower()]
+            if not path.endswith("/contributors"):
+                self.served.setdefault(name.lower(), slug)
             if slug in self.deleted:
                 return FakeResponse(status_code=404, json_body={"message": "Not Found"})
             repo = self.world[slug]
@@ -227,7 +279,9 @@ class HarvestMachine(RuleBasedStateMachine):
                 return FakeResponse(json_body=[{"login": f"u{k}"}
                                                for k in range(repo["contributors"])])
             etag = f'"{slug}-{repo["version"]}"'
-            self.answered.add(slug)
+            self.answered[slug] = current
+            if session.statuses[-1:] == [301]:  # the name that hopped here
+                self.gave_up.add(session.calls[-2][1].split("/repos/", 1)[1].lower())
             if session.headers[-1].get("If-None-Match") == etag:
                 return FakeResponse(status_code=304, headers={"ETag": etag})
             return FakeResponse(headers={"ETag": etag}, json_body={
@@ -250,9 +304,9 @@ class HarvestMachine(RuleBasedStateMachine):
         github, session = self._github()
         clients = (self._feed(), github)
         store = self.out_dir / "kb.jsonl"
-        before = load_records(store) if self.commands else None
+        before = self.loaded = load_records(store) if self.commands else None
         outputs = {path.name: path.read_bytes() for path in self.out_dir.glob("*")}
-        self.answered, self.counted = set(), set()
+        self.served, self.answered, self.counted, self.gave_up = {}, {}, set(), set()
         out, log = io.StringIO(), _Records()
         logger = logging.getLogger("repoharvest")
         logger.addHandler(log)
@@ -351,26 +405,33 @@ class HarvestMachine(RuleBasedStateMachine):
             return entry is not None and entry.latest.fetched_at >= began
 
         for identity in self.named:
+            # a name is requested as the stored entry that holds it, if one
+            # does, and reaches the repository GitHub then gives that name
             ref = repo_from_name(identity)
-            entry = kb.get(ref)
-            if self.names[identity] in self.deleted:
+            held = None if before is None else before.get(ref)
+            requested = "/".join((held.ref if held else ref).identity())
+            slug = self.served.get(requested, self.names[identity])
+            if slug in self.deleted:
                 # each name of a deleted repository is logged as not found,
                 # unless the quota ran out first, and the store keeps what
                 # it held: nothing on a run, the entry as it was on monitor
                 assert failed[identity] == "not_found" or (
                     spent and failed[identity] == "rate_limited")
-                assert entry == (None if before is None else before.get(ref))
+                entry = kb.get(repo_from_name(requested))
+                assert (entry and (entry.ref, entry.latest)) == (held and (held.ref, held.latest))
                 continue
-            if not refreshed(entry):
+            if slug not in self.answered:
                 # only a spent quota leaves a name unanswered, and then the
                 # name is logged as rate limited
                 assert failed.get(identity) == "rate_limited"
                 continue
-            # each name answered is stored, a kept snapshot after a logged
-            # failure included, under GitHub's current name and with the
-            # counts /repos serves
-            repo = self.world[self.names[identity]]
-            assert "/".join(entry.ref.identity()) == self._current(identity)
+            # each repository answered is stored, a kept snapshot after a
+            # logged failure included, under the name GitHub answered with
+            # and with the counts /repos serves
+            entry = kb.get(repo_from_name(self.answered[slug]))
+            repo = self.world[slug]
+            assert refreshed(entry)
+            assert "/".join(entry.ref.identity()) == self.answered[slug].lower()
             assert (entry.latest.stars, entry.latest.open_issues) == (
                 repo["stars"], repo["open_issues"])
         for (_, url, _), status in zip(session.calls, session.statuses):
@@ -384,13 +445,14 @@ class HarvestMachine(RuleBasedStateMachine):
     def _check_model(self, command, output, session, kb_before):
         """The store holds what the model expects, and monitor lists each
         repository under the section the model gives it. A repository
-        answered is stored under GitHub's current name with the counts it
-        serves, its contributors count kept unless counted again; any other
-        keeps what it had. Its papers only grow: a name gets a snapshot when
-        the /repos request for the name it is requested under (the stored
-        entry's, if one holds it) ends in 200 or 304, or when that name is
-        one such a request resolved to. Each paper that gives such a name is
-        stored with the repository, by its id without version."""
+        answered is stored under the name GitHub answered with and with the
+        counts it serves, its contributors count kept unless counted again;
+        any other keeps what it had. Its papers only grow: a name gets a
+        snapshot when the /repos request for the name it is requested under
+        (the stored entry's, if one holds it) ends in 200 or 304, or when
+        that name is one such a request resolved to. Each paper that gives
+        such a name is stored with the repository that request reached, by
+        its id without version."""
         resolved = set()
         for i, ((_, url, _), status) in enumerate(zip(session.calls, session.statuses)):
             if status in (200, 304) and not url.endswith("/contributors"):
@@ -399,13 +461,14 @@ class HarvestMachine(RuleBasedStateMachine):
                     resolved.add(session.calls[i - 1][1].split("/repos/", 1)[1].lower())
         for paper_id, name in self.mentions:
             held = kb_before.get(repo_from_name(name)) if kb_before is not None else None
-            if "/".join((held.ref if held else repo_from_name(name)).identity()) in resolved:
-                self.cited[self.names[name.lower()]].add(paper_id)
+            requested = "/".join((held.ref if held else repo_from_name(name)).identity())
+            if requested in resolved:
+                self.cited[self.served[requested]].add(paper_id)
         before = dict(self.store)
-        for slug in self.answered:
+        for slug, answered_as in self.answered.items():
             repo = self.world[slug]
             kept = before[slug][1][3] if slug in before else None
-            self.store[slug] = (repo["names"][-1], (
+            self.store[slug] = (answered_as, (
                 repo["stars"], repo["forks"], repo["open_issues"],
                 repo["contributors"] if slug in self.counted else kept))
         kb = load_records(self.out_dir / "kb.jsonl")
