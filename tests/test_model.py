@@ -5,11 +5,12 @@ names a repository under any name it has had, a repository's counts
 change, it is renamed or deleted, another repository takes a name it gave
 up, its contributors requests fail, the server asks the client to wait,
 the quota runs out, a feed page fails, and ``run`` then ``monitor`` are
-called over the in-process fakes of ``conftest``, with no sockets. Each command's feed serves every paper as a
-new version (``vN``). After each command the outputs, the log and the
-requests sent are checked against invariants that hold for any sequence,
-and the store, the unversioned paper ids it holds, and what ``monitor``
-prints, against a plain-dict model of the expected store.
+called over the in-process fakes of ``conftest``, with no sockets. Each
+command's feed serves every paper as a new version (``vN``). After each
+command the outputs, the log and the requests sent are checked against
+invariants that hold for any sequence, and the store, the unversioned
+paper ids it holds, and what ``monitor`` prints, against a plain-dict
+model of the expected store.
 
 Tier-1 runs 100 derandomized examples. The ``model-random`` profile that
 ``conftest`` registers runs 1000 random ones of up to 20 steps:
@@ -24,6 +25,7 @@ import json
 import logging
 import re
 import tempfile
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from collections import defaultdict
 from pathlib import Path
@@ -414,11 +416,19 @@ class HarvestMachine(RuleBasedStateMachine):
             if slug in self.deleted:
                 # each name of a deleted repository is logged as not found,
                 # unless the quota ran out first, and the store keeps what
-                # it held: nothing on a run, the entry as it was on monitor
+                # it held: nothing on a run, the entry as it was on monitor,
+                # but for the aliases another repository answered under in
+                # this command, which that repository took
                 assert failed[identity] == "not_found" or (
                     spent and failed[identity] == "rate_limited")
                 entry = kb.get(repo_from_name(requested))
-                assert (entry and (entry.ref, entry.latest)) == (held and (held.ref, held.latest))
+                if held is None:
+                    assert entry is None
+                    continue
+                taken = {name.lower() for name in self.answered.values()}
+                assert entry.aliases == {alias for alias in held.aliases
+                                         if "/".join(alias.identity()) not in taken}
+                assert replace(entry, aliases=held.aliases) == held
                 continue
             if slug not in self.answered:
                 # only a spent quota leaves a name unanswered, and then the
