@@ -23,7 +23,7 @@ from urllib.parse import urlsplit
 from . import arxiv as arxiv_mod
 from . import github as github_mod
 from .arxiv import ArxivClient, ArxivRequestError, PaperRecord, SearchSpec
-from .github import GitHubClient, Outcome, RepoMetrics, Snapshot
+from .github import GitHubClient
 from .kb import (
     RECORDS_FILENAME,
     REPORT_FILENAME,
@@ -160,23 +160,20 @@ def execute_pipeline(
     that entry's ref and latest snapshot, so it is requested as stored,
     conditionally; the worker sees only these frozen values, never ``kb``.
     A name's outcome is GitHubClient.enrich's pair: the resolved ref and
-    snapshot to store, or None, and the failures to log. The worker keeps
-    two memos: ``done``, each outcome under the identity requested, and
-    ``known``, each snapshot under the identity it resolved to. So no
-    repository is requested twice under a name it already answered to, and
-    a name that resolves onto a known snapshot keeps that snapshot and
-    sends no contributors request. Only this thread touches ``out`` and
-    ``kb``, which nothing writes until the feed ends. A feed that ends
-    before its ``totalResults`` (up to the cap) is warned about. Then each
-    name's outcome is handled once, in first-mention order, as soon as it
-    is ready: each failure is logged under the name, never fatal, and the
-    snapshot, if any, is stored with the ids of the papers that give the
-    name in one ``kb.record`` call, and printed the first time its
-    repository is reported. A paper retrieval failure after
-    retries is fatal (exit status 1): the repository being enriched is
-    finished and no other is started. A client not given is built from
-    ``cfg``'s base URL at the API's fixed pacing: 3 s between feed requests
-    and 100 ms between GitHub requests, with or without ``cfg``'s token.
+    snapshot to store, or None, and the failures to log; the client answers
+    each repository once a run, whichever of its names asks. Only this
+    thread touches ``out`` and ``kb``, which nothing writes until the feed
+    ends. A feed that ends before its ``totalResults`` (up to the cap) is
+    warned about. Then each name's outcome is handled once, in
+    first-mention order, as soon as it is ready: each failure is logged
+    under the name, never fatal, and the snapshot, if any, is stored with
+    the ids of the papers that give the name in one ``kb.record`` call, and
+    printed the first time its repository is reported. A paper retrieval
+    failure after retries is fatal (exit status 1): the repository being
+    enriched is finished and no other is started. A client not given is
+    built from ``cfg``'s base URL at the API's fixed pacing: 3 s between
+    feed requests and 100 ms between GitHub requests, with or without
+    ``cfg``'s token.
     """
     out = out if out is not None else sys.stdout
     client = arxiv_client if arxiv_client is not None else ArxivClient(
@@ -188,17 +185,6 @@ def execute_pipeline(
     refs: list[RepoRef] = []
     outcomes: dict[tuple[str, str], Future] = {}  # by the name papers give
     papers: dict[tuple[str, str], set[str]] = {}  # the ids that give each name
-    done: dict[tuple[str, str], Outcome] = {}  # by the identity requested; worker only
-    known: dict[tuple[str, str], Snapshot] = {}  # by the identity resolved; worker only
-
-    def enrich_once(ref: RepoRef, latest: Optional[RepoMetrics]) -> Outcome:
-        key = ref.identity()
-        if key not in done:
-            done[key] = (known[key], ()) if key in known else gh.enrich(ref, latest, known)
-            snapshot = done[key][0]
-            if snapshot:
-                known.setdefault(snapshot[0].identity(), snapshot)
-        return done[key]
 
     processed = 0
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="repoharvest-github") as worker:
@@ -213,7 +199,7 @@ def execute_pipeline(
                     if ref.identity() not in outcomes:
                         entry = kb.get(ref)
                         task = (ref, None) if entry is None else (entry.ref, entry.latest)
-                        outcomes[ref.identity()] = worker.submit(enrich_once, *task)
+                        outcomes[ref.identity()] = worker.submit(gh.enrich, *task)
             promised = _papers_promised(client, cfg, processed)
             if processed < promised:
                 log.warning("the feed ended after %d of %d papers", processed, promised)

@@ -15,7 +15,7 @@ import enum
 import time
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 from urllib.parse import parse_qs, urljoin, urlsplit
 
 import requests
@@ -140,6 +140,8 @@ class GitHubClient:
         self.base_url = base_url.rstrip("/")
         self._origin = urlsplit(self.base_url)[:2]  # scheme and host every hop must keep
         self._quota_spent: Optional[str] = None  # detail of the answer that spent it
+        self._outcomes: dict[tuple[str, str], Outcome] = {}  # by the identity asked for
+        self._snapshots: dict[tuple[str, str], Snapshot] = {}  # by the identity resolved to
         self._now = now
         self._headers = {"Accept": "application/vnd.github+json"}
         # an auth that leaves the token's header as built: requests reads no ~/.netrc
@@ -300,28 +302,35 @@ class GitHubClient:
                                    f"{url} needs a second page to count")
         return len(data) if last is None else last
 
-    def enrich(
-        self,
-        ref: RepoRef,
-        latest: Optional[RepoMetrics] = None,
-        known: Optional[Mapping[tuple[str, str], Snapshot]] = None,
-    ) -> Outcome:
-        """Fetch one repository's metrics and contributor count.
+    def enrich(self, ref: RepoRef, latest: Optional[RepoMetrics] = None) -> Outcome:
+        """Fetch one repository's metrics and contributor count, once a run.
 
         ``latest``, its stored snapshot, makes the refresh conditional (see
-        fetch_repo). ``known`` holds the snapshots already taken, by the
-        identity each resolved to: a ref that resolves onto one of them
-        returns it, after the /repos request and any rename hop, with no
-        contributors request. Returns the snapshot to store, or None, and
-        the failures to log: none, or one new GitHubFetchError that holds
-        no traceback. A failed contributors request returns both: the
-        snapshot, its contributor count the stored one, as on a 304, or None.
+        fetch_repo). Returns the snapshot to store, or None, and the
+        failures to log: none, or one new GitHubFetchError that holds no
+        traceback. A failed contributors request returns both: the
+        snapshot, its contributor count the stored one, as on a 304, or
+        None. A name asked before gets the outcome it got then, failures
+        included, and sends nothing. A name that is, or that after its
+        /repos request and any rename hop resolves to, a repository already
+        answered for gets that snapshot and sends no contributors request.
         """
+        key = ref.identity()
+        if key not in self._outcomes:
+            known = self._snapshots.get(key)
+            outcome = (known, ()) if known else self._fetch(ref, latest)
+            if outcome[0]:
+                self._snapshots.setdefault(outcome[0][0].identity(), outcome[0])
+            self._outcomes[key] = outcome
+        return self._outcomes[key]
+
+    def _fetch(self, ref: RepoRef, latest: Optional[RepoMetrics]) -> Outcome:
+        """enrich's requests for a name it has not answered."""
         snapshot = None
         try:
             resolved, metrics = self.fetch_repo(ref, latest)
-            if known and resolved.identity() in known:
-                return known[resolved.identity()], ()
+            if resolved.identity() in self._snapshots:
+                return self._snapshots[resolved.identity()], ()
             if metrics.contributors is None:
                 snapshot = (resolved, metrics if latest is None
                             else replace(metrics, contributors=latest.contributors))

@@ -680,23 +680,50 @@ class TestEnrich:
         assert [url for _, url, _ in session.calls] == [
             f"{BASE}/repos/a/one"] + [f"{BASE}/repos/a/one/contributors"] * 3
 
+    @staticmethod
+    def _renaming_handler(url, params):
+        """demo/old answers a rename to demo/new, which answers in full as
+        Demo/New."""
+        url = url.lower()
+        if url == f"{BASE}/repos/demo/old":
+            return FakeResponse(status_code=301, headers={"Location": f"{BASE}/repos/demo/new"})
+        if url == f"{BASE}/repos/demo/new/contributors":
+            return FakeResponse(json_body=[{"login": "u0"}])
+        assert url == f"{BASE}/repos/demo/new", f"unexpected URL {url}"
+        return FakeResponse(json_body=repo_body("Demo/New", stars=9))
+
     def test_a_rename_onto_a_known_snapshot_returns_it_without_a_count(self):
         """The snapshot taken under the new name is returned after the old
         name's /repos request and its hop; no contributors request is sent."""
-        def handler(url, params):
-            if url == f"{BASE}/repos/demo/old":
-                return FakeResponse(status_code=301,
-                                    headers={"Location": f"{BASE}/repos/demo/new"})
-            assert url == f"{BASE}/repos/demo/new", f"unexpected URL {url}"
-            return FakeResponse(json_body=repo_body("Demo/New", stars=9))
-
-        client, session, _ = make_client(handler)
-        earlier = (make_ref("demo", "new"), make_metrics(name="new", stars=5))
-        snapshot, failures = client.enrich(make_ref("demo", "old"),
-                                           known={("demo", "new"): earlier})
-        assert snapshot is earlier and failures == ()
+        client, session, _ = make_client(self._renaming_handler)
+        earlier, none = client.enrich(make_ref("demo", "new"))
+        snapshot, failures = client.enrich(make_ref("demo", "old"))
+        assert snapshot is earlier and none == failures == ()
         assert [url for _, url, _ in session.calls] == [
+            f"{BASE}/repos/demo/new", f"{BASE}/repos/demo/new/contributors",
             f"{BASE}/repos/demo/old", f"{BASE}/repos/demo/new"]
+
+    def test_the_new_name_after_the_old_one_sends_nothing(self):
+        """The old name resolved onto the new one, so the new name gets that
+        snapshot unsent."""
+        client, session, _ = make_client(self._renaming_handler)
+        snapshot, none = client.enrich(make_ref("demo", "old"))
+        assert (snapshot[0], snapshot[1].stars, none) == (make_ref("Demo", "New"), 9, ())
+        assert len(session.calls) == 3  # the old name, the hop, the contributors
+        assert client.enrich(make_ref("demo", "new")) == (snapshot, ())
+        assert client.enrich(make_ref("demo", "new"))[0] is snapshot
+        assert len(session.calls) == 3
+
+    @pytest.mark.parametrize("broken", [{}, {"a/one": "not_found"}], ids=["answer", "failure"])
+    def test_a_name_asked_twice_sends_nothing_the_second_time(self, broken):
+        repos = {"a/one": {"stars": 1, "forks": 0, "open_issues": 0, "contributors": 2}}
+        client, session, _ = make_client(self._multi_handler(repos, broken))
+        first = client.enrich(make_ref("a", "one"))
+        sent = len(session.calls)
+        again = client.enrich(make_ref("A", "One"), make_metrics(name="one", etag='"e"'))
+        assert again is first and len(session.calls) == sent == (1 if broken else 2)
+        assert [failure.kind for failure in again[1]] == (
+            [FailureKind.NOT_FOUND] if broken else [])
 
     @staticmethod
     def _one_fails_then_two_answers(client) -> GitHubFetchError:
