@@ -8,10 +8,13 @@ unchanged repository costs one request. All requests pass through a single
 RequestGate, so outbound traffic respects the throttle policy. enrich
 takes one repository and returns its outcome, the snapshot to store and
 its failure as a GitHubFetchError, so no failure is raised to the caller.
+A client serves one run and answers each repository once, under whichever
+of its names it is asked (see GitHubClient.enrich).
 """
 from __future__ import annotations
 
 import enum
+import re
 import time
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -52,7 +55,8 @@ class RepoMetrics:
 
     Each count is a non-negative int; ``contributors`` is None until the
     contributors endpoint has been counted. ``etag`` is the ETag of the
-    /repos answer the snapshot was built from, if it had one.
+    /repos answer the snapshot was built from, if it had one that can be
+    sent back (see sendable_etag).
     """
 
     name: str
@@ -79,6 +83,13 @@ class RepoMetrics:
     def counts(self) -> tuple[int, int, int, Optional[int]]:
         """The comparable counts: stars, forks, open issues, contributors."""
         return (self.stars, self.forks, self.open_issues, self.contributors)
+
+
+def sendable_etag(etag: str) -> bool:
+    """Whether ``etag`` can go back in If-None-Match: http.client sends a
+    header as Latin-1, and requests refuses, unsent, a value that holds a
+    CR or LF or starts with whitespace."""
+    return max(etag, default="") <= "\xff" and re.fullmatch(r"(\S[^\r\n]*)?", etag) is not None
 
 
 @dataclass(frozen=True)
@@ -122,7 +133,9 @@ class GitHubClient:
     RequestGate sends each request on ``session``, ``policy.min_interval``
     apart with or without a token, which adds only its header (kept over
     any ~/.netrc entry) and a larger quota. After an answer that says the
-    quota is spent, the client sends nothing more (see _classify).
+    quota is spent, the client sends nothing more (see _classify). A client
+    serves one run on one thread: it keeps what enrich answered, so it
+    answers each repository once.
     """
 
     def __init__(
@@ -244,7 +257,8 @@ class GitHubClient:
         links.repo_from_name; a body without one is malformed.
 
         With a ``stored`` snapshot that has an ETag, the request is
-        conditional, and the answer's ETag is kept on the new snapshot. A
+        conditional. The answer's ETag is kept on the new snapshot if it can
+        be sent back (see sendable_etag), so every store written loads. A
         304 returns ``ref`` and ``stored`` fetched now, its contributor
         count kept: a new contributor needs a push, and a push changes the
         body's ``pushed_at`` and so its ETag.
@@ -254,6 +268,7 @@ class GitHubClient:
         if response.status_code == 304:
             return ref, replace(stored, fetched_at=self._now())
         data = self._json_body(response, url, dict)
+        etag = response.headers.get("ETag")
         try:
             named = repo_from_name(data.get("full_name"))
         except LinkError as exc:
@@ -268,7 +283,7 @@ class GitHubClient:
                 open_issues=data["open_issues_count"],
                 contributors=None,
                 fetched_at=self._now(),
-                etag=response.headers.get("ETag"),
+                etag=etag if etag is not None and sendable_etag(etag) else None,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise GitHubFetchError(FailureKind.MALFORMED_RESPONSE,

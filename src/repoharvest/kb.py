@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import AbstractSet, Iterable, Iterator, Mapping, Optional
 
 from .arxiv import strip_version
-from .github import RepoMetrics
+from .github import RepoMetrics, sendable_etag
 from .links import RepoRef, repo_from_name
 from .maturity import MaturityTier, classify
 
@@ -247,6 +247,8 @@ def _checked(value, kind: type, what: str):
 
 def _metrics_from_dict(data: dict) -> RepoMetrics:
     etag = _checked(data, dict, "snapshot").get("etag")
+    if etag is not None and not sendable_etag(_checked(etag, str, "etag")):
+        raise ValueError(f"etag {etag!r} cannot be sent in If-None-Match")
     return RepoMetrics(
         name=_checked(data["name"], str, "snapshot name"),
         description=data["description"],
@@ -255,7 +257,7 @@ def _metrics_from_dict(data: dict) -> RepoMetrics:
         open_issues=data["open_issues"],
         contributors=data["contributors"],
         fetched_at=parse_timestamp(data["fetched_at"]),
-        etag=etag if etag is None else _checked(etag, str, "etag"),
+        etag=etag,
     )
 
 

@@ -21,7 +21,7 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self):
         parsed = urlsplit(self.path)
         params = {k: v[0] for k, v in parse_qs(parsed.query).items()}
-        status, headers, body = self.server.app.handle(parsed.path, params)
+        status, headers, body = self.server.app.handle(parsed.path, params, self.headers)
         payload = body.encode("utf-8")
         self.send_response(status)
         for key, value in headers.items():
@@ -32,7 +32,8 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class MockServer:
-    """Runs an app object (anything with .handle) on a daemon thread."""
+    """Runs an app object (anything with .handle(path, params, headers)) on a
+    daemon thread."""
 
     def __init__(self, app):
         self.app = app
@@ -65,7 +66,7 @@ class MockArxivApp:
         self.fail_first = 0  # serve this many 503s before behaving
         self.base_url = ""
 
-    def handle(self, path, params):
+    def handle(self, path, params, _headers):
         self.requests.append(dict(params))
         if self.fail_first > 0:
             self.fail_first -= 1
@@ -87,7 +88,9 @@ class MockGitHubApp:
     ``repos`` maps "owner/name" to a dict with stars/forks/open_issues/
     contributors (an int; the server fabricates that many login stubs) and
     an optional description. Unknown slugs 404. ``rate_limit_once`` slugs
-    serve one quota-style 403 first; ``redirects`` maps old slugs to new.
+    serve one quota-style 403 first; ``redirects`` maps old slugs to new;
+    ``etags`` maps a slug to the ETag its /repos answer carries, and a
+    request whose If-None-Match holds that ETag is answered 304.
     With a ``budget``, every request past that many is answered with a
     spent quota's 403: no Retry-After, and a reset an hour ahead.
     Contributors pages carry a Link header with rel="next" and rel="last",
@@ -99,10 +102,11 @@ class MockGitHubApp:
         self.requests: list[str] = []
         self.rate_limit_once: set[str] = set()
         self.redirects: dict[str, str] = {}
+        self.etags: dict[str, str] = {}
         self.budget: int | None = None
         self.base_url = ""
 
-    def handle(self, path, params):
+    def handle(self, path, params, headers):
         self.requests.append(path)
         if self.budget is not None and len(self.requests) > self.budget:
             return (
@@ -129,6 +133,9 @@ class MockGitHubApp:
         if repo is None:
             return 404, {}, json.dumps({"message": "Not Found"})
         if not tail:
+            etag = {"ETag": self.etags[slug]} if slug in self.etags else {}
+            if etag and headers.get("If-None-Match") == etag["ETag"]:
+                return 304, etag, ""
             owner, name = slug.split("/", 1)
             body = {
                 "full_name": slug,
@@ -138,7 +145,7 @@ class MockGitHubApp:
                 "forks_count": repo["forks"],
                 "open_issues_count": repo["open_issues"],
             }
-            return 200, {"Content-Type": "application/json"}, json.dumps(body)
+            return 200, {"Content-Type": "application/json", **etag}, json.dumps(body)
         if tail == "contributors":
             total = repo["contributors"]
             if total == 0:

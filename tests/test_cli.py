@@ -1286,6 +1286,55 @@ class TestMonitorCommand:
             "'utf-8' codec can't decode byte 0xff in position 0")
 
 
+    def test_monitor_with_an_etag_http_cannot_send_fails_unsent(self, tmp_path, caplog):
+        """http.client cannot encode the stored ETag as Latin-1: the store is
+        refused where it loads, before the feed or GitHub is asked."""
+        papers = [("2101.00001", "alpha", "Code: https://github.com/demo/alpha.")]
+        stored = KnowledgeBase()
+        stored.upsert(make_ref("demo", "alpha"), make_metrics(name="alpha", etag='W/"\u20ac"'))
+        save_records(stored, tmp_path / "kb.jsonl")
+        sent = []
+        feed = recorded(corpus_feed(papers), sent)
+        fixtures = {"demo/alpha": {"stars": 5, "forks": 1, "open_issues": 0, "contributors": 2}}
+        with caplog.at_level(logging.ERROR, logger="repoharvest"):
+            status = cmd_monitor(
+                config_for(tmp_path, command="monitor"), None,
+                arxiv_client=feed_client(feed),
+                github_client=github_client(recorded(fixtures_handler(fixtures), sent)),
+                out=io.StringIO(),
+            )
+        assert (status, sent) == (1, [])
+        assert [record.getMessage() for record in caplog.records] == [
+            f"cannot load previous store: {tmp_path / 'kb.jsonl'}:1: bad record: "
+            "etag 'W/\"\u20ac\"' cannot be sent in If-None-Match"]
+
+    def test_a_latin_1_etag_round_trips_and_is_sent_back(self, tmp_path):
+        """A server's header text is Latin-1: its ETag is stored as read, and
+        the refresh sends it back in If-None-Match and gets a 304."""
+        papers = [("2101.00001", "alpha", "Code: https://github.com/demo/alpha.")]
+        app = MockGitHubApp({"demo/alpha": {"stars": 5, "forks": 1, "open_issues": 0,
+                                            "contributors": 2}})
+        app.etags["demo/alpha"] = 'W/"\xe9"'
+        with MockServer(app) as gh, requests.Session() as session:
+            def client():
+                return GitHubClient(base_url=gh.base_url, session=session,
+                                    policy=ThrottlePolicy(min_interval=0.0))
+
+            assert cmd_run(config_for(tmp_path), arxiv_client=corpus_arxiv_client(papers),
+                           github_client=client(), out=io.StringIO()) == 0
+            [entry] = load_records(tmp_path / "kb.jsonl")
+            assert entry.latest.etag == 'W/"\xe9"'
+            out = io.StringIO()
+            assert cmd_monitor(config_for(tmp_path, command="monitor"), None,
+                               arxiv_client=corpus_arxiv_client(papers),
+                               github_client=client(), out=out) == 0
+        assert app.requests == ["/repos/demo/alpha", "/repos/demo/alpha/contributors",
+                                "/repos/demo/alpha"]
+        assert "Unchanged (1):\n  https://github.com/demo/alpha\n" in out.getvalue()
+        [entry] = load_records(tmp_path / "kb.jsonl")
+        assert entry.latest.etag == 'W/"\xe9"'
+
+
 class TestMonitorRenamedRepository:
     """The previous store holds demo/new, which a paper named as demo/old
     before GitHub renamed it: monitor requests it under its stored name."""

@@ -886,6 +886,21 @@ class TestConditionalRefresh:
         assert session.headers[0]["If-None-Match"] == self.ETAG
         assert "If-None-Match" not in session.headers[1]
 
+    @pytest.mark.parametrize("etag, kept", [
+        ('W/"\xe9"', 'W/"\xe9"'),  # header text is Latin-1
+        ('W/"a"\r\n "b"', None),  # a folded header line
+        ("\xa0x", None),  # whitespace ahead
+    ], ids=["latin-1", "folded", "leading-space"])
+    def test_only_an_etag_that_can_be_sent_back_is_kept(self, etag, kept):
+        def handler(url, params):
+            if url.endswith("/contributors"):
+                return FakeResponse(json_body=[{"login": "u0"}])
+            return FakeResponse(json_body=repo_body("a/b"), headers={"ETag": etag})
+
+        client, _, _ = self._client(handler)
+        (_, metrics), failures = client.enrich(make_ref("a", "b"))
+        assert (metrics.etag, failures) == (kept, ())
+
     def test_no_validator_without_a_stored_etag(self):
         handler = PagedHandler("a/b", [3])
         client, session, _ = self._client(handler)

@@ -421,6 +421,19 @@ class TestPersistence:
         with pytest.raises(StoreError, match="etag"):
             load_records(path)
 
+    @pytest.mark.parametrize("etag", ['W/"\u20ac"', 'W/"x"\r\nX-Injected: 1', ' "x"'],
+                             ids=["not-latin-1", "crlf", "leading-space"])
+    def test_an_etag_http_cannot_send_is_a_store_error(self, tmp_path, etag):
+        """http.client cannot encode the first; requests refuses the others
+        unsent."""
+        kb = KnowledgeBase()
+        kb.upsert(make_ref("a", "b"), make_metrics(name="b", fetched_at=T0, etag=etag))
+        path = tmp_path / "kb.jsonl"
+        save_records(kb, path)
+        with pytest.raises(StoreError, match=re.escape(
+                f"{path}:1: bad record: etag {etag!r} cannot be sent in If-None-Match")):
+            load_records(path)
+
     def test_version_1_record_loads_without_etag(self):
         record = {
             "schema_version": 1, "owner": "a", "name": "b",
