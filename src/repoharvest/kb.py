@@ -27,7 +27,7 @@ from typing import AbstractSet, Iterable, Iterator, Mapping, Optional
 from .arxiv import strip_version
 from .github import RepoMetrics, sendable_etag
 from .links import RepoRef, repo_from_name
-from .maturity import MaturityTier, classify
+from .maturity import TIERS, classify
 
 SCHEMA_VERSION = 2
 _READABLE_VERSIONS = (1, SCHEMA_VERSION)
@@ -205,8 +205,9 @@ def diff(before: Mapping[int, RepoMetrics],
     return [(entry, before.get(id(entry))) for entry in kb]
 
 
-def render_report_line(metrics: RepoMetrics, tier: MaturityTier) -> str:
-    """The report sentence for one snapshot graded ``tier``.
+def render_report_line(metrics: RepoMetrics, tier: str) -> str:
+    """The report sentence for one snapshot graded ``tier``: the label of
+    maturity.TIERS that the caller's ``classify`` gave it.
 
     Counts are printed as-is with fixed plural nouns ("1 contributors" is
     intentional).
@@ -268,7 +269,7 @@ def entry_to_dict(entry: KbEntry) -> dict:
         "name": entry.ref.name,
         "canonical_url": entry.ref.canonical_url,
         "source_papers": sorted(entry.papers),
-        "tier": str(classify(entry.latest)),
+        "tier": classify(entry.latest),
         "first_seen": format_timestamp(entry.first_seen),
         "latest": _metrics_to_dict(entry.latest),
         "history": [_metrics_to_dict(m) for m in entry.history],
@@ -287,11 +288,15 @@ def entry_from_dict(data: dict) -> KbEntry:
     name = _checked(data["name"], str, "name")
     latest = _metrics_from_dict(data["latest"])
     history = [_metrics_from_dict(m) for m in _checked(data["history"], list, "history")]
+    if any(m.etag is not None for m in history):
+        raise ValueError("a history snapshot keeps no etag")
     times = [m.fetched_at for m in history] + [latest.fetched_at]
     if any(earlier >= later for earlier, later in zip(times, times[1:])):
         raise StoreError("history timestamps must increase and precede latest.fetched_at")
     aliases = frozenset(map(repo_from_name, _checked(data.get("aliases", []), list, "aliases")))
-    MaturityTier.from_label(_checked(data["tier"], str, "tier"))  # checked, not kept
+    tier = _checked(data["tier"], str, "tier")  # checked, not kept
+    if tier.strip().upper() not in [label.upper() for label in TIERS]:
+        raise ValueError(f"unknown maturity tier {tier!r}")
     return KbEntry(
         ref=repo_from_name(f"{owner}/{name}"),
         latest=latest,
@@ -340,7 +345,7 @@ def export_table(kb: KnowledgeBase, path: Path | str) -> None:
                 entry.ref.owner,
                 entry.ref.name,
                 entry.ref.canonical_url,
-                str(classify(m)),
+                classify(m),
                 m.stars,
                 m.forks,
                 m.open_issues,

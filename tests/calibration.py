@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from repoharvest.github import RepoMetrics
-from repoharvest.maturity import MaturityTier
 
 #: fetched_at stamped onto metrics built from this table (arbitrary, fixed).
 CALIBRATION_TIME = datetime(2024, 1, 1, tzinfo=timezone.utc)
@@ -58,7 +57,7 @@ class CalibrationRow:
     """One reference row: the snapshot, expected tier, and the exact sentence."""
 
     metrics: RepoMetrics
-    expected_tier: MaturityTier
+    expected_tier: str
     expected_line: str
 
     @property
@@ -79,7 +78,7 @@ def _parse_row(line: str) -> CalibrationRow:
         contributors=int(match.group("contributors")),
         fetched_at=CALIBRATION_TIME,
     )
-    return CalibrationRow(metrics, MaturityTier.from_label(match.group("tier")), line)
+    return CalibrationRow(metrics, match.group("tier"), line)
 
 
 REFERENCE_ROWS: tuple[CalibrationRow, ...] = tuple(

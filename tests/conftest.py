@@ -17,7 +17,6 @@ from hypothesis import settings
 from repoharvest.github import RepoMetrics
 from repoharvest.kb import load_records, render_report_line
 from repoharvest.links import RepoRef
-from repoharvest.maturity import MaturityTier
 
 _UNSET = object()
 
@@ -166,7 +165,7 @@ def assert_output_set_matches(out_dir: Path) -> None:
         for record in records]
     entries = load_records(store).sorted_entries()
     assert (out_dir / "report.txt").read_text(encoding="utf-8").splitlines() == [
-        render_report_line(entry.latest, MaturityTier.from_label(record["tier"]))
+        render_report_line(entry.latest, record["tier"])
         for entry, record in zip(entries, records, strict=True)]
 
 

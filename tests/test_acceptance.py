@@ -45,7 +45,7 @@ def test_maturity_oracle_reproduces_all_reference_tiers():
     """Tolerance: exact, 23/23. Runtime: < 1 s."""
     started = time.perf_counter()
     matched = sum(
-        1 for row in REFERENCE_ROWS if classify(row.metrics) is row.expected_tier
+        1 for row in REFERENCE_ROWS if classify(row.metrics) == row.expected_tier
     )
     elapsed = time.perf_counter() - started
     assert matched == len(REFERENCE_ROWS) == 23

@@ -12,7 +12,7 @@ import requests
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import workloads  # noqa: E402
-from tracing import Tracer  # noqa: E402
+from tracing import Tracer, layer_metrics  # noqa: E402
 
 from conftest import (FakeClock, FakeResponse, FakeSession, atom_entry, atom_feed,  # noqa: E402
                       make_ref)
@@ -82,12 +82,10 @@ def test_hooks_count_what_the_program_returns():
     assert tracer.counts["links.rejected"] == 1
 
 
-def test_run_and_monitor_write_to_out_only_with_write_and_flush(tmp_path):
-    """The benchmark's ``out`` stream has only ``write`` and ``flush``, so
-    any other call on ``out`` fails here. A run stores two repositories; a
-    monitor then finds one new, one updated and one unchanged."""
-    stars = {"demo/alpha": 1, "demo/beta": 2}
-
+def _clients(stars: dict[str, int]):
+    """An arXiv client whose feed has one paper for each slug of ``stars``
+    and a GitHub client that knows those repositories with those stars, each
+    followed by its session; ``stars`` is read at each request."""
     def api(url, params):
         slug = "/".join(url.split("/")[4:6])
         if slug not in stars:
@@ -99,26 +97,50 @@ def test_run_and_monitor_write_to_out_only_with_write_and_flush(tmp_path):
             "stargazers_count": stars[slug], "forks_count": 0, "open_issues_count": 0,
         })
 
-    def clients():
-        entries = [atom_entry(f"2101.0000{k}", abstract=f"https://github.com/{slug}")
-                   for k, slug in enumerate(stars)]
-        page = FakeResponse(text=atom_feed(entries, total=len(entries)))
-        clock = FakeClock()
-        feed = FakeSession(lambda url, params: page, clock=clock)
-        return (ArxivClient(base_url="http://feed.test/q", delay=0.0, session=feed,
-                            clock=clock, sleep=clock.sleep),
-                GitHubClient(base_url="http://gh.test", policy=ThrottlePolicy(min_interval=0.0),
-                             session=FakeSession(api, clock=clock), clock=clock,
-                             sleep=clock.sleep))
+    entries = [atom_entry(f"2101.0000{k}", abstract=f"https://github.com/{slug}")
+               for k, slug in enumerate(stars)]
+    page = FakeResponse(text=atom_feed(entries, total=len(entries)))
+    clock = FakeClock()
+    feed = FakeSession(lambda url, params: page, clock=clock)
+    api_session = FakeSession(api, clock=clock)
+    return (ArxivClient(base_url="http://feed.test/q", delay=0.0, session=feed,
+                        clock=clock, sleep=clock.sleep),
+            GitHubClient(base_url="http://gh.test", policy=ThrottlePolicy(min_interval=0.0),
+                         session=api_session, clock=clock, sleep=clock.sleep),
+            feed, api_session)
 
+
+def test_run_and_monitor_write_to_out_only_with_write_and_flush(tmp_path):
+    """The benchmark's ``out`` stream has only ``write`` and ``flush``, so
+    any other call on ``out`` fails here. A run stores two repositories; a
+    monitor then finds one new, one updated and one unchanged."""
+    stars = {"demo/alpha": 1, "demo/beta": 2}
     args = cli.build_parser().parse_args(["run", "--out-dir", str(tmp_path)])
     out = workloads.TimedStream()
-    assert cli.cmd_run(cli.resolve_config(args), *clients(), out=out) == 0
+    assert cli.cmd_run(cli.resolve_config(args), *_clients(stars)[:2], out=out) == 0
     assert out.first_report is not None
     stars.update({"demo/beta": 3, "demo/gamma": 4})
     out = workloads.TimedStream()
-    assert cli.cmd_monitor(cli.resolve_config(args), None, *clients(), out=out) == 0
+    assert cli.cmd_monitor(cli.resolve_config(args), None, *_clients(stars)[:2], out=out) == 0
     assert out.getvalue().split("\n\nAdded", 1)[1] == (
         " (1):\n  https://github.com/demo/gamma\n"
         "Updated (1):\n  https://github.com/demo/beta: stars 2 -> 3\n"
         "Unchanged (1):\n  https://github.com/demo/alpha\n")
+
+
+def test_a_traced_run_counts_one_grading_for_each_report_line(tmp_path):
+    """The benchmark's maturity.calls counts the calls of ``cli.classify``:
+    a run that grades its report lines anywhere else would read 0 there."""
+    arxiv_client, github_client, feed, api = _clients(
+        {"demo/low": 1, "demo/medium": 50, "demo/high": 500})
+    args = cli.build_parser().parse_args(["run", "--out-dir", str(tmp_path)])
+    out = workloads.TimedStream()
+    tracer = Tracer()
+    workloads.install_tracing(tracer, arxiv_client, github_client, feed, api)
+    try:
+        assert cli.cmd_run(cli.resolve_config(args), arxiv_client, github_client, out=out) == 0
+    finally:
+        tracer.restore()
+    printed = [line for line in out.getvalue().split("\n") if line.startswith("The project ")]
+    assert len(printed) == 3
+    assert layer_metrics(tracer)["maturity.calls"] == len(printed)

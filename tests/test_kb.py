@@ -26,7 +26,6 @@ from repoharvest.kb import (
     save_records,
 )
 from repoharvest.links import canonicalize
-from repoharvest.maturity import MaturityTier
 
 T0 = datetime(2024, 1, 1, 12, 0, 0, tzinfo=timezone.utc)
 
@@ -262,7 +261,7 @@ class TestRendering:
     def test_high_example(self):
         metrics = make_metrics(name="BioSentVec", stars=546, forks=93,
                                open_issues=13, contributors=4, fetched_at=T0)
-        assert render_report_line(metrics, MaturityTier.HIGH) == (
+        assert render_report_line(metrics, "High") == (
             "The project 'BioSentVec' has a maturity level of High. "
             "It has 546 stars, 93 forks, 13 open issues, and 4 contributors."
         )
@@ -270,14 +269,14 @@ class TestRendering:
     def test_singular_counts_keep_plural_nouns(self):
         metrics = make_metrics(name="CPath_Survey", stars=0, forks=0,
                                open_issues=0, contributors=1, fetched_at=T0)
-        assert render_report_line(metrics, MaturityTier.LOW) == (
+        assert render_report_line(metrics, "Low") == (
             "The project 'CPath_Survey' has a maturity level of Low. "
             "It has 0 stars, 0 forks, 0 open issues, and 1 contributors."
         )
 
     def test_unknown_contributors_prints_zero(self):
         metrics = make_metrics(name="x", contributors=None, fetched_at=T0)
-        assert render_report_line(metrics, MaturityTier.LOW).endswith("and 0 contributors.")
+        assert render_report_line(metrics, "Low").endswith("and 0 contributors.")
 
     def test_report_order_is_first_seen_then_name(self, tmp_path):
         kb = KnowledgeBase()
@@ -457,6 +456,7 @@ class TestPersistence:
         '"x"',
         {"tier": 5},
         {"tier": "Gold"},
+        {"tier": ""},
         {"history": {"a": 1}},
         {"owner": 7},
         {"name": 7},
@@ -467,11 +467,14 @@ class TestPersistence:
         {"latest": {"name": 7}},
         {"latest": {"description": ["d"]}},
         {"history": [snapshot_dict("2025-01-01T00:00:00Z"), snapshot_dict("2023-01-01T00:00:00Z")]},
+        {"history": [dict(snapshot_dict("2023-01-01T00:00:00Z"), etag='W/"old"')]},
+        {"history": [dict(snapshot_dict("2023-01-01T00:00:00Z"), etag="")]},
         {"owner": "A", "name": "B", "source_papers": ["p2"]},
         {"owner": ".."},
-    ], ids=["list", "string", "tier", "tier-label", "history", "owner", "name", "papers-string",
-            "papers-item", "float-count", "bool-count", "snapshot-name", "snapshot-description",
-            "history-order", "repeated-identity", "dot-owner"])
+    ], ids=["list", "string", "tier", "tier-label", "tier-empty", "history", "owner", "name",
+            "papers-string", "papers-item", "float-count", "bool-count", "snapshot-name",
+            "snapshot-description", "history-order", "history-etag", "history-empty-etag",
+            "repeated-identity", "dot-owner"])
     def test_line_of_the_wrong_shape_is_a_store_error(self, tmp_path, change):
         kb = KnowledgeBase()
         kb.upsert(make_ref("a", "b"), make_metrics(name="b", fetched_at=T0), {"p1"})
@@ -488,16 +491,17 @@ class TestPersistence:
         with pytest.raises(StoreError, match=re.escape(f"{path}:2: bad record: ")):
             load_records(path)
 
-    def test_writers_grade_latest_not_the_stored_tier(self, tmp_path):
-        """A line graded by another rule, or by hand, loads, and every
-        writer grades its 5 stars Low."""
+    @pytest.mark.parametrize("stored", ["High", " high ", "mEdIuM"])
+    def test_writers_grade_latest_not_the_stored_tier(self, tmp_path, stored):
+        """A line graded by another rule, or by hand, in any case and with
+        any surrounding spaces, loads, and every writer grades its 5 stars Low."""
         kb = KnowledgeBase()
         kb.upsert(make_ref("a", "b"), make_metrics(name="b", stars=5, fetched_at=T0), {"p1"})
         path = tmp_path / "kb.jsonl"
         save_records(kb, path)
-        graded_high = path.read_text().replace('"tier": "Low"', '"tier": "High"')
-        assert '"tier": "High"' in graded_high
-        path.write_text(graded_high)
+        graded = path.read_text().replace('"tier": "Low"', f'"tier": {json.dumps(stored)}')
+        assert f'"tier": {json.dumps(stored)}' in graded
+        path.write_text(graded)
         loaded = load_records(path)
         save_records(loaded, path)
         export_table(loaded, tmp_path / "kb.csv")
