@@ -153,22 +153,23 @@ def execute_pipeline(
 ) -> int:
     """Stream papers, mine links, enrich, classify, and upsert into ``kb``.
 
-    Each name a paper gives is one enrichment task, submitted at its first
-    mention and run on a single worker, so GitHub requests go out one at a
-    time, in first-mention order, while the feed client waits between
-    pages. A name ``kb`` holds, as an identity or an alias, is submitted as
-    that entry's ref and latest snapshot, so it is requested as stored,
-    conditionally; the worker sees only these frozen values, never ``kb``.
-    A name's outcome is GitHubClient.enrich's pair: the resolved ref and
-    snapshot to store, or None, and the failures to log; the client answers
-    each repository once a run, whichever of its names asks. Only this
-    thread touches ``out`` and ``kb``, which nothing writes until the feed
-    ends. A feed that ends before its ``totalResults`` (up to the cap) is
-    warned about. Then each name's outcome is handled once, in
-    first-mention order, as soon as it is ready: each failure is logged
-    under the name, never fatal, and the snapshot, if any, is stored with
-    the ids of the papers that give the name in one ``kb.record`` call, and
-    printed the first time its repository is reported. A paper retrieval
+    One table holds each name papers give, by identity in first-mention
+    order: the name as first given, its papers' ids, and its enrichment,
+    submitted at the first mention to one worker, so GitHub requests go
+    out one at a time while the feed client waits between pages. A name
+    ``kb`` holds, as an identity or an alias, is submitted as that entry's
+    ref and latest snapshot, so it is requested as stored, conditionally;
+    the worker sees only these frozen values, never ``kb``. An outcome is
+    GitHubClient.enrich's pair: the resolved ref and snapshot to store, or
+    None, and the failures to log; the client answers each repository
+    once a run, whichever of its names asks. Only this thread touches
+    ``out`` and ``kb``, which nothing writes until the feed ends. A feed
+    that ends before its ``totalResults`` (up to the cap) is warned about.
+    Then ``dedupe`` of the table's names is printed, and each row is
+    handled in table order as soon as its outcome is ready: each failure
+    is logged under the name, never fatal, and the snapshot, if any, is
+    stored with the row's paper ids in one ``kb.record`` call, and printed
+    the first time its repository is reported. A paper retrieval
     failure after retries is fatal (exit status 1): the repository being
     enriched is finished and no other is started. A client not given is
     built from ``cfg``'s base URL at the API's fixed pacing: 3 s between
@@ -182,52 +183,49 @@ def execute_pipeline(
         base_url=cfg.github_base_url, token=cfg.github_token)
 
     out.write("Processing arXiv papers:\n")
-    refs: list[RepoRef] = []
-    outcomes: dict[tuple[str, str], Future] = {}  # by the name papers give
-    papers: dict[tuple[str, str], set[str]] = {}  # the ids that give each name
-
+    # identity -> (the name as first given, its papers' ids, its enrichment)
+    names: dict[tuple[str, str], tuple[RepoRef, set[str], Future]] = {}
     processed = 0
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="repoharvest-github") as worker:
-        try:
-            for paper in client.iterate_papers(cfg.search):
-                processed += 1
-                out.write(f"\rPaper {processed}/{_papers_promised(client, cfg, processed)}")
-                out.flush()
-                for ref in _mine_refs(paper):
-                    refs.append(ref)
-                    papers.setdefault(ref.identity(), set()).add(paper.arxiv_id)
-                    if ref.identity() not in outcomes:
-                        entry = kb.get(ref)
-                        task = (ref, None) if entry is None else (entry.ref, entry.latest)
-                        outcomes[ref.identity()] = worker.submit(gh.enrich, *task)
-            promised = _papers_promised(client, cfg, processed)
-            if processed < promised:
-                log.warning("the feed ended after %d of %d papers", processed, promised)
-            if processed == 0:
-                out.write(f"Paper 0/{promised}")
-            out.write("\n\n")
-            unique = dedupe(refs)
-            out.write(f"Found GitHub URLs: {[ref.canonical_url for ref in unique]}\n\n")
-            reported: set[tuple[str, str]] = set()
-            for ref in unique:
-                snapshot, failures = outcomes[ref.identity()].result()
-                for failure in failures:
-                    log.warning("GitHub fetch failed for %s/%s: %s (%s)%s", ref.owner, ref.name,
-                                failure.kind.value, failure.detail,
-                                "; its snapshot was kept" if snapshot else "")
-                if not snapshot:
-                    continue
-                entry = kb.record(ref, *snapshot, papers[ref.identity()])
-                if snapshot[0].identity() not in reported:
-                    reported.add(snapshot[0].identity())
-                    out.write(render_report_line(entry.latest, classify(entry.latest)) + "\n")
-        except ArxivRequestError as exc:
-            out.write("\n")
-            log.error("paper retrieval failed: %s", exc)
-            return 1
-        finally:
-            # The repository in progress finishes and no queued one starts.
-            worker.shutdown(cancel_futures=True)
+    worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repoharvest-github")
+    try:
+        for paper in client.iterate_papers(cfg.search):
+            processed += 1
+            out.write(f"\rPaper {processed}/{_papers_promised(client, cfg, processed)}")
+            out.flush()
+            for ref in _mine_refs(paper):
+                if ref.identity() not in names:
+                    entry = kb.get(ref)
+                    task = (ref, None) if entry is None else (entry.ref, entry.latest)
+                    names[ref.identity()] = (ref, set(), worker.submit(gh.enrich, *task))
+                names[ref.identity()][1].add(paper.arxiv_id)
+        promised = _papers_promised(client, cfg, processed)
+        if processed < promised:
+            log.warning("the feed ended after %d of %d papers", processed, promised)
+        if processed == 0:
+            out.write(f"Paper 0/{promised}")
+        out.write("\n\n")
+        unique = dedupe(ref for ref, _, _ in names.values())
+        out.write(f"Found GitHub URLs: {[ref.canonical_url for ref in unique]}\n\n")
+        reported: set[tuple[str, str]] = set()
+        for ref, paper_ids, outcome in names.values():
+            snapshot, failures = outcome.result()
+            for failure in failures:
+                log.warning("GitHub fetch failed for %s/%s: %s (%s)%s", ref.owner, ref.name,
+                            failure.kind.value, failure.detail,
+                            "; its snapshot was kept" if snapshot else "")
+            if not snapshot:
+                continue
+            entry = kb.record(ref, *snapshot, paper_ids)
+            if snapshot[0].identity() not in reported:
+                reported.add(snapshot[0].identity())
+                out.write(render_report_line(entry.latest, classify(entry.latest)) + "\n")
+    except ArxivRequestError as exc:
+        out.write("\n")
+        log.error("paper retrieval failed: %s", exc)
+        return 1
+    finally:
+        # The repository in progress finishes and no queued one starts.
+        worker.shutdown(cancel_futures=True)
     return 0
 
 

@@ -34,6 +34,8 @@ DEFAULT_BASE_URL = "https://api.github.com"
 # run across the anonymous quota of 60 requests an hour.
 AUTHENTICATED_MIN_INTERVAL = 0.10
 
+_LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
 
 def utc_now() -> datetime:
     """Current UTC time at second precision (the store's resolution)."""
@@ -51,7 +53,8 @@ class FailureKind(str, enum.Enum):
 @dataclass(frozen=True)
 class RepoMetrics:
     """Engagement snapshot for one repository. Its ``name`` is checked where
-    it enters: GitHub's ``full_name``, or a store line.
+    it enters: GitHub's ``full_name``, or a store line. ``description``
+    may hold no lone surrogate (see has_lone_surrogate).
 
     Each count is a non-negative int; ``contributors`` is None until the
     contributors endpoint has been counted. ``etag`` is the ETag of the
@@ -71,6 +74,9 @@ class RepoMetrics:
     def __post_init__(self) -> None:
         if not isinstance(self.description, (str, type(None))):
             raise TypeError(f"description must be a string or null, not {self.description!r}")
+        if has_lone_surrogate(self.description):
+            raise ValueError(f"description {self.description!r} holds a lone surrogate, "
+                             "which UTF-8 cannot encode")
         for field_name, value in zip(("stars", "forks", "open_issues", "contributors"),
                                      self.counts()):
             if type(value) is not int:  # a bool is not a count
@@ -83,6 +89,13 @@ class RepoMetrics:
     def counts(self) -> tuple[int, int, int, Optional[int]]:
         """The comparable counts: stars, forks, open issues, contributors."""
         return (self.stars, self.forks, self.open_issues, self.contributors)
+
+
+def has_lone_surrogate(text: Optional[str]) -> bool:
+    """Whether ``text`` holds a surrogate code point, which UTF-8 cannot
+    encode, so no writer could save it: a JSON ``\\udXXX`` escape without
+    its pair decodes to one."""
+    return _LONE_SURROGATE.search(text or "") is not None
 
 
 def sendable_etag(etag: str) -> bool:
@@ -287,7 +300,7 @@ class GitHubClient:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise GitHubFetchError(FailureKind.MALFORMED_RESPONSE,
-                                   f"bad count fields from {url}: {exc}") from exc
+                                   f"bad fields from {url}: {exc}") from exc
         return ref if named.identity() == ref.identity() else named, metrics
 
     def count_contributors(self, ref: RepoRef) -> int:

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import AbstractSet, Iterable, Iterator, Mapping, Optional
 
 from .arxiv import strip_version
-from .github import RepoMetrics, sendable_etag
+from .github import RepoMetrics, has_lone_surrogate, sendable_etag
 from .links import RepoRef, repo_from_name
 from .maturity import TIERS, classify
 
@@ -239,10 +239,13 @@ def _metrics_to_dict(metrics: RepoMetrics) -> dict:
 
 
 def _checked(value, kind: type, what: str):
-    """``value``, which must be a ``kind``: a store line of the wrong shape
-    is a TypeError, which load_records reports with its line."""
+    """``value``, which must be a ``kind``, and a string with no lone
+    surrogate: a store line of the wrong shape is a TypeError or a
+    ValueError, which load_records reports with its line."""
     if not isinstance(value, kind):
         raise TypeError(f"{what} must be a {kind.__name__}, not {value!r}")
+    if isinstance(value, str) and has_lone_surrogate(value):
+        raise ValueError(f"{what} {value!r} holds a lone surrogate, which UTF-8 cannot encode")
     return value
 
 

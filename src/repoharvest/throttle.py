@@ -96,7 +96,13 @@ class RequestGate:
             hint = None if cause else seconds_header(outcome.headers.get("Retry-After"))
             delay = backoff if hint is None else max(backoff, hint)
             if not retryable or attempt == MAX_RETRIES or delay > MAX_WAIT:
-                raise error from cause
+                try:
+                    raise error from cause
+                finally:
+                    # error's traceback holds this frame, so error -> frame ->
+                    # error would be a cycle that keeps the failed response and
+                    # its pooled connection open until the garbage collector runs.
+                    del error, failure
             if delay > LONG_WAIT:
                 log.warning("%s; waiting %.0f s before retrying", error, delay)
             self.defer(delay)

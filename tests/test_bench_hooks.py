@@ -3,6 +3,7 @@ patches on repoharvest.cli must exist, restoring must put the originals
 back, and its hooks must still read what the program returns."""
 from __future__ import annotations
 
+import ast
 import sys
 from pathlib import Path
 
@@ -82,10 +83,11 @@ def test_hooks_count_what_the_program_returns():
     assert tracer.counts["links.rejected"] == 1
 
 
-def _clients(stars: dict[str, int]):
-    """An arXiv client whose feed has one paper for each slug of ``stars``
-    and a GitHub client that knows those repositories with those stars, each
-    followed by its session; ``stars`` is read at each request."""
+def _clients(stars: dict[str, int], abstracts: list[str] | None = None):
+    """An arXiv client whose feed has one paper for each of ``abstracts``,
+    by default one linking each slug of ``stars``, and a GitHub client that
+    knows those repositories with those stars, each followed by its
+    session; ``stars`` is read at each request."""
     def api(url, params):
         slug = "/".join(url.split("/")[4:6])
         if slug not in stars:
@@ -97,8 +99,9 @@ def _clients(stars: dict[str, int]):
             "stargazers_count": stars[slug], "forks_count": 0, "open_issues_count": 0,
         })
 
-    entries = [atom_entry(f"2101.0000{k}", abstract=f"https://github.com/{slug}")
-               for k, slug in enumerate(stars)]
+    if abstracts is None:
+        abstracts = [f"https://github.com/{slug}" for slug in stars]
+    entries = [atom_entry(f"2101.0000{k}", abstract=text) for k, text in enumerate(abstracts)]
     page = FakeResponse(text=atom_feed(entries, total=len(entries)))
     clock = FakeClock()
     feed = FakeSession(lambda url, params: page, clock=clock)
@@ -128,19 +131,42 @@ def test_run_and_monitor_write_to_out_only_with_write_and_flush(tmp_path):
         "Unchanged (1):\n  https://github.com/demo/alpha\n")
 
 
-def test_a_traced_run_counts_one_grading_for_each_report_line(tmp_path):
-    """The benchmark's maturity.calls counts the calls of ``cli.classify``:
-    a run that grades its report lines anywhere else would read 0 there."""
-    arxiv_client, github_client, feed, api = _clients(
-        {"demo/low": 1, "demo/medium": 50, "demo/high": 500})
+def _traced_run(tmp_path, clients) -> tuple[str, dict]:
+    """What a traced ``cmd_run`` over ``_clients``' four values prints, and
+    the layer metrics its tracer read."""
+    arxiv_client, github_client, _, _ = clients
     args = cli.build_parser().parse_args(["run", "--out-dir", str(tmp_path)])
     out = workloads.TimedStream()
     tracer = Tracer()
-    workloads.install_tracing(tracer, arxiv_client, github_client, feed, api)
+    workloads.install_tracing(tracer, *clients)
     try:
         assert cli.cmd_run(cli.resolve_config(args), arxiv_client, github_client, out=out) == 0
     finally:
         tracer.restore()
-    printed = [line for line in out.getvalue().split("\n") if line.startswith("The project ")]
-    assert len(printed) == 3
-    assert layer_metrics(tracer)["maturity.calls"] == len(printed)
+    return out.getvalue(), layer_metrics(tracer)
+
+
+def test_a_traced_run_counts_one_grading_for_each_report_line(tmp_path):
+    """The benchmark's maturity.calls counts the calls of ``cli.classify``:
+    a run that grades its report lines anywhere else would read 0 there."""
+    printed, metrics = _traced_run(
+        tmp_path, _clients({"demo/low": 1, "demo/medium": 50, "demo/high": 500}))
+    reported = [line for line in printed.split("\n") if line.startswith("The project ")]
+    assert len(reported) == 3
+    assert metrics["maturity.calls"] == len(reported)
+
+
+def test_a_traced_run_counts_each_url_mined_and_each_name_found(tmp_path):
+    """The benchmark's links.hits counts the URLs mined and links.unique the
+    list ``cli.dedupe`` returns: one repository given in two casings, more
+    than once, is found once, and a profile URL is mined but names none."""
+    abstracts = ["https://github.com/demo/alpha and https://github.com/Demo/Alpha",
+                 "https://github.com/DEMO/ALPHA, https://github.com/demo and "
+                 "https://github.com/demo/beta"]
+    printed, metrics = _traced_run(
+        tmp_path, _clients({"demo/alpha": 1, "demo/beta": 2}, abstracts))
+    [found] = [line for line in printed.split("\n") if line.startswith("Found GitHub URLs: ")]
+    urls = ast.literal_eval(found.removeprefix("Found GitHub URLs: "))
+    assert urls == ["https://github.com/demo/alpha", "https://github.com/demo/beta"]
+    assert (metrics["links.hits"], metrics["links.rejected"]) == (5, 1)
+    assert metrics["links.unique"] == len(urls)

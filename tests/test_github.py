@@ -766,6 +766,28 @@ class TestEnrich:
         client, _, _ = make_client(handler)
         assert f"{field} must be a string" in self._one_fails_then_two_answers(client).detail
 
+    def test_a_lone_surrogate_in_the_description_is_one_malformed_failure(self):
+        """A JSON \\ud800 escape decodes to text UTF-8 cannot encode, so no
+        writer could save the snapshot; an escaped pair is one character."""
+        repos = {"b/two": {"stars": 5, "forks": 1, "open_issues": 4, "contributors": 3}}
+        answer = self._multi_handler(repos)
+
+        def handler(url, params):
+            if url.endswith("/repos/a/one"):
+                return FakeResponse(json_body={**repo_body("a/one"), "description": "\ud800"})
+            if url.endswith("/repos/c/three"):
+                return FakeResponse(json_body={**repo_body("c/three"), "description": "\U0001f600"})
+            if url.endswith("/repos/c/three/contributors"):
+                return FakeResponse(status_code=204)
+            return answer(url, params)
+
+        client, _, _ = make_client(handler)
+        failure = self._one_fails_then_two_answers(client)
+        assert failure.detail == (f"bad fields from {BASE}/repos/a/one: description '\\ud800' "
+                                  "holds a lone surrogate, which UTF-8 cannot encode")
+        (_, metrics), none = client.enrich(make_ref("c", "three"))
+        assert (metrics.description, none) == ("\U0001f600", ())
+
     def test_a_body_nested_too_deeply_is_one_malformed_failure(self):
         """json raises RecursionError, not ValueError, on such a body."""
         repos = {"b/two": {"stars": 5, "forks": 1, "open_issues": 4, "contributors": 3}}

@@ -327,6 +327,20 @@ class TestPersistence:
         assert separator in path.read_text(encoding="utf-8")  # written raw, not escaped
         assert load_records(path).sorted_entries() == kb.sorted_entries()
 
+    def test_an_escaped_surrogate_pair_loads_as_one_character(self, tmp_path):
+        kb = KnowledgeBase()
+        kb.upsert(make_ref("a", "b"), make_metrics(name="b", description="\U0001f600",
+                                                   fetched_at=T0))
+        path = tmp_path / "kb.jsonl"
+        save_records(kb, path)
+        escaped = path.read_text(encoding="utf-8").replace("\U0001f600", "\\ud83d\\ude00")
+        assert "\\ud83d\\ude00" in escaped
+        path.write_text(escaped, encoding="utf-8")
+        loaded = load_records(path)
+        assert loaded.sorted_entries() == kb.sorted_entries()
+        save_records(loaded, path)
+        assert load_records(path).sorted_entries() == kb.sorted_entries()
+
     def test_crlf_store_loads(self, tmp_path):
         kb = self._populated()
         path = tmp_path / "kb.jsonl"
@@ -471,10 +485,14 @@ class TestPersistence:
         {"history": [dict(snapshot_dict("2023-01-01T00:00:00Z"), etag="")]},
         {"owner": "A", "name": "B", "source_papers": ["p2"]},
         {"owner": ".."},
+        {"latest": {"name": "b\ud800"}},
+        {"latest": {"description": "\udc00 d"}},
+        {"source_papers": ["2101.0000\ud83d"]},
     ], ids=["list", "string", "tier", "tier-label", "tier-empty", "history", "owner", "name",
             "papers-string", "papers-item", "float-count", "bool-count", "snapshot-name",
             "snapshot-description", "history-order", "history-etag", "history-empty-etag",
-            "repeated-identity", "dot-owner"])
+            "repeated-identity", "dot-owner", "snapshot-name-surrogate",
+            "snapshot-description-surrogate", "papers-item-surrogate"])
     def test_line_of_the_wrong_shape_is_a_store_error(self, tmp_path, change):
         kb = KnowledgeBase()
         kb.upsert(make_ref("a", "b"), make_metrics(name="b", fetched_at=T0), {"p1"})

@@ -1,6 +1,9 @@
 """RequestGate spacing and deferral, and its retry loop, on a fake clock."""
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 import requests
 from hypothesis import given, strategies as st
@@ -128,6 +131,29 @@ def test_retry_after_on_an_answer_not_retried_is_not_waited(fake_clock):
     gate.wait()  # nor is the next request deferred by it
     assert sent == [0.0]
     assert fake_clock.sleeps == []
+
+
+def test_a_response_that_fails_for_good_goes_with_its_error(fake_clock):
+    """No cycle holds the failed response once the caller drops the error,
+    so it goes without the garbage collector: a requests.Response that
+    lived on would keep its pooled connection open."""
+    sent = []
+
+    def send(url, params):
+        response = FakeResponse(404)
+        sent.append(weakref.ref(response))
+        return response
+
+    gate = RequestGate(0.0, 1.0, FakeSession(send), clock=fake_clock, sleep=fake_clock.sleep)
+    gc.disable()
+    try:
+        try:
+            gate.get(URL, lambda response: (RuntimeError("gone"), False))
+        except RuntimeError:
+            pass
+        assert [response() for response in sent] == [None]
+    finally:
+        gc.enable()
 
 
 def test_retry_budget_exhausted_raises_with_transport_cause(fake_clock):
